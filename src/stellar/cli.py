@@ -12,9 +12,8 @@ import sys
 from typing import Any, List, Optional
 
 from . import io
-from .complexes import Complex
 from .errors import ParseError, StellarError
-from .group import degree, face_classes, gamma_graph, has_circuit, order_of
+from .group import degree, gamma_graph, has_circuit
 from .invariants import (
     classify_flat_quotient,
     h1,

@@ -10,7 +10,7 @@ link of a generator inside itself.  Public parsers never accept it.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Set, Tuple
 
 from .errors import ComplexError
 
@@ -29,10 +29,6 @@ def simplex(vertices: Iterable[int]) -> Simplex:
         if a == b:
             raise ComplexError(f"repeated vertex {a} in simplex {vs}")
     return vs
-
-
-def simplex_dim(s: Simplex) -> int:
-    return len(s) - 1
 
 
 def faces(s: Simplex, size: int) -> Iterator[Simplex]:
@@ -178,11 +174,6 @@ class Complex:
         sa = set(a)
         return Complex(g for g in self._gens if not sa <= set(g))
 
-    def star(self, a: Simplex) -> "Complex":
-        """Generators containing `a` (equals join(a, link(a)))."""
-        sa = set(tuple(sorted(a)))
-        return Complex(g for g in self._gens if sa <= set(g))
-
     # -- face counting -----------------------------------------------------
 
     def faces_of_dim(self, d: int) -> FrozenSet[Simplex]:
@@ -224,21 +215,45 @@ class Complex:
         gens = [g for g in self._gens if g]
         if len(gens) <= 1:
             return True
-        parent: Dict[int, int] = {}
+        # connected exactly when a spanning forest has |V| - 1 edges
+        uf = UnionFind()
+        merges = sum(uf.union(g[0], v) for g in gens for v in g[1:])
+        return merges == len(self.vertices()) - 1
 
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
 
-        for g in gens:
-            for v in g:
-                parent.setdefault(v, v)
-            for v in g[1:]:
-                parent[find(g[0])] = find(v)
-        roots = {find(v) for v in parent}
-        return len(roots) == 1
+class UnionFind:
+    """Disjoint sets of hashable elements, with path halving.
+
+    Elements join as singletons when passed to the constructor or first
+    seen by `find` or `union`.  `union(x, y)` hangs the class of `x` under the root of `y`, so roots
+    depend only on the order of the unions.
+    """
+
+    def __init__(self, elements: Iterable[Hashable] = ()) -> None:
+        self._parent: Dict[Hashable, Hashable] = {x: x for x in elements}
+
+    def find(self, x: Hashable) -> Hashable:
+        parent = self._parent
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, x: Hashable, y: Hashable) -> bool:
+        """Merge the classes of `x` and `y`; False when they were one."""
+        rx, ry = self.find(x), self.find(y)
+        if rx == ry:
+            return False
+        self._parent[rx] = ry
+        return True
+
+    def groups(self) -> Dict[Hashable, Set[Hashable]]:
+        """Root -> members, for every element added so far."""
+        out: Dict[Hashable, Set[Hashable]] = {}
+        for x in self._parent:
+            out.setdefault(self.find(x), set()).add(x)
+        return out
 
 
 def cone(a: int) -> Complex:

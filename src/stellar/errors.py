@@ -12,12 +12,6 @@ class ComplexError(StellarError):
 class ParseError(StellarError):
     """Input text could not be parsed into the requested object."""
 
-    def __init__(self, message: str, *, location: str | None = None):
-        self.location = location
-        if location:
-            message = f"{message} (at {location})"
-        super().__init__(message)
-
 
 class MoveError(StellarError):
     """A stellar move's precondition failed."""

@@ -7,9 +7,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import lcm
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import FrozenSet, List, Set, Tuple
 
-from .complexes import Complex, Simplex
+from .complexes import Simplex, UnionFind
 from .errors import StructureError
 from .quotient import StellarStructure, pair_matching
 
@@ -45,30 +45,14 @@ def face_classes(structure: StellarStructure) -> List[FrozenSet[Simplex]]:
     """
     sphere = structure.sphere
     cls = structure.equivalence.class_of(sphere)
-    parent: Dict[Simplex, Simplex] = {}
-
-    def find(x: Simplex) -> Simplex:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: Simplex, y: Simplex) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    for g in sphere.generators:
-        for f in itertools.combinations(g, len(g) - 1):
-            parent.setdefault(f, f)
+    uf = UnionFind(
+        f for g in sphere.generators for f in itertools.combinations(g, len(g) - 1)
+    )
     for g, p in structure.equivalence.generator_pairs:
         phi = pair_matching(g, p, cls)
         for f in itertools.combinations(g, len(g) - 1):
-            union(f, tuple(sorted(phi[v] for v in f)))
-    groups: Dict[Simplex, Set[Simplex]] = {}
-    for f in parent:
-        groups.setdefault(find(f), set()).add(f)
-    return sorted((frozenset(s) for s in groups.values()), key=sorted)
+            uf.union(f, tuple(sorted(phi[v] for v in f)))
+    return sorted((frozenset(s) for s in uf.groups().values()), key=sorted)
 
 
 def p_alpha(structure: StellarStructure, alpha: FrozenSet[Simplex]) -> Permutation:
@@ -173,28 +157,19 @@ def internally_flat_complexes(
         if order_of(structure, a) == 2 and frozenset(a) not in collapsible
     ]
     # orbits under the generated group
-    parent = list(range(len(gens)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = UnionFind(range(len(gens)))
     for perm in perms:
         for i, j in enumerate(perm):
-            parent[find(i)] = find(j)
-    orbits: Dict[int, Set[int]] = {}
-    for i in range(len(gens)):
-        orbits.setdefault(find(i), set()).add(i)
+            uf.union(i, j)
+    orbits = uf.groups()
     pair = p0(structure)
     done: Set[int] = set()
     out = []
     for root, members in sorted(orbits.items()):
         if root in done:
             continue
-        image_root = find(pair[root])
-        if {find(pair[i]) for i in members} != {image_root}:
+        image_root = uf.find(pair[root])
+        if {uf.find(pair[i]) for i in members} != {image_root}:
             raise StructureError("the pairing does not carry orbits to orbits")
         done.update((root, image_root))
         out.append(
@@ -243,21 +218,5 @@ def gamma_graph(structure: StellarStructure) -> GammaGraph:
 
 def has_circuit(gamma: GammaGraph) -> bool:
     """A multigraph has a circuit iff it has more edges than a forest allows."""
-    verts = list(gamma.vertices)
-    index = {v: i for i, v in enumerate(verts)}
-    parent = list(range(len(verts)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    components = len(verts)
-    for a, b, _ in gamma.edges:
-        ra, rb = find(index[a]), find(index[b])
-        if ra == rb:
-            return True
-        parent[ra] = rb
-        components -= 1
-    return False
+    uf = UnionFind(gamma.vertices)
+    return not all(uf.union(a, b) for a, b, _ in gamma.edges)

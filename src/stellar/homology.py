@@ -9,7 +9,7 @@ over GF(2) used as a cross-check oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .complexes import Complex, Simplex
 
@@ -133,32 +133,47 @@ def z2_betti_from_boundaries(n1: int, d1: Matrix, d2: Matrix) -> int:
     return n1 - z2_rank(d1) - z2_rank(d2)
 
 
-def simplicial_boundary_matrices(k: Complex) -> Tuple[int, Matrix, Matrix]:
-    """(n1, d1, d2) for the full face closure of a complex.
+def boundary_matrices(
+    verts: Sequence[Simplex],
+    edges: Sequence[Simplex],
+    tris: Sequence[Simplex],
+    cell_of: Callable[[Simplex], Tuple[Simplex, int]],
+) -> Tuple[int, Matrix, Matrix]:
+    """(n1, d1, d2) of a cell complex through dimension two.
 
-    Orientations follow the usual alternating-sign rule on sorted vertex
-    tuples.
+    Cells are named by representative simplexes, listed per dimension in
+    matrix order.  `cell_of` maps a face of a representative to its cell and
+    the parity of the face's orientation against that cell's.  Orientations
+    follow the usual alternating-sign rule on sorted vertex tuples.
     """
-    verts = sorted(k.faces_of_dim(0))
-    edges = sorted(k.faces_of_dim(1))
-    tris = sorted(k.faces_of_dim(2))
     vi: Dict[Simplex, int] = {v: i for i, v in enumerate(verts)}
     ei: Dict[Simplex, int] = {e: i for i, e in enumerate(edges)}
     d1: Matrix = [[0] * len(edges) for _ in verts]
     for j, (u, v) in enumerate(edges):
-        d1[vi[(v,)]][j] += 1
-        d1[vi[(u,)]][j] -= 1
+        d1[vi[cell_of((v,))[0]]][j] += 1
+        d1[vi[cell_of((u,))[0]]][j] -= 1
     d2: Matrix = [[0] * len(tris) for _ in edges]
     for j, t in enumerate(tris):
         # faces (t1,t2), (t0,t2), (t0,t1) carry signs +, -, +
         for pos, face in enumerate([(t[1], t[2]), (t[0], t[2]), (t[0], t[1])]):
-            d2[ei[face]][j] += 1 if pos % 2 == 0 else -1
+            root, parity = cell_of(face)
+            d2[ei[root]][j] += -1 if (pos + parity) % 2 else 1
     if not edges:
         d1 = [[] for _ in verts]
         d2 = []
     if not tris:
         d2 = [[] for _ in edges]
     return len(edges), d1, d2
+
+
+def simplicial_boundary_matrices(k: Complex) -> Tuple[int, Matrix, Matrix]:
+    """(n1, d1, d2) for the full face closure of a complex."""
+    return boundary_matrices(
+        sorted(k.faces_of_dim(0)),
+        sorted(k.faces_of_dim(1)),
+        sorted(k.faces_of_dim(2)),
+        lambda f: (f, 0),
+    )
 
 
 def complex_h1(k: Complex) -> AbelianGroup:

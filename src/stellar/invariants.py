@@ -5,33 +5,37 @@ recognition of flat quotients, and the end-to-end sphere workflow.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Dict, List, Optional, Tuple, Union
 
-from .complexes import Complex, Simplex
+from .complexes import Complex, Simplex, UnionFind
 from .errors import StructureError
-from .group import degree, gamma_graph, has_circuit, is_flat, GammaGraph
-from .homology import AbelianGroup
+from .group import degree, gamma_graph, has_circuit, GammaGraph
+from .homology import AbelianGroup, complex_h1
 from .manifold import check_manifold
+from .moves import free_face_collapse
 from .quotient import QuotientComplex, StellarStructure
-from .structure import BuildResult, build_structure, verify_structure
+from .structure import build_structure, verify_structure
+
+
+def _quotient(x: Union[Complex, QuotientComplex, StellarStructure]) -> QuotientComplex:
+    """A quotient as is; a structure or a complex as its quotient."""
+    if isinstance(x, StellarStructure):
+        return QuotientComplex.from_structure(x)
+    if isinstance(x, Complex):
+        return QuotientComplex.from_complex(x)
+    return x
 
 
 def h1(x: Union[Complex, QuotientComplex, StellarStructure]) -> AbelianGroup:
     """Integer first homology of a complex, structure quotient, or quotient."""
-    if isinstance(x, StellarStructure):
-        x = QuotientComplex.from_structure(x)
-    elif isinstance(x, Complex):
-        x = QuotientComplex.from_complex(x)
-    return x.h1()
+    return complex_h1(x) if isinstance(x, Complex) else _quotient(x).h1()
 
 
 def h1_mod2_concordant(x: Union[Complex, QuotientComplex, StellarStructure]) -> bool:
     """Cross-check: integer H1 tensored with GF(2) matches the mod-2 rank."""
-    if isinstance(x, StellarStructure):
-        x = QuotientComplex.from_structure(x)
-    elif isinstance(x, Complex):
-        x = QuotientComplex.from_complex(x)
-    return x.h1().z2_betti() == x.z2_b1()
+    q = _quotient(x)
+    return q.h1().z2_betti() == q.z2_b1()
 
 
 @dataclass(frozen=True)
@@ -113,19 +117,10 @@ def _surface_data(q: QuotientComplex):
             bdy_deg[root] = bdy_deg.get(root, 0) + 1
     if any(d != 2 for d in bdy_deg.values()):
         return None, "boundary is not a union of circles"
-    parent = {v: v for v in bdy_deg}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    circles_uf = UnionFind(bdy_deg)
     for e in bdy_edges:
-        a = q.cell_of((e[0],))[0]
-        b = q.cell_of((e[1],))[0]
-        parent[find(a)] = find(b)
-    circles = len({find(v) for v in parent})
+        circles_uf.union(q.cell_of((e[0],))[0], q.cell_of((e[1],))[0])
+    circles = len(circles_uf.groups())
     # orientability: 2-color triangles so glued sides induce opposite signs
     color = [0] * len(tris)
     orientable = True
@@ -175,33 +170,13 @@ def classify_flat_quotient(q: QuotientComplex) -> SurfaceClass:
 
 def quotient_collapses_to_point(q: QuotientComplex) -> bool:
     """Free-face collapse on the quotient cells; True when one 0-cell remains."""
-    cells = {c: d for d, group in q.cells.items() for c in group}
-    face_of: Dict[Simplex, set] = {c: set() for c in cells}
-    for c, d in cells.items():
-        if d == 0:
-            continue
-        for low, dl in cells.items():
-            if dl >= d:
-                continue
-            if any(
-                set(mem_low) <= set(mem_hi)
-                for mem_low in q.members[low]
-                for mem_hi in q.members[c]
-            ):
-                face_of[low].add(c)
-    alive = set(cells)
-    while True:
-        pick = None
-        for f in sorted(alive, key=lambda s: (cells[s], s)):
-            cofaces = [c for c in face_of[f] if c in alive]
-            if len(cofaces) == 1 and cells[cofaces[0]] == cells[f] + 1:
-                pick = (f, cofaces[0])
-                break
-        if pick is None:
-            break
-        alive.discard(pick[0])
-        alive.discard(pick[1])
-    return len(alive) == 1 and cells[next(iter(alive))] == 0
+    dim = {c: d for d, group in q.cells.items() for c in group}
+    facets = {c: set() for c in dim}
+    for c, d in dim.items():
+        if d:
+            facets[c] = {q.cell_of(f)[0] for m in q.members[c] for f in combinations(m, d)}
+    alive = free_face_collapse(dim, facets.__getitem__)
+    return len(alive) == 1 and dim[next(iter(alive))] == 0
 
 
 def prism_cell_counts(q: QuotientComplex) -> Dict[int, int]:
@@ -234,7 +209,7 @@ def structure_report(structure: StellarStructure) -> WorkflowReport:
     quotient = QuotientComplex.from_structure(structure)
     group = quotient.h1()
     deg = degree(structure)
-    report = WorkflowReport(flat=is_flat(structure), degree=deg, h1=group)
+    report = WorkflowReport(flat=deg == (2,), degree=deg, h1=group)
     if report.flat:
         report.surface = classify_flat_quotient(quotient)
         report.evidence.append(f"degree {deg}: structure is flat")

@@ -9,7 +9,6 @@ doubles the equator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Dict, List, Optional, Set, Tuple
 

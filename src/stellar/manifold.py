@@ -79,8 +79,3 @@ def check_manifold(k: Complex, budget: int = 2000) -> ManifoldReport:
         unknown_vertices=unknown,
     )
 
-
-def residual_manifold_check(k: Complex, a, budget: int = 2000) -> ManifoldReport:
-    """Manifold check on the residual part Q(a, k)."""
-    q = k.residual(a)
-    return check_manifold(q, budget=budget)

@@ -4,22 +4,34 @@ greedy collapse, and bounded ball/sphere recognition.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from .complexes import (
     EMPTY,
     Complex,
-    LabelAllocator,
     Simplex,
-    all_faces,
+    UnionFind,
     cone,
     simplex,
     simplex_boundary,
 )
-from .errors import BudgetExceeded, ComplexError, MoveError, WeldError
+from .errors import ComplexError, MoveError, WeldError
 from .homology import complex_h1
 
 
@@ -207,6 +219,55 @@ class MoveSequence:
 # collapse
 
 
+def free_face_collapse(
+    dim: Mapping[Hashable, int],
+    facets_of: Callable[[Hashable], Iterable[Hashable]],
+) -> Set[Hashable]:
+    """Greedy free-face collapse of a cell poset; returns the cells left.
+
+    `dim` gives every cell's dimension and `facets_of` its codimension-one
+    faces.  A cell is free when exactly one live cell lies above it.  The
+    live cells stay closed under faces, so that coface is one dimension up
+    and maximal.  The free cell least by (dimension, cell) goes first,
+    together with its coface.  Cofaces count as distinct cells, not as
+    incidences.
+    """
+    cofaces: Dict[Hashable, Set[Hashable]] = {c: set() for c in dim}
+    for c in dim:
+        for f in facets_of(c):
+            cofaces[f].add(c)
+    alive = set(dim)
+
+    def live_cofaces(c: Hashable) -> List[Hashable]:
+        return [u for u in cofaces[c] if u in alive]
+
+    # every free cell is always on the heap; stale entries are skipped
+    heap = [(d, c) for c, d in dim.items()]
+    heapq.heapify(heap)
+    while heap:
+        _, f = heapq.heappop(heap)
+        if f not in alive:
+            continue
+        up = live_cofaces(f)
+        if len(up) != 1 or live_cofaces(up[0]):
+            continue
+        alive.discard(f)
+        alive.discard(up[0])
+        # cells below the pair lost a coface; those left maximal may now
+        # free their own facets
+        for x in itertools.chain(facets_of(f), facets_of(up[0])):
+            if x in alive:
+                heapq.heappush(heap, (dim[x], x))
+                if not live_cofaces(x):
+                    for y in facets_of(x):
+                        heapq.heappush(heap, (dim[y], y))
+    return alive
+
+
+def _facets(s: Simplex) -> Iterable[Simplex]:
+    return itertools.combinations(s, len(s) - 1) if len(s) > 1 else ()
+
+
 def collapse_greedy(k: Complex) -> Complex:
     """Greedy free-face collapse on the full face closure.
 
@@ -214,22 +275,8 @@ def collapse_greedy(k: Complex) -> Complex:
     by (dimension, lexicographic) order.  Returns the residue as a complex
     of its maximal faces.
     """
-    facesets: Set[Simplex] = set(k.closure())
-    while True:
-        free_pair: Optional[Tuple[Simplex, Simplex]] = None
-        for f in sorted(facesets, key=lambda s: (len(s), s)):
-            cofaces = [g for g in facesets if len(g) > len(f) and set(f) < set(g)]
-            if len(cofaces) == 1:
-                free_pair = (f, cofaces[0])
-                break
-        if free_pair is None:
-            break
-        facesets.discard(free_pair[0])
-        facesets.discard(free_pair[1])
-    maximal = [
-        f for f in facesets if not any(g != f and set(f) < set(g) for g in facesets)
-    ]
-    return Complex(maximal)
+    alive = free_face_collapse({f: len(f) - 1 for f in k.closure()}, _facets)
+    return Complex(alive - {h for g in alive for h in _facets(g)})
 
 
 # ---------------------------------------------------------------------------
@@ -268,36 +315,19 @@ def _vertex_degrees(k: Complex) -> Dict[int, int]:
     return deg
 
 
-def _recognize_dim1(k: Complex) -> Recognition:
-    if not k.is_connected():
+def _graph_shape(g: Complex) -> Recognition:
+    """A graph given by its edges: circle (SPHERE), arc (BALL) or NEITHER."""
+    if g.dimension() != 1 or not g.is_uniform():
         return Recognition.NEITHER
-    deg = _vertex_degrees(k)
-    if any(d > 2 for d in deg.values()):
+    deg = _vertex_degrees(g)
+    if any(d > 2 for d in deg.values()) or not g.is_connected():
         return Recognition.NEITHER
     ends = sum(1 for d in deg.values() if d == 1)
     if ends == 0:
-        return Recognition.SPHERE  # a circle
+        return Recognition.SPHERE
     if ends == 2:
-        return Recognition.BALL  # an arc
+        return Recognition.BALL
     return Recognition.NEITHER
-
-
-def _link_graph_shape(k: Complex, v: int) -> Optional[str]:
-    """Shape of the link of a vertex in a 2-complex: 'circle', 'arc' or None."""
-    lk = k.link((v,))
-    if lk.dimension() != 1 or not lk.is_uniform():
-        return None
-    if not lk.is_connected():
-        return None
-    deg = _vertex_degrees(lk)
-    if any(d > 2 for d in deg.values()):
-        return None
-    ends = sum(1 for d in deg.values() if d == 1)
-    if ends == 0:
-        return "circle"
-    if ends == 2:
-        return "arc"
-    return None
 
 
 def is_surface(k: Complex) -> bool:
@@ -310,7 +340,9 @@ def is_surface(k: Complex) -> bool:
             edge_deg[e] = edge_deg.get(e, 0) + 1
     if any(d > 2 for d in edge_deg.values()):
         return False
-    return all(_link_graph_shape(k, v) is not None for v in k.vertices())
+    return all(
+        _graph_shape(k.link((v,))) is not Recognition.NEITHER for v in k.vertices()
+    )
 
 
 def _boundary_circle_count(k: Complex) -> Optional[int]:
@@ -321,23 +353,13 @@ def _boundary_circle_count(k: Complex) -> Optional[int]:
     deg = _vertex_degrees(bdy)
     if any(d != 2 for d in deg.values()):
         return None
-    # count connected components of the boundary graph
-    parent = {v: v for v in bdy.vertices()}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (u, v) in bdy.generators:
-        parent[find(u)] = find(v)
-    return len({find(v) for v in parent})
+    uf = UnionFind()
+    for u, v in bdy.generators:
+        uf.union(u, v)
+    return len(uf.groups())
 
 
 def _recognize_dim2(k: Complex) -> Recognition:
-    if not k.is_connected():
-        return Recognition.NEITHER
     if not is_surface(k):
         return Recognition.NEITHER
     chi = k.euler_characteristic()
@@ -397,10 +419,10 @@ def recognize(k: Complex, budget: int = 2000) -> Recognition:
             if n == 1
             else Recognition.SPHERE if n == 2 else Recognition.NEITHER
         )
+    if dim == 1:
+        return _graph_shape(k)
     if not k.is_connected():
         return Recognition.NEITHER
-    if dim == 1:
-        return _recognize_dim1(k)
     if dim == 2:
         return _recognize_dim2(k)
 

@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from .complexes import Complex, Simplex, simplex
 from .errors import EquivalenceError
 from .homology import (
     AbelianGroup,
     Matrix,
+    boundary_matrices,
     homology_from_boundaries,
     z2_betti_from_boundaries,
 )
@@ -269,27 +270,12 @@ class QuotientComplex:
             raise EquivalenceError(
                 f"cells {sorted(low)} carry inconsistent orientations"
             )
-        verts = self.cells.get(0, [])
-        edges = self.cells.get(1, [])
-        tris = self.cells.get(2, [])
-        vi = {v: i for i, v in enumerate(verts)}
-        ei = {e: i for i, e in enumerate(edges)}
-        d1: Matrix = [[0] * len(edges) for _ in verts]
-        for j, (u, v) in enumerate(edges):
-            d1[vi[self.cell_of((v,))[0]]][j] += 1
-            d1[vi[self.cell_of((u,))[0]]][j] -= 1
-        d2: Matrix = [[0] * len(tris) for _ in edges]
-        for j, t in enumerate(tris):
-            for pos, face in enumerate([(t[1], t[2]), (t[0], t[2]), (t[0], t[1])]):
-                root, par = self.cell_of(face)
-                sign = (1 if pos % 2 == 0 else -1) * (-1) ** par
-                d2[ei[root]][j] += sign
-        if not edges:
-            d1 = [[] for _ in verts]
-            d2 = []
-        if not tris:
-            d2 = [[] for _ in edges]
-        return len(edges), d1, d2
+        return boundary_matrices(
+            self.cells.get(0, []),
+            self.cells.get(1, []),
+            self.cells.get(2, []),
+            self.cell_of,
+        )
 
     def h1(self) -> AbelianGroup:
         n1, d1, d2 = self.boundary_matrices()

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .complexes import Complex, LabelAllocator, Simplex
-from .errors import BudgetExceeded, ComplexError, StructureError
+from .complexes import Complex, LabelAllocator, Simplex, UnionFind
+from .errors import BudgetExceeded, StructureError
 from .quotient import RegularEquivalence, StellarStructure
 from .moves import subdivide, weld
 
@@ -32,32 +32,6 @@ class BuildStep:
 class BuildResult:
     structure: StellarStructure
     steps: List[BuildStep] = field(default_factory=list)
-
-
-class _UnionFind:
-    def __init__(self) -> None:
-        self._parent: Dict[int, int] = {}
-
-    def add(self, x: int) -> None:
-        self._parent.setdefault(x, x)
-
-    def find(self, x: int) -> int:
-        self.add(x)
-        while self._parent[x] != x:
-            self._parent[x] = self._parent[self._parent[x]]
-            x = self._parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> None:
-        self.add(x)
-        self.add(y)
-        self._parent[self.find(x)] = self.find(y)
-
-    def groups(self) -> Dict[int, Set[int]]:
-        out: Dict[int, Set[int]] = {}
-        for x in self._parent:
-            out.setdefault(self.find(x), set()).add(x)
-        return out
 
 
 def build_structure(m: Complex, budget: int = 100_000) -> BuildResult:
@@ -131,7 +105,7 @@ def build_structure(m: Complex, budget: int = 100_000) -> BuildResult:
                 f"absorbing {p} changed the residual size {before} -> {after}"
             )
 
-    dsu = _UnionFind()
+    dsu = UnionFind()
     for v in root:
         dsu.union(v, root[v])
 

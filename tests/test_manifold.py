@@ -5,7 +5,6 @@ from stellar import (
     standard_sphere,
     subdivide,
 )
-from stellar.manifold import residual_manifold_check
 
 
 def test_sphere_is_closed_manifold():
@@ -57,7 +56,7 @@ def test_subdivision_preserves_manifold_verdict():
 
 def test_residual_manifold_check():
     s3 = standard_sphere(3)
-    rep = residual_manifold_check(s3, (1,))
+    rep = check_manifold(s3.residual((1,)))
     # Q(1, S^3) is the single facet not containing 1: a 3-ball
     assert rep.is_manifold is True
     assert rep.closed is False

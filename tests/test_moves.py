@@ -6,6 +6,7 @@ from stellar import (
     Complex,
     MoveError,
     MoveSequence,
+    QuotientComplex,
     Recognition,
     Subdivide,
     Weld,
@@ -21,6 +22,7 @@ from stellar import (
     weld,
 )
 from stellar.complexes import LabelAllocator
+from stellar.invariants import quotient_collapses_to_point
 from stellar.moves import is_standard_ball, is_standard_sphere, prism_offset, weld_candidates
 
 
@@ -116,14 +118,29 @@ def test_move_records_round_trip():
     assert seq.moves[0].inverse() == Weld((1, 2), 4)
 
 
+def assert_collapses_agree(k):
+    """The quotient collapse of the trivial quotient reaches a point exactly
+    when the greedy collapse of the complex ends in one vertex."""
+    residue = collapse_greedy(k)
+    to_vertex = len(residue) == 1 and residue.dimension() == 0
+    assert quotient_collapses_to_point(QuotientComplex.from_complex(k)) is to_vertex
+
+
 def test_collapse_simplex_to_vertex():
     assert collapse_greedy(Complex([(1, 2, 3)])) == Complex([(3,)])
     assert collapse_greedy(standard_simplex(3)).dimension() == 0
+    ball = standard_simplex(3)
+    for a, v in [((1, 2), 5), ((1, 3, 4, 5), 6), ((2, 5), 7), ((3, 4, 6), 8)]:
+        ball = subdivide(ball, a, v)
+    assert collapse_greedy(ball) == Complex([(8,)])
+    for k in (Complex([(1, 2, 3)]), standard_simplex(3), ball):
+        assert_collapses_agree(k)
 
 
 def test_collapse_circle_has_no_free_face():
     circle = standard_sphere(1)
     assert collapse_greedy(circle) == circle
+    assert_collapses_agree(circle)
 
 
 def test_standard_forms():
@@ -142,6 +159,8 @@ def test_recognize_dimension_zero_and_one():
     assert recognize(arc) is Recognition.BALL
     wedge = Complex([(1, 2), (2, 3), (1, 3), (1, 4)])
     assert recognize(wedge) is Recognition.NEITHER
+    two_cycles = standard_sphere(1) + standard_sphere(1, start=4)
+    assert recognize(two_cycles) is Recognition.NEITHER
 
 
 def test_recognize_surfaces():
@@ -152,6 +171,15 @@ def test_recognize_surfaces():
     torus_like = s2 + subdivide(s2, (1, 2), 9) + Complex([(1, 2, 9)])
     # not a surface: the edge (1,2) now has odd incidence structure
     assert recognize(torus_like) in (Recognition.NEITHER, Recognition.UNKNOWN)
+    bow_tie = Complex([(1, 2, 3), (1, 4, 5)])
+    assert recognize(bow_tie) is Recognition.NEITHER
+    book = Complex([(1, 2, 3), (1, 2, 4), (1, 2, 5)])
+    assert recognize(book) is Recognition.NEITHER
+    # inner triangle 1,2,3 and outer triangle 4,5,6
+    annulus = Complex(
+        [(1, 2, 4), (2, 4, 5), (2, 3, 5), (3, 5, 6), (1, 3, 6), (1, 4, 6)]
+    )
+    assert recognize(annulus) is Recognition.NEITHER
 
 
 def test_recognize_after_random_moves():
