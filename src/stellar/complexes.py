@@ -66,6 +66,18 @@ class Complex:
                 gens.add(g)
         self._gens: FrozenSet[Simplex] = frozenset(gens)
 
+    @classmethod
+    def _of(cls, generators: Iterable[Simplex]) -> "Complex":
+        """Trusted constructor for results built from valid complexes.
+
+        Precondition: the generators are distinct, and each is a sorted
+        tuple of distinct positive ints or `()`.  Nothing is checked and
+        nothing cancels; input from outside goes through `Complex(...)`.
+        """
+        k = object.__new__(cls)
+        k._gens = frozenset(generators)
+        return k
+
     # -- basic protocol -------------------------------------------------
 
     @property
@@ -100,7 +112,7 @@ class Complex:
     def __add__(self, other: "Complex") -> "Complex":
         if not isinstance(other, Complex):
             return NotImplemented
-        return Complex(self._gens ^ other._gens)
+        return Complex._of(self._gens ^ other._gens)
 
     # -- vertex bookkeeping ---------------------------------------------
 
@@ -136,7 +148,7 @@ class Complex:
                 )
             for f in simplex_boundary(g):
                 total.symmetric_difference_update({f})
-        return Complex(total)
+        return Complex._of(total)
 
     def is_closed(self) -> bool:
         return not self.boundary()
@@ -154,7 +166,7 @@ class Complex:
         for g in self._gens:
             for h in other._gens:
                 gens.append(tuple(sorted(g + h)))
-        return Complex(gens)
+        return Complex._of(gens)
 
     def link(self, a: Simplex) -> "Complex":
         """Faces whose join with `a` is a generator: {g \\ a : a <= g}.
@@ -167,12 +179,12 @@ class Complex:
         for g in self._gens:
             if sa <= set(g):
                 out.add(tuple(v for v in g if v not in sa))
-        return Complex(out)
+        return Complex._of(out)
 
     def residual(self, a: Simplex) -> "Complex":
         """Generators not containing `a`."""
         sa = set(a)
-        return Complex(g for g in self._gens if not sa <= set(g))
+        return Complex._of(g for g in self._gens if not sa <= set(g))
 
     # -- face counting -----------------------------------------------------
 

@@ -61,7 +61,12 @@ def weld_factor(k: Complex, a: Simplex, vertex: int) -> Complex:
         raise WeldError(f"vertex {vertex} does not occur in the complex")
     if any(set(a) <= set(g) for g in k.generators):
         raise WeldError(f"simplex {a} is already a face of the complex")
-    lk = k.link((vertex,))
+    return _link_factor(k.link((vertex,)), a, vertex)
+
+
+def _link_factor(lk: Complex, a: Simplex, vertex: int) -> Complex:
+    """B with lk = boundary(a) * B, or raise; `lk` is the link of `vertex`,
+    and `a` a valid simplex that is not a face of the complex."""
     if len(a) == 1:
         # boundary of a vertex is the join identity; B is the whole link
         if a[0] in lk.vertices():
@@ -77,7 +82,7 @@ def weld_factor(k: Complex, a: Simplex, vertex: int) -> Complex:
                 f"link generator {h} does not extend a codimension-one face of {a}"
             )
         b_parts.add(tuple(v for v in h if v not in sa))
-    b = Complex(b_parts)
+    b = Complex._of(b_parts)
     if len(lk) != len(bdy) * len(b):
         raise WeldError(
             f"link of {vertex} does not factor through boundary({a}): "
@@ -101,7 +106,12 @@ def weld(k: Complex, a: Simplex, vertex: int) -> Complex:
     b = weld_factor(k, a, vertex)
     if not b:
         raise WeldError(f"vertex {vertex} has an empty link")
-    return Complex([a]).join(b) + k.residual((vertex,))
+    return _welded(k, a, vertex, b)
+
+
+def _welded(k: Complex, a: Simplex, vertex: int, b: Complex) -> Complex:
+    """The weld of `k` at `vertex` onto `a`, given its nonempty factor `b`."""
+    return Complex._of([a]).join(b) + k.residual((vertex,))
 
 
 def relabel(k: Complex, mapping: Dict[int, int]) -> Complex:
@@ -371,12 +381,26 @@ def _recognize_dim2(k: Complex) -> Recognition:
 
 
 def weld_candidates(k: Complex) -> Iterator[Tuple[Simplex, int]]:
-    """Enumerate (simplex, vertex) pairs for which weld() is defined."""
+    """Enumerate (simplex, vertex) pairs for which weld() is defined.
+
+    The order is fixed, and it is the order in which `recognize` spends its
+    budget: vertices ascending; for each, every face f of the least link
+    generator, by size and then lexicographically, joined to each link
+    vertex v outside f in ascending order, skipping repeated simplexes.
+    """
+    for a, vertex, _ in _weld_moves(k):
+        yield a, vertex
+
+
+def _weld_moves(k: Complex) -> Iterator[Tuple[Simplex, int, Complex]]:
+    """(a, vertex, B) for each weld of `k`, in the order of `weld_candidates`,
+    where B is the factor with link(vertex) = boundary(a) * B."""
+    faces = k.closure()
     for vertex in sorted(k.vertices()):
         lk = k.link((vertex,))
         if not lk or EMPTY in lk.generators:
             continue
-        g0 = min(lk.sorted_generators())
+        g0 = min(lk.generators)
         seen: Set[Simplex] = set()
         link_vertices = sorted(lk.vertices())
         for r in range(1, len(g0) + 1):
@@ -385,14 +409,14 @@ def weld_candidates(k: Complex) -> Iterator[Tuple[Simplex, int]]:
                     if v in f:
                         continue
                     a = tuple(sorted(f + (v,)))
-                    if a in seen:
+                    if a in seen or a in faces:
                         continue
                     seen.add(a)
                     try:
-                        weld_factor(k, a, vertex)
+                        b = _link_factor(lk, a, vertex)
                     except WeldError:
                         continue
-                    yield a, vertex
+                    yield a, vertex, b
 
 
 def _canon_key(k: Complex) -> FrozenSet[Simplex]:
@@ -405,7 +429,10 @@ def recognize(k: Complex, budget: int = 2000) -> Recognition:
     """Decide ball/sphere: exact through dimension 2, bounded search above.
 
     For dimension >= 3 the answer Unknown means the weld-shrinking search
-    ran out of budget, never that the complex was silently accepted.
+    ran out of budget, never that the complex was silently accepted.  The
+    search is breadth-first; each weld it tries costs one unit of budget,
+    and the welds of a state are tried in the fixed order of
+    `weld_candidates`, so the answer for a given budget is deterministic.
     """
     if not k.is_uniform():
         raise ComplexError("recognition requires a uniform complex")
@@ -459,11 +486,11 @@ def recognize(k: Complex, budget: int = 2000) -> Recognition:
                 return Recognition.BALL if target is Recognition.BALL else Recognition.NEITHER
             if is_standard_sphere(state):
                 return target if closed else Recognition.NEITHER
-            for a, vertex in weld_candidates(state):
+            for a, vertex, b in _weld_moves(state):
                 spent += 1
                 if spent >= budget:
                     return Recognition.UNKNOWN
-                child = weld(state, a, vertex)
+                child = _welded(state, a, vertex, b)
                 key = _canon_key(child)
                 if key in seen:
                     continue

@@ -2,7 +2,16 @@ import random
 
 import pytest
 
-from stellar import Complex, ComplexError, cone, simplex, standard_simplex, standard_sphere
+from stellar import (
+    Complex,
+    ComplexError,
+    cone,
+    simplex,
+    standard_simplex,
+    standard_sphere,
+    subdivide,
+    weld,
+)
 from stellar.complexes import LabelAllocator, all_faces, simplex_boundary
 
 
@@ -112,3 +121,41 @@ def test_label_allocator_skips_used_labels():
     assert alloc.fresh() == 8
     alloc.note(20)
     assert alloc.fresh() == 21
+
+
+def test_built_complexes_equal_their_validated_copies():
+    """Results of the calculus are built without validation; each must be
+    what the public constructor makes of its generators."""
+    rng = random.Random(11)
+    for start in (standard_sphere(2), standard_sphere(3), standard_simplex(3)):
+        k = start
+        for _ in range(6):
+            g = rng.choice(k.sorted_generators())
+            a = tuple(sorted(rng.sample(g, rng.randint(1, len(g)))))
+            v = LabelAllocator(k).fresh()
+            sub = subdivide(k, a, v)
+            face = rng.choice(sorted(sub.closure()))
+            whole = rng.choice(sub.sorted_generators())
+            results = [
+                sub,
+                weld(sub, a, v),
+                sub.link(face),
+                sub.residual(face),
+                sub.link(whole),
+                sub.link(whole).join(cone(v + 1)),
+                sub.join(standard_sphere(1, start=v + 1)),
+                sub + k,
+                sub.boundary(),
+                Complex([whole]).boundary(),
+            ]
+            for r in results:
+                assert r == Complex(list(r.generators))
+            k = sub
+
+
+def test_public_constructor_validates_and_cancels():
+    assert Complex([(3, 1, 2), (2, 1)]).generators == {(1, 2, 3), (1, 2)}
+    assert Complex([(1, 2), (2, 3), (2, 1)]) == Complex([(2, 3)])
+    for bad in [(1, 1, 2), (0, 1), (-2, 3)]:
+        with pytest.raises(ComplexError):
+            Complex([bad])

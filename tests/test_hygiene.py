@@ -1,4 +1,5 @@
-"""Source hygiene: every name a library module imports is used in it."""
+"""Source hygiene: every name a library module imports is used in it, and
+only the calculus builds complexes without validating them."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,9 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "stellar"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# `Complex._of` skips validation; input paths such as io, lens, cli and
+# structure must go through `Complex(...)`
+TRUSTED = {"complexes.py", "moves.py"}
 
 
 def imported_names(tree):
@@ -40,3 +44,12 @@ def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     unused = sorted(set(imported_names(tree)) - used_names(tree))
     assert not unused, f"{path.name} imports {unused} without using them"
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name not in TRUSTED], ids=lambda p: p.name
+)
+def test_trusted_constructor_stays_in_the_calculus(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "_of"]
+    assert not lines, f"{path.name} builds a complex without validation at lines {lines}"

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -23,7 +24,15 @@ from stellar import (
 )
 from stellar.complexes import LabelAllocator
 from stellar.invariants import quotient_collapses_to_point
-from stellar.moves import is_standard_ball, is_standard_sphere, prism_offset, weld_candidates
+from stellar.moves import (
+    _weld_moves,
+    _welded,
+    is_standard_ball,
+    is_standard_sphere,
+    prism_offset,
+    weld_candidates,
+    weld_factor,
+)
 
 
 def test_subdivide_edge_of_circle():
@@ -202,3 +211,57 @@ def test_weld_candidates_found_on_subdivided_sphere():
     k = subdivide(standard_sphere(2), (1, 2), 9)
     cands = list(weld_candidates(k))
     assert ((1, 2), 9) in cands
+
+
+def random_subdivision(k, rng, moves):
+    for _ in range(moves):
+        g = rng.choice(k.sorted_generators())
+        a = tuple(sorted(rng.sample(g, rng.randint(1, len(g)))))
+        k = subdivide(k, a, LabelAllocator(k).fresh())
+    return k
+
+
+def reference_weld_candidates(k):
+    """The search order written out, keeping each pair the public
+    weld_factor accepts."""
+    out = []
+    for vertex in sorted(k.vertices()):
+        lk = k.link((vertex,))
+        if not lk or () in lk.generators:
+            continue
+        g0 = min(lk.generators)
+        tried = set()
+        for r in range(1, len(g0) + 1):
+            for f in itertools.combinations(g0, r):
+                for v in sorted(lk.vertices()):
+                    a = tuple(sorted(f + (v,)))
+                    if v in f or a in tried:
+                        continue
+                    tried.add(a)
+                    try:
+                        weld_factor(k, a, vertex)
+                    except WeldError:
+                        continue
+                    out.append((a, vertex))
+    return out
+
+
+def test_weld_search_matches_public_weld():
+    rng = random.Random(41)
+    s4 = random_subdivision(standard_sphere(4), rng, 4)
+    busiest = max(sorted(s4.vertices()), key=lambda v: len(s4.link((v,))))
+    inputs = [
+        random_subdivision(standard_sphere(3), rng, 3),
+        s4.link((busiest,)),
+        random_subdivision(standard_simplex(3), rng, 4),
+        random_subdivision(standard_sphere(2), rng, 5),
+    ]
+    for k in inputs:
+        cands = list(weld_candidates(k))
+        assert cands
+        assert cands == reference_weld_candidates(k)
+        found = list(_weld_moves(k))
+        assert [(a, vertex) for a, vertex, _ in found] == cands
+        for a, vertex, b in found:
+            assert b == weld_factor(k, a, vertex)
+            assert _welded(k, a, vertex, b) == weld(k, a, vertex)
