@@ -49,6 +49,15 @@ def simplex_boundary(s: Simplex) -> FrozenSet[Simplex]:
     return frozenset(tuple(v for v in s if v != skip) for skip in s)
 
 
+def cofaces(gens: Iterable[Simplex]) -> Dict[Simplex, List[Simplex]]:
+    """Codimension-one face -> the generators in `gens` containing it."""
+    out: Dict[Simplex, List[Simplex]] = {}
+    for g in gens:
+        for f in itertools.combinations(g, len(g) - 1):
+            out.setdefault(f, []).append(g)
+    return out
+
+
 class Complex:
     """An immutable set of generator simplexes with Z2 addition."""
 

@@ -7,17 +7,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import lcm
-from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from .complexes import Simplex, UnionFind
+from .complexes import Simplex, UnionFind, cofaces
 from .errors import StructureError
 from .quotient import StellarStructure, pair_matching
 
 Permutation = Tuple[int, ...]  # image array over the sorted generator list
-
-
-def _generators(structure: StellarStructure) -> List[Simplex]:
-    return structure.sphere.sorted_generators()
 
 
 def _require_closed(structure: StellarStructure) -> None:
@@ -28,7 +24,7 @@ def _require_closed(structure: StellarStructure) -> None:
 def p0(structure: StellarStructure) -> Permutation:
     """The pairing as an involution on the sphere's generators."""
     _require_closed(structure)
-    gens = _generators(structure)
+    gens = structure.sphere.sorted_generators()
     idx = {g: i for i, g in enumerate(gens)}
     image = list(range(len(gens)))
     for g, p in structure.equivalence.generator_pairs:
@@ -55,52 +51,59 @@ def face_classes(structure: StellarStructure) -> List[FrozenSet[Simplex]]:
     return sorted((frozenset(s) for s in uf.groups().values()), key=sorted)
 
 
-def p_alpha(structure: StellarStructure, alpha: FrozenSet[Simplex]) -> Permutation:
-    """Involution swapping the two generators on either side of each facet
-    in the class `alpha`; everything else is fixed."""
-    gens = _generators(structure)
-    idx = {g: i for i, g in enumerate(gens)}
-    image = list(range(len(gens)))
-    touched: Set[int] = set()
+def _swap(idx: Dict[Simplex, int], around, alpha: FrozenSet[Simplex]) -> Permutation:
+    """`p_alpha` over the generator index `idx` and its `cofaces` map; every
+    member of `alpha` must be a codimension-one face of the generators."""
+    image = list(range(len(idx)))
     for f in alpha:
-        sf = set(f)
-        cofaces = [g for g in gens if sf <= set(g)]
-        if len(cofaces) != 2:
+        f = tuple(sorted(f))
+        hits = [idx[g] for g in around.get(f, ())]
+        if len(hits) != 2:
             raise StructureError(
-                f"facet {tuple(sorted(f))} lies in {len(cofaces)} generators; "
+                f"facet {f} lies in {len(hits)} generators; "
                 "the sphere is not closed there"
             )
-        i, j = idx[cofaces[0]], idx[cofaces[1]]
-        if i in touched or j in touched:
-            raise StructureError(
-                f"a generator contains two facets of the class of {tuple(sorted(f))}"
-            )
-        touched.update((i, j))
+        i, j = hits
+        if image[i] != i or image[j] != j:
+            raise StructureError(f"a generator contains two facets of the class of {f}")
         image[i], image[j] = j, i
     return tuple(image)
+
+
+def p_alpha(structure: StellarStructure, alpha: FrozenSet[Simplex]) -> Permutation:
+    """Involution swapping the two generators on either side of each facet
+    in the class `alpha`; everything else is fixed.  `alpha` must be a class
+    of facets of the sphere's generators, as `face_classes` gives them."""
+    gens = structure.sphere.sorted_generators()
+    return _swap({g: i for i, g in enumerate(gens)}, cofaces(gens), alpha)
+
+
+def _analysis(structure: StellarStructure):
+    """What one query needs, built once: the generators, `p0`, and each face
+    class with its `p_alpha`, made as the caller reaches it."""
+    pairing = p0(structure)
+    gens = structure.sphere.sorted_generators()
+    idx = {g: i for i, g in enumerate(gens)}
+    around = cofaces(gens)
+    return gens, pairing, ((a, _swap(idx, around, a)) for a in face_classes(structure))
 
 
 def _compose(outer: Permutation, inner: Permutation) -> Permutation:
     return tuple(outer[x] for x in inner)
 
 
-def _cycle_lengths(
-    perm: Permutation, starts: Optional[Iterable[int]] = None
-) -> List[int]:
-    """Lengths of the cycles of `perm` through `starts` (default: all points)."""
+def _order(perm: Permutation, starts: Optional[Iterable[int]] = None) -> int:
+    """Order of `perm` on its cycles through `starts` (default: all points)."""
     seen = [False] * len(perm)
-    out = []
-    for start in range(len(perm)) if starts is None else starts:
-        if seen[start]:
-            continue
+    order = 1
+    for x in range(len(perm)) if starts is None else starts:
         n = 0
-        x = start
         while not seen[x]:
             seen[x] = True
             x = perm[x]
             n += 1
-        out.append(n)
-    return out
+        order = lcm(order, n or 1)
+    return order
 
 
 def order_of(structure: StellarStructure, alpha: FrozenSet[Simplex]) -> int:
@@ -113,14 +116,12 @@ def order_of(structure: StellarStructure, alpha: FrozenSet[Simplex]) -> int:
     |alpha| when the class touches every generator and lcm(|alpha|, 2)
     otherwise.
     """
-    _require_closed(structure)
-    comp = _compose(p0(structure), p_alpha(structure, alpha))
-    return lcm(*_cycle_lengths(comp))
+    return _order(_compose(p0(structure), p_alpha(structure, alpha)))
 
 
 def _entry(pairing: Permutation, swap: Permutation) -> int:
     support = [i for i, j in enumerate(swap) if i != j]
-    return max(2, lcm(*_cycle_lengths(_compose(pairing, swap), support)))
+    return max(2, _order(_compose(pairing, swap), support))
 
 
 def degree_entry(structure: StellarStructure, alpha: FrozenSet[Simplex]) -> int:
@@ -134,7 +135,6 @@ def degree_entry(structure: StellarStructure, alpha: FrozenSet[Simplex]) -> int:
     is |alpha|.  A fold class, whose restriction is the identity (see
     `collapsible_edges`), counts as 2, so the entry is max(|alpha|, 2).
     """
-    _require_closed(structure)
     return _entry(p0(structure), p_alpha(structure, alpha))
 
 
@@ -146,10 +146,8 @@ def degree(structure: StellarStructure) -> Tuple[int, ...]:
     exactly when the full order does, but an odd class of k members has
     entry k where its full order is 2k.
     """
-    _require_closed(structure)
-    pairing = p0(structure)
-    entries = {_entry(pairing, p_alpha(structure, a)) for a in face_classes(structure)}
-    return tuple(sorted(entries, reverse=True))
+    _, pairing, swaps = _analysis(structure)
+    return tuple(sorted({_entry(pairing, swap) for _, swap in swaps}, reverse=True))
 
 
 def is_flat(structure: StellarStructure) -> bool:
@@ -164,21 +162,21 @@ def flatness_equivalence_check(structure: StellarStructure) -> bool:
 
 
 def _require_shell(structure: StellarStructure) -> None:
+    _require_closed(structure)
     if structure.sphere.dimension() != 2:
         raise StructureError("edge analysis needs a two-dimensional sphere")
 
 
 def collapsible_edges(structure: StellarStructure) -> List[FrozenSet[Simplex]]:
     """Edge classes alpha with a generator F satisfying swap(pair(F)) = F."""
-    _require_closed(structure)
     _require_shell(structure)
-    p_pair = p0(structure)
-    out = []
-    for alpha in face_classes(structure):
-        comp = _compose(p_alpha(structure, alpha), p_pair)
-        if any(comp[i] == i for i in range(len(comp))):
-            out.append(alpha)
-    return out
+    _, pairing, swaps = _analysis(structure)
+    return [a for a, swap in swaps if _folds(pairing, swap)]
+
+
+def _folds(pairing: Permutation, swap: Permutation) -> bool:
+    """Whether `swap ∘ pairing` fixes some generator."""
+    return any(swap[j] == i for i, j in enumerate(pairing))
 
 
 def internally_flat_complexes(
@@ -186,22 +184,14 @@ def internally_flat_complexes(
 ) -> List[Tuple[FrozenSet[Simplex], FrozenSet[Simplex]]]:
     """Orbit pairs of the group generated by the order-2, non-collapsible
     edge swaps, with orbits matched up by the pairing involution."""
-    _require_closed(structure)
     _require_shell(structure)
-    gens = _generators(structure)
-    collapsible = set(map(frozenset, collapsible_edges(structure)))
-    perms = [
-        p_alpha(structure, a)
-        for a in face_classes(structure)
-        if order_of(structure, a) == 2 and frozenset(a) not in collapsible
-    ]
-    # orbits under the generated group
-    uf = UnionFind(range(len(gens)))
-    for perm in perms:
-        for i, j in enumerate(perm):
-            uf.union(i, j)
+    gens, pair, swaps = _analysis(structure)
+    uf = UnionFind(range(len(gens)))  # orbits under the generated group
+    for _, swap in swaps:
+        if _order(_compose(pair, swap)) == 2 and not _folds(pair, swap):
+            for i, j in enumerate(swap):
+                uf.union(i, j)
     orbits = uf.groups()
-    pair = p0(structure)
     done: Set[int] = set()
     out = []
     for root, members in sorted(orbits.items()):
@@ -244,13 +234,13 @@ def gamma_graph(structure: StellarStructure) -> GammaGraph:
     These are the classes whose degree entry exceeds 2, but the label is the
     full order: 2q, not q, for the odd lens classes.
     """
-    _require_closed(structure)
     _require_shell(structure)
     cls = structure.equivalence.class_of(structure.sphere)
+    _, pairing, swaps = _analysis(structure)
     edges = []
     verts: Set[int] = set()
-    for alpha in face_classes(structure):
-        order = order_of(structure, alpha)
+    for alpha, swap in swaps:
+        order = _order(_compose(pairing, swap))
         if order <= 2:
             continue
         u, v = min(alpha)

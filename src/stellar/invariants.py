@@ -237,7 +237,12 @@ def structure_report(structure: StellarStructure) -> WorkflowReport:
         report.evidence.append(f"degree {deg}: structure is not flat")
         if report.gamma_has_circuit:
             report.evidence.append("graph of high-order edges contains a circuit")
-            report.conclusion = f"not a sphere candidate; H1 = {group.describe()}"
+            # the circuit speaks against this structure only; H1 decides
+            report.conclusion = (
+                f"not a sphere candidate; H1 = {group.describe()}"
+                if not group.is_trivial()
+                else "undecided: not flat, high-order edges form a circuit; H1 = 0"
+            )
         else:
             # no circuit: the high-order edges form a forest, so the quotient
             # should collapse away entirely, certifying a sphere

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from .complexes import Complex, LabelAllocator, Simplex
 from .errors import EquivalenceError, StructureError
 from .moves import subdivide
-from .quotient import RegularEquivalence, StellarStructure
+from .quotient import RegularEquivalence, StellarStructure, pair_matching
 
 Matching = Dict[int, int]
 MatchingTable = Dict[Tuple[Simplex, Simplex], Matching]
@@ -84,8 +84,6 @@ def make_regular(
     pairs = list(equivalence.generator_pairs)
     if matchings is None:
         cls = equivalence.class_of(sphere)
-        from .quotient import pair_matching
-
         matchings = {(g, h): pair_matching(g, h, cls) for g, h in pairs}
     table = dict(matchings)
     alloc = LabelAllocator(sphere)
@@ -160,8 +158,6 @@ def make_regular(
         raise EquivalenceError("; ".join(problems))
     # the repaired structure must agree with its class-derived matchings
     cls = equivalence.class_of(sphere)
-    from .quotient import pair_matching
-
     for (g, h), phi in table.items():
         if pair_matching(g, h, cls) != phi:
             raise StructureError(

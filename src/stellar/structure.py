@@ -1,22 +1,31 @@
 """Building a pairing structure on a closed manifold.
 
-The construction subdivides one generator at a fresh apex, then grows the
+The construction cones one generator off at a fresh apex, then grows the
 apex's star one generator at a time until it swallows the whole manifold.
-Each step is a subdivision followed by a weld, so the complex stays in the
-same stellar class throughout.  Vertices that had to be split apart along
-the way are remembered as an equivalence on the final sphere.
+Each step is a bistellar flip: the star generator apex * f and the residual
+generator p on the other side of f are replaced by the join of the edge
+(apex, w) with the boundary of f.  That is what subdividing f at a fresh
+vertex and welding it back onto (apex, w) amounts to, so the complex stays
+in the same stellar class throughout.  Only the apex link and the residual
+generators are kept.  When the far vertex v of p already has a copy on the
+link, w is a fresh copy of v; the copies are remembered as an equivalence
+on the final sphere.
+
+The input must be a closed pseudomanifold: every codimension-one face lies
+in exactly two generators.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from .complexes import Complex, LabelAllocator, Simplex, UnionFind
+from .complexes import Complex, LabelAllocator, Simplex, cofaces, simplex_boundary
 from .errors import BudgetExceeded, StructureError
-from .quotient import RegularEquivalence, StellarStructure
-from .moves import subdivide, weld
+from .quotient import RegularEquivalence, StellarStructure, euler_identity_check
 
 
 @dataclass
@@ -37,94 +46,81 @@ class BuildResult:
 def build_structure(m: Complex, budget: int = 100_000) -> BuildResult:
     """Grow a structure (apex, sphere, equivalence) on a closed manifold.
 
-    Requires a uniform, closed, connected complex of dimension >= 1.
+    Requires a uniform, closed, connected complex of dimension >= 1 in which
+    every codimension-one face lies in exactly two generators.  Each step
+    absorbs the smallest residual generator that has a face on the apex
+    sphere, across the first such face in lexicographic order.
     """
     if not m or not m.is_uniform():
         raise StructureError("input must be a nonempty uniform complex")
     if m.dimension() < 1:
         raise StructureError("input must have dimension >= 1")
-    if not m.is_closed():
-        raise StructureError("input must be closed")
     if not m.is_connected():
         raise StructureError("input must be connected")
+    around = cofaces(m.generators)
+    for fp, gs in sorted(around.items()):  # also rules out a boundary
+        if len(gs) != 2:
+            raise StructureError(
+                f"face {fp} lies in {len(gs)} generators; the input is not a pseudomanifold"
+            )
 
     alloc = LabelAllocator(m)
     apex = alloc.fresh()
-    first = min(m.sorted_generators())
-    n = subdivide(m, first, apex)
+    first = min(m.generators)
+    residual: Set[Simplex] = set(m.generators) - {first}
     # root label of every vertex; a split copy points back to its original
     root: Dict[int, int] = {v: v for v in m.vertices()}
+    link: Set[Simplex] = set()
+    on_link: Counter = Counter()  # original -> link generators holding it or a copy
+    facing: Dict[Simplex, Simplex] = {}  # face of m with a residual coface -> its link copy
+    frontier: List[Simplex] = []  # heap of residual generators touching the link
     steps: List[BuildStep] = []
 
-    while True:
-        q = n.residual((apex,))
-        if not q:
-            break
+    def add_to_link(gens: Set[Simplex], absorbed: Simplex) -> None:
+        if not link.isdisjoint(gens):
+            raise StructureError(
+                f"absorbing {absorbed} adds faces already on the apex sphere"
+            )
+        for h in gens:
+            link.add(h)
+            fp = tuple(sorted(root[u] for u in h))
+            on_link.update(fp)
+            across = next(g for g in around[fp] if g != absorbed)
+            if across in residual:
+                facing[fp] = h
+                heapq.heappush(frontier, across)
+
+    add_to_link(simplex_boundary(first), first)
+    while residual:
         if len(steps) >= budget:
             raise BudgetExceeded(f"structure build exceeded {budget} steps")
-        lk = n.link((apex,))
-        lk_verts = lk.vertices()
-        # sphere facets indexed by the originals they are copies of
-        by_roots: Dict[frozenset, List[Simplex]] = {}
-        for f in lk.sorted_generators():
-            by_roots.setdefault(frozenset(root[u] for u in f), []).append(f)
-        lk_roots = {root[u] for u in lk_verts}
-        pick: Optional[Tuple[Simplex, Simplex, Simplex]] = None
-        for p in q.sorted_generators():
-            for fp in sorted(itertools.combinations(p, len(p) - 1)):
-                hit = by_roots.get(frozenset(fp))
-                if hit:
-                    pick = (p, fp, hit[0])
-                    break
-            if pick:
-                break
-        if pick is None:
+        while frontier and frontier[0] not in residual:
+            heapq.heappop(frontier)
+        if not frontier:
             raise StructureError(
                 "no residual generator touches the apex sphere along a facet"
             )
-        p, fp, f = pick
+        p = heapq.heappop(frontier)
+        fp = next(e for e in itertools.combinations(p, len(p) - 1) if e in facing)
+        f = facing.pop(fp)
         (v,) = tuple(x for x in p if x not in fp)
-        before = len(q)
-        if v not in lk_roots:
-            attach = tuple(sorted(f + (v,)))
-            if attach != p:
-                n = n + Complex([p, attach])
-            b = alloc.fresh()
-            n = weld(subdivide(n, f, b), tuple(sorted((apex, v))), b)
-            steps.append(BuildStep(p, f, None))
-        else:
-            d = alloc.fresh()
-            n = n + Complex([p, tuple(sorted(f + (d,)))])
-            b = alloc.fresh()
-            n = weld(subdivide(n, f, b), tuple(sorted((apex, d))), b)
-            root[d] = v
-            steps.append(BuildStep(p, f, (d, v)))
-        after = len(n.residual((apex,)))
-        if after != before - 1:
-            raise StructureError(
-                f"absorbing {p} changed the residual size {before} -> {after}"
-            )
+        w = v
+        if on_link[v]:  # v is on the sphere already: absorb p at a fresh copy
+            w = alloc.fresh()
+            root[w] = v
+        alloc.fresh()  # as subdivide-then-weld: a midpoint of f that the weld erases
+        residual.remove(p)
+        link.remove(f)
+        on_link.subtract(fp)
+        add_to_link({tuple(sorted(e + (w,))) for e in simplex_boundary(f)}, p)
+        steps.append(BuildStep(p, f, None if w == v else (w, v)))
 
-    dsu = UnionFind()
-    for v in root:
-        dsu.union(v, root[v])
-
-    sphere = n.link((apex,))
-    sphere_verts = sphere.vertices()
-    classes = sorted(
-        sorted(g & sphere_verts)
-        for g in dsu.groups().values()
-        if len(g & sphere_verts) > 1
-    )
-    class_id = {}
-    for i, c in enumerate(classes):
-        for v in c:
-            class_id[v] = i
-    nxt = len(classes)
-    for v in sorted(sphere.vertices()):
-        if v not in class_id:
-            class_id[v] = nxt
-            nxt += 1
+    sphere = Complex(link)
+    copies: Dict[int, List[int]] = {}
+    for u in sphere.vertices():
+        copies.setdefault(root[u], []).append(u)
+    classes = [c for c in copies.values() if len(c) > 1]
+    class_id = RegularEquivalence.build(classes, ()).class_of(sphere)
 
     groups: Dict[frozenset, List[Simplex]] = {}
     for g in sphere.sorted_generators():
@@ -144,8 +140,6 @@ def build_structure(m: Complex, budget: int = 100_000) -> BuildResult:
 
 def verify_structure(result_or_structure, m: Complex) -> List[str]:
     """Sanity diagnostics for a structure built over the manifold `m`."""
-    from .quotient import euler_identity_check
-
     structure = (
         result_or_structure.structure
         if isinstance(result_or_structure, BuildResult)

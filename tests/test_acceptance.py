@@ -50,15 +50,6 @@ def random_complex(rng, dim, verts=10, gens=6):
     return Complex(out)
 
 
-def random_subdivision(rng, k, moves=3):
-    for _ in range(moves):
-        g = rng.choice(k.sorted_generators())
-        size = rng.randint(1, len(g))
-        a = tuple(sorted(rng.sample(g, size)))
-        k = subdivide(k, a, LabelAllocator(k).fresh())
-    return k
-
-
 def coprime_pairs(q):
     return [p for p in range(1, q) if math.gcd(p, q) == 1]
 
@@ -69,7 +60,7 @@ def lens_zoo():
     }
 
 
-def test_criterion_01_chain_complex_suite():
+def test_criterion_01_chain_complex_suite(random_subdivision):
     start = time.perf_counter()
     rng = random.Random(101)
     for _ in range(200):

@@ -20,7 +20,9 @@ from stellar import (
     is_flat,
     lens_structure,
     standard_sphere,
+    structure_report,
 )
+import stellar.group
 from stellar.group import order_of, p0, p_alpha
 
 
@@ -152,6 +154,28 @@ def test_degree_entry_is_the_order_of_the_class_rotation():
             sorted({max(len(a), 2) for a in face_classes(s)}, reverse=True)
         )
         assert gamma_graph(s).edges == tuple(sorted(high))
+
+
+def test_p_alpha_swaps_the_two_generators_on_each_facet():
+    # reference: find the generators around each facet by scanning them all
+    for s in shell_structures():
+        gens = s.sphere.sorted_generators()
+        for alpha in face_classes(s):
+            expected = list(range(len(gens)))
+            for f in alpha:
+                i, j = [k for k, g in enumerate(gens) if set(f) <= set(g)]
+                expected[i], expected[j] = j, i
+            assert p_alpha(s, alpha) == tuple(expected), sorted(alpha)
+
+
+def test_one_report_builds_the_pairing_at_most_twice(monkeypatch):
+    # once for the degree, once for Γ; not once per face class
+    calls = []
+    real = stellar.group.p0
+    monkeypatch.setattr(stellar.group, "p0", lambda s: calls.append(s) or real(s))
+    report = structure_report(lens_structure(17, 3))
+    assert report.gamma_has_circuit
+    assert len(calls) <= 2
 
 
 def test_lens_gamma_is_a_single_cycle_edge():

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a library module imports is used in it, and
-only the calculus builds complexes without validating them."""
+"""Source hygiene: every name a library module imports is used in it, every
+import sits at module level, and only the calculus builds complexes without
+validating them."""
 
 import ast
 from pathlib import Path
@@ -44,6 +45,21 @@ def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     unused = sorted(set(imported_names(tree)) - used_names(tree))
     assert not unused, f"{path.name} imports {unused} without using them"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_level_relative_imports(path):
+    # the package has no import cycle to break, so a deferred import only hides
+    # a module's dependencies
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [
+        node.lineno
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+    ]
+    assert not lines, f"{path.name} imports inside a function at lines {lines}"
 
 
 @pytest.mark.parametrize(

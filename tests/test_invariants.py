@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from stellar import (
@@ -102,6 +104,25 @@ def test_lens_report_refuses_sphere():
     assert not report.flat
     assert report.gamma_has_circuit
     assert report.conclusion == "not a sphere candidate; H1 = Z/5"
+
+
+def test_subdivided_spheres_are_never_refused(random_subdivision):
+    # stellar moves keep the PL type, so every input is a 3-sphere.  A circuit
+    # in the graph of high-order edges speaks only against the structure that
+    # was built; with trivial H1 nothing rules a sphere out.
+    rng = random.Random(0)
+    c3 = Complex([(1, 2), (2, 3), (1, 3)])
+    c4 = Complex([(4, 5), (5, 6), (6, 7), (4, 7)])
+    bases = [standard_sphere(3), c3.join(c4)]
+    for i in range(12):
+        m = random_subdivision(rng, bases[i % 2], rng.randint(1, 8))
+        report = sphere_workflow(m)
+        assert report.h1.is_trivial()
+        assert not report.conclusion.startswith("not a sphere"), (i, report.conclusion)
+    for q, p in ((3, 1), (5, 2), (7, 3)):
+        report = structure_report(lens_structure(q, p))
+        assert report.gamma_has_circuit
+        assert report.conclusion.startswith("not a sphere"), (q, p)
 
 
 def test_sphere_workflow_on_four_simplex_boundary():

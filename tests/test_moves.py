@@ -213,14 +213,6 @@ def test_weld_candidates_found_on_subdivided_sphere():
     assert ((1, 2), 9) in cands
 
 
-def random_subdivision(k, rng, moves):
-    for _ in range(moves):
-        g = rng.choice(k.sorted_generators())
-        a = tuple(sorted(rng.sample(g, rng.randint(1, len(g)))))
-        k = subdivide(k, a, LabelAllocator(k).fresh())
-    return k
-
-
 def reference_weld_candidates(k):
     """The search order written out, keeping each pair the public
     weld_factor accepts."""
@@ -246,15 +238,15 @@ def reference_weld_candidates(k):
     return out
 
 
-def test_weld_search_matches_public_weld():
+def test_weld_search_matches_public_weld(random_subdivision):
     rng = random.Random(41)
-    s4 = random_subdivision(standard_sphere(4), rng, 4)
+    s4 = random_subdivision(rng, standard_sphere(4), 4)
     busiest = max(sorted(s4.vertices()), key=lambda v: len(s4.link((v,))))
     inputs = [
-        random_subdivision(standard_sphere(3), rng, 3),
+        random_subdivision(rng, standard_sphere(3), 3),
         s4.link((busiest,)),
-        random_subdivision(standard_simplex(3), rng, 4),
-        random_subdivision(standard_sphere(2), rng, 5),
+        random_subdivision(rng, standard_simplex(3), 4),
+        random_subdivision(rng, standard_sphere(2), 5),
     ]
     for k in inputs:
         cands = list(weld_candidates(k))

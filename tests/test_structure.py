@@ -1,13 +1,17 @@
+import random
+
 import pytest
 
 from stellar import (
     Complex,
+    LabelAllocator,
     QuotientComplex,
     StructureError,
     build_structure,
     standard_sphere,
     subdivide,
     verify_structure,
+    weld,
 )
 
 
@@ -96,3 +100,48 @@ def test_build_respects_budget():
 
     with pytest.raises(BudgetExceeded):
         build_structure(standard_sphere(3), budget=1)
+
+
+def replay(m, steps):
+    """Rebuild the apex star from recorded steps with the public moves: put
+    the absorbed generator onto the shared face (at the copy, on a split),
+    subdivide that face at a fresh vertex, and weld it onto (apex, w)."""
+    apex = LabelAllocator(m).fresh()
+    n = subdivide(m, min(m.generators), apex)
+    root = {}
+    for step in steps:
+        p, f = step.generator, step.shared_face
+        (w,) = set(p) - {root.get(u, u) for u in f}
+        if step.split is not None:
+            assert step.split[1] == w
+            w = step.split[0]
+            root[w] = step.split[1]
+        before = len(n.residual((apex,)))
+        n = n + Complex([p, tuple(sorted(f + (w,)))])  # p and its copy cancel
+        b = LabelAllocator(n).fresh()
+        n = weld(subdivide(n, f, b), tuple(sorted((apex, w))), b)
+        assert len(n.residual((apex,))) == before - 1
+    assert not n.residual((apex,))
+    return apex, n.link((apex,))
+
+
+def test_flips_equal_subdivide_then_weld(random_subdivision):
+    rng = random.Random(4)
+    bases = [standard_sphere(3), torus_join(3, 4), standard_sphere(2)]
+    inputs = bases + [random_subdivision(rng, bases[i % 3], rng.randint(1, 8)) for i in range(12)]
+    for m in inputs:
+        result = build_structure(m)
+        assert replay(m, result.steps) == (result.structure.apex, result.structure.sphere)
+
+
+def test_build_rejects_non_pseudomanifolds():
+    # closed and connected, but a codimension-one face lies in four generators
+    cases = [
+        standard_sphere(2, start=5) + Complex([(1, 2, 7, 8)]).boundary(),
+        standard_sphere(3, start=11) + Complex([(1, 2, 13, 14, 15)]).boundary(),
+        standard_sphere(3) + Complex([(3, 4, 5, 6, 7)]).boundary(),
+    ]
+    for m in cases:
+        assert m.is_closed() and m.is_connected()
+        with pytest.raises(StructureError, match="not a pseudomanifold"):
+            build_structure(m)
