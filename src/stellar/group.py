@@ -7,13 +7,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import lcm
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from .complexes import Simplex, UnionFind, cofaces
 from .errors import StructureError
 from .quotient import StellarStructure, pair_matching
 
 Permutation = Tuple[int, ...]  # image array over the sorted generator list
+Swap = Dict[int, int]  # a class swap on its support: generator index -> image
 
 
 def _require_closed(structure: StellarStructure) -> None:
@@ -51,10 +52,11 @@ def face_classes(structure: StellarStructure) -> List[FrozenSet[Simplex]]:
     return sorted((frozenset(s) for s in uf.groups().values()), key=sorted)
 
 
-def _swap(idx: Dict[Simplex, int], around, alpha: FrozenSet[Simplex]) -> Permutation:
-    """`p_alpha` over the generator index `idx` and its `cofaces` map; every
-    member of `alpha` must be a codimension-one face of the generators."""
-    image = list(range(len(idx)))
+def _swap(idx: Dict[Simplex, int], around, alpha: FrozenSet[Simplex]) -> Swap:
+    """The class swap over the generator index `idx` and its `cofaces` map,
+    on the 2|alpha| generators it moves; every member of `alpha` must be a
+    codimension-one face of the generators."""
+    swap: Swap = {}
     for f in alpha:
         f = tuple(sorted(f))
         hits = [idx[g] for g in around.get(f, ())]
@@ -64,23 +66,33 @@ def _swap(idx: Dict[Simplex, int], around, alpha: FrozenSet[Simplex]) -> Permuta
                 "the sphere is not closed there"
             )
         i, j = hits
-        if image[i] != i or image[j] != j:
+        if i in swap or j in swap:
             raise StructureError(f"a generator contains two facets of the class of {f}")
-        image[i], image[j] = j, i
-    return tuple(image)
+        swap[i], swap[j] = j, i
+    return swap
+
+
+def _class_swap(structure: StellarStructure, alpha: FrozenSet[Simplex]) -> Swap:
+    gens = structure.sphere.sorted_generators()
+    return _swap({g: i for i, g in enumerate(gens)}, cofaces(gens), alpha)
 
 
 def p_alpha(structure: StellarStructure, alpha: FrozenSet[Simplex]) -> Permutation:
     """Involution swapping the two generators on either side of each facet
     in the class `alpha`; everything else is fixed.  `alpha` must be a class
-    of facets of the sphere's generators, as `face_classes` gives them."""
-    gens = structure.sphere.sorted_generators()
-    return _swap({g: i for i, g in enumerate(gens)}, cofaces(gens), alpha)
+    of facets of the sphere's generators, as `face_classes` gives them.
+
+    This is the full permutation, the reference for the support-only swaps
+    the queries below work with."""
+    image = list(range(len(structure.sphere.generators)))
+    for i, j in _class_swap(structure, alpha).items():
+        image[i] = j
+    return tuple(image)
 
 
 def _analysis(structure: StellarStructure):
     """What one query needs, built once: the generators, `p0`, and each face
-    class with its `p_alpha`, made as the caller reaches it."""
+    class with its swap on the support, made as the caller reaches it."""
     pairing = p0(structure)
     gens = structure.sphere.sorted_generators()
     idx = {g: i for i, g in enumerate(gens)}
@@ -88,22 +100,32 @@ def _analysis(structure: StellarStructure):
     return gens, pairing, ((a, _swap(idx, around, a)) for a in face_classes(structure))
 
 
-def _compose(outer: Permutation, inner: Permutation) -> Permutation:
-    return tuple(outer[x] for x in inner)
-
-
-def _order(perm: Permutation, starts: Optional[Iterable[int]] = None) -> int:
-    """Order of `perm` on its cycles through `starts` (default: all points)."""
-    seen = [False] * len(perm)
+def _order(step: Callable[[int], int], starts: Iterable[int]) -> int:
+    """Order of the permutation `step` on its cycles through `starts`."""
+    seen: Set[int] = set()
     order = 1
-    for x in range(len(perm)) if starts is None else starts:
+    for x in starts:
         n = 0
-        while not seen[x]:
-            seen[x] = True
-            x = perm[x]
+        while x not in seen:
+            seen.add(x)
+            x = step(x)
             n += 1
         order = lcm(order, n or 1)
     return order
+
+
+def _rotation(pairing: Permutation, swap: Swap) -> int:
+    """Order of `p0 ∘ p_alpha` on the support of the swap.  Face classes are
+    closed under the pair matchings, so the pairing maps the support onto
+    itself and this walk never leaves it."""
+    return _order(lambda x: pairing[swap[x]], swap)
+
+
+def _full_order(pairing: Permutation, swap: Swap) -> int:
+    """Order of `p0 ∘ p_alpha` on all generators: off the support it is the
+    pairing's own transpositions, which add a factor 2 if there are any."""
+    order = _rotation(pairing, swap)
+    return order if len(swap) == len(pairing) else lcm(order, 2)
 
 
 def order_of(structure: StellarStructure, alpha: FrozenSet[Simplex]) -> int:
@@ -114,14 +136,15 @@ def order_of(structure: StellarStructure, alpha: FrozenSet[Simplex]) -> int:
     has order |alpha| (see `degree_entry`); wherever `alpha` misses a
     generator it is the pairing's own transposition, so the full order is
     |alpha| when the class touches every generator and lcm(|alpha|, 2)
-    otherwise.
+    otherwise.  Computed here on the full permutations, as the reference
+    for the support-only orders of `degree` and `gamma_graph`.
     """
-    return _order(_compose(p0(structure), p_alpha(structure, alpha)))
+    pairing, swap = p0(structure), p_alpha(structure, alpha)
+    return _order(lambda x: pairing[swap[x]], range(len(swap)))
 
 
-def _entry(pairing: Permutation, swap: Permutation) -> int:
-    support = [i for i, j in enumerate(swap) if i != j]
-    return max(2, _order(_compose(pairing, swap), support))
+def _entry(pairing: Permutation, swap: Swap) -> int:
+    return max(2, _rotation(pairing, swap))
 
 
 def degree_entry(structure: StellarStructure, alpha: FrozenSet[Simplex]) -> int:
@@ -135,7 +158,7 @@ def degree_entry(structure: StellarStructure, alpha: FrozenSet[Simplex]) -> int:
     is |alpha|.  A fold class, whose restriction is the identity (see
     `collapsible_edges`), counts as 2, so the entry is max(|alpha|, 2).
     """
-    return _entry(p0(structure), p_alpha(structure, alpha))
+    return _entry(p0(structure), _class_swap(structure, alpha))
 
 
 def degree(structure: StellarStructure) -> Tuple[int, ...]:
@@ -174,9 +197,10 @@ def collapsible_edges(structure: StellarStructure) -> List[FrozenSet[Simplex]]:
     return [a for a, swap in swaps if _folds(pairing, swap)]
 
 
-def _folds(pairing: Permutation, swap: Permutation) -> bool:
-    """Whether `swap ∘ pairing` fixes some generator."""
-    return any(swap[j] == i for i, j in enumerate(pairing))
+def _folds(pairing: Permutation, swap: Swap) -> bool:
+    """Whether `swap ∘ pairing` fixes some generator.  Off the support that
+    would be a fixed point of the pairing, which has none."""
+    return any(swap[pairing[i]] == i for i in swap)
 
 
 def internally_flat_complexes(
@@ -188,8 +212,8 @@ def internally_flat_complexes(
     gens, pair, swaps = _analysis(structure)
     uf = UnionFind(range(len(gens)))  # orbits under the generated group
     for _, swap in swaps:
-        if _order(_compose(pair, swap)) == 2 and not _folds(pair, swap):
-            for i, j in enumerate(swap):
+        if _full_order(pair, swap) == 2 and not _folds(pair, swap):
+            for i, j in swap.items():
                 uf.union(i, j)
     orbits = uf.groups()
     done: Set[int] = set()
@@ -240,7 +264,7 @@ def gamma_graph(structure: StellarStructure) -> GammaGraph:
     edges = []
     verts: Set[int] = set()
     for alpha, swap in swaps:
-        order = _order(_compose(pairing, swap))
+        order = _full_order(pairing, swap)
         if order <= 2:
             continue
         u, v = min(alpha)

@@ -1,15 +1,19 @@
-"""Integer and mod-2 linear algebra for small chain complexes.
+"""Integer and mod-2 linear algebra for chain complexes.
 
-Everything here works on dense lists of Python ints, which keeps the
-arithmetic exact at any size.  Two independent code paths are provided on
-purpose: Smith normal form over the integers, and Gaussian elimination
-over GF(2) used as a cross-check oracle.
+Matrices come in and go out as dense lists of Python ints, which keeps the
+arithmetic exact at any size.  The Smith normal form works inside on sparse
+rows: it eliminates unit pivots first and runs a dense loop only on what
+they leave.  Two independent code paths are provided on purpose: Smith
+normal form over the integers, and Gaussian elimination over GF(2) used as
+a cross-check oracle.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from itertools import compress
+from typing import Callable, Dict, List, Sequence, Set, Tuple
 
 from .complexes import Complex, Simplex
 
@@ -19,60 +23,116 @@ Matrix = List[List[int]]
 def smith_normal_form(rows: Sequence[Sequence[int]]) -> List[int]:
     """Diagonal of the Smith normal form (nonnegative, divisor chain).
 
-    Returns only the nonzero invariant factors d1 | d2 | ... .
+    Returns only the nonzero invariant factors d1 | d2 | ... .  Pivots of
+    value +-1 are eliminated first on sparse rows; each contributes a factor
+    1, and only the block they leave goes through the dense loop.
+    """
+    units, rest = _eliminate_units(rows)
+    return [1] * units + _dense_snf(rest)
+
+
+def _eliminate_units(rows: Sequence[Sequence[int]]) -> Tuple[int, Matrix]:
+    """Eliminate +-1 pivots; return their number and the dense remainder.
+
+    A unit pivot clears its column by row operations and then its row by
+    column operations that touch nothing else, so the matrix splits as
+    (1) + remainder without changing the invariant factors.  The pivot is
+    taken in the shortest row that has a unit, at its shortest column, which
+    keeps the fill small.
+    """
+    sparse: Dict[int, Dict[int, int]] = {}
+    cols: Dict[int, Set[int]] = {}
+    for i, r in enumerate(rows):
+        row = {j: r[j] for j in compress(range(len(r)), r)}
+        if row:
+            sparse[i] = row
+            for j in row:
+                cols.setdefault(j, set()).add(i)
+    heap = [(len(row), i) for i, row in sparse.items()]
+    heapq.heapify(heap)
+    units = 0
+    while heap:
+        size, i = heapq.heappop(heap)
+        row = sparse.get(i)
+        if row is None or len(row) != size:
+            continue  # stale: the row is gone or was pushed again when it changed
+        unit = [j for j, v in row.items() if v == 1 or v == -1]
+        if not unit:
+            continue  # stays for the dense loop unless a later step changes it
+        j = min(unit, key=lambda c: len(cols[c]))
+        del sparse[i]
+        for k in row:
+            cols[k].discard(i)
+        u = row[j]
+        for t in cols.pop(j):
+            other = sparse[t]
+            f = other[j] * u
+            for k, v in row.items():
+                w = other.get(k, 0) - f * v
+                if w:
+                    if k not in other:
+                        cols[k].add(t)
+                    other[k] = w
+                else:
+                    del other[k]
+                    if k != j:
+                        cols[k].discard(t)
+            if other:
+                heapq.heappush(heap, (len(other), t))
+            else:
+                del sparse[t]
+        units += 1
+    keep = sorted({j for row in sparse.values() for j in row})
+    return units, [[row.get(j, 0) for j in keep] for row in sparse.values()]
+
+
+def _dense_snf(rows: Sequence[Sequence[int]]) -> List[int]:
+    """Nonzero invariant factors by the dense loop.
+
+    Each round moves the entry of least nonzero magnitude in the remaining
+    block to the corner and divides its row and column by it.  A nonzero
+    remainder, or an entry the corner does not divide (added into the
+    corner's row), is smaller than the corner, so the next round's corner
+    is smaller and the loop ends.  Choosing the least entry afresh every
+    round, not once per corner, keeps the other entries small.
     """
     m: Matrix = [list(r) for r in rows]
     nr = len(m)
     nc = len(m[0]) if nr else 0
-    t = 0
     diag: List[int] = []
-    while t < nr and t < nc:
-        # locate the entry of least nonzero magnitude in the remaining block
-        pi = pj = -1
-        best = 0
-        for i in range(t, nr):
-            for j in range(t, nc):
-                v = abs(m[i][j])
-                if v and (best == 0 or v < best):
-                    best, pi, pj = v, i, j
-        if pi < 0:
-            break
-        m[t], m[pi] = m[pi], m[t]
-        for row in m:
-            row[t], row[pj] = row[pj], row[t]
-        dirty = True
-        while dirty:
-            dirty = False
+    for t in range(min(nr, nc)):
+        while True:
+            block = ((i, j) for i in range(t, nr) for j in range(t, nc) if m[i][j])
+            least = min(block, key=lambda ij: abs(m[ij[0]][ij[1]]), default=None)
+            if least is None:
+                return diag
+            pi, pj = least
+            m[t], m[pi] = m[pi], m[t]
+            for row in m:
+                row[t], row[pj] = row[pj], row[t]
+            piv = m[t][t]
             for i in range(t + 1, nr):
-                if m[i][t]:
-                    q = m[i][t] // m[t][t]
+                q = m[i][t] // piv
+                if q:
                     for j in range(t, nc):
                         m[i][j] -= q * m[t][j]
-                    if m[i][t]:
-                        m[t], m[i] = m[i], m[t]
-                        dirty = True
             for j in range(t + 1, nc):
-                if m[t][j]:
-                    q = m[t][j] // m[t][t]
+                q = m[t][j] // piv
+                if q:
                     for row in m:
                         row[j] -= q * row[t]
-                    if m[t][j]:
-                        for row in m:
-                            row[t], row[j] = row[j], row[t]
-                        dirty = True
-            if not dirty:
-                # enforce divisibility: pivot must divide the whole block
-                piv = m[t][t]
-                for i in range(t + 1, nr):
-                    bad = next((j for j in range(t + 1, nc) if m[i][j] % piv), None)
-                    if bad is not None:
-                        for j in range(t, nc):
-                            m[t][j] += m[i][j]
-                        dirty = True
-                        break
+            if any(m[i][t] for i in range(t + 1, nr)) or any(m[t][t + 1:]):
+                continue
+            bad = next(
+                (i for i in range(t + 1, nr) if any(v % piv for v in m[i][t + 1:])),
+                None,
+            )
+            if bad is None:
+                break
+            for j in range(t + 1, nc):
+                m[t][j] += m[bad][j]
         diag.append(abs(m[t][t]))
-        t += 1
-    return [d for d in diag if d]
+    return diag
 
 
 def integer_rank(rows: Sequence[Sequence[int]]) -> int:

@@ -15,7 +15,7 @@ from .homology import AbelianGroup, complex_h1
 from .manifold import check_manifold
 from .moves import free_face_collapse
 from .quotient import QuotientComplex, StellarStructure
-from .structure import build_structure, verify_structure
+from .structure import _verify, build_structure
 
 
 def _quotient(x: Union[Complex, QuotientComplex, StellarStructure]) -> QuotientComplex:
@@ -206,7 +206,11 @@ class WorkflowReport:
 
 def structure_report(structure: StellarStructure) -> WorkflowReport:
     """Classification chain for a closed structure over a 2-sphere."""
-    quotient = QuotientComplex.from_structure(structure)
+    return _report(structure, QuotientComplex.from_structure(structure))
+
+
+def _report(structure: StellarStructure, quotient: QuotientComplex) -> WorkflowReport:
+    """`structure_report` on the structure's quotient, already built."""
     group = quotient.h1()
     deg = degree(structure)
     report = WorkflowReport(flat=deg == (2,), degree=deg, h1=group)
@@ -274,10 +278,10 @@ def sphere_workflow(m: Complex, budget: int = 100_000) -> WorkflowReport:
     if manifold.is_manifold is False:
         raise StructureError(manifold.describe())
     result = build_structure(m, budget=budget)
-    problems = verify_structure(result, m)
+    problems, quotient = _verify(result, m)  # the one quotient of this run
     if problems:
         raise StructureError("; ".join(problems))
-    report = structure_report(result.structure)
+    report = _report(result.structure, quotient)
     report.evidence.insert(
         0, f"structure built in {len(result.steps)} absorption steps"
     )

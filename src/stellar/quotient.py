@@ -288,6 +288,9 @@ class QuotientComplex:
 
 def euler_identity_check(structure: StellarStructure, m: Complex) -> bool:
     """chi of the quotient equals chi of the manifold plus (-1)^(n+1)."""
-    q = QuotientComplex.from_structure(structure)
+    return _euler_identity(QuotientComplex.from_structure(structure), m)
+
+
+def _euler_identity(q: QuotientComplex, m: Complex) -> bool:
     n = m.dimension()
     return q.euler_characteristic() == m.euler_characteristic() + (-1) ** (n + 1)

@@ -25,7 +25,12 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from .complexes import Complex, LabelAllocator, Simplex, cofaces, simplex_boundary
 from .errors import BudgetExceeded, StructureError
-from .quotient import RegularEquivalence, StellarStructure, euler_identity_check
+from .quotient import (
+    QuotientComplex,
+    RegularEquivalence,
+    StellarStructure,
+    _euler_identity,
+)
 
 
 @dataclass
@@ -140,6 +145,14 @@ def build_structure(m: Complex, budget: int = 100_000) -> BuildResult:
 
 def verify_structure(result_or_structure, m: Complex) -> List[str]:
     """Sanity diagnostics for a structure built over the manifold `m`."""
+    return _verify(result_or_structure, m)[0]
+
+
+def _verify(
+    result_or_structure, m: Complex
+) -> Tuple[List[str], Optional[QuotientComplex]]:
+    """`verify_structure`'s diagnostics, and the quotient the Euler identity
+    was checked on (None when an earlier problem stopped the check)."""
     structure = (
         result_or_structure.structure
         if isinstance(result_or_structure, BuildResult)
@@ -150,6 +163,9 @@ def verify_structure(result_or_structure, m: Complex) -> List[str]:
         out.append("pairing does not cover every sphere generator")
     if structure.sphere.dimension() != m.dimension() - 1:
         out.append("sphere has the wrong dimension")
-    if not out and not euler_identity_check(structure, m):
+    if out:
+        return out, None
+    quotient = QuotientComplex.from_structure(structure)
+    if not _euler_identity(quotient, m):
         out.append("cell count of the quotient fails the Euler identity")
-    return out
+    return out, quotient

@@ -1,6 +1,6 @@
 import pytest
 
-from stellar import LabelAllocator, subdivide
+from stellar import Complex, LabelAllocator, subdivide
 
 
 def _random_subdivision(rng, k, moves):
@@ -16,3 +16,14 @@ def _random_subdivision(rng, k, moves):
 @pytest.fixture
 def random_subdivision():
     return _random_subdivision
+
+
+def _cycle(n, start):
+    vs = range(start, start + n)
+    return Complex([tuple(sorted((vs[i], vs[(i + 1) % n]))) for i in range(n)])
+
+
+@pytest.fixture
+def cycle_join():
+    """C_a * C_b, the join of two cycles: a 3-sphere with a*b facets."""
+    return lambda a, b: _cycle(a, 1).join(_cycle(b, a + 1))

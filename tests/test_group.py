@@ -168,6 +168,86 @@ def test_p_alpha_swaps_the_two_generators_on_each_facet():
             assert p_alpha(s, alpha) == tuple(expected), sorted(alpha)
 
 
+def reference_structures(cycle_join):
+    """The lens zoo for q <= 13, folds of 3..7 and built structures of C_a*C_b."""
+    out = [
+        lens_structure(q, p)
+        for q in range(2, 14)
+        for p in range(1, q)
+        if math.gcd(p, q) == 1
+    ]
+    out += [fold_structure(n) for n in range(3, 8)]
+    for a, b in ((3, 3), (3, 5), (4, 4), (6, 7)):
+        out.append(build_structure(cycle_join(a, b)).structure)
+    return out
+
+
+def full_composite(s, alpha):
+    pairing, swap = p0(s), p_alpha(s, alpha)
+    return [pairing[x] for x in swap], swap
+
+
+def test_support_swaps_match_the_full_permutations(cycle_join):
+    # degree, Γ, fold detection and the internally flat orbits, recomputed
+    # from the public full permutations p0, p_alpha and order_of alone
+    for s in reference_structures(cycle_join):
+        pairing = p0(s)
+        classes = face_classes(s)
+        cls = s.equivalence.class_of(s.sphere)
+        entries, high, folds, flat_swaps = set(), [], [], []
+        for alpha in classes:
+            comp, swap = full_composite(s, alpha)
+            support = {i for i, j in enumerate(swap) if i != j}
+            entry = max(2, math.lcm(*support_cycle_lengths(comp, support)))
+            assert degree_entry(s, alpha) == entry, sorted(alpha)
+            entries.add(entry)
+            order = order_of(s, alpha)
+            assert order == math.lcm(*support_cycle_lengths(comp, range(len(comp))))
+            if order > 2:
+                u, v = min(alpha)
+                high.append((*sorted((cls[u], cls[v])), order))
+            folded = any(swap[j] == i for i, j in enumerate(pairing))
+            if folded:
+                folds.append(alpha)
+            elif order == 2:
+                flat_swaps.append(swap)
+        assert degree(s) == tuple(sorted(entries, reverse=True))
+        if s.sphere.dimension() != 2:
+            continue
+        gamma = gamma_graph(s)
+        assert gamma.edges == tuple(sorted(high))
+        assert gamma.vertices == tuple(sorted({c for a, b, _ in high for c in (a, b)}))
+        assert collapsible_edges(s) == folds
+        assert orbit_pairs(internally_flat_complexes(s)) == reference_orbit_pairs(
+            s, pairing, flat_swaps
+        )
+
+
+def orbit_pairs(pairs):
+    return sorted(tuple(sorted((tuple(sorted(a)), tuple(sorted(b))))) for a, b in pairs)
+
+
+def reference_orbit_pairs(s, pairing, swaps):
+    """Orbits of the generators under the given full swaps, each with the
+    orbit the pairing carries it to, found by a plain graph search."""
+    gens = s.sphere.sorted_generators()
+    orbit_of = {}
+    for start in range(len(gens)):
+        if start in orbit_of:
+            continue
+        orbit, stack = {start}, [start]
+        while stack:
+            x = stack.pop()
+            for swap in swaps:
+                if swap[x] not in orbit:
+                    orbit.add(swap[x])
+                    stack.append(swap[x])
+        for x in orbit:
+            orbit_of[x] = frozenset(gens[i] for i in orbit)
+    pairs = orbit_pairs((orbit_of[x], orbit_of[pairing[x]]) for x in range(len(gens)))
+    return sorted(set(pairs))
+
+
 def test_one_report_builds_the_pairing_at_most_twice(monkeypatch):
     # once for the degree, once for Γ; not once per face class
     calls = []

@@ -1,8 +1,17 @@
+import itertools
+import math
 import random
 
-from stellar import Complex, standard_sphere
+from stellar import (
+    Complex,
+    QuotientComplex,
+    build_structure,
+    lens_structure,
+    standard_sphere,
+)
 from stellar.homology import (
     AbelianGroup,
+    _dense_snf,
     complex_h1,
     homology_from_boundaries,
     integer_rank,
@@ -19,6 +28,11 @@ def test_snf_known_matrices():
     assert smith_normal_form([[1, 0], [0, 1]]) == [1, 1]
     # torsion Z/4 example
     assert smith_normal_form([[2, 2], [2, -2]]) == [2, 4]
+    # no unit entry at all, and a unit beside a non-unit remainder
+    assert smith_normal_form([[2, 4], [6, 8]]) == [2, 4]
+    assert smith_normal_form([[2, 0, 0], [0, 2, 0]]) == [2, 2]
+    assert smith_normal_form([[0, 3], [0, 0], [6, 0]]) == [3, 6]
+    assert smith_normal_form([[1, 2], [0, 2]]) == [1, 2]
 
 
 def test_snf_divisor_chain_random():
@@ -67,3 +81,89 @@ def test_mod2_concordance_random():
         n1, d1, d2 = simplicial_boundary_matrices(k)
         group = homology_from_boundaries(n1, d1, d2)
         assert group.z2_betti() == z2_betti_from_boundaries(n1, d1, d2)
+
+
+def random_matrices(rng, count):
+    """Seeded integer matrices up to 8 x 8: empty ones, zero rows and
+    columns, sparse and dense ones, and ones with no unit entry at all."""
+    yield from ([], [[]], [[], []], [[0]], [[0, 0], [0, 0]])
+    for n in range(count):
+        nr, nc = rng.randint(0, 8), rng.randint(0, 8)
+        values = (-4, -2, 2, 3, 4, 6) if n % 3 == 0 else (-3, -2, -1, 1, 1, 2, 5)
+        density = rng.random()
+        rows = [
+            [rng.choice(values) if rng.random() < density else 0 for _ in range(nc)]
+            for _ in range(nr)
+        ]
+        if rows and nc and n % 5 == 0:
+            j = rng.randrange(nc)
+            for r in rows:  # a zero column
+                r[j] = 0
+            rows[rng.randrange(nr)] = [0] * nc  # and a zero row
+        yield rows
+
+
+def test_sparse_snf_equals_the_dense_loop():
+    # the unit elimination must leave the invariant factors alone: compare it
+    # with the dense loop run on the whole matrix
+    rng = random.Random(2003)
+    count = 0
+    for rows in random_matrices(rng, 1500):
+        diag = smith_normal_form(rows)
+        assert diag == _dense_snf(rows), rows
+        assert all(b % a == 0 for a, b in zip(diag, diag[1:])), rows
+        assert z2_rank(rows) == sum(1 for d in diag if d % 2), rows
+        count += 1
+    assert count > 1000
+
+
+def test_lens_quotients_have_cyclic_h1():
+    # the twist after p = 1, so that the torsion block differs from q to q
+    for q in range(2, 66):
+        p = next((p for p in range(2, q) if math.gcd(p, q) == 1), 1)
+        group = QuotientComplex.from_structure(lens_structure(q, p)).h1()
+        assert group == AbelianGroup(0, (q,)), (q, p)
+
+
+def cycle(n, start=1):
+    vs = list(range(start, start + n))
+    return Complex([tuple(sorted((vs[i], vs[(i + 1) % n]))) for i in range(n)])
+
+
+def staircase_product(k, l):
+    """|k| x |l| triangulated by the staircase rule on ordered vertices;
+    vertex (a, b) becomes (a - 1) * max(l) + b, which keeps the order."""
+    width = l.max_label()
+    out = []
+    for s in k.generators:
+        for t in l.generators:
+            p, q = len(s) - 1, len(t) - 1
+            for ups in itertools.combinations(range(p + q), p):
+                i = j = 0
+                verts = [(s[0] - 1) * width + t[0]]
+                for step in range(p + q):
+                    if step in ups:
+                        i += 1
+                    else:
+                        j += 1
+                    verts.append((s[i] - 1) * width + t[j])
+                out.append(tuple(verts))
+    return Complex(out)
+
+
+RP2 = Complex([
+    (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+    (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6),
+])
+
+
+def test_h1_of_the_non_sphere_controls():
+    controls = [
+        (staircase_product(standard_sphere(2), cycle(4)), AbelianGroup(1)),
+        (staircase_product(staircase_product(cycle(3), cycle(3)), cycle(3)), AbelianGroup(3)),
+        (staircase_product(RP2, cycle(3)), AbelianGroup(1, (2,))),
+    ]
+    for m, known in controls:
+        assert complex_h1(m) == known
+        quotient = QuotientComplex.from_structure(build_structure(m).structure)
+        assert quotient.h1() == known

@@ -18,6 +18,7 @@ from stellar import (
     standard_sphere,
     structure_report,
 )
+import stellar.structure
 from stellar.homology import AbelianGroup
 from stellar.invariants import prism_cell_counts, quotient_collapses_to_point
 
@@ -141,3 +142,28 @@ def test_sphere_workflow_rejects_non_closed_input():
         sphere_workflow(standard_simplex(3))  # a ball, not closed
     with pytest.raises(StructureError):
         sphere_workflow(standard_sphere(2))  # wrong dimension
+
+
+def test_one_workflow_builds_one_quotient(monkeypatch):
+    # the quotient the Euler identity is checked on is the one reported on
+    calls = []
+    real = QuotientComplex.from_structure
+    monkeypatch.setattr(
+        QuotientComplex, "from_structure", staticmethod(lambda s: calls.append(s) or real(s))
+    )
+    assert sphere_workflow(standard_sphere(3)).conclusion == "sphere"
+    assert len(calls) == 1
+
+
+def test_workflow_still_checks_the_euler_identity(monkeypatch):
+    monkeypatch.setattr(stellar.structure, "_euler_identity", lambda q, m: False)
+    with pytest.raises(StructureError, match="Euler identity"):
+        sphere_workflow(standard_sphere(3))
+
+
+def test_sphere_workflow_at_nine_hundred_facets(cycle_join):
+    # C30*C30: the dense loop alone takes tens of seconds on its quotient's
+    # boundary matrix, so this also keeps the unit elimination in place
+    report = sphere_workflow(cycle_join(30, 30))
+    assert report.conclusion == "sphere"
+    assert report.h1 == AbelianGroup(0)
