@@ -155,8 +155,11 @@ class Complex:
                 raise ComplexError(
                     f"cannot take the boundary of {g}: generators must have dimension >= 1"
                 )
-            for f in simplex_boundary(g):
-                total.symmetric_difference_update({f})
+            for f in itertools.combinations(g, len(g) - 1):
+                if f in total:
+                    total.remove(f)
+                else:
+                    total.add(f)
         return Complex._of(total)
 
     def is_closed(self) -> bool:
@@ -190,6 +193,11 @@ class Complex:
                 out.add(tuple(v for v in g if v not in sa))
         return Complex._of(out)
 
+    def vertex_links(self) -> Dict[int, "Complex"]:
+        """Every vertex -> its link, read off `star_index`.  Entry v equals
+        `self.link((v,))`."""
+        return {v: Complex._of(p) for v, p in star_index(self._gens).items()}
+
     def residual(self, a: Simplex) -> "Complex":
         """Generators not containing `a`."""
         sa = set(a)
@@ -217,12 +225,8 @@ class Complex:
         if dim < 0:
             return []
         counts = [0] * (dim + 1)
-        seen: set = set()
-        for g in self._gens:
-            for f in all_faces(g):
-                if f not in seen:
-                    seen.add(f)
-                    counts[len(f) - 1] += 1
+        for f in self.closure():
+            counts[len(f) - 1] += 1
         return counts
 
     def euler_characteristic(self) -> int:
@@ -233,13 +237,41 @@ class Complex:
 
     def is_connected(self) -> bool:
         """Connectivity of the union of generators (empty complex counts)."""
-        gens = [g for g in self._gens if g]
-        if len(gens) <= 1:
-            return True
-        # connected exactly when a spanning forest has |V| - 1 edges
-        uf = UnionFind()
-        merges = sum(uf.union(g[0], v) for g in gens for v in g[1:])
-        return merges == len(self.vertices()) - 1
+        return connected(self._gens)
+
+
+def star_index(gens: Iterable[Simplex]) -> Dict[int, List[Simplex]]:
+    """The star index: every vertex -> the generators of its link, that is
+    the face opposite the vertex in each generator containing it, from one
+    pass over `gens`.  For distinct generators the faces are distinct."""
+    out: Dict[int, List[Simplex]] = {}
+    for g in gens:
+        if g:
+            # combinations drop the last vertex first, then the one before
+            for f, v in zip(itertools.combinations(g, len(g) - 1), reversed(g)):
+                out.setdefault(v, []).append(f)
+    return out
+
+
+def connected(gens: Iterable[Simplex]) -> bool:
+    """Whether the union of the simplexes `gens` is connected; an empty
+    union is."""
+    star: Dict[int, List[Simplex]] = {}
+    for g in gens:
+        for v in g:
+            star.setdefault(v, []).append(g)
+    if not star:
+        return True
+    # search outward from one vertex through the simplexes it lies in
+    todo = [next(iter(star))]
+    reached = set(todo)
+    while todo:
+        for g in star[todo.pop()]:
+            for u in g:
+                if u not in reached:
+                    reached.add(u)
+                    todo.append(u)
+    return len(reached) == len(star)
 
 
 class UnionFind:

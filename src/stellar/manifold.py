@@ -7,7 +7,7 @@ from typing import Dict, List, Optional
 
 from .complexes import Complex
 from .errors import ComplexError
-from .moves import Recognition, recognize
+from .moves import Recognition, _recognize
 
 
 @dataclass
@@ -15,13 +15,16 @@ class ManifoldReport:
     """Outcome of a per-vertex link inspection.
 
     `is_manifold` is None when at least one link came back Unknown and no
-    link was outright rejected.
+    link was outright rejected.  `link_certificates` names what decided each
+    link: "exact" (dimension <= 2, or a refuting invariant), "collapse" or
+    "weld", as in `recognize`; None for an Unknown link.
     """
 
     is_manifold: Optional[bool]
     closed: bool
     dimension: int
     link_results: Dict[int, Recognition] = field(default_factory=dict)
+    link_certificates: Dict[int, Optional[str]] = field(default_factory=dict)
     bad_vertices: List[int] = field(default_factory=list)
     unknown_vertices: List[int] = field(default_factory=list)
 
@@ -53,11 +56,12 @@ def check_manifold(k: Complex, budget: int = 2000) -> ManifoldReport:
     if dim == 0:
         return ManifoldReport(True, True, 0)
     results: Dict[int, Recognition] = {}
+    certificates: Dict[int, Optional[str]] = {}
     bad: List[int] = []
     unknown: List[int] = []
-    for v in sorted(k.vertices()):
-        lk = k.link((v,))
-        res = recognize(lk, budget=budget)
+    links = k.vertex_links()
+    for v in sorted(links):
+        res, certificates[v] = _recognize(links[v], budget)
         results[v] = res
         if res is Recognition.NEITHER:
             bad.append(v)
@@ -75,6 +79,7 @@ def check_manifold(k: Complex, budget: int = 2000) -> ManifoldReport:
         closed=k.is_closed(),
         dimension=dim,
         link_results=results,
+        link_certificates=certificates,
         bad_vertices=bad,
         unknown_vertices=unknown,
     )

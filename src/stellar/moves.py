@@ -26,10 +26,11 @@ from .complexes import (
     EMPTY,
     Complex,
     Simplex,
-    UnionFind,
     cone,
+    connected,
     simplex,
     simplex_boundary,
+    star_index,
 )
 from .errors import ComplexError, MoveError, WeldError
 from .homology import complex_h1
@@ -236,39 +237,40 @@ def free_face_collapse(
     """Greedy free-face collapse of a cell poset; returns the cells left.
 
     `dim` gives every cell's dimension and `facets_of` its codimension-one
-    faces.  A cell is free when exactly one live cell lies above it.  The
-    live cells stay closed under faces, so that coface is one dimension up
-    and maximal.  The free cell least by (dimension, cell) goes first,
-    together with its coface.  Cofaces count as distinct cells, not as
-    incidences.
+    faces, each once.  A cell is free when exactly one live cell lies above
+    it.  The live cells stay closed under faces, so that coface is one
+    dimension up and maximal.  The free cell least by (dimension, cell) goes
+    first, together with its coface.  Cofaces count as distinct cells, not
+    as incidences.
     """
-    cofaces: Dict[Hashable, Set[Hashable]] = {c: set() for c in dim}
+    cofaces: Dict[Hashable, List[Hashable]] = {c: [] for c in dim}
     for c in dim:
         for f in facets_of(c):
-            cofaces[f].add(c)
+            cofaces[f].append(c)
+    live = {c: len(up) for c, up in cofaces.items()}  # live cofaces per cell
     alive = set(dim)
-
-    def live_cofaces(c: Hashable) -> List[Hashable]:
-        return [u for u in cofaces[c] if u in alive]
 
     # every free cell is always on the heap; stale entries are skipped
     heap = [(d, c) for c, d in dim.items()]
     heapq.heapify(heap)
     while heap:
         _, f = heapq.heappop(heap)
-        if f not in alive:
+        if live[f] != 1:  # dead cells keep a count of 0
             continue
-        up = live_cofaces(f)
-        if len(up) != 1 or live_cofaces(up[0]):
+        up = next(u for u in cofaces[f] if u in alive)
+        if live[up]:
             continue
         alive.discard(f)
-        alive.discard(up[0])
+        alive.discard(up)
+        below = [*facets_of(f), *facets_of(up)]
+        for x in below:
+            live[x] -= 1
         # cells below the pair lost a coface; those left maximal may now
         # free their own facets
-        for x in itertools.chain(facets_of(f), facets_of(up[0])):
+        for x in below:
             if x in alive:
                 heapq.heappush(heap, (dim[x], x))
-                if not live_cofaces(x):
+                if not live[x]:
                     for y in facets_of(x):
                         heapq.heappush(heap, (dim[y], y))
     return alive
@@ -342,40 +344,43 @@ def _graph_shape(g: Complex) -> Recognition:
 
 def is_surface(k: Complex) -> bool:
     """Uniform 2-complex check: edge degrees <= 2, vertex links arcs/circles."""
-    if k.dimension() != 2 or not k.is_uniform():
-        return False
-    edge_deg: Dict[Simplex, int] = {}
-    for g in k.generators:
-        for e in itertools.combinations(g, 2):
-            edge_deg[e] = edge_deg.get(e, 0) + 1
-    if any(d > 2 for d in edge_deg.values()):
-        return False
-    return all(
-        _graph_shape(k.link((v,))) is not Recognition.NEITHER for v in k.vertices()
-    )
+    return k.dimension() == 2 and k.is_uniform() and _surface_edges(k) is not None
 
 
-def _boundary_circle_count(k: Complex) -> Optional[int]:
-    """Number of circles in the boundary of a surface-like 2-complex."""
-    bdy = k.boundary()
-    if not bdy:
-        return 0
-    deg = _vertex_degrees(bdy)
-    if any(d != 2 for d in deg.values()):
+def _surface_edges(k: Complex) -> Optional[Dict[Simplex, int]]:
+    """Edge degrees of a uniform 2-complex `k` that is a surface, else None.
+
+    With every edge degree at most 2, no vertex of a vertex link has degree
+    above 2, so a link is an arc or a circle exactly when it is connected.
+    """
+    deg: Dict[Simplex, int] = {}
+    for a, b, c in k.generators:
+        for e in ((a, b), (a, c), (b, c)):
+            deg[e] = deg.get(e, 0) + 1
+    if any(d > 2 for d in deg.values()):
         return None
-    uf = UnionFind()
-    for u, v in bdy.generators:
-        uf.union(u, v)
-    return len(uf.groups())
+    if all(connected(lk) for lk in star_index(k.generators).values()):
+        return deg
+    return None
 
 
 def _recognize_dim2(k: Complex) -> Recognition:
-    if not is_surface(k):
+    """Exact recognition of a connected uniform 2-complex.
+
+    Closedness and the Euler characteristic come from the edge degrees.  A
+    surface's rim (its degree-1 edges) is a disjoint union of circles, since
+    every rim vertex has an arc for its link; a connected surface with
+    chi = 2 and no rim is a sphere, and one with chi = 1 and a single rim
+    circle is a disk.
+    """
+    deg = _surface_edges(k)
+    if deg is None:
         return Recognition.NEITHER
-    chi = k.euler_characteristic()
-    if k.is_closed():
+    chi = len(k.vertices()) - len(deg) + len(k)
+    rim = [e for e, d in deg.items() if d == 1]
+    if not rim:
         return Recognition.SPHERE if chi == 2 else Recognition.NEITHER
-    if chi == 1 and _boundary_circle_count(k) == 1:
+    if chi == 1 and connected(rim):
         return Recognition.BALL
     return Recognition.NEITHER
 
@@ -396,9 +401,10 @@ def _weld_moves(k: Complex) -> Iterator[Tuple[Simplex, int, Complex]]:
     """(a, vertex, B) for each weld of `k`, in the order of `weld_candidates`,
     where B is the factor with link(vertex) = boundary(a) * B."""
     faces = k.closure()
-    for vertex in sorted(k.vertices()):
-        lk = k.link((vertex,))
-        if not lk or EMPTY in lk.generators:
+    links = k.vertex_links()
+    for vertex in sorted(links):
+        lk = links[vertex]
+        if EMPTY in lk.generators:
             continue
         g0 = min(lk.generators)
         seen: Set[Simplex] = set()
@@ -425,55 +431,73 @@ def _canon_key(k: Complex) -> FrozenSet[Simplex]:
     return frozenset(tuple(ren[v] for v in g) for g in k.generators)
 
 
-def recognize(k: Complex, budget: int = 2000) -> Recognition:
-    """Decide ball/sphere: exact through dimension 2, bounded search above.
+# The certificate behind a decided recognition: "exact" when no search or
+# collapse was needed (dimension <= 2, or a refuting invariant: connectivity,
+# chi, H1, a vertex link), "collapse" for the link test plus a collapse to a
+# vertex, "weld" when the weld search reached a standard ball or sphere.
+EXACT = "exact"
+COLLAPSE = "collapse"
+WELD = "weld"
 
-    For dimension >= 3 the answer Unknown means the weld-shrinking search
-    ran out of budget, never that the complex was silently accepted.  The
-    search is breadth-first; each weld it tries costs one unit of budget,
+
+def recognize(k: Complex, budget: int = 2000) -> Recognition:
+    """Decide ball/sphere: exact through dimension 2, certified above.
+
+    For dimension >= 3 the certificates are tried in this order:
+
+    1. Connectivity and the Euler characteristic (0 or 2 when closed, by
+       parity of the dimension; 1 with boundary) can refute.
+    2. Every vertex link is recognised, recursively and without search.  A
+       link that is NEITHER makes the complex NEITHER.  When every link is a
+       sphere (or, with boundary, a sphere or a ball), the complex is a PL
+       manifold; it is a ball when it collapses to a vertex and, if closed,
+       a sphere when it does so after its least generator is removed.
+    3. Nontrivial H1 refutes.
+    4. A breadth-first shrink by welds.
+
+    Only the weld search spends budget: each weld it tries costs one unit,
     and the welds of a state are tried in the fixed order of
     `weld_candidates`, so the answer for a given budget is deterministic.
+    Unknown means the search ran out of budget, never that the complex was
+    silently accepted.
     """
+    return _recognize(k, budget)[0]
+
+
+def _recognize(k: Complex, budget: int) -> Tuple[Recognition, Optional[str]]:
+    """`recognize`, with the certificate that decided it (None for Unknown)."""
     if not k.is_uniform():
         raise ComplexError("recognition requires a uniform complex")
     if not k:
-        return Recognition.NEITHER
+        return Recognition.NEITHER, EXACT
     dim = k.dimension()
     if dim == 0:
         n = len(k)
-        return (
-            Recognition.BALL
-            if n == 1
-            else Recognition.SPHERE if n == 2 else Recognition.NEITHER
-        )
+        shapes = {1: Recognition.BALL, 2: Recognition.SPHERE}
+        return shapes.get(n, Recognition.NEITHER), EXACT
     if dim == 1:
-        return _graph_shape(k)
+        return _graph_shape(k), EXACT
     if not k.is_connected():
-        return Recognition.NEITHER
+        return Recognition.NEITHER, EXACT
     if dim == 2:
-        return _recognize_dim2(k)
+        return _recognize_dim2(k), EXACT
 
     closed = k.is_closed()
-    chi = k.euler_characteristic()
-    if closed:
-        if dim % 2 == 1 and chi != 0:
-            return Recognition.NEITHER
-        if dim % 2 == 0 and chi != 2:
-            return Recognition.NEITHER
-        if not complex_h1(k).is_trivial():
-            return Recognition.NEITHER
-    else:
-        if chi != 1:
-            return Recognition.NEITHER
-        if not complex_h1(k).is_trivial():
-            return Recognition.NEITHER
-
+    if k.euler_characteristic() != (1 if not closed else 0 if dim % 2 else 2):
+        return Recognition.NEITHER, EXACT
     target = Recognition.SPHERE if closed else Recognition.BALL
 
-    if not closed:
-        residue = collapse_greedy(k)
+    links = _link_test(k, target)
+    if links is Recognition.NEITHER:
+        return Recognition.NEITHER, EXACT
+    if links is target:
+        rest = k.residual(min(k.generators)) if closed else k
+        residue = collapse_greedy(rest)
         if len(residue) == 1 and residue.dimension() == 0:
-            return Recognition.BALL
+            return target, COLLAPSE
+
+    if not complex_h1(k).is_trivial():
+        return Recognition.NEITHER, EXACT
 
     # bounded breadth-first shrink by welds
     spent = 0
@@ -483,13 +507,13 @@ def recognize(k: Complex, budget: int = 2000) -> Recognition:
         nxt: List[Complex] = []
         for state in frontier:
             if is_standard_ball(state):
-                return Recognition.BALL if target is Recognition.BALL else Recognition.NEITHER
+                return target if not closed else Recognition.NEITHER, WELD
             if is_standard_sphere(state):
-                return target if closed else Recognition.NEITHER
+                return target if closed else Recognition.NEITHER, WELD
             for a, vertex, b in _weld_moves(state):
                 spent += 1
                 if spent >= budget:
-                    return Recognition.UNKNOWN
+                    return Recognition.UNKNOWN, None
                 child = _welded(state, a, vertex, b)
                 key = _canon_key(child)
                 if key in seen:
@@ -501,5 +525,23 @@ def recognize(k: Complex, budget: int = 2000) -> Recognition:
         if (closed and is_standard_sphere(state)) or (
             not closed and is_standard_ball(state)
         ):
-            return target
-    return Recognition.UNKNOWN
+            return target, WELD
+    return Recognition.UNKNOWN, None
+
+
+def _link_test(k: Complex, target: Recognition) -> Recognition:
+    """NEITHER when some vertex link of `k` is NEITHER; else `target` when
+    every link is a sphere, or, for a ball `target`, a sphere or a ball;
+    else UNKNOWN.
+
+    Links are recognised with budget 0, so the test spends no budget.
+    """
+    allowed = {Recognition.SPHERE, target}
+    verdict = target
+    for lk in k.vertex_links().values():
+        shape = _recognize(lk, 0)[0]
+        if shape is Recognition.NEITHER:
+            return shape
+        if shape not in allowed:
+            verdict = Recognition.UNKNOWN
+    return verdict

@@ -12,7 +12,14 @@ from stellar import (
     subdivide,
     weld,
 )
-from stellar.complexes import LabelAllocator, all_faces, simplex_boundary
+from stellar.complexes import (
+    LabelAllocator,
+    UnionFind,
+    all_faces,
+    connected,
+    simplex_boundary,
+    star_index,
+)
 
 
 def random_complex(rng, dim=2, verts=8, gens=6):
@@ -103,6 +110,49 @@ def test_connectedness():
     assert not two_bits.is_connected()
     # a sphere pair: S^0
     assert not Complex([(1,), (2,)]).is_connected()
+
+
+def complex_zoo(rng):
+    """Spheres, balls, non-manifolds, a non-uniform complex, the empty
+    generator beside an edge, random complexes and subdivided spheres."""
+    zoo = [standard_sphere(n) for n in range(0, 5)]
+    zoo += [standard_simplex(n) for n in range(0, 4)]
+    zoo += [
+        Complex([(1, 2, 3), (1, 4, 5)]),
+        Complex([(1, 2), (2, 3), (1, 3), (1, 4), (4, 5), (1, 5)]),
+        Complex([(1, 2, 3), (4, 5)]),
+        Complex([(), (1, 2)]),
+        standard_sphere(1).join(standard_sphere(1, start=10)),
+    ]
+    zoo += [random_complex(rng, dim=rng.choice([1, 2, 3]), verts=8, gens=6) for _ in range(20)]
+    for start in (standard_sphere(3), standard_sphere(4)):
+        k = start
+        for _ in range(4):
+            g = rng.choice(k.sorted_generators())
+            a = tuple(sorted(rng.sample(g, rng.randint(1, len(g)))))
+            k = subdivide(k, a, LabelAllocator(k).fresh())
+            zoo.append(k)
+    return zoo
+
+
+def test_star_index_gives_every_vertex_link():
+    for k in complex_zoo(random.Random(13)):
+        links = k.vertex_links()
+        assert set(links) == k.vertices()
+        for v, lk in links.items():
+            assert lk == k.link((v,))
+            assert sorted(star_index(k.generators)[v]) == sorted(lk.generators)
+
+
+def test_connected_matches_a_spanning_forest():
+    assert connected([]) and connected([()]) and connected([(4,)])
+    assert not connected([(1, 2), (3, 4)])
+    assert connected([(3, 4), (1, 2), (2, 3)])
+    for k in complex_zoo(random.Random(17)):
+        # connected exactly when a spanning forest has |V| - 1 edges
+        uf = UnionFind()
+        merges = sum(uf.union(g[0], v) for g in k.generators if g for v in g[1:])
+        assert connected(k.generators) is (merges == max(len(k.vertices()) - 1, 0))
 
 
 def test_closure_and_faces():

@@ -5,8 +5,11 @@ import random
 from stellar import (
     Complex,
     QuotientComplex,
+    Recognition,
     build_structure,
+    collapse_greedy,
     lens_structure,
+    recognize,
     standard_sphere,
 )
 from stellar.homology import (
@@ -167,3 +170,17 @@ def test_h1_of_the_non_sphere_controls():
         assert complex_h1(m) == known
         quotient = QuotientComplex.from_structure(build_structure(m).structure)
         assert quotient.h1() == known
+
+
+def test_non_sphere_controls_are_never_recognised():
+    # closed 3-manifolds with PL-sphere links whose collapse after removing
+    # a generator stops short of a vertex; H1 then refutes them
+    controls = [
+        (staircase_product(standard_sphere(2), cycle(4)), 8),
+        (staircase_product(staircase_product(cycle(3), cycle(3)), cycle(3)), 54),
+        (staircase_product(RP2, cycle(3)), 28),
+    ]
+    for m, residue in controls:
+        assert len(collapse_greedy(m.residual(min(m.generators)))) == residue
+        assert recognize(m) is Recognition.NEITHER
+        assert recognize(m, budget=1) is Recognition.NEITHER

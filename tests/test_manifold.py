@@ -1,3 +1,5 @@
+import random
+
 from stellar import (
     Complex,
     check_manifold,
@@ -60,3 +62,26 @@ def test_residual_manifold_check():
     # Q(1, S^3) is the single facet not containing 1: a 3-ball
     assert rep.is_manifold is True
     assert rep.closed is False
+
+
+def test_link_certificates_are_recorded():
+    rep = check_manifold(standard_sphere(3))
+    assert set(rep.link_certificates.values()) == {"exact"}
+    rep = check_manifold(standard_sphere(4))
+    assert set(rep.link_certificates.values()) == {"collapse"}
+    rep = check_manifold(Complex([(1, 2, 3, 4), (1, 2, 5, 6)]).join(Complex([(9,)])))
+    assert rep.link_certificates[9] == "exact"
+
+
+def test_subdivided_4_spheres_are_certified(random_subdivision, cycle_join):
+    # the bases of the link4 benchmark: the boundary of the 5-simplex and
+    # C3 * C3 * S0; each 3-sphere link is certified by the collapse of the
+    # link minus a generator, so a budget of 20 is never touched
+    rng = random.Random(3)
+    bases = [standard_sphere(4), cycle_join(3, 3).join(Complex([(101,), (102,)]))]
+    for base in bases:
+        for i in range(12):
+            m = random_subdivision(rng, base, i % 4)
+            rep = check_manifold(m, budget=20)
+            assert rep.is_manifold is True and rep.closed and rep.dimension == 4
+            assert set(rep.link_certificates.values()) == {"collapse"}

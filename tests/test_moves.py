@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import random
 
@@ -12,6 +13,7 @@ from stellar import (
     Subdivide,
     Weld,
     WeldError,
+    check_manifold,
     collapse_greedy,
     cone,
     prism,
@@ -25,9 +27,11 @@ from stellar import (
 from stellar.complexes import LabelAllocator
 from stellar.invariants import quotient_collapses_to_point
 from stellar.moves import (
+    _facets,
     _weld_moves,
     _welded,
     is_standard_ball,
+    free_face_collapse,
     is_standard_sphere,
     prism_offset,
     weld_candidates,
@@ -152,6 +156,91 @@ def test_collapse_circle_has_no_free_face():
     assert_collapses_agree(circle)
 
 
+def reference_collapse(dim, facets_of):
+    """The free-face collapse as first written: cofaces listed afresh on
+    every query, the same heap order."""
+    cofaces = {c: set() for c in dim}
+    for c in dim:
+        for f in facets_of(c):
+            cofaces[f].add(c)
+    alive = set(dim)
+
+    def live_cofaces(c):
+        return [u for u in cofaces[c] if u in alive]
+
+    heap = sorted((d, c) for c, d in dim.items())
+    while heap:
+        _, f = heapq.heappop(heap)
+        if f not in alive:
+            continue
+        up = live_cofaces(f)
+        if len(up) != 1 or live_cofaces(up[0]):
+            continue
+        alive -= {f, up[0]}
+        for x in itertools.chain(facets_of(f), facets_of(up[0])):
+            if x in alive:
+                heapq.heappush(heap, (dim[x], x))
+                if not live_cofaces(x):
+                    for y in facets_of(x):
+                        heapq.heappush(heap, (dim[y], y))
+    return alive
+
+
+# the 7-vertex torus and the 6-vertex projective plane
+TORUS7 = Complex(
+    tuple(sorted((i + a) % 7 + 1 for a in shape))
+    for i in range(7)
+    for shape in ((0, 1, 3), (0, 2, 3))
+)
+RP2_6 = Complex([
+    (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+    (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6),
+])
+
+
+def collapse_inputs():
+    ball = standard_simplex(3)
+    for a, v in [((1, 2), 5), ((1, 3, 4, 5), 6), ((2, 5), 7), ((3, 4, 6), 8)]:
+        ball = subdivide(ball, a, v)
+    s3 = subdivide(standard_sphere(3), (1, 2), 6)
+    # the surfaces and the 3-sphere minus a generator leave order-dependent residues
+    return [
+        Complex([(1, 2, 3)]),
+        standard_simplex(3),
+        ball,
+        standard_sphere(1),
+        TORUS7.residual(min(TORUS7.generators)),
+        RP2_6.residual(min(RP2_6.generators)),
+        s3.residual(min(s3.generators)),
+    ]
+
+
+def quotient_poset(q):
+    """The cell dimensions and facets `quotient_collapses_to_point` collapses."""
+    dim = {c: d for d, group in q.cells.items() for c in group}
+    facets = {c: set() for c in dim}
+    for c, d in dim.items():
+        if d:
+            faces = (f for m in q.members[c] for f in itertools.combinations(m, d))
+            facets[c] = {q.cell_of(f)[0] for f in faces}
+    return dim, facets.__getitem__
+
+
+def test_collapse_removal_order_is_pinned():
+    # residues of the greedy order, a theta graph and a triangle
+    assert collapse_greedy(TORUS7.residual(min(TORUS7.generators))) == Complex(
+        [(3, 6), (3, 7), (5, 6), (5, 7), (6, 7)]
+    )
+    assert collapse_greedy(RP2_6.residual(min(RP2_6.generators))) == Complex(
+        [(4, 5), (4, 6), (5, 6)]
+    )
+    for k in collapse_inputs():
+        dim = {f: len(f) - 1 for f in k.closure()}
+        assert free_face_collapse(dim, _facets) == reference_collapse(dim, _facets)
+        q = quotient_poset(QuotientComplex.from_complex(k))
+        assert free_face_collapse(*q) == reference_collapse(*q)
+
+
 def test_standard_forms():
     assert is_standard_ball(standard_simplex(2))
     assert is_standard_sphere(standard_sphere(3))
@@ -205,6 +294,30 @@ def test_recognize_after_random_moves():
             a = tuple(sorted(rng.sample(g, size)))
             k = subdivide(k, a, LabelAllocator(k).fresh())
         assert recognize(k, budget=5000) is expected
+
+
+def test_subdivided_3_spheres_need_no_search(random_subdivision):
+    rng = random.Random(29)
+    for moves in range(1, 9):
+        k = random_subdivision(rng, standard_sphere(3), moves)
+        assert recognize(k, budget=1) is Recognition.SPHERE
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [Complex([(1, 2, 3, 4), (1, 2, 5, 6)]), Complex([(1, 2, 3, 4), (1, 5, 6, 7)])],
+    ids=["sharing_an_edge", "sharing_a_vertex"],
+)
+def test_two_tetrahedra_are_no_ball(pair):
+    # both collapse to a vertex and have chi = 1 and H1 = 0, but the link of
+    # a shared vertex is two triangles: not a manifold
+    assert collapse_greedy(pair).dimension() == 0
+    assert recognize(pair) is Recognition.NEITHER
+    assert check_manifold(pair).is_manifold is False
+    coned = pair.join(cone(9))
+    report = check_manifold(coned)
+    assert report.is_manifold is False
+    assert report.link_results[9] is Recognition.NEITHER
 
 
 def test_weld_candidates_found_on_subdivided_sphere():
