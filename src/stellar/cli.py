@@ -112,8 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("simplex", help="comma-separated vertices to restore")
     p.add_argument("vertex", type=int, help="vertex to erase")
     with_input(sub.add_parser("prism", help="prism over a uniform complex"))
-    p = with_input(sub.add_parser("check", help="manifold check via vertex links"))
-    p.add_argument("--budget", type=int, default=None)
+    with_input(sub.add_parser("check", help="manifold check via vertex links"))
     p = with_input(sub.add_parser("structure", help="build an apex structure"))
     p.add_argument("--budget", type=int, default=None)
     with_input(sub.add_parser("degree", help="degree string of a structure"))
@@ -151,7 +150,7 @@ def _dispatch(args: argparse.Namespace) -> None:
         _emit(io.complex_to_json(prism(k)))
     elif args.verb == "check":
         k = io.parse_complex(_read(args.input))
-        report = check_manifold(k, budget=min(budget, 5000))
+        report = check_manifold(k)
         _emit(
             {
                 "is_manifold": report.is_manifold,

@@ -31,11 +31,6 @@ def simplex(vertices: Iterable[int]) -> Simplex:
     return vs
 
 
-def faces(s: Simplex, size: int) -> Iterator[Simplex]:
-    """All faces of `s` with `size` vertices, in lexicographic order."""
-    return itertools.combinations(s, size)
-
-
 def all_faces(s: Simplex) -> Iterator[Simplex]:
     """All nonempty faces of `s`, including `s` itself."""
     for k in range(1, len(s) + 1):

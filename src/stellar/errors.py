@@ -30,4 +30,4 @@ class StructureError(StellarError):
 
 
 class BudgetExceeded(StellarError):
-    """A bounded search ran out of its move budget."""
+    """The structure build ran out of its step budget."""

@@ -16,8 +16,8 @@ class ManifoldReport:
 
     `is_manifold` is None when at least one link came back Unknown and no
     link was outright rejected.  `link_certificates` names what decided each
-    link: "exact" (dimension <= 2, or a refuting invariant), "collapse" or
-    "weld", as in `recognize`; None for an Unknown link.
+    link: "exact" (dimension <= 2, or a refuting invariant) or "collapse", as
+    in `recognize`; None for an Unknown link.
     """
 
     is_manifold: Optional[bool]
@@ -32,7 +32,9 @@ class ManifoldReport:
         if self.is_manifold is None:
             return (
                 f"undecided {self.dimension}-complex: links at "
-                f"{self.unknown_vertices} exceeded the search budget"
+                f"{self.unknown_vertices} have no certificate: a vertex link "
+                f"inside them was undecided, or their collapse stopped short "
+                f"with trivial H1"
             )
         if not self.is_manifold:
             return (
@@ -42,11 +44,13 @@ class ManifoldReport:
         return f"{kind} {self.dimension}-manifold"
 
 
-def check_manifold(k: Complex, budget: int = 2000) -> ManifoldReport:
+def check_manifold(k: Complex, budget: Optional[int] = None) -> ManifoldReport:
     """Check whether every vertex link is a sphere or ball of the right dimension.
 
     A link that is a sphere puts the vertex in the interior; a ball puts it
-    on the boundary.  Any other answer disqualifies the complex.
+    on the boundary.  Any other answer disqualifies the complex.  `budget`
+    has no effect: recognition runs no search.  The keyword is kept for
+    callers that still pass it.
     """
     if not k:
         raise ComplexError("cannot check the empty complex")
@@ -61,7 +65,7 @@ def check_manifold(k: Complex, budget: int = 2000) -> ManifoldReport:
     unknown: List[int] = []
     links = k.vertex_links()
     for v in sorted(links):
-        res, certificates[v] = _recognize(links[v], budget)
+        res, certificates[v] = _recognize(links[v])
         results[v] = res
         if res is Recognition.NEITHER:
             bad.append(v)

@@ -1,5 +1,5 @@
 """Stellar moves: subdivision, welding (the inverse), relabeling, prisms,
-greedy collapse, and bounded ball/sphere recognition.
+greedy collapse, and certified ball/sphere recognition.
 """
 
 from __future__ import annotations
@@ -11,10 +11,8 @@ from enum import Enum
 from typing import (
     Callable,
     Dict,
-    FrozenSet,
     Hashable,
     Iterable,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -62,12 +60,7 @@ def weld_factor(k: Complex, a: Simplex, vertex: int) -> Complex:
         raise WeldError(f"vertex {vertex} does not occur in the complex")
     if any(set(a) <= set(g) for g in k.generators):
         raise WeldError(f"simplex {a} is already a face of the complex")
-    return _link_factor(k.link((vertex,)), a, vertex)
-
-
-def _link_factor(lk: Complex, a: Simplex, vertex: int) -> Complex:
-    """B with lk = boundary(a) * B, or raise; `lk` is the link of `vertex`,
-    and `a` a valid simplex that is not a face of the complex."""
+    lk = k.link((vertex,))
     if len(a) == 1:
         # boundary of a vertex is the join identity; B is the whole link
         if a[0] in lk.vertices():
@@ -107,11 +100,6 @@ def weld(k: Complex, a: Simplex, vertex: int) -> Complex:
     b = weld_factor(k, a, vertex)
     if not b:
         raise WeldError(f"vertex {vertex} has an empty link")
-    return _welded(k, a, vertex, b)
-
-
-def _welded(k: Complex, a: Simplex, vertex: int, b: Complex) -> Complex:
-    """The weld of `k` at `vertex` onto `a`, given its nonempty factor `b`."""
     return Complex._of([a]).join(b) + k.residual((vertex,))
 
 
@@ -302,23 +290,6 @@ class Recognition(Enum):
     UNKNOWN = "unknown"
 
 
-def is_standard_ball(k: Complex) -> bool:
-    return len(k) == 1 and bool(next(iter(k.generators)))
-
-
-def is_standard_sphere(k: Complex) -> bool:
-    """All n+1-subsets of an (n+2)-point vertex set, for some n >= 0."""
-    gens = k.generators
-    if not gens:
-        return False
-    verts = sorted(k.vertices())
-    n1 = len(next(iter(gens)))
-    if not k.is_uniform() or len(verts) != n1 + 1:
-        return False
-    expected = set(itertools.combinations(verts, n1))
-    return set(gens) == expected
-
-
 def _vertex_degrees(k: Complex) -> Dict[int, int]:
     deg: Dict[int, int] = {}
     for g in k.generators:
@@ -340,11 +311,6 @@ def _graph_shape(g: Complex) -> Recognition:
     if ends == 2:
         return Recognition.BALL
     return Recognition.NEITHER
-
-
-def is_surface(k: Complex) -> bool:
-    """Uniform 2-complex check: edge degrees <= 2, vertex links arcs/circles."""
-    return k.dimension() == 2 and k.is_uniform() and _surface_edges(k) is not None
 
 
 def _surface_edges(k: Complex) -> Optional[Dict[Simplex, int]]:
@@ -385,86 +351,35 @@ def _recognize_dim2(k: Complex) -> Recognition:
     return Recognition.NEITHER
 
 
-def weld_candidates(k: Complex) -> Iterator[Tuple[Simplex, int]]:
-    """Enumerate (simplex, vertex) pairs for which weld() is defined.
-
-    The order is fixed, and it is the order in which `recognize` spends its
-    budget: vertices ascending; for each, every face f of the least link
-    generator, by size and then lexicographically, joined to each link
-    vertex v outside f in ascending order, skipping repeated simplexes.
-    """
-    for a, vertex, _ in _weld_moves(k):
-        yield a, vertex
-
-
-def _weld_moves(k: Complex) -> Iterator[Tuple[Simplex, int, Complex]]:
-    """(a, vertex, B) for each weld of `k`, in the order of `weld_candidates`,
-    where B is the factor with link(vertex) = boundary(a) * B."""
-    faces = k.closure()
-    links = k.vertex_links()
-    for vertex in sorted(links):
-        lk = links[vertex]
-        if EMPTY in lk.generators:
-            continue
-        g0 = min(lk.generators)
-        seen: Set[Simplex] = set()
-        link_vertices = sorted(lk.vertices())
-        for r in range(1, len(g0) + 1):
-            for f in itertools.combinations(g0, r):
-                for v in link_vertices:
-                    if v in f:
-                        continue
-                    a = tuple(sorted(f + (v,)))
-                    if a in seen or a in faces:
-                        continue
-                    seen.add(a)
-                    try:
-                        b = _link_factor(lk, a, vertex)
-                    except WeldError:
-                        continue
-                    yield a, vertex, b
-
-
-def _canon_key(k: Complex) -> FrozenSet[Simplex]:
-    """Cheap dedup key: densely relabel vertices in sorted order."""
-    ren = {v: i + 1 for i, v in enumerate(sorted(k.vertices()))}
-    return frozenset(tuple(ren[v] for v in g) for g in k.generators)
-
-
-# The certificate behind a decided recognition: "exact" when no search or
-# collapse was needed (dimension <= 2, or a refuting invariant: connectivity,
-# chi, H1, a vertex link), "collapse" for the link test plus a collapse to a
-# vertex, "weld" when the weld search reached a standard ball or sphere.
+# The certificate behind a decided recognition: "exact" when no collapse was
+# needed (dimension <= 2, or a refuting invariant: connectivity, chi, H1, a
+# vertex link), "collapse" for the link test plus a collapse to a vertex.
 EXACT = "exact"
 COLLAPSE = "collapse"
-WELD = "weld"
 
 
-def recognize(k: Complex, budget: int = 2000) -> Recognition:
+def recognize(k: Complex) -> Recognition:
     """Decide ball/sphere: exact through dimension 2, certified above.
 
     For dimension >= 3 the certificates are tried in this order:
 
     1. Connectivity and the Euler characteristic (0 or 2 when closed, by
        parity of the dimension; 1 with boundary) can refute.
-    2. Every vertex link is recognised, recursively and without search.  A
-       link that is NEITHER makes the complex NEITHER.  When every link is a
-       sphere (or, with boundary, a sphere or a ball), the complex is a PL
-       manifold; it is a ball when it collapses to a vertex and, if closed,
-       a sphere when it does so after its least generator is removed.
+    2. Every vertex link is recognised, recursively.  A link that is NEITHER
+       makes the complex NEITHER.  When every link is a sphere (or, with
+       boundary, a sphere or a ball), the complex is a PL manifold; it is a
+       ball when it collapses to a vertex and, if closed, a sphere when it
+       does so after its least generator is removed.
     3. Nontrivial H1 refutes.
-    4. A breadth-first shrink by welds.
 
-    Only the weld search spends budget: each weld it tries costs one unit,
-    and the welds of a state are tried in the fixed order of
-    `weld_candidates`, so the answer for a given budget is deterministic.
-    Unknown means the search ran out of budget, never that the complex was
-    silently accepted.
+    Unknown means no certificate was found: a vertex link was undecided, or
+    the collapse stopped short while H1 is trivial.  It never means that the
+    complex was silently accepted.
     """
-    return _recognize(k, budget)[0]
+    return _recognize(k)[0]
 
 
-def _recognize(k: Complex, budget: int) -> Tuple[Recognition, Optional[str]]:
+def _recognize(k: Complex) -> Tuple[Recognition, Optional[str]]:
     """`recognize`, with the certificate that decided it (None for Unknown)."""
     if not k.is_uniform():
         raise ComplexError("recognition requires a uniform complex")
@@ -498,48 +413,17 @@ def _recognize(k: Complex, budget: int) -> Tuple[Recognition, Optional[str]]:
 
     if not complex_h1(k).is_trivial():
         return Recognition.NEITHER, EXACT
-
-    # bounded breadth-first shrink by welds
-    spent = 0
-    seen = {_canon_key(k)}
-    frontier = [k]
-    while frontier and spent < budget:
-        nxt: List[Complex] = []
-        for state in frontier:
-            if is_standard_ball(state):
-                return target if not closed else Recognition.NEITHER, WELD
-            if is_standard_sphere(state):
-                return target if closed else Recognition.NEITHER, WELD
-            for a, vertex, b in _weld_moves(state):
-                spent += 1
-                if spent >= budget:
-                    return Recognition.UNKNOWN, None
-                child = _welded(state, a, vertex, b)
-                key = _canon_key(child)
-                if key in seen:
-                    continue
-                seen.add(key)
-                nxt.append(child)
-        frontier = nxt
-    for state in frontier:
-        if (closed and is_standard_sphere(state)) or (
-            not closed and is_standard_ball(state)
-        ):
-            return target, WELD
     return Recognition.UNKNOWN, None
 
 
 def _link_test(k: Complex, target: Recognition) -> Recognition:
     """NEITHER when some vertex link of `k` is NEITHER; else `target` when
     every link is a sphere, or, for a ball `target`, a sphere or a ball;
-    else UNKNOWN.
-
-    Links are recognised with budget 0, so the test spends no budget.
-    """
+    else UNKNOWN.  Each link is recognised by `_recognize` in full."""
     allowed = {Recognition.SPHERE, target}
     verdict = target
     for lk in k.vertex_links().values():
-        shape = _recognize(lk, 0)[0]
+        shape = _recognize(lk)[0]
         if shape is Recognition.NEITHER:
             return shape
         if shape not in allowed:

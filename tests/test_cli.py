@@ -67,6 +67,13 @@ def test_check_reports_bad_vertex():
     assert data["bad_vertices"] == [1]
 
 
+def test_check_takes_no_budget():
+    # recognition runs no search, so only the structure build takes a budget
+    with pytest.raises(SystemExit) as exc:
+        run(["check", "-", "--budget", "5"], S3)
+    assert exc.value.code == 2
+
+
 def test_structure_then_degree():
     code, s_out, _ = run(["structure", "-"], S3)
     assert code == 0

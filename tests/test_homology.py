@@ -183,4 +183,3 @@ def test_non_sphere_controls_are_never_recognised():
     for m, residue in controls:
         assert len(collapse_greedy(m.residual(min(m.generators)))) == residue
         assert recognize(m) is Recognition.NEITHER
-        assert recognize(m, budget=1) is Recognition.NEITHER

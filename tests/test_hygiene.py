@@ -1,6 +1,7 @@
 """Source hygiene: every name a library module imports is used in it, every
-import sits at module level, and only the calculus builds complexes without
-validating them."""
+import sits at module level, every top-level function and class is reached
+by library code, and only the calculus builds complexes without validating
+them."""
 
 import ast
 from pathlib import Path
@@ -8,7 +9,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "stellar"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+LIBRARY = sorted(SRC.glob("*.py"))
+MODULES = [p for p in LIBRARY if p.name != "__init__.py"]
 # `Complex._of` skips validation; input paths such as io, lens, cli and
 # structure must go through `Complex(...)`
 TRUSTED = {"complexes.py", "moves.py"}
@@ -60,6 +62,35 @@ def test_no_function_level_relative_imports(path):
         if isinstance(node, ast.ImportFrom) and node.level > 0
     ]
     assert not lines, f"{path.name} imports inside a function at lines {lines}"
+
+
+def referenced_names(tree):
+    """Names a module reads, reads as an attribute, or imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.name.split(".")[-1]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_definition_is_reached_by_library_code(path):
+    # code that only tests reach, or that nothing reaches, is deleted; the
+    # public API reaches the library through the imports of `__init__.py`
+    referenced = set()
+    for other in LIBRARY:
+        referenced.update(referenced_names(ast.parse(other.read_text(encoding="utf-8"))))
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    defined = [
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+    unreached = [name for name in defined if name not in referenced]
+    assert not unreached, f"{path.name} defines {unreached}, which no library code names"
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -6,6 +8,7 @@ from stellar import (
     Complex,
     QuotientComplex,
     StructureError,
+    build_structure,
     classify_flat_quotient,
     cone,
     fold_structure,
@@ -167,3 +170,28 @@ def test_sphere_workflow_at_nine_hundred_facets(cycle_join):
     report = sphere_workflow(cycle_join(30, 30))
     assert report.conclusion == "sphere"
     assert report.h1 == AbelianGroup(0)
+
+
+def test_quotient_cells_have_distinct_facets(random_subdivision):
+    # `quotient_collapses_to_point` counts coface cells, not incidences; that
+    # is sound because a regular equivalence puts the vertices of each
+    # generator in distinct classes, so no cell meets one face cell twice
+    structures = [
+        lens_structure(q, p)
+        for q in range(2, 14)
+        for p in range(1, q)
+        if math.gcd(p, q) == 1
+    ]
+    structures += [fold_structure(n) for n in range(3, 8)]
+    rng = random.Random(5)
+    for m in (standard_sphere(3), random_subdivision(rng, standard_sphere(3), 6)):
+        structures.append(build_structure(m).structure)
+    for s in structures:
+        q = QuotientComplex.from_structure(s)
+        for c, members in q.members.items():
+            d = len(c) - 1
+            if d == 0:
+                continue
+            for member in members:
+                images = {q.cell_of(f)[0] for f in itertools.combinations(member, d)}
+                assert len(images) == d + 1, (c, member)

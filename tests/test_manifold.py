@@ -2,6 +2,7 @@ import random
 
 from stellar import (
     Complex,
+    ManifoldReport,
     check_manifold,
     standard_simplex,
     standard_sphere,
@@ -76,7 +77,8 @@ def test_link_certificates_are_recorded():
 def test_subdivided_4_spheres_are_certified(random_subdivision, cycle_join):
     # the bases of the link4 benchmark: the boundary of the 5-simplex and
     # C3 * C3 * S0; each 3-sphere link is certified by the collapse of the
-    # link minus a generator, so a budget of 20 is never touched
+    # link minus a generator.  The budget keyword is still accepted, with no
+    # effect, for callers that pass it
     rng = random.Random(3)
     bases = [standard_sphere(4), cycle_join(3, 3).join(Complex([(101,), (102,)]))]
     for base in bases:
@@ -85,3 +87,12 @@ def test_subdivided_4_spheres_are_certified(random_subdivision, cycle_join):
             rep = check_manifold(m, budget=20)
             assert rep.is_manifold is True and rep.closed and rep.dimension == 4
             assert set(rep.link_certificates.values()) == {"collapse"}
+
+
+def test_undecided_report_names_the_missing_certificate():
+    report = ManifoldReport(is_manifold=None, closed=True, dimension=4, unknown_vertices=[3, 8])
+    assert report.describe() == (
+        "undecided 4-complex: links at [3, 8] have no certificate: a vertex "
+        "link inside them was undecided, or their collapse stopped short "
+        "with trivial H1"
+    )
