@@ -51,7 +51,11 @@ def _parse_simplex_arg(text: str) -> tuple:
     return parts
 
 
-def _default_budget() -> int:
+def _budget(args: argparse.Namespace) -> int:
+    """`--budget`, else `STELLAR_BUDGET`, else 100000; read only where a
+    structure is built."""
+    if args.budget is not None:
+        return args.budget
     raw = os.environ.get("STELLAR_BUDGET")
     if raw is None:
         return 100_000
@@ -130,9 +134,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args: argparse.Namespace) -> None:
-    budget = getattr(args, "budget", None)
-    if budget is None:
-        budget = _default_budget()
     if args.verb == "chi":
         k = io.parse_complex(_read(args.input))
         _emit({"chi": k.euler_characteristic()})
@@ -163,7 +164,7 @@ def _dispatch(args: argparse.Namespace) -> None:
         )
     elif args.verb == "structure":
         k = io.parse_complex(_read(args.input))
-        result = build_structure(k, budget=budget)
+        result = build_structure(k, budget=_budget(args))
         _emit(io.structure_to_json(result.structure))
     elif args.verb == "degree":
         structure = io.parse_structure(_read(args.input))
@@ -207,7 +208,7 @@ def _dispatch(args: argparse.Namespace) -> None:
         if isinstance(data, dict) and "sphere" in data:
             report = structure_report(io.parse_structure(data))
         else:
-            report = sphere_workflow(io.parse_complex(data), budget=budget)
+            report = sphere_workflow(io.parse_complex(data), budget=_budget(args))
         _emit(_report_json(report))
     elif args.verb == "collapse":
         k = io.parse_complex(_read(args.input))

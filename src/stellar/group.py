@@ -15,6 +15,7 @@ from .quotient import StellarStructure, pair_matching
 
 Permutation = Tuple[int, ...]  # image array over the sorted generator list
 Swap = Dict[int, int]  # a class swap on its support: generator index -> image
+ClassOrders = List[Tuple[FrozenSet[Simplex], int, int]]  # (class, degree entry, full order)
 
 
 def _require_closed(structure: StellarStructure) -> None:
@@ -121,11 +122,20 @@ def _rotation(pairing: Permutation, swap: Swap) -> int:
     return _order(lambda x: pairing[swap[x]], swap)
 
 
-def _full_order(pairing: Permutation, swap: Swap) -> int:
-    """Order of `p0 ∘ p_alpha` on all generators: off the support it is the
-    pairing's own transpositions, which add a factor 2 if there are any."""
+def _orders(pairing: Permutation, swap: Swap) -> Tuple[int, int]:
+    """Degree entry and full order of a class from its swap: the rotation's
+    order, counted as at least 2, and the order of `p0 ∘ p_alpha` on all
+    generators, where off the support the pairing's own transpositions add
+    a factor 2 if there are any."""
     order = _rotation(pairing, swap)
-    return order if len(swap) == len(pairing) else lcm(order, 2)
+    return max(2, order), (order if len(swap) == len(pairing) else lcm(order, 2))
+
+
+def _class_orders(structure: StellarStructure) -> ClassOrders:
+    """Each face class with its degree entry and full order, from one
+    `_analysis` pass: what `degree`, `gamma_graph` and a report share."""
+    _, pairing, swaps = _analysis(structure)
+    return [(alpha, *_orders(pairing, swap)) for alpha, swap in swaps]
 
 
 def order_of(structure: StellarStructure, alpha: FrozenSet[Simplex]) -> int:
@@ -143,10 +153,6 @@ def order_of(structure: StellarStructure, alpha: FrozenSet[Simplex]) -> int:
     return _order(lambda x: pairing[swap[x]], range(len(swap)))
 
 
-def _entry(pairing: Permutation, swap: Swap) -> int:
-    return max(2, _rotation(pairing, swap))
-
-
 def degree_entry(structure: StellarStructure, alpha: FrozenSet[Simplex]) -> int:
     """Order of the class's own rotation: `p0 ∘ p_alpha` restricted to the
     generators `p_alpha` moves.
@@ -158,7 +164,7 @@ def degree_entry(structure: StellarStructure, alpha: FrozenSet[Simplex]) -> int:
     is |alpha|.  A fold class, whose restriction is the identity (see
     `collapsible_edges`), counts as 2, so the entry is max(|alpha|, 2).
     """
-    return _entry(p0(structure), _class_swap(structure, alpha))
+    return _orders(p0(structure), _class_swap(structure, alpha))[0]
 
 
 def degree(structure: StellarStructure) -> Tuple[int, ...]:
@@ -169,8 +175,11 @@ def degree(structure: StellarStructure) -> Tuple[int, ...]:
     exactly when the full order does, but an odd class of k members has
     entry k where its full order is 2k.
     """
-    _, pairing, swaps = _analysis(structure)
-    return tuple(sorted({_entry(pairing, swap) for _, swap in swaps}, reverse=True))
+    return _degree(_class_orders(structure))
+
+
+def _degree(orders: ClassOrders) -> Tuple[int, ...]:
+    return tuple(sorted({entry for _, entry, _ in orders}, reverse=True))
 
 
 def is_flat(structure: StellarStructure) -> bool:
@@ -212,7 +221,7 @@ def internally_flat_complexes(
     gens, pair, swaps = _analysis(structure)
     uf = UnionFind(range(len(gens)))  # orbits under the generated group
     for _, swap in swaps:
-        if _full_order(pair, swap) == 2 and not _folds(pair, swap):
+        if _orders(pair, swap)[1] == 2 and not _folds(pair, swap):
             for i, j in swap.items():
                 uf.union(i, j)
     orbits = uf.groups()
@@ -258,13 +267,15 @@ def gamma_graph(structure: StellarStructure) -> GammaGraph:
     These are the classes whose degree entry exceeds 2, but the label is the
     full order: 2q, not q, for the odd lens classes.
     """
+    return _gamma(structure, _class_orders(structure))
+
+
+def _gamma(structure: StellarStructure, orders: ClassOrders) -> GammaGraph:
     _require_shell(structure)
     cls = structure.equivalence.class_of(structure.sphere)
-    _, pairing, swaps = _analysis(structure)
     edges = []
     verts: Set[int] = set()
-    for alpha, swap in swaps:
-        order = _full_order(pairing, swap)
+    for alpha, _, order in orders:
         if order <= 2:
             continue
         u, v = min(alpha)

@@ -10,7 +10,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from .complexes import Complex, Simplex, UnionFind
 from .errors import StructureError
-from .group import degree, gamma_graph, has_circuit, GammaGraph
+from .group import _class_orders, _degree, _gamma, has_circuit, GammaGraph
 from .homology import AbelianGroup, complex_h1
 from .manifold import check_manifold
 from .moves import free_face_collapse
@@ -210,59 +210,38 @@ def structure_report(structure: StellarStructure) -> WorkflowReport:
 
 
 def _report(structure: StellarStructure, quotient: QuotientComplex) -> WorkflowReport:
-    """`structure_report` on the structure's quotient, already built."""
+    """`structure_report` on the structure's quotient, already built.
+
+    Nontrivial H1 refutes a sphere; with H1 trivial, a quotient that
+    collapses to a point certifies one (README, "Certificates").  Flatness,
+    the surface class and the Γ graph are evidence only."""
     group = quotient.h1()
-    deg = degree(structure)
+    orders = _class_orders(structure)
+    deg = _degree(orders)
     report = WorkflowReport(flat=deg == (2,), degree=deg, h1=group)
     if report.flat:
         report.surface = classify_flat_quotient(quotient)
         report.evidence.append(f"degree {deg}: structure is flat")
         report.evidence.append(f"quotient classified as {report.surface.kind}")
-        if report.surface.kind == "Disk":
-            report.collapsed_to_point = quotient_collapses_to_point(quotient)
-            report.prism_cells = prism_cell_counts(quotient)
-            if report.collapsed_to_point:
-                report.evidence.append("quotient collapses to a point")
-                report.evidence.append(
-                    f"prism over the quotient built, cells {report.prism_cells}"
-                )
-                report.conclusion = "sphere"
-            else:
-                report.conclusion = "undecided: disk quotient did not collapse"
-        else:
-            report.conclusion = (
-                f"not a sphere: H1 = {group.describe()}"
-                if not group.is_trivial()
-                else f"undecided: flat quotient is {report.surface.kind}"
-            )
     else:
-        report.gamma = gamma_graph(structure)
+        report.gamma = _gamma(structure, orders)
         report.gamma_has_circuit = has_circuit(report.gamma)
         report.evidence.append(f"degree {deg}: structure is not flat")
-        if report.gamma_has_circuit:
-            report.evidence.append("graph of high-order edges contains a circuit")
-            # the circuit speaks against this structure only; H1 decides
-            report.conclusion = (
-                f"not a sphere candidate; H1 = {group.describe()}"
-                if not group.is_trivial()
-                else "undecided: not flat, high-order edges form a circuit; H1 = 0"
-            )
-        else:
-            # no circuit: the high-order edges form a forest, so the quotient
-            # should collapse away entirely, certifying a sphere
-            report.evidence.append("graph of high-order edges is a forest")
-            report.collapsed_to_point = quotient_collapses_to_point(quotient)
-            if report.collapsed_to_point and group.is_trivial():
-                report.prism_cells = prism_cell_counts(quotient)
-                report.evidence.append("quotient collapses to a point")
-                report.evidence.append(
-                    f"prism over the quotient built, cells {report.prism_cells}"
-                )
-                report.conclusion = "sphere"
-            else:
-                report.conclusion = (
-                    f"undecided: not flat, no circuit; H1 = {group.describe()}"
-                )
+        report.evidence.append(
+            "graph of high-order edges "
+            + ("contains a circuit" if report.gamma_has_circuit else "is a forest")
+        )
+    if not group.is_trivial():
+        report.conclusion = f"not a sphere: H1 = {group.describe()}"
+        return report
+    report.collapsed_to_point = quotient_collapses_to_point(quotient)
+    if not report.collapsed_to_point:
+        report.conclusion = "undecided: H1 = 0 and the quotient does not collapse"
+        return report
+    report.prism_cells = prism_cell_counts(quotient)
+    report.evidence.append("quotient collapses to a point")
+    report.evidence.append(f"prism over the quotient built, cells {report.prism_cells}")
+    report.conclusion = "sphere"
     return report
 
 

@@ -95,7 +95,7 @@ def test_sphere_check_refuses_lens():
     _, lens_out, _ = run(["lens", "5", "2"])
     code, out, _ = run(["sphere-check", "-"], lens_out)
     assert code == 0
-    assert json.loads(out)["conclusion"] == "not a sphere candidate; H1 = Z/5"
+    assert json.loads(out)["conclusion"] == "not a sphere: H1 = Z/5"
 
 
 def test_classify_fold_quotient(tmp_path):
@@ -150,6 +150,17 @@ def test_file_input(tmp_path):
     code, out, _ = run(["chi", str(f)])
     assert code == 0
     assert json.loads(out) == {"chi": 0}
+
+
+def test_budget_env_variable_is_read_only_by_structure_builds(monkeypatch):
+    monkeypatch.setenv("STELLAR_BUDGET", "x")
+    code, out, _ = run(["chi", "-"], CIRCLE)
+    assert code == 0
+    assert json.loads(out) == {"chi": 0}
+    for verb in ("structure", "sphere-check"):
+        code, _, err = run([verb, "-"], S3)
+        assert code == 2, verb
+        assert "STELLAR_BUDGET" in json.loads(err)["error"]
 
 
 def test_budget_env_variable(monkeypatch):

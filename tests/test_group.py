@@ -248,14 +248,14 @@ def reference_orbit_pairs(s, pairing, swaps):
     return sorted(set(pairs))
 
 
-def test_one_report_builds_the_pairing_at_most_twice(monkeypatch):
-    # once for the degree, once for Γ; not once per face class
+def test_one_report_builds_the_pairing_once(monkeypatch):
+    # the degree and Γ come from one pass over the face classes
     calls = []
     real = stellar.group.p0
     monkeypatch.setattr(stellar.group, "p0", lambda s: calls.append(s) or real(s))
     report = structure_report(lens_structure(17, 3))
     assert report.gamma_has_circuit
-    assert len(calls) <= 2
+    assert len(calls) == 1
 
 
 def test_lens_gamma_is_a_single_cycle_edge():

@@ -10,6 +10,7 @@ from stellar import (
     collapse_greedy,
     lens_structure,
     recognize,
+    sphere_workflow,
     standard_sphere,
 )
 from stellar.homology import (
@@ -160,26 +161,36 @@ RP2 = Complex([
 ])
 
 
-def test_h1_of_the_non_sphere_controls():
-    controls = [
-        (staircase_product(standard_sphere(2), cycle(4)), AbelianGroup(1)),
-        (staircase_product(staircase_product(cycle(3), cycle(3)), cycle(3)), AbelianGroup(3)),
-        (staircase_product(RP2, cycle(3)), AbelianGroup(1, (2,))),
+def non_sphere_controls():
+    """S^2 x S^1, T^3 and RP^2 x S^1, in that order."""
+    return [
+        staircase_product(standard_sphere(2), cycle(4)),
+        staircase_product(staircase_product(cycle(3), cycle(3)), cycle(3)),
+        staircase_product(RP2, cycle(3)),
     ]
-    for m, known in controls:
-        assert complex_h1(m) == known
+
+
+def test_h1_of_the_non_sphere_controls():
+    known = [AbelianGroup(1), AbelianGroup(3), AbelianGroup(1, (2,))]
+    for m, group in zip(non_sphere_controls(), known):
+        assert complex_h1(m) == group
         quotient = QuotientComplex.from_structure(build_structure(m).structure)
-        assert quotient.h1() == known
+        assert quotient.h1() == group
 
 
 def test_non_sphere_controls_are_never_recognised():
     # closed 3-manifolds with PL-sphere links whose collapse after removing
     # a generator stops short of a vertex; H1 then refutes them
-    controls = [
-        (staircase_product(standard_sphere(2), cycle(4)), 8),
-        (staircase_product(staircase_product(cycle(3), cycle(3)), cycle(3)), 54),
-        (staircase_product(RP2, cycle(3)), 28),
-    ]
-    for m, residue in controls:
+    for m, residue in zip(non_sphere_controls(), (8, 54, 28)):
         assert len(collapse_greedy(m.residual(min(m.generators)))) == residue
         assert recognize(m) is Recognition.NEITHER
+
+
+def test_non_sphere_controls_are_refused_by_the_workflow():
+    # nontrivial H1 refutes a sphere whatever the Γ graph says
+    conclusions = ["not a sphere: H1 = Z", "not a sphere: H1 = Z + Z + Z",
+                   "not a sphere: H1 = Z + Z/2"]
+    for m, conclusion in zip(non_sphere_controls(), conclusions):
+        report = sphere_workflow(m)
+        assert report.conclusion == conclusion
+        assert report.collapsed_to_point is None

@@ -64,33 +64,123 @@ def test_no_function_level_relative_imports(path):
     assert not lines, f"{path.name} imports inside a function at lines {lines}"
 
 
-def referenced_names(tree):
-    """Names a module reads, reads as an attribute, or imports."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id
-        elif isinstance(node, ast.Attribute):
-            yield node.attr
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+SCOPES = FUNCTIONS + COMPREHENSIONS + (ast.ClassDef,)
+
+
+def own_nodes(nodes):
+    """The nodes under `nodes` that share their scope: a nested function,
+    class or comprehension is yielded but not entered."""
+    stack = list(nodes)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def scope_body(scope):
+    """The nodes a function, class or comprehension evaluates in its own
+    scope; decorators, defaults, annotations and bases are read outside."""
+    if isinstance(scope, COMPREHENSIONS):
+        return list(ast.iter_child_nodes(scope))
+    return scope.body if isinstance(scope.body, list) else [scope.body]
+
+
+def bound_names(scope):
+    """Names a function, class or comprehension binds in its own scope."""
+    names, declared = set(), set()
+    if isinstance(scope, COMPREHENSIONS):
+        body = [g.target for g in scope.generators]
+    else:
+        body = scope_body(scope)
+    if isinstance(scope, FUNCTIONS):
+        a = scope.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+        names.update(x.arg for x in params if x)
+    for node in own_nodes(body):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(imported_names(node))
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+    return names - declared
+
+
+def is_module_binding(name, scopes):
+    """Whether `name`, loaded in the innermost of `scopes`, is the module's."""
+    for depth, (scope, bound) in enumerate(reversed(scopes)):
+        if depth and isinstance(scope, ast.ClassDef):
+            continue  # a class body does not enclose the scopes nested in it
+        if name in bound:
+            return False
+    return True
+
+
+def module_loads(node, scopes=()):
+    """(name, attribute) for each load of a name that resolves to the module
+    scope: attribute None for the load itself, and the attribute read off
+    it when there is one."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        if is_module_binding(node.id, scopes):
+            yield node.id, None
+    elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        if is_module_binding(node.value.id, scopes):
+            yield node.value.id, node.attr
+    inner, body = scopes, ()
+    if isinstance(node, SCOPES):
+        inner, body = (*scopes, (node, bound_names(node))), scope_body(node)
+    for child in ast.iter_child_nodes(node):
+        inside = any(child is b for b in body)
+        yield from module_loads(child, inner if inside else scopes)
+
+
+def reached_definitions(path):
+    """(module, name) pairs a library file reaches: a load of a name bound at
+    its own module level, an attribute read off an imported package module
+    (`from . import io`, then `io.dumps`), or an import of the name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules, out = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
             for alias in node.names:
-                yield alias.name.split(".")[-1]
+                if node.module is None:
+                    modules[alias.asname or alias.name] = alias.name
+                else:
+                    out.add((node.module.split(".")[-1], alias.name))
+    for name, attr in module_loads(tree):
+        if attr is None:
+            out.add((path.stem, name))
+        elif name in modules:
+            out.add((modules[name], attr))
+    return out
+
+
+@pytest.fixture(scope="module")
+def library_reach():
+    return set().union(*(reached_definitions(p) for p in LIBRARY))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_every_definition_is_reached_by_library_code(path):
+def test_every_definition_is_reached_by_library_code(path, library_reach):
     # code that only tests reach, or that nothing reaches, is deleted; the
-    # public API reaches the library through the imports of `__init__.py`
-    referenced = set()
-    for other in LIBRARY:
-        referenced.update(referenced_names(ast.parse(other.read_text(encoding="utf-8"))))
+    # public API reaches the library through the imports of `__init__.py`.
+    # A local variable or an attribute of some object that shares a
+    # definition's name does not reach it.
     tree = ast.parse(path.read_text(encoding="utf-8"))
     defined = [
         node.name
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
     ]
-    unreached = [name for name in defined if name not in referenced]
-    assert not unreached, f"{path.name} defines {unreached}, which no library code names"
+    unreached = [name for name in defined if (path.stem, name) not in library_reach]
+    assert not unreached, f"{path.name} defines {unreached}, which no library code reaches"
 
 
 @pytest.mark.parametrize(

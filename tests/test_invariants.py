@@ -107,13 +107,13 @@ def test_lens_report_refuses_sphere():
     report = structure_report(lens_structure(5, 1))
     assert not report.flat
     assert report.gamma_has_circuit
-    assert report.conclusion == "not a sphere candidate; H1 = Z/5"
+    assert report.conclusion == "not a sphere: H1 = Z/5"
 
 
 def test_subdivided_spheres_are_never_refused(random_subdivision):
     # stellar moves keep the PL type, so every input is a 3-sphere.  A circuit
     # in the graph of high-order edges speaks only against the structure that
-    # was built; with trivial H1 nothing rules a sphere out.
+    # was built; the quotient's collapse certifies the sphere regardless.
     rng = random.Random(0)
     c3 = Complex([(1, 2), (2, 3), (1, 3)])
     c4 = Complex([(4, 5), (5, 6), (6, 7), (4, 7)])
@@ -122,11 +122,34 @@ def test_subdivided_spheres_are_never_refused(random_subdivision):
         m = random_subdivision(rng, bases[i % 2], rng.randint(1, 8))
         report = sphere_workflow(m)
         assert report.h1.is_trivial()
-        assert not report.conclusion.startswith("not a sphere"), (i, report.conclusion)
+        assert report.collapsed_to_point, i
+        assert report.conclusion == "sphere", (i, report.conclusion)
     for q, p in ((3, 1), (5, 2), (7, 3)):
         report = structure_report(lens_structure(q, p))
         assert report.gamma_has_circuit
-        assert report.conclusion.startswith("not a sphere"), (q, p)
+        assert report.conclusion == f"not a sphere: H1 = Z/{q}", (q, p)
+
+
+def test_subdivided_spheres_are_certified_on_every_base(random_subdivision, cycle_join):
+    # the subdiv_mix bases, each subdivided 0..12 times on two seeds
+    bases = [standard_sphere(3), cycle_join(3, 4), cycle_join(5, 5)]
+    for seed in (0, 1):
+        rng = random.Random(seed)
+        for b, base in enumerate(bases):
+            for moves in range(13):
+                m = random_subdivision(rng, base, moves)
+                report = sphere_workflow(m)
+                assert report.conclusion == "sphere", (seed, b, moves, report.conclusion)
+
+
+def test_lens_zoo_is_never_a_sphere():
+    # H1 = Z/q refutes every lens shell before its quotient is collapsed
+    for q in range(2, 14):
+        for p in range(1, q):
+            if math.gcd(p, q) == 1:
+                report = structure_report(lens_structure(q, p))
+                assert report.conclusion == f"not a sphere: H1 = Z/{q}", (q, p)
+                assert report.collapsed_to_point is None, (q, p)
 
 
 def test_sphere_workflow_on_four_simplex_boundary():
