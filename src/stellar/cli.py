@@ -152,6 +152,10 @@ def _dispatch(args: argparse.Namespace) -> None:
     elif args.verb == "check":
         k = io.parse_complex(_read(args.input))
         report = check_manifold(k)
+        # how many links each certificate decided; "null" counts undecided links
+        certificates = {"exact": 0, "collapse": 0, "null": 0}
+        for name in report.link_certificates.values():
+            certificates[name or "null"] += 1
         _emit(
             {
                 "is_manifold": report.is_manifold,
@@ -159,6 +163,7 @@ def _dispatch(args: argparse.Namespace) -> None:
                 "dimension": report.dimension,
                 "bad_vertices": report.bad_vertices,
                 "undecided_vertices": report.unknown_vertices,
+                "certificates": certificates,
                 "summary": report.describe(),
             }
         )

@@ -28,7 +28,6 @@ from .complexes import (
     connected,
     simplex,
     simplex_boundary,
-    star_index,
 )
 from .errors import ComplexError, MoveError, WeldError
 from .homology import complex_h1
@@ -230,38 +229,43 @@ def free_face_collapse(
     dimension up and maximal.  The free cell least by (dimension, cell) goes
     first, together with its coface.  Cofaces count as distinct cells, not
     as incidences.
-    """
-    cofaces: Dict[Hashable, List[Hashable]] = {c: [] for c in dim}
-    for c in dim:
-        for f in facets_of(c):
-            cofaces[f].append(c)
-    live = {c: len(up) for c, up in cofaces.items()}  # live cofaces per cell
-    alive = set(dim)
 
-    # every free cell is always on the heap; stale entries are skipped
-    heap = [(d, c) for c, d in dim.items()]
-    heapq.heapify(heap)
+    The cells are ranked once by (dimension, cell), and the collapse runs on
+    the ranks: the least rank on the heap is the least free cell.
+    """
+    cells = sorted(dim, key=lambda c: (dim[c], c))
+    rank = {c: i for i, c in enumerate(cells)}
+    facets = [[rank[f] for f in facets_of(c)] for c in cells]
+    cofaces: List[List[int]] = [[] for _ in cells]
+    for c, below in enumerate(facets):
+        for f in below:
+            cofaces[f].append(c)
+    live = [len(up) for up in cofaces]  # live cofaces per cell
+    alive = [True] * len(cells)
+
+    # every free cell is always on the heap; stale entries are skipped.  The
+    # ranks in order already form a heap
+    heap = list(range(len(cells)))
     while heap:
-        _, f = heapq.heappop(heap)
+        f = heapq.heappop(heap)
         if live[f] != 1:  # dead cells keep a count of 0
             continue
-        up = next(u for u in cofaces[f] if u in alive)
+        up = next(u for u in cofaces[f] if alive[u])
         if live[up]:
             continue
-        alive.discard(f)
-        alive.discard(up)
-        below = [*facets_of(f), *facets_of(up)]
+        alive[f] = alive[up] = False
+        below = facets[f] + facets[up]
         for x in below:
             live[x] -= 1
         # cells below the pair lost a coface; those left maximal may now
         # free their own facets
         for x in below:
-            if x in alive:
-                heapq.heappush(heap, (dim[x], x))
+            if alive[x]:
+                heapq.heappush(heap, x)
                 if not live[x]:
-                    for y in facets_of(x):
-                        heapq.heappush(heap, (dim[y], y))
-    return alive
+                    for y in facets[x]:
+                        heapq.heappush(heap, y)
+    return {c for c, a in zip(cells, alive) if a}
 
 
 def _facets(s: Simplex) -> Iterable[Simplex]:
@@ -313,37 +317,63 @@ def _graph_shape(g: Complex) -> Recognition:
     return Recognition.NEITHER
 
 
-def _surface_edges(k: Complex) -> Optional[Dict[Simplex, int]]:
-    """Edge degrees of a uniform 2-complex `k` that is a surface, else None.
+def _surface_edges(k: Complex) -> Optional[Dict[Simplex, List[int]]]:
+    """Edge -> opposite vertices, for a uniform 2-complex `k` that is a
+    connected surface; else None.
 
-    With every edge degree at most 2, no vertex of a vertex link has degree
-    above 2, so a link is an arc or a circle exactly when it is connected.
+    One pass over the triangles builds the map and refuses an edge in more
+    than two of them.  Then no vertex of a vertex link has degree above 2,
+    so a link is an arc or a circle exactly when it is connected.  The link
+    of v is walked on the map: from a neighbour u of v on to the vertices
+    opposite the edge uv.  The complex is connected when its edges are.
     """
-    deg: Dict[Simplex, int] = {}
+    opposite: Dict[Simplex, List[int]] = {}
     for a, b, c in k.generators:
-        for e in ((a, b), (a, c), (b, c)):
-            deg[e] = deg.get(e, 0) + 1
-    if any(d > 2 for d in deg.values()):
-        return None
-    if all(connected(lk) for lk in star_index(k.generators).values()):
-        return deg
-    return None
+        for e, v in (((a, b), c), ((a, c), b), ((b, c), a)):
+            across = opposite.setdefault(e, [])
+            if len(across) == 2:
+                return None
+            across.append(v)
+    around: Dict[int, List[int]] = {}
+    for a, b in opposite:
+        around.setdefault(a, []).append(b)
+        around.setdefault(b, []).append(a)
+    for v, nbrs in around.items():
+        seen = {nbrs[0]}
+        todo = [nbrs[0]]
+        while todo:
+            u = todo.pop()
+            for w in opposite[(v, u) if v < u else (u, v)]:
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        if len(seen) != len(nbrs):
+            return None
+    start = next(iter(around))
+    seen = {start}
+    todo = [start]
+    while todo:
+        for w in around[todo.pop()]:
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return opposite if len(seen) == len(around) else None
 
 
 def _recognize_dim2(k: Complex) -> Recognition:
-    """Exact recognition of a connected uniform 2-complex.
+    """Exact recognition of a uniform 2-complex.
 
-    Closedness and the Euler characteristic come from the edge degrees.  A
-    surface's rim (its degree-1 edges) is a disjoint union of circles, since
-    every rim vertex has an arc for its link; a connected surface with
-    chi = 2 and no rim is a sphere, and one with chi = 1 and a single rim
-    circle is a disk.
+    Connectivity, closedness and the Euler characteristic come from the
+    edge map of `_surface_edges`.  A surface's rim (its edges in one
+    triangle) is a disjoint union of circles, since every rim vertex has an
+    arc for its link; a connected surface with chi = 2 and no rim is a
+    sphere, and one with chi = 1 and a single rim circle is a disk.
     """
-    deg = _surface_edges(k)
-    if deg is None:
+    opposite = _surface_edges(k)
+    if opposite is None:
         return Recognition.NEITHER
-    chi = len(k.vertices()) - len(deg) + len(k)
-    rim = [e for e, d in deg.items() if d == 1]
+    chi = len(k.vertices()) - len(opposite) + len(k)
+    rim = [e for e, across in opposite.items() if len(across) == 1]
     if not rim:
         return Recognition.SPHERE if chi == 2 else Recognition.NEITHER
     if chi == 1 and connected(rim):
@@ -392,13 +422,15 @@ def _recognize(k: Complex) -> Tuple[Recognition, Optional[str]]:
         return shapes.get(n, Recognition.NEITHER), EXACT
     if dim == 1:
         return _graph_shape(k), EXACT
-    if not k.is_connected():
-        return Recognition.NEITHER, EXACT
     if dim == 2:
         return _recognize_dim2(k), EXACT
+    if not k.is_connected():
+        return Recognition.NEITHER, EXACT
 
+    faces = k.closure()
     closed = k.is_closed()
-    if k.euler_characteristic() != (1 if not closed else 0 if dim % 2 else 2):
+    chi = sum(1 if len(f) % 2 else -1 for f in faces)
+    if chi != (1 if not closed else 0 if dim % 2 else 2):
         return Recognition.NEITHER, EXACT
     target = Recognition.SPHERE if closed else Recognition.BALL
 
@@ -406,9 +438,11 @@ def _recognize(k: Complex) -> Tuple[Recognition, Optional[str]]:
     if links is Recognition.NEITHER:
         return Recognition.NEITHER, EXACT
     if links is target:
-        rest = k.residual(min(k.generators)) if closed else k
-        residue = collapse_greedy(rest)
-        if len(residue) == 1 and residue.dimension() == 0:
+        # closed: each facet of the least generator lies in another
+        # generator, so removing the generator leaves the closure of the rest
+        rest = faces - {min(k.generators)} if closed else faces
+        # the live cells stay closed under faces, so a lone one is a vertex
+        if len(free_face_collapse({f: len(f) - 1 for f in rest}, _facets)) == 1:
             return target, COLLAPSE
 
     if not complex_h1(k).is_trivial():

@@ -1,6 +1,8 @@
+import itertools
+
 import pytest
 
-from stellar import Complex, LabelAllocator, subdivide
+from stellar import Complex, LabelAllocator, standard_sphere, subdivide
 
 
 def _random_subdivision(rng, k, moves):
@@ -18,7 +20,7 @@ def random_subdivision():
     return _random_subdivision
 
 
-def _cycle(n, start):
+def _cycle(n, start=1):
     vs = range(start, start + n)
     return Complex([tuple(sorted((vs[i], vs[(i + 1) % n]))) for i in range(n)])
 
@@ -27,3 +29,41 @@ def _cycle(n, start):
 def cycle_join():
     """C_a * C_b, the join of two cycles: a 3-sphere with a*b facets."""
     return lambda a, b: _cycle(a, 1).join(_cycle(b, a + 1))
+
+
+def _staircase_product(k, l):
+    """|k| x |l| triangulated by the staircase rule on ordered vertices;
+    vertex (a, b) becomes (a - 1) * max(l) + b, which keeps the order."""
+    width = l.max_label()
+    out = []
+    for s in k.generators:
+        for t in l.generators:
+            p, q = len(s) - 1, len(t) - 1
+            for ups in itertools.combinations(range(p + q), p):
+                i = j = 0
+                verts = [(s[0] - 1) * width + t[0]]
+                for step in range(p + q):
+                    if step in ups:
+                        i += 1
+                    else:
+                        j += 1
+                    verts.append((s[i] - 1) * width + t[j])
+                out.append(tuple(verts))
+    return Complex(out)
+
+
+RP2 = Complex([
+    (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+    (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6),
+])
+
+
+@pytest.fixture
+def non_sphere_controls():
+    """S^2 x S^1, T^3 and RP^2 x S^1, in that order: closed 3-manifolds whose
+    vertex links are all 2-spheres."""
+    return [
+        _staircase_product(standard_sphere(2), _cycle(4)),
+        _staircase_product(_staircase_product(_cycle(3), _cycle(3)), _cycle(3)),
+        _staircase_product(RP2, _cycle(3)),
+    ]

@@ -7,7 +7,7 @@ import pytest
 
 from stellar.cli import main
 from stellar.io import complex_to_json, dumps
-from stellar import standard_sphere
+from stellar import standard_sphere, subdivide
 
 
 def run(argv, stdin=""):
@@ -65,6 +65,18 @@ def test_check_reports_bad_vertex():
     data = json.loads(out)
     assert data["is_manifold"] is False
     assert data["bad_vertices"] == [1]
+
+
+def test_check_counts_certificates():
+    # every vertex link of a subdivided 4-sphere is a 3-sphere certified by
+    # collapse; the bow-tie's links are graphs, decided exactly
+    s4 = dumps(complex_to_json(subdivide(standard_sphere(4), (1, 2), 7)))
+    code, out, _ = run(["check", "-"], s4)
+    assert code == 0
+    assert json.loads(out)["certificates"] == {"exact": 0, "collapse": 7, "null": 0}
+    code, out, _ = run(["check", "-"], '{"generators": [[1, 2, 3], [1, 4, 5]]}')
+    assert code == 0
+    assert json.loads(out)["certificates"] == {"exact": 5, "collapse": 0, "null": 0}
 
 
 def test_check_takes_no_budget():

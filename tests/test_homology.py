@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 
@@ -129,68 +128,27 @@ def test_lens_quotients_have_cyclic_h1():
         assert group == AbelianGroup(0, (q,)), (q, p)
 
 
-def cycle(n, start=1):
-    vs = list(range(start, start + n))
-    return Complex([tuple(sorted((vs[i], vs[(i + 1) % n]))) for i in range(n)])
-
-
-def staircase_product(k, l):
-    """|k| x |l| triangulated by the staircase rule on ordered vertices;
-    vertex (a, b) becomes (a - 1) * max(l) + b, which keeps the order."""
-    width = l.max_label()
-    out = []
-    for s in k.generators:
-        for t in l.generators:
-            p, q = len(s) - 1, len(t) - 1
-            for ups in itertools.combinations(range(p + q), p):
-                i = j = 0
-                verts = [(s[0] - 1) * width + t[0]]
-                for step in range(p + q):
-                    if step in ups:
-                        i += 1
-                    else:
-                        j += 1
-                    verts.append((s[i] - 1) * width + t[j])
-                out.append(tuple(verts))
-    return Complex(out)
-
-
-RP2 = Complex([
-    (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
-    (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6),
-])
-
-
-def non_sphere_controls():
-    """S^2 x S^1, T^3 and RP^2 x S^1, in that order."""
-    return [
-        staircase_product(standard_sphere(2), cycle(4)),
-        staircase_product(staircase_product(cycle(3), cycle(3)), cycle(3)),
-        staircase_product(RP2, cycle(3)),
-    ]
-
-
-def test_h1_of_the_non_sphere_controls():
+def test_h1_of_the_non_sphere_controls(non_sphere_controls):
     known = [AbelianGroup(1), AbelianGroup(3), AbelianGroup(1, (2,))]
-    for m, group in zip(non_sphere_controls(), known):
+    for m, group in zip(non_sphere_controls, known):
         assert complex_h1(m) == group
         quotient = QuotientComplex.from_structure(build_structure(m).structure)
         assert quotient.h1() == group
 
 
-def test_non_sphere_controls_are_never_recognised():
+def test_non_sphere_controls_are_never_recognised(non_sphere_controls):
     # closed 3-manifolds with PL-sphere links whose collapse after removing
     # a generator stops short of a vertex; H1 then refutes them
-    for m, residue in zip(non_sphere_controls(), (8, 54, 28)):
+    for m, residue in zip(non_sphere_controls, (8, 54, 28)):
         assert len(collapse_greedy(m.residual(min(m.generators)))) == residue
         assert recognize(m) is Recognition.NEITHER
 
 
-def test_non_sphere_controls_are_refused_by_the_workflow():
+def test_non_sphere_controls_are_refused_by_the_workflow(non_sphere_controls):
     # nontrivial H1 refutes a sphere whatever the Γ graph says
     conclusions = ["not a sphere: H1 = Z", "not a sphere: H1 = Z + Z + Z",
                    "not a sphere: H1 = Z + Z/2"]
-    for m, conclusion in zip(non_sphere_controls(), conclusions):
+    for m, conclusion in zip(non_sphere_controls, conclusions):
         report = sphere_workflow(m)
         assert report.conclusion == conclusion
         assert report.collapsed_to_point is None

@@ -24,10 +24,11 @@ from stellar import (
     subdivide,
     weld,
 )
-from stellar.complexes import LabelAllocator
+from stellar.complexes import LabelAllocator, cofaces, connected, star_index
 from stellar.invariants import quotient_collapses_to_point
 from stellar.moves import (
     _facets,
+    _surface_edges,
     free_face_collapse,
     prism_offset,
     weld_factor,
@@ -194,20 +195,43 @@ RP2_6 = Complex([
 ])
 
 
-def collapse_inputs():
+def minus_least_facet(k):
+    return k.residual(min(k.generators))
+
+
+def subdivided_3_spheres(random_subdivision):
+    rng = random.Random(31)
+    return [random_subdivision(rng, standard_sphere(3), moves) for moves in (4, 8, 12)]
+
+
+def octahedron(poles, equator):
+    """The suspension of the 4-cycle `equator` from the two `poles`."""
+    return [
+        tuple(sorted((pole, equator[i], equator[(i + 1) % 4])))
+        for pole in poles
+        for i in range(4)
+    ]
+
+
+OCTAHEDRON = Complex(octahedron((1, 2), (3, 4, 5, 6)))
+# two octahedra glued at two antipodal vertices
+DOUBLE_OCTAHEDRON = Complex(octahedron((1, 2), (3, 4, 5, 6)) + octahedron((1, 2), (7, 8, 9, 10)))
+
+
+def collapse_inputs(random_subdivision, non_sphere_controls):
     ball = standard_simplex(3)
     for a, v in [((1, 2), 5), ((1, 3, 4, 5), 6), ((2, 5), 7), ((3, 4, 6), 8)]:
         ball = subdivide(ball, a, v)
     s3 = subdivide(standard_sphere(3), (1, 2), 6)
-    # the surfaces and the 3-sphere minus a generator leave order-dependent residues
+    # the surfaces and the 3-manifolds minus a generator leave order-dependent
+    # residues: 8, 54 and 28 generators for S^2 x S^1, T^3 and RP^2 x S^1
+    closed = [TORUS7, RP2_6, s3, *subdivided_3_spheres(random_subdivision), *non_sphere_controls]
     return [
         Complex([(1, 2, 3)]),
         standard_simplex(3),
         ball,
         standard_sphere(1),
-        TORUS7.residual(min(TORUS7.generators)),
-        RP2_6.residual(min(RP2_6.generators)),
-        s3.residual(min(s3.generators)),
+        *map(minus_least_facet, closed),
     ]
 
 
@@ -222,19 +246,36 @@ def quotient_poset(q):
     return dim, facets.__getitem__
 
 
-def test_collapse_removal_order_is_pinned():
+def test_collapse_removal_order_is_pinned(random_subdivision, non_sphere_controls):
     # residues of the greedy order, a theta graph and a triangle
-    assert collapse_greedy(TORUS7.residual(min(TORUS7.generators))) == Complex(
+    assert collapse_greedy(minus_least_facet(TORUS7)) == Complex(
         [(3, 6), (3, 7), (5, 6), (5, 7), (6, 7)]
     )
-    assert collapse_greedy(RP2_6.residual(min(RP2_6.generators))) == Complex(
+    assert collapse_greedy(minus_least_facet(RP2_6)) == Complex(
         [(4, 5), (4, 6), (5, 6)]
     )
-    for k in collapse_inputs():
+    for k in collapse_inputs(random_subdivision, non_sphere_controls):
         dim = {f: len(f) - 1 for f in k.closure()}
         assert free_face_collapse(dim, _facets) == reference_collapse(dim, _facets)
         q = quotient_poset(QuotientComplex.from_complex(k))
         assert free_face_collapse(*q) == reference_collapse(*q)
+
+
+def test_closure_minus_a_generator_of_a_closed_complex(random_subdivision, non_sphere_controls):
+    # recognition collapses closure(k) - {g} for the least generator g of a
+    # closed k: every facet of g lies in a second generator, so that set is
+    # the closure of the rest
+    closed = [standard_sphere(2), standard_sphere(3), standard_sphere(4), OCTAHEDRON,
+              TORUS7, RP2_6, *subdivided_3_spheres(random_subdivision),
+              *non_sphere_controls]
+    for k in closed:
+        assert k.is_closed()
+        g = min(k.generators)
+        assert k.closure() - {g} == minus_least_facet(k).closure()
+    # with boundary the identity fails: the disk (1,2,3) + (2,3,4) loses the
+    # faces of (1,2,3) that no other generator has
+    disk = Complex([(1, 2, 3), (2, 3, 4)])
+    assert disk.closure() - {(1, 2, 3)} != minus_least_facet(disk).closure()
 
 
 def test_recognize_dimension_zero_and_one():
@@ -251,23 +292,74 @@ def test_recognize_dimension_zero_and_one():
     assert recognize(two_cycles) is Recognition.NEITHER
 
 
+# 2-complexes and their shapes: surfaces first, then complexes that are none
+SURFACE_ZOO = {
+    "tetrahedron_boundary": (standard_sphere(2), Recognition.SPHERE),
+    "octahedron": (OCTAHEDRON, Recognition.SPHERE),
+    "torus": (TORUS7, Recognition.NEITHER),
+    "projective_plane": (RP2_6, Recognition.NEITHER),
+    "triangle": (Complex([(1, 2, 3)]), Recognition.BALL),
+    "disk": (Complex([(6, i, i % 5 + 1) for i in range(1, 6)]), Recognition.BALL),
+    # inner triangle 1,2,3 and outer triangle 4,5,6
+    "annulus": (
+        Complex([(1, 2, 4), (2, 4, 5), (2, 3, 5), (3, 5, 6), (1, 3, 6), (1, 4, 6)]),
+        Recognition.NEITHER,
+    ),
+    "bow_tie": (Complex([(1, 2, 3), (1, 4, 5)]), Recognition.NEITHER),
+    "book": (Complex([(1, 2, 3), (1, 2, 4), (1, 2, 5)]), Recognition.NEITHER),
+    "two_spheres": (standard_sphere(2) + standard_sphere(2, start=5), Recognition.NEITHER),
+    "double_octahedron": (DOUBLE_OCTAHEDRON, Recognition.NEITHER),
+}
+
+
 def test_recognize_surfaces():
+    for name, (k, shape) in SURFACE_ZOO.items():
+        assert recognize(k) is shape, name
     s2 = standard_sphere(2)
-    assert recognize(s2) is Recognition.SPHERE
-    disk = Complex([(1, 2, 3)])
-    assert recognize(disk) is Recognition.BALL
     torus_like = s2 + subdivide(s2, (1, 2), 9) + Complex([(1, 2, 9)])
     # not a surface: the edge (1,2) now has odd incidence structure
     assert recognize(torus_like) in (Recognition.NEITHER, Recognition.UNKNOWN)
-    bow_tie = Complex([(1, 2, 3), (1, 4, 5)])
-    assert recognize(bow_tie) is Recognition.NEITHER
-    book = Complex([(1, 2, 3), (1, 2, 4), (1, 2, 5)])
-    assert recognize(book) is Recognition.NEITHER
-    # inner triangle 1,2,3 and outer triangle 4,5,6
-    annulus = Complex(
-        [(1, 2, 4), (2, 4, 5), (2, 3, 5), (3, 5, 6), (1, 3, 6), (1, 4, 6)]
-    )
-    assert recognize(annulus) is Recognition.NEITHER
+
+
+def surface_by_links(k):
+    """The per-vertex surface test: the complex is connected, every edge lies
+    in at most two triangles and every vertex link is connected."""
+    degree = {}
+    for g in k.generators:
+        for e in itertools.combinations(g, 2):
+            degree[e] = degree.get(e, 0) + 1
+    links = star_index(k.generators).values()
+    return connected(k.generators) and max(degree.values()) <= 2 and all(map(connected, links))
+
+
+def test_surface_test_matches_the_per_vertex_definition():
+    surfaces = set()
+    for name, (k, _) in SURFACE_ZOO.items():
+        opposite = _surface_edges(k)
+        assert (opposite is not None) is surface_by_links(k), name
+        if opposite is not None:
+            surfaces.add(name)
+            assert sorted(opposite) == sorted(k.faces_of_dim(1))
+            for e, across in opposite.items():
+                assert sorted(across) == sorted(
+                    next(v for v in g if v not in e) for g in k.generators if set(e) <= set(g)
+                )
+    assert surfaces == {
+        "tetrahedron_boundary", "octahedron", "torus", "projective_plane", "triangle", "disk",
+        "annulus",
+    }
+
+
+def test_double_octahedron_is_refused_by_its_links_alone():
+    # connected and closed, chi = 2 and every edge in exactly two triangles:
+    # only the links of the glued vertices, two circles each, refute it
+    k = DOUBLE_OCTAHEDRON
+    assert k.is_connected() and k.is_closed() and k.euler_characteristic() == 2
+    assert {len(up) for up in cofaces(k.generators).values()} == {2}
+    assert recognize(k) is Recognition.NEITHER
+    report = check_manifold(k.join(Complex([(11,), (12,)])))
+    assert report.is_manifold is False
+    assert report.bad_vertices == [1, 2, 11, 12]
 
 
 def test_recognize_after_random_moves():
