@@ -4,8 +4,9 @@ recognition of flat quotients, and the end-to-end sphere workflow.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Dict, List, Optional, Tuple, Union
 
 from .complexes import Complex, Simplex, UnionFind
@@ -14,7 +15,7 @@ from .group import _class_orders, _degree, _gamma, has_circuit, GammaGraph
 from .homology import AbelianGroup, complex_h1
 from .manifold import check_manifold
 from .moves import free_face_collapse
-from .quotient import QuotientComplex, StellarStructure
+from .quotient import QuotientComplex, SignedUnionFind, StellarStructure
 from .structure import _verify, build_structure
 
 
@@ -47,125 +48,62 @@ class SurfaceClass:
     detail: str = ""
 
 
-_SIDE_SIGNS = (1, -1, 1)  # faces (t1,t2), (t0,t2), (t0,t1) of a triangle
+def classify_flat_quotient(q: QuotientComplex) -> SurfaceClass:
+    """Name the surface a flat quotient forms, or report why it is none.
 
-
-def _surface_data(q: QuotientComplex):
-    """Edge incidences, corner links, boundary and orientability of a
-    two-dimensional quotient.  Returns None with a reason when the cell
-    complex is not a surface."""
-    tris = q.cells.get(2, [])
-    edges = q.cells.get(1, [])
-    verts = q.cells.get(0, [])
+    One pass over the triangle cells maps each edge cell to its (triangle,
+    side, parity) incidences, and union-finds read the rest from that map:
+    corners (triangle, vertex cell) glued across interior edges give the
+    vertex links, triangles glued with signs give the components and
+    orientability, and the endpoints of rim edges give the boundary circles.
+    A regular equivalence puts each generator's vertices in distinct classes
+    and vertex cells lie inside classes, so a triangle meets three distinct
+    vertex cells and no edge cell twice.  A corner then has at most two
+    neighbours, so a connected link is an arc or a circle, with 0 or 2 rim
+    ends: the rim is a union of circles.  The kind is named on one component
+    only."""
+    chi = q.euler_characteristic()
     if q.cells.get(3):
-        return None, "has cells above dimension two"
-    # each triangle contributes three edge incidences
-    inc: Dict[Simplex, List[Tuple[int, int, int]]] = {e: [] for e in edges}
+        return SurfaceClass("Other", chi, detail="has cells above dimension two")
+    verts, tris = q.cells.get(0, []), q.cells.get(2, [])
+    vcell = {v: c for c in verts for (v,) in q.members[c]}
+    corners = [tuple(vcell[v] for v in t) for t in tris]
+    inc: Dict[Simplex, List[Tuple[int, int, int]]] = {e: [] for e in q.cells.get(1, [])}
     for ti, t in enumerate(tris):
         for side, face in enumerate([(t[1], t[2]), (t[0], t[2]), (t[0], t[1])]):
-            root, par = q.cell_of(face)
-            inc[root].append((ti, side, par))
-    for e, hits in inc.items():
-        if len(hits) > 2:
-            return None, f"edge cell {e} lies in {len(hits)} two-cells"
-    # vertex links: corners glued along interior edge incidences
-    corner_id: Dict[Tuple[int, int], int] = {}
-    corners_at: Dict[Simplex, List[int]] = {v: [] for v in verts}
-    for ti, t in enumerate(tris):
-        for pos in range(3):
-            cid = len(corner_id)
-            corner_id[(ti, pos)] = cid
-            corners_at[q.cell_of((t[pos],))[0]].append(cid)
-    adj: Dict[int, List[int]] = {c: [] for c in corner_id.values()}
-    for e, hits in inc.items():
-        if len(hits) != 2:
-            continue
-        (t1, s1, _), (t2, s2, _) = hits
-        # side s excludes vertex position s; its endpoints are the other two
-        for v in verts:
-            ends1 = [p for p in range(3) if p != s1
-                     and q.cell_of((tris[t1][p],))[0] == v]
-            ends2 = [p for p in range(3) if p != s2
-                     and q.cell_of((tris[t2][p],))[0] == v]
-            for p1 in ends1:
-                for p2 in ends2:
-                    a, b = corner_id[(t1, p1)], corner_id[(t2, p2)]
-                    adj[a].append(b)
-                    adj[b].append(a)
-    for v, cs in corners_at.items():
-        if not cs:
-            return None, f"isolated vertex cell {v}"
-        if any(len(adj[c]) > 2 for c in cs):
-            return None, f"vertex cell {v} has a branching link"
-        # connectivity of the corner graph at v
-        seen = {cs[0]}
-        stack = [cs[0]]
-        while stack:
-            c = stack.pop()
-            for d in adj[c]:
-                if d not in seen:
-                    seen.add(d)
-                    stack.append(d)
-        if seen != set(cs):
-            return None, f"vertex cell {v} has a disconnected link"
-    # boundary circles
-    bdy_edges = [e for e, hits in inc.items() if len(hits) == 1]
-    bdy_deg: Dict[Simplex, int] = {}
-    for e in bdy_edges:
-        for endpoint in ((e[0],), (e[1],)):
-            root = q.cell_of(endpoint)[0]
-            bdy_deg[root] = bdy_deg.get(root, 0) + 1
-    if any(d != 2 for d in bdy_deg.values()):
-        return None, "boundary is not a union of circles"
-    circles_uf = UnionFind(bdy_deg)
-    for e in bdy_edges:
-        circles_uf.union(q.cell_of((e[0],))[0], q.cell_of((e[1],))[0])
-    circles = len(circles_uf.groups())
-    # orientability: 2-color triangles so glued sides induce opposite signs
-    color = [0] * len(tris)
-    orientable = True
-    for start in range(len(tris)):
-        if color[start]:
-            continue
-        color[start] = 1
-        stack = [start]
-        while stack and orientable:
-            ti = stack.pop()
-            for e, hits in inc.items():
-                pair = [h for h in hits if h[0] == ti]
-                if len(hits) != 2 or not pair:
-                    continue
-                (t1, s1, p1), (t2, s2, p2) = hits
-                rel = -_SIDE_SIGNS[s1] * _SIDE_SIGNS[s2] * (-1) ** (p1 ^ p2)
-                if t1 == t2:
-                    if rel != 1:
-                        orientable = False
-                    continue
-                other = t2 if ti == t1 else t1
-                want = color[ti] * rel
-                if color[other] == 0:
-                    color[other] = want
-                    stack.append(other)
-                elif color[other] != want:
-                    orientable = False
-    return (inc, circles, orientable), ""
-
-
-def classify_flat_quotient(q: QuotientComplex) -> SurfaceClass:
-    """Name the surface a flat quotient forms, or report why it is none."""
-    chi = q.euler_characteristic()
-    data, reason = _surface_data(q)
-    if data is None:
-        return SurfaceClass("Other", chi, detail=reason)
-    _, circles, orientable = data
-    closed = circles == 0
-    if chi == 1 and not closed and circles == 1 and orientable:
-        return SurfaceClass("Disk", chi, orientable=True, boundary_circles=1)
-    if chi == 1 and closed and not orientable:
-        return SurfaceClass("ProjectivePlane", chi, orientable=False, boundary_circles=0)
-    if chi == 2 and closed and orientable:
-        return SurfaceClass("Sphere", chi, orientable=True, boundary_circles=0)
-    return SurfaceClass("Other", chi, orientable=orientable, boundary_circles=circles)
+            root, parity = q.cell_of(face)
+            inc[root].append((ti, side, parity))
+    links = UnionFind((ti, v) for ti, c in enumerate(corners) for v in c)
+    rim, sheets = UnionFind(), SignedUnionFind()
+    for ti in range(len(tris)):
+        sheets.add((ti,))
+    for (t1, s1, p1), *glued in filter(None, inc.values()):
+        ends = corners[t1][:s1] + corners[t1][s1 + 1:]  # side s omits position s
+        if not glued:
+            rim.union(*ends)
+        elif len(glued) == 1:
+            ((t2, s2, p2),) = glued
+            for v in ends:
+                links.union((t1, v), (t2, v))
+            # side s has sign (-1)^s in the boundary of its triangle, and
+            # coherent sheets induce opposite signs on the edge cell
+            sheets.union((t1,), (t2,), 1 ^ (s1 + s2 + p1 + p2) % 2)
+    split = Counter(v for _, v in links.groups())
+    problem = next(chain(
+        (f"edge cell {e} lies in {len(h)} two-cells" for e, h in inc.items() if len(h) > 2),
+        (f"isolated vertex cell {v}" for v in verts if not split[v]),
+        (f"edge cell {e} lies in no two-cell" for e, h in inc.items() if not h),
+        (f"vertex cell {v} has a disconnected link" for v in verts if split[v] > 1),
+    ), "")
+    if problem:
+        return SurfaceClass("Other", chi, detail=problem)
+    components, circles = len(sheets.members()), len(rim.groups())
+    orientable = not sheets.conflicts
+    if components > 1:
+        return SurfaceClass("Other", chi, orientable, circles, f"{components} components")
+    # χ = 2 - 2g - b or 2 - k - b on one surface, so χ and b fix these kinds
+    kind = {(1, 1): "Disk", (1, 0): "ProjectivePlane", (2, 0): "Sphere"}.get((chi, circles))
+    return SurfaceClass(kind or "Other", chi, orientable, circles)
 
 
 def quotient_collapses_to_point(q: QuotientComplex) -> bool:
@@ -174,7 +112,7 @@ def quotient_collapses_to_point(q: QuotientComplex) -> bool:
     facets = {c: set() for c in dim}
     for c, d in dim.items():
         if d:
-            facets[c] = {q.cell_of(f)[0] for m in q.members[c] for f in combinations(m, d)}
+            facets[c] = {q.cell_of(f)[0] for f in combinations(c, d)}
     alive = free_face_collapse(dim, facets.__getitem__)
     return len(alive) == 1 and dim[next(iter(alive))] == 0
 

@@ -24,6 +24,7 @@ from stellar import (
 import stellar.structure
 from stellar.homology import AbelianGroup
 from stellar.invariants import prism_cell_counts, quotient_collapses_to_point
+from test_moves import RP2_6, SURFACE_ZOO, TORUS7
 
 
 def test_h1_accepts_complexes_quotients_and_structures():
@@ -70,6 +71,67 @@ def test_classify_annulus_as_other():
         True,
         2,
     )
+
+
+def shifted(k, n):
+    return Complex([tuple(v + n for v in g) for g in k.generators])
+
+
+# (kind, chi, orientable, boundary circles, detail), known by construction
+ZOO_SURFACES = {
+    "tetrahedron_boundary": ("Sphere", 2, True, 0, ""),
+    "octahedron": ("Sphere", 2, True, 0, ""),
+    "torus": ("Other", 0, True, 0, ""),
+    "projective_plane": ("ProjectivePlane", 1, False, 0, ""),
+    "triangle": ("Disk", 1, True, 1, ""),
+    "disk": ("Disk", 1, True, 1, ""),
+    "annulus": ("Other", 0, True, 2, ""),
+    "bow_tie": ("Other", 1, None, None, "vertex cell (1,) has a disconnected link"),
+    "book": ("Other", 1, None, None, "edge cell (1, 2) lies in 3 two-cells"),
+    "two_spheres": ("Other", 4, True, 0, "2 components"),
+    "double_octahedron": ("Other", 2, None, None, "vertex cell (1,) has a disconnected link"),
+}
+MORE_SURFACES = [
+    # the 5-vertex Moebius band: its rim is the pentagon of edges (i, i + 2)
+    (Complex([tuple(sorted((i + a) % 5 + 1 for a in range(3))) for i in range(5)]),
+     ("Other", 0, False, 1, "")),
+    # a surface is named only when it is connected
+    (SURFACE_ZOO["disk"][0] + shifted(TORUS7, 10), ("Other", 1, True, 1, "2 components")),
+    (RP2_6 + shifted(TORUS7, 10), ("Other", 1, False, 0, "2 components")),
+    (Complex([(1, 2, 3), (1, 3, 4), (2, 4)]),
+     ("Other", 0, None, None, "edge cell (2, 4) lies in no two-cell")),
+    (Complex([(1, 2, 3), (4,)]), ("Other", 2, None, None, "isolated vertex cell (4,)")),
+    (standard_sphere(1), ("Other", 0, None, None, "isolated vertex cell (1,)")),
+]
+
+
+def surface_fields(q):
+    s = classify_flat_quotient(q)
+    return (s.kind, s.chi, s.orientable, s.boundary_circles, s.detail)
+
+
+def test_quotient_surfaces_known_by_construction():
+    assert ZOO_SURFACES.keys() == SURFACE_ZOO.keys()
+    for name, (k, _) in SURFACE_ZOO.items():
+        assert surface_fields(QuotientComplex.from_complex(k)) == ZOO_SURFACES[name], name
+    for k, expected in MORE_SURFACES:
+        assert surface_fields(QuotientComplex.from_complex(k)) == expected, expected
+    plane = QuotientComplex.from_structure(lens_structure(2, 1))
+    assert surface_fields(plane) == ("ProjectivePlane", 1, False, 0, "")
+    for q in range(3, 41):
+        fold = QuotientComplex.from_structure(fold_structure(q))
+        assert surface_fields(fold) == ("Disk", 1, True, 1, ""), q
+
+
+def test_flat_surface_test_is_linear():
+    # one cell lookup per side of each triangle cell: 192 here, for 257 cells;
+    # a quadratic test (every vertex cell per edge cell) makes 17 280
+    q = QuotientComplex.from_structure(fold_structure(64))
+    calls = []
+    real = q.cell_of
+    q.cell_of = lambda face: calls.append(face) or real(face)
+    assert classify_flat_quotient(q).kind == "Disk"
+    assert len(calls) <= 3 * sum(q.cell_counts().values())
 
 
 def test_quotient_collapse():
@@ -215,6 +277,9 @@ def test_quotient_cells_have_distinct_facets(random_subdivision):
             d = len(c) - 1
             if d == 0:
                 continue
+            own = {q.cell_of(f)[0] for f in itertools.combinations(c, d)}
             for member in members:
                 images = {q.cell_of(f)[0] for f in itertools.combinations(member, d)}
                 assert len(images) == d + 1, (c, member)
+                # so the collapse may read a cell's facets from its representative
+                assert images == own, (c, member)
