@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Every verb reads JSON (a file path or `-` for stdin) and writes JSON with
-sorted keys to stdout.  Exit codes: 0 success, 1 domain error, 2 bad input.
+sorted keys to stdout.  Exit codes: 0 success, 1 domain error, 2 bad input,
+141 stdout closed before the output was written.
 """
 
 from __future__ import annotations
@@ -233,6 +234,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         _dispatch(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; point it at devnull so the flush
+        # at exit raises nothing, and exit as a process killed by SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ParseError as exc:
         print(io.dumps({"error": str(exc), "kind": "parse"}), file=sys.stderr)
         return 2

@@ -9,12 +9,12 @@ doubles the equator.
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import gcd
 from typing import Dict, List, Optional, Set, Tuple
 
-from .complexes import Complex, LabelAllocator, Simplex
+from .complexes import Complex, LabelAllocator, Simplex, UnionFind
 from .errors import EquivalenceError, StructureError
-from .moves import subdivide
 from .quotient import RegularEquivalence, StellarStructure, pair_matching
 
 Matching = Dict[int, int]
@@ -68,15 +68,22 @@ def _violating_edges(structure: StellarStructure) -> List[Simplex]:
 def make_regular(
     structure: StellarStructure,
     matchings: Optional[MatchingTable] = None,
-    max_rounds: int = 32,
 ) -> Tuple[StellarStructure, MatchingTable]:
     """Repair an equivalence whose pairs join vertices within a class.
 
-    Each round picks the orbit, under the pair matchings, of the smallest
-    edge with equivalent endpoints, subdivides every edge of the orbit at a
-    fresh midpoint, and places the midpoints in one new vertex class.  Pairs
-    and matchings are refined along the way.  Fails if some generator holds
-    two orbit edges at once.
+    Each round takes the orbit, under the pair matchings and their
+    inverses, of the smallest edge with equivalent endpoints.  One pass
+    over the generators subdivides every orbit edge at a fresh midpoint,
+    and the midpoints form one new vertex class; pairs and matchings are
+    refined to match.  Fails if a generator holds two orbit edges; when
+    none does, the stars of the orbit edges are disjoint and the pass
+    equals subdividing them one by one.
+
+    The rounds end: each removes its orbit's edges and adds no violating
+    edge, since every new edge joins a midpoint to a vertex that was there
+    before the round, and the midpoints form a class of their own.  So each
+    round starts at a violating edge of the input, in sorted order, that no
+    earlier orbit took.
     """
     sphere = structure.sphere
     equivalence = structure.equivalence
@@ -89,67 +96,48 @@ def make_regular(
     alloc = LabelAllocator(sphere)
     alloc.note(structure.apex)
 
-    for _ in range(max_rounds):
-        bad = _violating_edges(
-            StellarStructure(
-                structure.apex, sphere, RegularEquivalence.build(cls_list, pairs)
-            )
-        )
-        if not bad:
-            break
-        # orbit of the smallest violating edge under all matchings
-        orbit: Set[Simplex] = {bad[0]}
-        grew = True
-        while grew:
-            grew = False
-            for (g, h), phi in table.items():
-                inv = {b: a for a, b in phi.items()}
-                for e in list(orbit):
-                    if set(e) <= set(g):
-                        img = _tri(*(phi[v] for v in e))
-                        if img not in orbit:
-                            orbit.add(img)
-                            grew = True
-                    if set(e) <= set(h):
-                        pre = _tri(*(inv[v] for v in e))
-                        if pre not in orbit:
-                            orbit.add(pre)
-                            grew = True
+    repaired: Set[Simplex] = set()
+    for start in _violating_edges(structure):
+        if start in repaired:
+            continue
+        # the orbit is the class of `start` when each edge e of a paired
+        # generator is joined to its image phi(e)
+        edges = UnionFind([start])
+        for (g, _), phi in table.items():
+            for e in combinations(g, 2):
+                edges.union(e, _tri(*(phi[v] for v in e)))
+        orbit = edges.groups()[edges.find(start)]
+        repaired |= orbit
+        mid = {e: alloc.fresh() for e in sorted(orbit)}
+        held: Dict[Simplex, Tuple[Simplex, int]] = {}
+        gens: List[Simplex] = []
         for g in sphere.generators:
-            inside = [e for e in orbit if set(e) <= set(g)]
+            inside = [e for e in combinations(g, 2) if e in orbit]
             if len(inside) > 1:
                 raise StructureError(
                     f"generator {g} contains {len(inside)} edges of one repair orbit"
                 )
-        mid = {e: alloc.fresh() for e in sorted(orbit)}
-        for e in sorted(orbit):
-            sphere = subdivide(sphere, e, mid[e])
-        new_pairs: List[Tuple[Simplex, Simplex]] = []
-        new_table: MatchingTable = {}
-        for (g, h), phi in table.items():
-            inside = [e for e in orbit if set(e) <= set(g)]
             if not inside:
-                new_pairs.append((g, h))
-                new_table[(g, h)] = phi
+                gens.append(g)
                 continue
             (e,) = inside
-            img = _tri(*(phi[v] for v in e))
-            if img not in orbit:
-                raise StructureError(
-                    f"matching of pair ({g}, {h}) carries the repair orbit outside itself"
-                )
             (c,) = tuple(v for v in g if v not in e)
+            held[g] = e, c
+            gens.extend(_tri(c, u, mid[e]) for u in e)
+        sphere = Complex(gens)
+        new_table: MatchingTable = {}
+        for (g, h), phi in table.items():
+            if g not in held:
+                new_table[(g, h)] = phi
+                continue
+            e, c = held[g]
+            img = _tri(*(phi[v] for v in e))
             for u in e:
-                child = _tri(c, u, mid[e])
-                child_img = _tri(phi[c], phi[u], mid[img])
-                child_phi = {c: phi[c], u: phi[u], mid[e]: mid[img]}
-                new_pairs.append((child, child_img))
-                new_table[(child, child_img)] = child_phi
-        pairs = new_pairs
+                child = (_tri(c, u, mid[e]), _tri(phi[c], phi[u], mid[img]))
+                new_table[child] = {c: phi[c], u: phi[u], mid[e]: mid[img]}
         table = new_table
+        pairs = list(table)
         cls_list.append(sorted(mid.values()))
-    else:
-        raise StructureError("edge repair did not terminate within the round limit")
 
     equivalence = RegularEquivalence.build(cls_list, pairs)
     out = StellarStructure(structure.apex, sphere, equivalence)

@@ -1,10 +1,13 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 
 import pytest
 
+import stellar
 from stellar.cli import main
 from stellar.io import complex_to_json, dumps
 from stellar import standard_sphere, subdivide
@@ -154,6 +157,26 @@ def test_domain_error_exit_code_one():
     code, out, err = run(["lens", "4", "2"])
     assert code == 1 and out == ""
     assert "error" in json.loads(err)
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # the read end is closed before the child starts, so its write always
+    # meets a broken pipe, as `stellar lens 257 3 | head -c 10` can
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(stellar.__file__)))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "stellar", "lens", "5", "1"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
 
 
 def test_file_input(tmp_path):
