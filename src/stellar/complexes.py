@@ -10,7 +10,7 @@ link of a generator inside itself.  Public parsers never accept it.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Set, Tuple
 
 from .errors import ComplexError
 
@@ -255,9 +255,17 @@ def connected(gens: Iterable[Simplex]) -> bool:
     for g in gens:
         for v in g:
             star.setdefault(v, []).append(g)
+    return star_connected(star)
+
+
+def star_connected(star: Mapping[int, Iterable[Simplex]]) -> bool:
+    """Whether a search from one vertex of `star`, on to the vertices of the
+    simplexes listed at each vertex it reaches, reaches every vertex of
+    `star`.  The simplexes at v may be those containing v, as in `connected`,
+    or the generators of the link of v, as in `star_index`: v is joined to
+    every vertex of its link.  An empty `star` is connected."""
     if not star:
         return True
-    # search outward from one vertex through the simplexes it lies in
     todo = [next(iter(star))]
     reached = set(todo)
     while todo:

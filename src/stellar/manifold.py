@@ -7,7 +7,7 @@ from typing import Dict, List, Optional
 
 from .complexes import Complex
 from .errors import ComplexError
-from .moves import Recognition, _recognize
+from .moves import Recognition, Seen, _recognize
 
 
 @dataclass
@@ -63,9 +63,12 @@ def check_manifold(k: Complex, budget: Optional[int] = None) -> ManifoldReport:
     certificates: Dict[int, Optional[str]] = {}
     bad: List[int] = []
     unknown: List[int] = []
+    # one call recognises each distinct link once, vertex links and the
+    # links inside them alike
+    seen: Seen = {}
     links = k.vertex_links()
     for v in sorted(links):
-        res, certificates[v] = _recognize(links[v])
+        res, certificates[v] = _recognize(links[v], seen)
         results[v] = res
         if res is Recognition.NEITHER:
             bad.append(v)

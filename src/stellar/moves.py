@@ -11,6 +11,7 @@ from enum import Enum
 from typing import (
     Callable,
     Dict,
+    FrozenSet,
     Hashable,
     Iterable,
     List,
@@ -28,6 +29,8 @@ from .complexes import (
     connected,
     simplex,
     simplex_boundary,
+    star_connected,
+    star_index,
 )
 from .errors import ComplexError, MoveError, WeldError
 from .homology import complex_h1
@@ -230,10 +233,14 @@ def free_face_collapse(
     first, together with its coface.  Cofaces count as distinct cells, not
     as incidences.
 
-    The cells are ranked once by (dimension, cell), and the collapse runs on
-    the ranks: the least rank on the heap is the least free cell.
+    The cells are ranked once by (dimension, cell): bucketed by dimension,
+    each bucket sorted on its own.  The collapse runs on the ranks: the
+    least rank on the heap is the least free cell.
     """
-    cells = sorted(dim, key=lambda c: (dim[c], c))
+    buckets: Dict[int, List[Hashable]] = {}
+    for c, d in dim.items():
+        buckets.setdefault(d, []).append(c)
+    cells = [c for d in sorted(buckets) for c in sorted(buckets[d])]
     rank = {c: i for i, c in enumerate(cells)}
     facets = [[rank[f] for f in facets_of(c)] for c in cells]
     cofaces: List[List[int]] = [[] for _ in cells]
@@ -388,6 +395,12 @@ EXACT = "exact"
 COLLAPSE = "collapse"
 
 
+Verdict = Tuple[Recognition, Optional[str]]
+# generator set -> the finished recognition of that complex, shared by the
+# recursion of one top-level call and dropped when the call returns
+Seen = Dict[FrozenSet[Simplex], Verdict]
+
+
 def recognize(k: Complex) -> Recognition:
     """Decide ball/sphere: exact through dimension 2, certified above.
 
@@ -405,12 +418,25 @@ def recognize(k: Complex) -> Recognition:
     Unknown means no certificate was found: a vertex link was undecided, or
     the collapse stopped short while H1 is trivial.  It never means that the
     complex was silently accepted.
+
+    One call recognises each distinct link once: the verdict depends only on
+    the generator set, and the edge link lk(vw) is met twice, as the link of
+    w in lk(v) and of v in lk(w).
     """
-    return _recognize(k)[0]
+    return _recognize(k, {})[0]
 
 
-def _recognize(k: Complex) -> Tuple[Recognition, Optional[str]]:
-    """`recognize`, with the certificate that decided it (None for Unknown)."""
+def _recognize(k: Complex, seen: Seen) -> Verdict:
+    """`recognize`, with the certificate that decided it (None for Unknown).
+    A complex whose verdict is in `seen` is not recognised again; a finished
+    recognition goes into it."""
+    verdict = seen.get(k.generators)
+    if verdict is None:
+        verdict = seen[k.generators] = _certify(k, seen)
+    return verdict
+
+
+def _certify(k: Complex, seen: Seen) -> Verdict:
     if not k.is_uniform():
         raise ComplexError("recognition requires a uniform complex")
     if not k:
@@ -424,7 +450,11 @@ def _recognize(k: Complex) -> Tuple[Recognition, Optional[str]]:
         return _graph_shape(k), EXACT
     if dim == 2:
         return _recognize_dim2(k), EXACT
-    if not k.is_connected():
+
+    # one star pass gives the vertex links and connectivity: v is joined to
+    # every vertex of lk(v)
+    star = star_index(k.generators)
+    if not star_connected(star):
         return Recognition.NEITHER, EXACT
 
     faces = k.closure()
@@ -434,7 +464,7 @@ def _recognize(k: Complex) -> Tuple[Recognition, Optional[str]]:
         return Recognition.NEITHER, EXACT
     target = Recognition.SPHERE if closed else Recognition.BALL
 
-    links = _link_test(k, target)
+    links = _link_test(star, target, seen)
     if links is Recognition.NEITHER:
         return Recognition.NEITHER, EXACT
     if links is target:
@@ -450,14 +480,17 @@ def _recognize(k: Complex) -> Tuple[Recognition, Optional[str]]:
     return Recognition.UNKNOWN, None
 
 
-def _link_test(k: Complex, target: Recognition) -> Recognition:
-    """NEITHER when some vertex link of `k` is NEITHER; else `target` when
-    every link is a sphere, or, for a ball `target`, a sphere or a ball;
-    else UNKNOWN.  Each link is recognised by `_recognize` in full."""
+def _link_test(
+    star: Mapping[int, List[Simplex]], target: Recognition, seen: Seen
+) -> Recognition:
+    """NEITHER when some vertex link in the star index `star` is NEITHER;
+    else `target` when every link is a sphere, or, for a ball `target`, a
+    sphere or a ball; else UNKNOWN.  Each link is recognised by `_recognize`
+    in full."""
     allowed = {Recognition.SPHERE, target}
     verdict = target
-    for lk in k.vertex_links().values():
-        shape = _recognize(lk)[0]
+    for gens in star.values():
+        shape = _recognize(Complex._of(gens), seen)[0]
         if shape is Recognition.NEITHER:
             return shape
         if shape not in allowed:

@@ -59,6 +59,12 @@ RP2 = Complex([
 
 
 @pytest.fixture
+def projective_plane():
+    """The 6-vertex projective plane."""
+    return RP2
+
+
+@pytest.fixture
 def non_sphere_controls():
     """S^2 x S^1, T^3 and RP^2 x S^1, in that order: closed 3-manifolds whose
     vertex links are all 2-spheres."""

@@ -18,6 +18,7 @@ from stellar.complexes import (
     all_faces,
     connected,
     simplex_boundary,
+    star_connected,
     star_index,
 )
 
@@ -153,6 +154,8 @@ def test_connected_matches_a_spanning_forest():
         uf = UnionFind()
         merges = sum(uf.union(g[0], v) for g in k.generators if g for v in g[1:])
         assert connected(k.generators) is (merges == max(len(k.vertices()) - 1, 0))
+        # the same search on the link generators of the star index
+        assert star_connected(star_index(k.generators)) is connected(k.generators)
 
 
 def test_closure_and_faces():

@@ -1,9 +1,11 @@
+import re
 from math import gcd
 
 import pytest
 
 from stellar import (
     Complex,
+    EquivalenceError,
     LabelAllocator,
     StructureError,
     QuotientComplex,
@@ -148,6 +150,33 @@ def test_make_regular_is_idempotent_on_regular_input():
     repaired, _ = make_regular(s)
     assert repaired.sphere == s.sphere
     assert repaired.equivalence == s.equivalence
+
+
+def test_make_regular_checks_the_table_against_the_classes():
+    # the fold is regular, so no round runs and only the final checks act;
+    # a table may name a pair in either order
+    s = fold_structure(4)
+    cls = s.equivalence.class_of(s.sphere)
+    pairs = s.equivalence.generator_pairs
+    forward = {(g, h): pair_matching(g, h, cls) for g, h in pairs}
+    backward = {(h, g): pair_matching(h, g, cls) for g, h in pairs}
+    up, down = (1, 3, 4), (2, 3, 4)
+    for table, pair, swapped in [
+        (forward, (up, down), {1: 2, 3: 4, 4: 3}),
+        (backward, (down, up), {2: 1, 3: 4, 4: 3}),
+    ]:
+        assert make_regular(s, table) == (s, table)
+        message = re.escape(f"repaired matching of {pair} disagrees with the vertex classes")
+        with pytest.raises(StructureError, match=message):
+            make_regular(s, {**table, pair: swapped})
+    # a pair the structure does not have is matched from the classes too
+    stray = (up, (1, 4, 5))
+    message = re.escape("no vertex of (1, 4, 5) is equivalent to vertex 3 of (1, 3, 4)")
+    with pytest.raises(EquivalenceError, match=message):
+        make_regular(s, {**forward, stray: {1: 1, 3: 4, 4: 5}})
+    bad_apex = StellarStructure(1, s.sphere, s.equivalence)
+    with pytest.raises(EquivalenceError, match="^apex 1 occurs in the sphere$"):
+        make_regular(bad_apex, forward)
 
 
 def test_lens_structure_validation():

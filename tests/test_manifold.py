@@ -3,11 +3,14 @@ import random
 from stellar import (
     Complex,
     ManifoldReport,
+    Recognition,
     check_manifold,
+    recognize,
     standard_simplex,
     standard_sphere,
     subdivide,
 )
+from stellar import moves
 
 
 def test_sphere_is_closed_manifold():
@@ -96,3 +99,56 @@ def test_undecided_report_names_the_missing_certificate():
         "link inside them was undecided, or their collapse stopped short "
         "with trivial H1"
     )
+
+
+def test_one_check_recognises_each_edge_link_once(monkeypatch, random_subdivision):
+    # the edge link lk(vw) is the link of w in lk(v) and of v in lk(w); one
+    # check recognises it once, and a second check as often as the first,
+    # so nothing is kept between calls
+    recognised = []
+    surface = moves._recognize_dim2
+    monkeypatch.setattr(
+        moves, "_recognize_dim2", lambda k: recognised.append(k.generators) or surface(k)
+    )
+    subdivided = random_subdivision(random.Random(5), standard_sphere(4), 3)
+    for k in (standard_sphere(4), subdivided):
+        edge_links = {k.link(e).generators for e in k.faces_of_dim(1)}
+        for _ in range(2):
+            recognised.clear()
+            assert check_manifold(k).is_manifold is True
+            assert len(recognised) == len(edge_links)
+            assert set(recognised) == edge_links
+
+
+def test_shared_links_give_each_link_its_own_verdict(
+    random_subdivision, cycle_join, projective_plane
+):
+    # check_manifold against a fresh recognition of every vertex link: RP^2 * S^1
+    # (the circle's links are suspensions of RP^2), two 4-spheres wedged at
+    # vertex 6, and seeded subdivisions of the link4 bases
+    rng = random.Random(13)
+    suspended_c33 = cycle_join(3, 3).join(Complex([(101,), (102,)]))
+    cases = [
+        projective_plane.join(standard_sphere(1, start=11)),
+        standard_sphere(4) + standard_sphere(4, start=6),
+        *(random_subdivision(rng, base, n)
+          for base in (standard_sphere(4), suspended_c33) for n in (0, 2, 3)),
+    ]
+    for k in cases:
+        report = check_manifold(k)
+        fresh = {v: moves._recognize(lk, {}) for v, lk in k.vertex_links().items()}
+        assert report.link_results == {v: shape for v, (shape, _) in fresh.items()}
+        assert report.link_certificates == {v: cert for v, (_, cert) in fresh.items()}
+        assert report.bad_vertices == sorted(
+            v for v, (shape, _) in fresh.items() if shape is Recognition.NEITHER
+        )
+        assert report.unknown_vertices == sorted(
+            v for v, (shape, _) in fresh.items() if shape is Recognition.UNKNOWN
+        )
+    assert check_manifold(cases[0]).bad_vertices == [11, 12, 13]
+    assert check_manifold(cases[1]).bad_vertices == [6]
+
+
+def test_two_disjoint_3_spheres_are_neither():
+    # every vertex link is a 2-sphere and chi = 0, yet the union is disconnected
+    assert recognize(standard_sphere(3) + standard_sphere(3, start=10)) is Recognition.NEITHER
