@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import lru_cache
 from typing import Any, List, Optional
 
 from . import io
@@ -97,7 +98,10 @@ def _report_json(report) -> dict:
     return out
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: `parse_args` leaves it
+    unchanged and returns a fresh namespace each call."""
     parser = argparse.ArgumentParser(
         prog="stellar",
         description="Simplicial complexes over Z2: moves, structures, invariants.",

@@ -11,7 +11,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from .complexes import Simplex, UnionFind, cofaces
 from .errors import StructureError
-from .quotient import StellarStructure, pair_matching
+from .quotient import QuotientComplex, StellarStructure, pair_matching
 
 Permutation = Tuple[int, ...]  # image array over the sorted generator list
 Swap = Dict[int, int]  # a class swap on its support: generator index -> image
@@ -53,13 +53,21 @@ def face_classes(structure: StellarStructure) -> List[FrozenSet[Simplex]]:
     return sorted((frozenset(s) for s in uf.groups().values()), key=sorted)
 
 
+def _cell_classes(quotient: QuotientComplex) -> List[FrozenSet[Simplex]]:
+    """`face_classes` read off a structure's quotient: its cells one
+    dimension below the sphere's, each as the set of its member faces.  A
+    pair's matching identifies codimension-one faces with codimension-one
+    faces only, so these are the same classes, in the same order."""
+    d = quotient.sphere.dimension() - 1
+    return [frozenset(quotient.members[c]) for c in quotient.cells.get(d, [])]
+
+
 def _swap(idx: Dict[Simplex, int], around, alpha: FrozenSet[Simplex]) -> Swap:
     """The class swap over the generator index `idx` and its `cofaces` map,
     on the 2|alpha| generators it moves; every member of `alpha` must be a
-    codimension-one face of the generators."""
+    codimension-one face of the generators, as a sorted tuple."""
     swap: Swap = {}
     for f in alpha:
-        f = tuple(sorted(f))
         hits = [idx[g] for g in around.get(f, ())]
         if len(hits) != 2:
             raise StructureError(
@@ -75,6 +83,7 @@ def _swap(idx: Dict[Simplex, int], around, alpha: FrozenSet[Simplex]) -> Swap:
 
 def _class_swap(structure: StellarStructure, alpha: FrozenSet[Simplex]) -> Swap:
     gens = structure.sphere.sorted_generators()
+    alpha = frozenset(tuple(sorted(f)) for f in alpha)
     return _swap({g: i for i, g in enumerate(gens)}, cofaces(gens), alpha)
 
 
@@ -91,14 +100,15 @@ def p_alpha(structure: StellarStructure, alpha: FrozenSet[Simplex]) -> Permutati
     return tuple(image)
 
 
-def _analysis(structure: StellarStructure):
-    """What one query needs, built once: the generators, `p0`, and each face
-    class with its swap on the support, made as the caller reaches it."""
+def _analysis(structure: StellarStructure, classes: List[FrozenSet[Simplex]]):
+    """What one query needs, built once: the generators, `p0`, and each of
+    the face classes `classes` with its swap on the support, made as the
+    caller reaches it."""
     pairing = p0(structure)
     gens = structure.sphere.sorted_generators()
     idx = {g: i for i, g in enumerate(gens)}
     around = cofaces(gens)
-    return gens, pairing, ((a, _swap(idx, around, a)) for a in face_classes(structure))
+    return gens, pairing, ((a, _swap(idx, around, a)) for a in classes)
 
 
 def _order(step: Callable[[int], int], starts: Iterable[int]) -> int:
@@ -131,10 +141,13 @@ def _orders(pairing: Permutation, swap: Swap) -> Tuple[int, int]:
     return max(2, order), (order if len(swap) == len(pairing) else lcm(order, 2))
 
 
-def _class_orders(structure: StellarStructure) -> ClassOrders:
-    """Each face class with its degree entry and full order, from one
-    `_analysis` pass: what `degree`, `gamma_graph` and a report share."""
-    _, pairing, swaps = _analysis(structure)
+def _class_orders(
+    structure: StellarStructure, classes: List[FrozenSet[Simplex]]
+) -> ClassOrders:
+    """Each of the structure's face classes `classes` with its degree entry
+    and full order, from one `_analysis` pass: what `degree`, `gamma_graph`
+    and a report share.  A report passes the classes its quotient holds."""
+    _, pairing, swaps = _analysis(structure, classes)
     return [(alpha, *_orders(pairing, swap)) for alpha, swap in swaps]
 
 
@@ -175,7 +188,7 @@ def degree(structure: StellarStructure) -> Tuple[int, ...]:
     exactly when the full order does, but an odd class of k members has
     entry k where its full order is 2k.
     """
-    return _degree(_class_orders(structure))
+    return _degree(_class_orders(structure, face_classes(structure)))
 
 
 def _degree(orders: ClassOrders) -> Tuple[int, ...]:
@@ -202,7 +215,7 @@ def _require_shell(structure: StellarStructure) -> None:
 def collapsible_edges(structure: StellarStructure) -> List[FrozenSet[Simplex]]:
     """Edge classes alpha with a generator F satisfying swap(pair(F)) = F."""
     _require_shell(structure)
-    _, pairing, swaps = _analysis(structure)
+    _, pairing, swaps = _analysis(structure, face_classes(structure))
     return [a for a, swap in swaps if _folds(pairing, swap)]
 
 
@@ -218,7 +231,7 @@ def internally_flat_complexes(
     """Orbit pairs of the group generated by the order-2, non-collapsible
     edge swaps, with orbits matched up by the pairing involution."""
     _require_shell(structure)
-    gens, pair, swaps = _analysis(structure)
+    gens, pair, swaps = _analysis(structure, face_classes(structure))
     uf = UnionFind(range(len(gens)))  # orbits under the generated group
     for _, swap in swaps:
         if _orders(pair, swap)[1] == 2 and not _folds(pair, swap):
@@ -267,7 +280,7 @@ def gamma_graph(structure: StellarStructure) -> GammaGraph:
     These are the classes whose degree entry exceeds 2, but the label is the
     full order: 2q, not q, for the odd lens classes.
     """
-    return _gamma(structure, _class_orders(structure))
+    return _gamma(structure, _class_orders(structure, face_classes(structure)))
 
 
 def _gamma(structure: StellarStructure, orders: ClassOrders) -> GammaGraph:

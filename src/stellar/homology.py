@@ -1,26 +1,27 @@
 """Integer and mod-2 linear algebra for chain complexes.
 
-Matrices come in and go out as dense lists of Python ints, which keeps the
-arithmetic exact at any size.  The Smith normal form works inside on sparse
-rows: it eliminates unit pivots first and runs a dense loop only on what
-they leave.  Two independent code paths are provided on purpose: Smith
-normal form over the integers, and Gaussian elimination over GF(2) used as
-a cross-check oracle.
+Matrices come in and go out as sparse rows, a list of {column: value}
+dicts of Python ints, which keeps the arithmetic exact at any size and the
+memory proportional to the nonzero entries.  The Smith normal form
+eliminates unit pivots on those rows first and runs a dense loop only on
+the block they leave.  Two independent code paths are provided on purpose:
+Smith normal form over the integers, and Gaussian elimination over GF(2)
+used as a cross-check oracle.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import compress
 from typing import Callable, Dict, List, Sequence, Set, Tuple
 
 from .complexes import Complex, Simplex
 
-Matrix = List[List[int]]
+Matrix = List[List[int]]  # dense rows, only for the unit-free block
+SparseRows = List[Dict[int, int]]  # row i -> {column: value}; zeros may be absent
 
 
-def smith_normal_form(rows: Sequence[Sequence[int]]) -> List[int]:
+def smith_normal_form(rows: Sequence[Dict[int, int]]) -> List[int]:
     """Diagonal of the Smith normal form (nonnegative, divisor chain).
 
     Returns only the nonzero invariant factors d1 | d2 | ... .  Pivots of
@@ -31,19 +32,19 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> List[int]:
     return [1] * units + _dense_snf(rest)
 
 
-def _eliminate_units(rows: Sequence[Sequence[int]]) -> Tuple[int, Matrix]:
+def _eliminate_units(rows: Sequence[Dict[int, int]]) -> Tuple[int, Matrix]:
     """Eliminate +-1 pivots; return their number and the dense remainder.
 
     A unit pivot clears its column by row operations and then its row by
     column operations that touch nothing else, so the matrix splits as
     (1) + remainder without changing the invariant factors.  The pivot is
     taken in the shortest row that has a unit, at its shortest column, which
-    keeps the fill small.
+    keeps the fill small.  The rows are copied, never changed.
     """
     sparse: Dict[int, Dict[int, int]] = {}
     cols: Dict[int, Set[int]] = {}
     for i, r in enumerate(rows):
-        row = {j: r[j] for j in compress(range(len(r)), r)}
+        row = {j: v for j, v in r.items() if v}
         if row:
             sparse[i] = row
             for j in row:
@@ -135,16 +136,16 @@ def _dense_snf(rows: Sequence[Sequence[int]]) -> List[int]:
     return diag
 
 
-def integer_rank(rows: Sequence[Sequence[int]]) -> int:
+def integer_rank(rows: Sequence[Dict[int, int]]) -> int:
     return len(smith_normal_form(rows))
 
 
-def z2_rank(rows: Sequence[Sequence[int]]) -> int:
+def z2_rank(rows: Sequence[Dict[int, int]]) -> int:
     """Rank over GF(2), via bitmask elimination.  Independent of SNF."""
     masks = []
     for r in rows:
         bits = 0
-        for j, v in enumerate(r):
+        for j, v in r.items():
             if v % 2:
                 bits |= 1 << j
         if bits:
@@ -178,7 +179,7 @@ class AbelianGroup:
         return self.rank + sum(1 for d in self.torsion if d % 2 == 0)
 
 
-def homology_from_boundaries(n1: int, d1: Matrix, d2: Matrix) -> AbelianGroup:
+def homology_from_boundaries(n1: int, d1: SparseRows, d2: SparseRows) -> AbelianGroup:
     """H1 of a chain complex C2 --d2--> C1 --d1--> C0, C1 of dimension n1."""
     snf2 = smith_normal_form(d2)
     r1 = integer_rank(d1)
@@ -188,7 +189,7 @@ def homology_from_boundaries(n1: int, d1: Matrix, d2: Matrix) -> AbelianGroup:
     return AbelianGroup(rank, torsion)
 
 
-def z2_betti_from_boundaries(n1: int, d1: Matrix, d2: Matrix) -> int:
+def z2_betti_from_boundaries(n1: int, d1: SparseRows, d2: SparseRows) -> int:
     """dim of first homology with GF(2) coefficients; oracle path."""
     return n1 - z2_rank(d1) - z2_rank(d2)
 
@@ -198,35 +199,36 @@ def boundary_matrices(
     edges: Sequence[Simplex],
     tris: Sequence[Simplex],
     cell_of: Callable[[Simplex], Tuple[Simplex, int]],
-) -> Tuple[int, Matrix, Matrix]:
-    """(n1, d1, d2) of a cell complex through dimension two.
+) -> Tuple[int, SparseRows, SparseRows]:
+    """(n1, d1, d2) of a cell complex through dimension two, as sparse rows:
+    d1 has a row per vertex cell, d2 a row per edge cell, and column j is
+    the j-th edge or triangle cell.
 
     Cells are named by representative simplexes, listed per dimension in
     matrix order.  `cell_of` maps a face of a representative to its cell and
     the parity of the face's orientation against that cell's.  Orientations
-    follow the usual alternating-sign rule on sorted vertex tuples.
+    follow the usual alternating-sign rule on sorted vertex tuples.  Entries
+    that cancel stay in their row as zeros.
     """
     vi: Dict[Simplex, int] = {v: i for i, v in enumerate(verts)}
     ei: Dict[Simplex, int] = {e: i for i, e in enumerate(edges)}
-    d1: Matrix = [[0] * len(edges) for _ in verts]
+    d1: SparseRows = [{} for _ in verts]
     for j, (u, v) in enumerate(edges):
-        d1[vi[cell_of((v,))[0]]][j] += 1
-        d1[vi[cell_of((u,))[0]]][j] -= 1
-    d2: Matrix = [[0] * len(tris) for _ in edges]
+        row = d1[vi[cell_of((v,))[0]]]
+        row[j] = row.get(j, 0) + 1
+        row = d1[vi[cell_of((u,))[0]]]
+        row[j] = row.get(j, 0) - 1
+    d2: SparseRows = [{} for _ in edges]
     for j, t in enumerate(tris):
         # faces (t1,t2), (t0,t2), (t0,t1) carry signs +, -, +
         for pos, face in enumerate([(t[1], t[2]), (t[0], t[2]), (t[0], t[1])]):
             root, parity = cell_of(face)
-            d2[ei[root]][j] += -1 if (pos + parity) % 2 else 1
-    if not edges:
-        d1 = [[] for _ in verts]
-        d2 = []
-    if not tris:
-        d2 = [[] for _ in edges]
+            row = d2[ei[root]]
+            row[j] = row.get(j, 0) + (-1 if (pos + parity) % 2 else 1)
     return len(edges), d1, d2
 
 
-def simplicial_boundary_matrices(k: Complex) -> Tuple[int, Matrix, Matrix]:
+def simplicial_boundary_matrices(k: Complex) -> Tuple[int, SparseRows, SparseRows]:
     """(n1, d1, d2) for the full face closure of a complex."""
     return boundary_matrices(
         sorted(k.faces_of_dim(0)),

@@ -11,7 +11,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from .complexes import Complex, Simplex, UnionFind
 from .errors import StructureError
-from .group import _class_orders, _degree, _gamma, has_circuit, GammaGraph
+from .group import _cell_classes, _class_orders, _degree, _gamma, has_circuit, GammaGraph
 from .homology import AbelianGroup, complex_h1
 from .manifold import check_manifold
 from .moves import free_face_collapse
@@ -74,9 +74,7 @@ def classify_flat_quotient(q: QuotientComplex) -> SurfaceClass:
             root, parity = q.cell_of(face)
             inc[root].append((ti, side, parity))
     links = UnionFind((ti, v) for ti, c in enumerate(corners) for v in c)
-    rim, sheets = UnionFind(), SignedUnionFind()
-    for ti in range(len(tris)):
-        sheets.add((ti,))
+    rim, sheets = UnionFind(), SignedUnionFind(len(tris))
     for (t1, s1, p1), *glued in filter(None, inc.values()):
         ends = corners[t1][:s1] + corners[t1][s1 + 1:]  # side s omits position s
         if not glued:
@@ -87,7 +85,7 @@ def classify_flat_quotient(q: QuotientComplex) -> SurfaceClass:
                 links.union((t1, v), (t2, v))
             # side s has sign (-1)^s in the boundary of its triangle, and
             # coherent sheets induce opposite signs on the edge cell
-            sheets.union((t1,), (t2,), 1 ^ (s1 + s2 + p1 + p2) % 2)
+            sheets.union(t1, t2, 1 ^ (s1 + s2 + p1 + p2) % 2)
     split = Counter(v for _, v in links.groups())
     problem = next(chain(
         (f"edge cell {e} lies in {len(h)} two-cells" for e, h in inc.items() if len(h) > 2),
@@ -154,7 +152,7 @@ def _report(structure: StellarStructure, quotient: QuotientComplex) -> WorkflowR
     collapses to a point certifies one (README, "Certificates").  Flatness,
     the surface class and the Γ graph are evidence only."""
     group = quotient.h1()
-    orders = _class_orders(structure)
+    orders = _class_orders(structure, _cell_classes(quotient))
     deg = _degree(orders)
     report = WorkflowReport(flat=deg == (2,), degree=deg, h1=group)
     if report.flat:

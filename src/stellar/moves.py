@@ -250,9 +250,12 @@ def free_face_collapse(
     live = [len(up) for up in cofaces]  # live cofaces per cell
     alive = [True] * len(cells)
 
-    # every free cell is always on the heap; stale entries are skipped.  The
-    # ranks in order already form a heap
-    heap = list(range(len(cells)))
+    # every free cell is on the heap: a cell is pushed whenever it may have
+    # become free, that is when its count is 1 and either the count has just
+    # dropped or its coface has just become maximal.  Stale entries are
+    # skipped.  Counts only fall, so no other cell can be free.  The ranks
+    # in order already form a heap
+    heap = [c for c, n in enumerate(live) if n == 1]
     while heap:
         f = heapq.heappop(heap)
         if live[f] != 1:  # dead cells keep a count of 0
@@ -268,10 +271,12 @@ def free_face_collapse(
         # free their own facets
         for x in below:
             if alive[x]:
-                heapq.heappush(heap, x)
-                if not live[x]:
+                if live[x] == 1:
+                    heapq.heappush(heap, x)
+                elif not live[x]:
                     for y in facets[x]:
-                        heapq.heappush(heap, y)
+                        if live[y] == 1:
+                            heapq.heappush(heap, y)
     return {c for c, a in zip(cells, alive) if a}
 
 

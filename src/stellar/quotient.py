@@ -2,19 +2,23 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from functools import lru_cache
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .complexes import Complex, Simplex, simplex
+from .complexes import Complex, Simplex, all_faces, simplex
 from .errors import EquivalenceError
 from .homology import (
     AbelianGroup,
-    Matrix,
+    SparseRows,
     boundary_matrices,
     homology_from_boundaries,
     z2_betti_from_boundaries,
 )
+
+Matching = Dict[int, int]  # vertex of a generator -> vertex of its partner
+# (problems, vertex -> class id, each pair's matching or None)
+Diagnosis = Tuple[List[str], Dict[int, int], List[Optional[Matching]]]
 
 
 def _sort_parity(seq: Sequence[int]) -> int:
@@ -29,54 +33,64 @@ def _sort_parity(seq: Sequence[int]) -> int:
 
 
 class SignedUnionFind:
-    """Union-find where each element carries a sign relative to its root."""
+    """Union-find on the integers 0..n-1 where each element carries a sign
+    relative to its root.  The least element of a class is its root."""
 
-    def __init__(self) -> None:
-        self._parent: Dict[Simplex, Simplex] = {}
-        self._parity: Dict[Simplex, int] = {}
-        self.conflicts: Set[Simplex] = set()
+    def __init__(self, n: int) -> None:
+        self._parent = list(range(n))
+        self._parity = [0] * n
+        self.conflicts: Set[int] = set()  # roots of classes with clashing signs
 
-    def add(self, x: Simplex) -> None:
-        if x not in self._parent:
-            self._parent[x] = x
-            self._parity[x] = 0
-
-    def find(self, x: Simplex) -> Tuple[Simplex, int]:
+    def find(self, x: int) -> Tuple[int, int]:
+        """(root, parity of x against the root), with path compression."""
+        parent, signs = self._parent, self._parity
+        up = parent[x]
+        if parent[up] == up:  # x is a root or hangs under one
+            return up, signs[x]
         path = []
-        root = x
         parity = 0
-        while self._parent[root] != root:
-            path.append((root, parity))
-            parity ^= self._parity[root]
-            root = self._parent[root]
-        for node, above in path:
-            self._parent[node] = root
-            self._parity[node] = parity ^ above
-        return root, parity
+        while parent[x] != x:
+            path.append(x)
+            parity ^= signs[x]
+            x = parent[x]
+        total = parity
+        for node in path:  # a node's parity to the root is what is left
+            above = signs[node]
+            parent[node] = x
+            signs[node] = parity
+            parity ^= above
+        return x, total
 
-    def union(self, x: Simplex, y: Simplex, parity: int) -> None:
-        self.add(x)
-        self.add(y)
+    def union(self, x: int, y: int, parity: int) -> None:
+        """Record that x and y agree up to `parity`."""
         rx, px = self.find(x)
         ry, py = self.find(y)
         if rx == ry:
             if px ^ py != parity:
                 self.conflicts.add(rx)
             return
-        # attach the larger tuple under the smaller so roots are canonical
-        if (len(ry), ry) < (len(rx), rx):
+        if ry < rx:
             rx, ry = ry, rx
-            px, py = py, px
         self._parent[ry] = rx
         self._parity[ry] = px ^ py ^ parity
         if ry in self.conflicts:
             self.conflicts.discard(ry)
             self.conflicts.add(rx)
 
-    def members(self) -> Dict[Simplex, List[Simplex]]:
-        groups: Dict[Simplex, List[Simplex]] = {}
-        for x in self._parent:
-            groups.setdefault(self.find(x)[0], []).append(x)
+    def members(self) -> Dict[int, List[int]]:
+        """Root -> members in increasing order.  Every element is hung
+        straight under its root on the way: a parent is never greater than
+        its child, so one increasing pass finds each parent done."""
+        parent, signs = self._parent, self._parity
+        groups: Dict[int, List[int]] = {}
+        for x, up in enumerate(parent):
+            if up == x:
+                groups[x] = [x]
+            else:
+                root = parent[up]
+                parent[x] = root
+                signs[x] ^= signs[up]
+                groups[root].append(x)
         return groups
 
 
@@ -123,47 +137,55 @@ class RegularEquivalence:
 
     def problems(self, sphere: Complex) -> List[str]:
         """Diagnostics; empty list means the equivalence is regular."""
+        return self._diagnose(sphere)[0]
+
+    def _diagnose(self, sphere: Complex) -> Diagnosis:
+        """`problems`, with the class map and the matching of each pair in
+        `generator_pairs` order (None where no matching was derived)."""
         out: List[str] = []
         cls = self.class_of(sphere)
         listed = {v for c in self.vertex_classes for v in c}
         stray = listed - sphere.vertices()
         if stray:
             out.append(f"classes mention vertices {sorted(stray)} not in the sphere")
-        for g in sphere.sorted_generators():
-            ids = [cls[v] for v in g]
-            if len(set(ids)) != len(ids):
-                out.append(f"generator {g} contains two equivalent vertices")
+        gens = sphere.generators
+        bad = [g for g in gens if len({cls[v] for v in g}) != len(g)]
+        for g in sorted(bad, key=lambda g: (len(g), g)):
+            out.append(f"generator {g} contains two equivalent vertices")
         counts: Dict[Simplex, int] = {}
         for g, p in self.generator_pairs:
             if g == p:
                 out.append(f"generator {g} is paired with itself")
             for h in (g, p):
-                if h not in sphere:
+                if h not in gens:
                     out.append(f"paired simplex {h} is not a generator of the sphere")
                 counts[h] = counts.get(h, 0) + 1
         for h, n in counts.items():
             if n > 1:
                 out.append(f"generator {h} occurs in {n} pairs")
+        matchings: List[Optional[Matching]] = []
         for g, p in self.generator_pairs:
-            if g in sphere and p in sphere:
+            phi = None
+            if g in gens and p in gens:
                 try:
-                    pair_matching(g, p, cls)
+                    phi = pair_matching(g, p, cls)
                 except EquivalenceError as exc:
                     out.append(str(exc))
-        return out
+            matchings.append(phi)
+        return out, cls, matchings
 
     def is_regular(self, sphere: Complex) -> bool:
         return not self.problems(sphere)
 
 
-def pair_matching(g: Simplex, p: Simplex, cls: Dict[int, int]) -> Dict[int, int]:
+def pair_matching(g: Simplex, p: Simplex, cls: Dict[int, int]) -> Matching:
     """The class-respecting vertex bijection g -> p, if there is one."""
     if len(g) != len(p):
         raise EquivalenceError(f"paired generators {g} and {p} have different sizes")
     by_class = {cls[v]: v for v in p}
     if len(by_class) != len(p):
         raise EquivalenceError(f"generator {p} contains two equivalent vertices")
-    out: Dict[int, int] = {}
+    out: Matching = {}
     for v in g:
         w = by_class.get(cls[v])
         if w is None:
@@ -183,11 +205,16 @@ class StellarStructure:
     equivalence: RegularEquivalence
 
     def validate(self) -> List[str]:
+        return self._diagnose()[0]
+
+    def _diagnose(self) -> Diagnosis:
+        """`validate`, with the class map and the pair matchings derived on
+        the way, as `RegularEquivalence._diagnose` gives them."""
         out = []
         if self.apex in self.sphere.vertices():
             out.append(f"apex {self.apex} occurs in the sphere")
-        out.extend(self.equivalence.problems(self.sphere))
-        return out
+        problems, cls, matchings = self.equivalence._diagnose(self.sphere)
+        return out + problems, cls, matchings
 
     @property
     def is_closed(self) -> bool:
@@ -199,61 +226,84 @@ class StellarStructure:
         return paired == set(self.sphere.generators)
 
 
+@lru_cache(maxsize=None)
+def _face_plan(sigma: Tuple[int, ...]) -> Tuple[Tuple[int, int, int], ...]:
+    """How a pair's vertex bijection acts on faces, by position: position i
+    of a generator goes to position sigma[i] of its partner.  The faces of
+    an n-vertex generator are numbered locally in the order `all_faces`
+    lists them; for each local face this gives its number, its image's
+    number, and the parity of the permutation sorting the image."""
+    faces = list(all_faces(tuple(range(len(sigma)))))
+    local = {f: i for i, f in enumerate(faces)}
+    plan = []
+    for i, f in enumerate(faces):
+        image = [sigma[x] for x in f]
+        plan.append((i, local[tuple(sorted(image))], _sort_parity(image)))
+    return tuple(plan)
+
+
 class QuotientComplex:
     """CW quotient of a sphere by a regular equivalence.
 
     Cells are classes of faces under the identifications induced, pair by
-    pair, by the class-respecting vertex matchings.
+    pair, by the class-respecting vertex matchings.  The faces of the
+    sphere are numbered once, in (dimension, lexicographic) order, and
+    each pair joins its generators' faces through the `_face_plan` of its
+    matching, in a signed union-find on those numbers.  A cell is named by
+    its least face.
     """
 
     def __init__(
         self,
         sphere: Complex,
-        dsu: SignedUnionFind,
         cls: Dict[int, int],
+        pairs: Sequence[Tuple[Simplex, Simplex]] = (),
+        matchings: Sequence[Matching] = (),
     ) -> None:
         self.sphere = sphere
-        self._dsu = dsu
         self.vertex_class = cls
-        groups = dsu.members()
+        local = {g: list(all_faces(g)) for g in sphere.generators}
+        faces = sorted(set().union(*local.values()))
+        faces.sort(key=len)  # stable: lexicographic within a dimension
+        index = {f: i for i, f in enumerate(faces)}
+        ids = {g: list(map(index.__getitem__, fs)) for g, fs in local.items()}
+        uf = SignedUnionFind(len(faces))
+        for (g, p), phi in zip(pairs, matchings):
+            into, back = ids[g], ids[p]
+            sigma = tuple(map(p.index, map(phi.__getitem__, g)))  # positions in p
+            for a, b, parity in _face_plan(sigma):
+                uf.union(into[a], back[b], parity)
+        self._faces = faces
+        self._index = index
+        self._uf = uf
         self.cells: Dict[int, List[Simplex]] = {}
         self.members: Dict[Simplex, List[Simplex]] = {}
-        for root, mem in groups.items():
-            self.cells.setdefault(len(root) - 1, []).append(root)
-            self.members[root] = sorted(mem)
-        for d in self.cells:
-            self.cells[d].sort()
+        for root, mem in uf.members().items():
+            cell = faces[root]
+            self.cells.setdefault(len(cell) - 1, []).append(cell)
+            self.members[cell] = list(map(faces.__getitem__, mem))
 
     @staticmethod
     def from_structure(structure: StellarStructure) -> "QuotientComplex":
-        problems = structure.validate()
+        problems, cls, matchings = structure._diagnose()
         if problems:
             raise EquivalenceError("; ".join(problems))
-        sphere = structure.sphere
-        cls = structure.equivalence.class_of(sphere)
-        dsu = SignedUnionFind()
-        for f in sphere.closure():
-            dsu.add(f)
-        for g, p in structure.equivalence.generator_pairs:
-            phi = pair_matching(g, p, cls)
-            for r in range(1, len(g) + 1):
-                for f in itertools.combinations(g, r):
-                    image = [phi[v] for v in f]
-                    dsu.union(f, tuple(sorted(image)), _sort_parity(image))
-        return QuotientComplex(sphere, dsu, cls)
+        pairs = structure.equivalence.generator_pairs
+        return QuotientComplex(structure.sphere, cls, pairs, matchings)
 
     @staticmethod
     def from_complex(k: Complex) -> "QuotientComplex":
         """Trivial quotient: every face is its own cell."""
-        dsu = SignedUnionFind()
-        for f in k.closure():
-            dsu.add(f)
-        cls = {v: i for i, v in enumerate(sorted(k.vertices()))}
-        return QuotientComplex(k, dsu, cls)
+        return QuotientComplex(k, {v: i for i, v in enumerate(sorted(k.vertices()))})
 
     def cell_of(self, face: Simplex) -> Tuple[Simplex, int]:
         """(representative, parity) for any face of the sphere."""
-        return self._dsu.find(tuple(face))
+        root, parity = self._uf.find(self._index[tuple(face)])
+        return self._faces[root], parity
+
+    def _conflicts(self) -> List[Simplex]:
+        """The cells whose faces are identified with clashing orientations."""
+        return sorted(self._faces[r] for r in self._uf.conflicts)
 
     def cell_counts(self) -> Dict[int, int]:
         return {d: len(cells) for d, cells in self.cells.items()}
@@ -261,15 +311,11 @@ class QuotientComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * len(cells) for d, cells in self.cells.items())
 
-    def boundary_matrices(self) -> Tuple[int, Matrix, Matrix]:
+    def boundary_matrices(self) -> Tuple[int, SparseRows, SparseRows]:
         """(n1, d1, d2) of the quotient CW complex through dimension two."""
-        low = {
-            r for d in (0, 1, 2) for r in self.cells.get(d, [])
-        } & self._dsu.conflicts
+        low = [c for c in self._conflicts() if len(c) <= 3]
         if low:
-            raise EquivalenceError(
-                f"cells {sorted(low)} carry inconsistent orientations"
-            )
+            raise EquivalenceError(f"cells {low} carry inconsistent orientations")
         return boundary_matrices(
             self.cells.get(0, []),
             self.cells.get(1, []),

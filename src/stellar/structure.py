@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from .complexes import Complex, LabelAllocator, Simplex, cofaces, simplex_boundary
-from .errors import BudgetExceeded, StructureError
+from .errors import BudgetExceeded, EquivalenceError, StructureError
 from .quotient import (
     QuotientComplex,
     RegularEquivalence,
@@ -152,20 +152,26 @@ def _verify(
     result_or_structure, m: Complex
 ) -> Tuple[List[str], Optional[QuotientComplex]]:
     """`verify_structure`'s diagnostics, and the quotient the Euler identity
-    was checked on (None when an earlier problem stopped the check)."""
+    was checked on (None when an earlier problem stopped the check).  The
+    quotient's construction validates the structure, so a valid structure
+    is validated once; an invalid one is validated again for the list."""
     structure = (
         result_or_structure.structure
         if isinstance(result_or_structure, BuildResult)
         else result_or_structure
     )
-    out = structure.validate()
+    out: List[str] = []
+    quotient: Optional[QuotientComplex] = None
+    try:
+        quotient = QuotientComplex.from_structure(structure)
+    except EquivalenceError:
+        out = structure.validate()
     if not structure.is_closed:
         out.append("pairing does not cover every sphere generator")
     if structure.sphere.dimension() != m.dimension() - 1:
         out.append("sphere has the wrong dimension")
     if out:
         return out, None
-    quotient = QuotientComplex.from_structure(structure)
     if not _euler_identity(quotient, m):
         out.append("cell count of the quotient fails the Euler identity")
     return out, quotient

@@ -203,3 +203,22 @@ def test_budget_env_variable(monkeypatch):
     code, out, err = run(["structure", "-"], S3)
     assert code == 1
     assert "exceeded" in json.loads(err)["error"]
+
+
+def test_one_parser_serves_verbs_in_turn(tmp_path):
+    # the parser is built once per process, so no option of one call may
+    # reach the next: a --budget or a --dot given once is not seen again
+    assert stellar.cli._build_parser() is stellar.cli._build_parser()
+    code, _, err = run(["sphere-check", "-", "--budget", "1"], S3)
+    assert code == 1
+    assert "exceeded" in json.loads(err)["error"]
+    code, out, _ = run(["sphere-check", "-"], S3)
+    assert code == 0
+    assert json.loads(out)["conclusion"] == "sphere"
+    _, lens_out, _ = run(["lens", "5", "1"])
+    dot = tmp_path / "gamma.dot"
+    assert run(["gamma", "-", "--dot", str(dot)], lens_out)[0] == 0
+    dot.unlink()
+    code, out, _ = run(["gamma", "-"], lens_out)
+    assert code == 0 and json.loads(out)["has_circuit"] is not None
+    assert not dot.exists()

@@ -4,6 +4,7 @@ import pytest
 
 from stellar import (
     Complex,
+    QuotientComplex,
     RegularEquivalence,
     StellarStructure,
     StructureError,
@@ -23,7 +24,7 @@ from stellar import (
     structure_report,
 )
 import stellar.group
-from stellar.group import order_of, p0, p_alpha
+from stellar.group import _cell_classes, order_of, p0, p_alpha
 
 
 def square_structure():
@@ -256,6 +257,15 @@ def test_one_report_builds_the_pairing_once(monkeypatch):
     report = structure_report(lens_structure(17, 3))
     assert report.gamma_has_circuit
     assert len(calls) == 1
+
+
+def test_face_classes_are_the_codimension_one_cells(non_sphere_controls):
+    # a report reads the face classes off its quotient
+    structures = [square_structure(), fold_structure(5)]
+    structures += [lens_structure(q, p) for q, p in ((2, 1), (5, 2), (13, 5), (17, 3))]
+    structures += [build_structure(m).structure for m in non_sphere_controls]
+    for s in structures:
+        assert _cell_classes(QuotientComplex.from_structure(s)) == face_classes(s)
 
 
 def test_lens_gamma_is_a_single_cycle_edge():

@@ -25,17 +25,22 @@ from stellar.homology import (
 )
 
 
+def sparse(rows):
+    """Dense rows as the sparse rows the library takes: {column: value}."""
+    return [{j: v for j, v in enumerate(r) if v} for r in rows]
+
+
 def test_snf_known_matrices():
-    assert smith_normal_form([[2, 0], [0, 3]]) == [1, 6]
-    assert smith_normal_form([[0, 0], [0, 0]]) == []
-    assert smith_normal_form([[1, 0], [0, 1]]) == [1, 1]
+    assert smith_normal_form(sparse([[2, 0], [0, 3]])) == [1, 6]
+    assert smith_normal_form(sparse([[0, 0], [0, 0]])) == []
+    assert smith_normal_form(sparse([[1, 0], [0, 1]])) == [1, 1]
     # torsion Z/4 example
-    assert smith_normal_form([[2, 2], [2, -2]]) == [2, 4]
+    assert smith_normal_form(sparse([[2, 2], [2, -2]])) == [2, 4]
     # no unit entry at all, and a unit beside a non-unit remainder
-    assert smith_normal_form([[2, 4], [6, 8]]) == [2, 4]
-    assert smith_normal_form([[2, 0, 0], [0, 2, 0]]) == [2, 2]
-    assert smith_normal_form([[0, 3], [0, 0], [6, 0]]) == [3, 6]
-    assert smith_normal_form([[1, 2], [0, 2]]) == [1, 2]
+    assert smith_normal_form(sparse([[2, 4], [6, 8]])) == [2, 4]
+    assert smith_normal_form(sparse([[2, 0, 0], [0, 2, 0]])) == [2, 2]
+    assert smith_normal_form(sparse([[0, 3], [0, 0], [6, 0]])) == [3, 6]
+    assert smith_normal_form(sparse([[1, 2], [0, 2]])) == [1, 2]
 
 
 def test_snf_divisor_chain_random():
@@ -47,11 +52,11 @@ def test_snf_divisor_chain_random():
         ]
         width = max(len(r) for r in rows)
         rows = [r + [0] * (width - len(r)) for r in rows]
-        diag = smith_normal_form(rows)
+        diag = smith_normal_form(sparse(rows))
         for a, b in zip(diag, diag[1:]):
             assert b % a == 0
-        assert integer_rank(rows) == len(diag)
-        assert z2_rank(rows) == sum(1 for d in diag if d % 2)
+        assert integer_rank(sparse(rows)) == len(diag)
+        assert z2_rank(sparse(rows)) == sum(1 for d in diag if d % 2)
 
 
 def test_group_describe():
@@ -112,10 +117,10 @@ def test_sparse_snf_equals_the_dense_loop():
     rng = random.Random(2003)
     count = 0
     for rows in random_matrices(rng, 1500):
-        diag = smith_normal_form(rows)
+        diag = smith_normal_form(sparse(rows))
         assert diag == _dense_snf(rows), rows
         assert all(b % a == 0 for a, b in zip(diag, diag[1:])), rows
-        assert z2_rank(rows) == sum(1 for d in diag if d % 2), rows
+        assert z2_rank(sparse(rows)) == sum(1 for d in diag if d % 2), rows
         count += 1
     assert count > 1000
 

@@ -21,6 +21,9 @@ from stellar import (
     standard_sphere,
     structure_report,
 )
+import stellar.group
+import stellar.lens
+import stellar.quotient
 import stellar.structure
 from stellar.homology import AbelianGroup
 from stellar.invariants import prism_cell_counts, quotient_collapses_to_point
@@ -241,6 +244,37 @@ def test_one_workflow_builds_one_quotient(monkeypatch):
     )
     assert sphere_workflow(standard_sphere(3)).conclusion == "sphere"
     assert len(calls) == 1
+
+
+def count_pair_matchings(monkeypatch):
+    """Record every pair matching derived, through any module's name."""
+    calls = []
+    real = stellar.quotient.pair_matching
+
+    def counted(g, p, cls):
+        calls.append((g, p))
+        return real(g, p, cls)
+
+    for module in (stellar.quotient, stellar.group, stellar.lens):
+        monkeypatch.setattr(module, "pair_matching", counted)
+    return calls
+
+
+def test_one_report_matches_each_pair_once(monkeypatch):
+    # validation derives the matchings, and the quotient and the face
+    # classes are built from them
+    s = lens_structure(17, 3)
+    calls = count_pair_matchings(monkeypatch)
+    assert structure_report(s).conclusion == "not a sphere: H1 = Z/17"
+    assert sorted(calls) == sorted(s.equivalence.generator_pairs)
+
+
+def test_one_workflow_matches_each_pair_once(monkeypatch, cycle_join):
+    m = cycle_join(4, 5)
+    pairs = build_structure(m).structure.equivalence.generator_pairs
+    calls = count_pair_matchings(monkeypatch)
+    assert sphere_workflow(m).conclusion == "sphere"
+    assert sorted(calls) == sorted(pairs)
 
 
 def test_workflow_still_checks_the_euler_identity(monkeypatch):

@@ -268,6 +268,18 @@ def test_collapse_removal_order_is_pinned(random_subdivision, non_sphere_control
     assert free_face_collapse(dim, below.__getitem__) == reference_collapse(dim, below.__getitem__)
 
 
+def test_collapse_frees_the_facets_of_a_cell_left_maximal():
+    # a loop at each of two vertices, both on the boundary of one two-cell.
+    # The vertices are free at once but their loops are not maximal; the
+    # first loop goes with the two-cell, which leaves the second loop
+    # maximal, and only then can its vertex go.  In a simplicial complex a
+    # free cell's coface is always maximal, so only cell posets reach this
+    dim = {0: 0, 1: 0, 2: 1, 3: 1, 4: 2}
+    below = {0: [], 1: [], 2: [0], 3: [1], 4: [2, 3]}
+    assert reference_collapse(dim, below.__getitem__) == {0}
+    assert free_face_collapse(dim, below.__getitem__) == {0}
+
+
 def test_closure_minus_a_generator_of_a_closed_complex(random_subdivision, non_sphere_controls):
     # recognition collapses closure(k) - {g} for the least generator g of a
     # closed k: every facet of g lies in a second generator, so that set is

@@ -1,3 +1,7 @@
+import itertools
+import random
+from math import gcd
+
 import pytest
 
 from stellar import (
@@ -6,6 +10,7 @@ from stellar import (
     QuotientComplex,
     RegularEquivalence,
     StellarStructure,
+    build_structure,
     euler_identity_check,
     fold_structure,
     lens_structure,
@@ -15,19 +20,126 @@ from stellar.homology import AbelianGroup, complex_h1
 from stellar.quotient import SignedUnionFind, pair_matching
 
 
+def sort_parity(seq):
+    """Parity (0 even, 1 odd) of the permutation sorting `seq`."""
+    return sum(a > b for a, b in itertools.combinations(seq, 2)) % 2
+
+
+class FaceUnionFind:
+    """The signed union-find as first written: keyed by face tuples, the
+    least (length, tuple) face of a class its root."""
+
+    def __init__(self, faces):
+        self.parent = {f: f for f in faces}
+        self.parity = {f: 0 for f in faces}
+        self.conflicts = set()
+
+    def find(self, x):
+        path, root, parity = [], x, 0
+        while self.parent[root] != root:
+            path.append((root, parity))
+            parity ^= self.parity[root]
+            root = self.parent[root]
+        for node, above in path:
+            self.parent[node] = root
+            self.parity[node] = parity ^ above
+        return root, parity
+
+    def union(self, x, y, parity):
+        (rx, px), (ry, py) = self.find(x), self.find(y)
+        if rx == ry:
+            if px ^ py != parity:
+                self.conflicts.add(rx)
+            return
+        if (len(ry), ry) < (len(rx), rx):
+            rx, ry = ry, rx
+        self.parent[ry] = rx
+        self.parity[ry] = px ^ py ^ parity
+        if ry in self.conflicts:
+            self.conflicts.discard(ry)
+            self.conflicts.add(rx)
+
+
+def reference_quotient(sphere, pairs, matchings):
+    """The quotient as first written: every face of every pair is sorted
+    and its parity counted afresh, in a union-find on the face tuples."""
+    dsu = FaceUnionFind(sphere.closure())
+    for (g, p), phi in zip(pairs, matchings):
+        for r in range(1, len(g) + 1):
+            for f in itertools.combinations(g, r):
+                image = [phi[v] for v in f]
+                dsu.union(f, tuple(sorted(image)), sort_parity(image))
+    return dsu
+
+
+def assert_matches_reference(q, sphere, pairs, matchings):
+    dsu = reference_quotient(sphere, pairs, matchings)
+    members = {}
+    for f in sphere.closure():
+        members.setdefault(dsu.find(f)[0], []).append(f)
+    cells = {}
+    for root in members:
+        cells.setdefault(len(root) - 1, []).append(root)
+    assert q.cells == {d: sorted(c) for d, c in cells.items()}
+    assert q.members == {root: sorted(m) for root, m in members.items()}
+    assert q._conflicts() == sorted(dsu.conflicts)
+    for f in sphere.closure():
+        assert q.cell_of(f) == dsu.find(f), f
+
+
+def assert_same_quotient(structure):
+    sphere, pairs = structure.sphere, structure.equivalence.generator_pairs
+    cls = structure.equivalence.class_of(sphere)
+    matchings = [pair_matching(g, p, cls) for g, p in pairs]
+    assert_matches_reference(QuotientComplex.from_structure(structure), sphere, pairs, matchings)
+
+
+def test_quotient_matches_the_reference_on_lenses_and_folds():
+    for q in range(2, 14):
+        for p in range(1, q):
+            if gcd(q, p) == 1:
+                assert_same_quotient(lens_structure(q, p))
+    for q in range(3, 8):
+        assert_same_quotient(fold_structure(q))
+
+
+def test_quotient_matches_the_reference_on_built_structures(
+    random_subdivision, cycle_join, non_sphere_controls
+):
+    rng = random.Random(14)
+    spheres = [
+        random_subdivision(rng, base, moves)
+        for base in (standard_sphere(3), cycle_join(3, 4), cycle_join(5, 5))
+        for moves in (0, 4, 9)
+    ]
+    for m in spheres + non_sphere_controls:
+        assert_same_quotient(build_structure(m).structure)
+
+
+def test_orientation_conflicts_match_the_reference():
+    # a matching that reverses the edge (1, 2) onto itself: no class map
+    # gives one, so the quotient is built from the matching directly
+    circle = standard_sphere(1)
+    pairs, matchings = [((1, 2), (1, 2))], [{1: 2, 2: 1}]
+    q = QuotientComplex(circle, {1: 0, 2: 0, 3: 1}, pairs, matchings)
+    assert_matches_reference(q, circle, pairs, matchings)
+    assert q._conflicts() == [(1, 2)]
+    with pytest.raises(EquivalenceError, match="inconsistent orientations"):
+        q.h1()
+
+
 def test_signed_union_find_tracks_parity():
-    uf = SignedUnionFind()
-    for x in [("a",), ("b",), ("c",)]:
-        uf.add(x)
-    uf.union(("a",), ("b",), 1)
-    uf.union(("b",), ("c",), 1)
-    ra, pa = uf.find(("a",))
-    rc, pc = uf.find(("c",))
+    a, b, c = 0, 1, 2
+    uf = SignedUnionFind(3)
+    uf.union(a, b, 1)
+    uf.union(b, c, 1)
+    ra, pa = uf.find(a)
+    rc, pc = uf.find(c)
     assert ra == rc
     assert pa ^ pc == 0  # a and c agree through two sign flips
     assert not uf.conflicts
-    uf.union(("a",), ("c",), 1)  # contradicts the composite parity
-    assert uf.find(("a",))[0] in uf.conflicts
+    uf.union(a, c, 1)  # contradicts the composite parity
+    assert uf.find(a)[0] in uf.conflicts
 
 
 def test_build_rejects_overlapping_or_empty_classes():
