@@ -57,6 +57,10 @@ def check_manifold(k: Complex, budget: Optional[int] = None) -> ManifoldReport:
     if not k.is_uniform():
         return ManifoldReport(False, False, k.dimension())
     dim = k.dimension()
+    if dim < 0:
+        raise ComplexError(
+            "cannot check {()}, the (-1)-dimensional complex: it has no vertex"
+        )
     if dim == 0:
         return ManifoldReport(True, True, 0)
     results: Dict[int, Recognition] = {}
@@ -68,7 +72,7 @@ def check_manifold(k: Complex, budget: Optional[int] = None) -> ManifoldReport:
     seen: Seen = {}
     links = k.vertex_links()
     for v in sorted(links):
-        res, certificates[v] = _recognize(links[v], seen)
+        res, certificates[v] = _recognize(links[v], dim - 1, seen)
         results[v] = res
         if res is Recognition.NEITHER:
             bad.append(v)

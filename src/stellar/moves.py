@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import (
@@ -16,7 +17,9 @@ from typing import (
     Iterable,
     List,
     Mapping,
+    NamedTuple,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
@@ -30,7 +33,6 @@ from .complexes import (
     simplex,
     simplex_boundary,
     star_connected,
-    star_index,
 )
 from .errors import ComplexError, MoveError, WeldError
 from .homology import complex_h1
@@ -220,40 +222,32 @@ class MoveSequence:
 # collapse
 
 
-def free_face_collapse(
-    dim: Mapping[Hashable, int],
-    facets_of: Callable[[Hashable], Iterable[Hashable]],
-) -> Set[Hashable]:
-    """Greedy free-face collapse of a cell poset; returns the cells left.
+def _collapse_ranks(facets: Sequence[Sequence[int]], gone: Iterable[int] = ()) -> List[int]:
+    """Greedy free-face collapse of the cells 0, 1, ..., n - 1; returns the
+    cells left, in order.
 
-    `dim` gives every cell's dimension and `facets_of` its codimension-one
-    faces, each once.  A cell is free when exactly one live cell lies above
-    it.  The live cells stay closed under faces, so that coface is one
-    dimension up and maximal.  The free cell least by (dimension, cell) goes
-    first, together with its coface.  Cofaces count as distinct cells, not
-    as incidences.
-
-    The cells are ranked once by (dimension, cell): bucketed by dimension,
-    each bucket sorted on its own.  The collapse runs on the ranks: the
-    least rank on the heap is the least free cell.
+    facets[c] lists the codimension-one faces of cell c, each once.  The
+    cells in `gone` are dropped up front; each must be maximal.  A cell is
+    free when exactly one live cell lies above it.  The live cells stay
+    closed under faces, so that coface is one dimension up and maximal.  The
+    least free cell goes first, together with its coface.  Cofaces count as
+    distinct cells, not as incidences.
     """
-    buckets: Dict[int, List[Hashable]] = {}
-    for c, d in dim.items():
-        buckets.setdefault(d, []).append(c)
-    cells = [c for d in sorted(buckets) for c in sorted(buckets[d])]
-    rank = {c: i for i, c in enumerate(cells)}
-    facets = [[rank[f] for f in facets_of(c)] for c in cells]
-    cofaces: List[List[int]] = [[] for _ in cells]
+    cofaces: List[List[int]] = [[] for _ in facets]
     for c, below in enumerate(facets):
         for f in below:
             cofaces[f].append(c)
     live = [len(up) for up in cofaces]  # live cofaces per cell
-    alive = [True] * len(cells)
+    alive = [True] * len(facets)
+    for c in gone:
+        alive[c] = False
+        for f in facets[c]:
+            live[f] -= 1
 
     # every free cell is on the heap: a cell is pushed whenever it may have
     # become free, that is when its count is 1 and either the count has just
     # dropped or its coface has just become maximal.  Stale entries are
-    # skipped.  Counts only fall, so no other cell can be free.  The ranks
+    # skipped.  Counts only fall, so no other cell can be free.  The cells
     # in order already form a heap
     heap = [c for c, n in enumerate(live) if n == 1]
     while heap:
@@ -277,11 +271,90 @@ def free_face_collapse(
                     for y in facets[x]:
                         if live[y] == 1:
                             heapq.heappush(heap, y)
-    return {c for c, a in zip(cells, alive) if a}
+    return [c for c, a in enumerate(alive) if a]
+
+
+def free_face_collapse(
+    dim: Mapping[Hashable, int],
+    facets_of: Callable[[Hashable], Iterable[Hashable]],
+) -> Set[Hashable]:
+    """Greedy free-face collapse of a cell poset; returns the cells left.
+
+    `dim` gives every cell's dimension and `facets_of` its codimension-one
+    faces, each once.  The free cell least by (dimension, cell) goes first;
+    see `_collapse_ranks`.  The cells are ranked once by (dimension, cell):
+    bucketed by dimension, each bucket sorted on its own.
+    """
+    buckets: Dict[int, List[Hashable]] = {}
+    for c, d in dim.items():
+        buckets.setdefault(d, []).append(c)
+    cells = [c for d in sorted(buckets) for c in sorted(buckets[d])]
+    rank = {c: i for i, c in enumerate(cells)}
+    left = _collapse_ranks([[rank[f] for f in facets_of(c)] for c in cells])
+    return {cells[c] for c in left}
 
 
 def _facets(s: Simplex) -> Iterable[Simplex]:
     return itertools.combinations(s, len(s) - 1) if len(s) > 1 else ()
+
+
+def _facet_list(cells: Iterable[Simplex], d: int) -> List[Simplex]:
+    """The facets of the d-simplexes `cells`, cell by cell; each cell's come
+    in `combinations` order, which drops the last vertex first."""
+    if not d:
+        return []
+    faces = map(itertools.combinations, cells, itertools.repeat(d))
+    return list(itertools.chain.from_iterable(faces))
+
+
+class _FaceTable(NamedTuple):
+    """Every face of a complex, ranked by (dimension, face).
+
+    levels[d] lists the d-faces in order; a face's rank is its place in
+    levels[0] + levels[1] + ....  facets[r] lists the ranks of the facets of
+    the face of rank r.  `closed` tells whether every facet of a top cell
+    lies in an even number of top cells.
+    """
+
+    levels: List[List[Simplex]]
+    facets: List[Sequence[int]]
+    closed: bool
+
+    @property
+    def chi(self) -> int:
+        return sum(-len(level) if d % 2 else len(level) for d, level in enumerate(self.levels))
+
+
+def _face_table(
+    top: List[Simplex], below: List[Simplex], lower: Iterable[Simplex] = ()
+) -> _FaceTable:
+    """The face table of the sorted top-dimensional cells `top`, whose facets
+    `below` lists as `_facet_list` gives them, and of the lower cells
+    `lower`, from one top-down pass.
+
+    Each level takes its facets with one `combinations` per cell and is
+    sorted once, so ranking needs no key function; the facets' ranks are
+    read off each level's position map at the end.
+    """
+    dim = len(top[0]) - 1
+    closed = all(n % 2 == 0 for n in Counter(below).values())
+    extra: Dict[int, List[Simplex]] = {}
+    for g in lower:
+        extra.setdefault(len(g) - 1, []).append(g)
+    levels, faces = [top], [below]
+    for d in range(dim - 1, -1, -1):
+        level = sorted(set(faces[-1]).union(extra.get(d, ())))
+        levels.append(level)
+        faces.append(_facet_list(level, d))
+    levels.reverse()
+    faces.reverse()
+    facets: List[Sequence[int]] = [()] * len(levels[0])
+    for d in range(1, dim + 1):
+        rank = dict(zip(levels[d - 1], itertools.count(len(facets) - len(levels[d - 1]))))
+        # a d-cell has d + 1 facets, consecutive in faces[d]
+        ranks = map(rank.__getitem__, faces[d])
+        facets.extend(zip(*[ranks] * (d + 1)))
+    return _FaceTable(levels, facets, closed)
 
 
 def collapse_greedy(k: Complex) -> Complex:
@@ -291,7 +364,14 @@ def collapse_greedy(k: Complex) -> Complex:
     by (dimension, lexicographic) order.  Returns the residue as a complex
     of its maximal faces.
     """
-    alive = free_face_collapse({f: len(f) - 1 for f in k.closure()}, _facets)
+    gens = [g for g in k.generators if g]
+    if not gens:
+        return Complex()
+    dim = max(map(len, gens)) - 1
+    top = sorted(g for g in gens if len(g) > dim)
+    table = _face_table(top, _facet_list(top, dim), [g for g in gens if len(g) <= dim])
+    cells = list(itertools.chain.from_iterable(table.levels))
+    alive = {cells[c] for c in _collapse_ranks(table.facets)}
     return Complex(alive - {h for g in alive for h in _facets(g)})
 
 
@@ -315,9 +395,7 @@ def _vertex_degrees(k: Complex) -> Dict[int, int]:
 
 
 def _graph_shape(g: Complex) -> Recognition:
-    """A graph given by its edges: circle (SPHERE), arc (BALL) or NEITHER."""
-    if g.dimension() != 1 or not g.is_uniform():
-        return Recognition.NEITHER
+    """A uniform 1-complex: circle (SPHERE), arc (BALL) or NEITHER."""
     deg = _vertex_degrees(g)
     if any(d > 2 for d in deg.values()) or not g.is_connected():
         return Recognition.NEITHER
@@ -329,9 +407,11 @@ def _graph_shape(g: Complex) -> Recognition:
     return Recognition.NEITHER
 
 
-def _surface_edges(k: Complex) -> Optional[Dict[Simplex, List[int]]]:
-    """Edge -> opposite vertices, for a uniform 2-complex `k` that is a
-    connected surface; else None.
+def _surface_edges(
+    k: Complex,
+) -> Optional[Tuple[Dict[Simplex, List[int]], Dict[int, List[int]]]]:
+    """(edge -> opposite vertices, vertex -> neighbours), for a uniform
+    2-complex `k` that is a connected surface; else None.
 
     One pass over the triangles builds the map and refuses an edge in more
     than two of them.  Then no vertex of a vertex link has degree above 2,
@@ -369,7 +449,7 @@ def _surface_edges(k: Complex) -> Optional[Dict[Simplex, List[int]]]:
             if w not in seen:
                 seen.add(w)
                 todo.append(w)
-    return opposite if len(seen) == len(around) else None
+    return (opposite, around) if len(seen) == len(around) else None
 
 
 def _recognize_dim2(k: Complex) -> Recognition:
@@ -381,10 +461,11 @@ def _recognize_dim2(k: Complex) -> Recognition:
     arc for its link; a connected surface with chi = 2 and no rim is a
     sphere, and one with chi = 1 and a single rim circle is a disk.
     """
-    opposite = _surface_edges(k)
-    if opposite is None:
+    surface = _surface_edges(k)
+    if surface is None:
         return Recognition.NEITHER
-    chi = len(k.vertices()) - len(opposite) + len(k)
+    opposite, around = surface
+    chi = len(around) - len(opposite) + len(k)
     rim = [e for e, across in opposite.items() if len(across) == 1]
     if not rim:
         return Recognition.SPHERE if chi == 2 else Recognition.NEITHER
@@ -428,25 +509,31 @@ def recognize(k: Complex) -> Recognition:
     the generator set, and the edge link lk(vw) is met twice, as the link of
     w in lk(v) and of v in lk(w).
     """
-    return _recognize(k, {})[0]
-
-
-def _recognize(k: Complex, seen: Seen) -> Verdict:
-    """`recognize`, with the certificate that decided it (None for Unknown).
-    A complex whose verdict is in `seen` is not recognised again; a finished
-    recognition goes into it."""
-    verdict = seen.get(k.generators)
-    if verdict is None:
-        verdict = seen[k.generators] = _certify(k, seen)
-    return verdict
-
-
-def _certify(k: Complex, seen: Seen) -> Verdict:
     if not k.is_uniform():
         raise ComplexError("recognition requires a uniform complex")
     if not k:
-        return Recognition.NEITHER, EXACT
+        return Recognition.NEITHER
     dim = k.dimension()
+    if dim < 0:
+        raise ComplexError(
+            "recognition requires a vertex: {()} is the (-1)-dimensional complex"
+        )
+    return _recognize(k, dim, {})[0]
+
+
+def _recognize(k: Complex, dim: int, seen: Seen) -> Verdict:
+    """`recognize` for a nonempty uniform complex `k` of dimension `dim` >= 0,
+    with the certificate that decided it (None for Unknown).  A complex
+    whose verdict is in `seen` is not recognised again; a finished
+    recognition goes into it.  The vertex links of `k` are uniform of
+    dimension `dim` - 1, so neither is checked again."""
+    verdict = seen.get(k.generators)
+    if verdict is None:
+        verdict = seen[k.generators] = _certify(k, dim, seen)
+    return verdict
+
+
+def _certify(k: Complex, dim: int, seen: Seen) -> Verdict:
     if dim == 0:
         n = len(k)
         shapes = {1: Recognition.BALL, 2: Recognition.SPHERE}
@@ -456,28 +543,32 @@ def _certify(k: Complex, seen: Seen) -> Verdict:
     if dim == 2:
         return _recognize_dim2(k), EXACT
 
-    # one star pass gives the vertex links and connectivity: v is joined to
-    # every vertex of lk(v)
-    star = star_index(k.generators)
+    # one top-down face pass.  The generators' facets come first, and they
+    # are the star index too: the facet that drops v is a generator of
+    # lk(v), and v is joined to every vertex of lk(v)
+    top = sorted(k.generators)
+    below = _facet_list(top, dim)
+    star: Dict[int, List[Simplex]] = {}
+    for f, v in zip(below, itertools.chain.from_iterable(map(reversed, top))):
+        star.setdefault(v, []).append(f)
     if not star_connected(star):
         return Recognition.NEITHER, EXACT
 
-    faces = k.closure()
-    closed = k.is_closed()
-    chi = sum(1 if len(f) % 2 else -1 for f in faces)
-    if chi != (1 if not closed else 0 if dim % 2 else 2):
+    table = _face_table(top, below)
+    closed = table.closed
+    if table.chi != (1 if not closed else 0 if dim % 2 else 2):
         return Recognition.NEITHER, EXACT
     target = Recognition.SPHERE if closed else Recognition.BALL
 
-    links = _link_test(star, target, seen)
+    links = _link_test(star, dim - 1, target, seen)
     if links is Recognition.NEITHER:
         return Recognition.NEITHER, EXACT
     if links is target:
         # closed: each facet of the least generator lies in another
-        # generator, so removing the generator leaves the closure of the rest
-        rest = faces - {min(k.generators)} if closed else faces
+        # generator, so dropping the generator leaves the closure of the rest
+        gone = [len(table.facets) - len(top)] if closed else []
         # the live cells stay closed under faces, so a lone one is a vertex
-        if len(free_face_collapse({f: len(f) - 1 for f in rest}, _facets)) == 1:
+        if len(_collapse_ranks(table.facets, gone)) == 1:
             return target, COLLAPSE
 
     if not complex_h1(k).is_trivial():
@@ -486,16 +577,16 @@ def _certify(k: Complex, seen: Seen) -> Verdict:
 
 
 def _link_test(
-    star: Mapping[int, List[Simplex]], target: Recognition, seen: Seen
+    star: Mapping[int, List[Simplex]], dim: int, target: Recognition, seen: Seen
 ) -> Recognition:
     """NEITHER when some vertex link in the star index `star` is NEITHER;
     else `target` when every link is a sphere, or, for a ball `target`, a
-    sphere or a ball; else UNKNOWN.  Each link is recognised by `_recognize`
-    in full."""
+    sphere or a ball; else UNKNOWN.  Each link, of dimension `dim`, is
+    recognised by `_recognize` in full."""
     allowed = {Recognition.SPHERE, target}
     verdict = target
     for gens in star.values():
-        shape = _recognize(Complex._of(gens), seen)[0]
+        shape = _recognize(Complex._of(gens), dim, seen)[0]
         if shape is Recognition.NEITHER:
             return shape
         if shape not in allowed:

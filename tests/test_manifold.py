@@ -1,7 +1,10 @@
 import random
 
+import pytest
+
 from stellar import (
     Complex,
+    ComplexError,
     ManifoldReport,
     Recognition,
     check_manifold,
@@ -46,6 +49,21 @@ def test_wedge_of_circles_is_not_manifold():
 def test_non_uniform_is_not_manifold():
     rep = check_manifold(Complex([(1, 2, 3), (4, 5)]))
     assert rep.is_manifold is False
+
+
+def test_recognize_refuses_a_non_uniform_complex():
+    # only the top-level call checks uniformity: the links of a uniform
+    # complex are uniform
+    for k in (Complex([(1, 2, 3), (4, 5)]), Complex([(1, 2, 3, 4), (1, 2, 3, 5), (5, 6)])):
+        with pytest.raises(ComplexError, match="uniform"):
+            recognize(k)
+
+
+def test_the_minus_one_dimensional_complex_is_refused():
+    with pytest.raises(ComplexError, match="-1"):
+        check_manifold(Complex([()]))
+    with pytest.raises(ComplexError, match="empty"):
+        check_manifold(Complex())
 
 
 def test_describe_mentions_dimension():
@@ -136,7 +154,7 @@ def test_shared_links_give_each_link_its_own_verdict(
     ]
     for k in cases:
         report = check_manifold(k)
-        fresh = {v: moves._recognize(lk, {}) for v, lk in k.vertex_links().items()}
+        fresh = {v: moves._recognize(lk, lk.dimension(), {}) for v, lk in k.vertex_links().items()}
         assert report.link_results == {v: shape for v, (shape, _) in fresh.items()}
         assert report.link_certificates == {v: cert for v, (_, cert) in fresh.items()}
         assert report.bad_vertices == sorted(

@@ -6,6 +6,7 @@ import pytest
 
 from stellar import (
     Complex,
+    ComplexError,
     MoveError,
     MoveSequence,
     QuotientComplex,
@@ -27,6 +28,9 @@ from stellar import (
 from stellar.complexes import LabelAllocator, cofaces, connected, star_index
 from stellar.invariants import quotient_collapses_to_point
 from stellar.moves import (
+    _collapse_ranks,
+    _face_table,
+    _facet_list,
     _facets,
     _surface_edges,
     free_face_collapse,
@@ -136,15 +140,28 @@ def assert_collapses_agree(k):
     assert quotient_collapses_to_point(QuotientComplex.from_complex(k)) is to_vertex
 
 
-def test_collapse_simplex_to_vertex():
-    assert collapse_greedy(Complex([(1, 2, 3)])) == Complex([(3,)])
-    assert collapse_greedy(standard_simplex(3)).dimension() == 0
+def subdivided_ball():
+    """A 3-ball: the 3-simplex after four stellar subdivisions."""
     ball = standard_simplex(3)
     for a, v in [((1, 2), 5), ((1, 3, 4, 5), 6), ((2, 5), 7), ((3, 4, 6), 8)]:
         ball = subdivide(ball, a, v)
+    return ball
+
+
+def test_collapse_simplex_to_vertex():
+    assert collapse_greedy(Complex([(1, 2, 3)])) == Complex([(3,)])
+    assert collapse_greedy(standard_simplex(3)).dimension() == 0
+    ball = subdivided_ball()
     assert collapse_greedy(ball) == Complex([(8,)])
     for k in (Complex([(1, 2, 3)]), standard_simplex(3), ball):
         assert_collapses_agree(k)
+
+
+def test_collapse_greedy_takes_generators_of_every_dimension():
+    # a triangle with a triangle of edges hung on its vertex 3, a disjoint
+    # edge, a lone vertex, and an edge (2, 3) that is also a face
+    k = Complex([(1, 2, 3), (3, 7), (7, 8), (3, 8), (4, 5), (6,), (2, 3)])
+    assert collapse_greedy(k) == Complex([(5,), (6,), (3, 7), (3, 8), (7, 8)])
 
 
 def test_collapse_circle_has_no_free_face():
@@ -219,9 +236,7 @@ DOUBLE_OCTAHEDRON = Complex(octahedron((1, 2), (3, 4, 5, 6)) + octahedron((1, 2)
 
 
 def collapse_inputs(random_subdivision, non_sphere_controls):
-    ball = standard_simplex(3)
-    for a, v in [((1, 2), 5), ((1, 3, 4, 5), 6), ((2, 5), 7), ((3, 4, 6), 8)]:
-        ball = subdivide(ball, a, v)
+    ball = subdivided_ball()
     s3 = subdivide(standard_sphere(3), (1, 2), 6)
     # the surfaces and the 3-manifolds minus a generator leave order-dependent
     # residues: 8, 54 and 28 generators for S^2 x S^1, T^3 and RP^2 x S^1
@@ -297,6 +312,77 @@ def test_closure_minus_a_generator_of_a_closed_complex(random_subdivision, non_s
     assert disk.closure() - {(1, 2, 3)} != minus_least_facet(disk).closure()
 
 
+def face_table_zoo(random_subdivision, non_sphere_controls):
+    """Closed complexes of dimension 2 and 3, then a 3-ball and a book of
+    three triangles, which are not closed."""
+    closed = [standard_sphere(2), standard_sphere(3), OCTAHEDRON, TORUS7, RP2_6,
+              *subdivided_3_spheres(random_subdivision), *non_sphere_controls]
+    return closed, [subdivided_ball(), Complex([(1, 2, 3), (1, 2, 4), (1, 2, 5)])]
+
+
+def top_face_table(k):
+    top = sorted(k.generators)
+    return _face_table(top, _facet_list(top, k.dimension()))
+
+
+def test_face_table_gives_chi_closedness_and_ranks(random_subdivision, non_sphere_controls):
+    closed, bounded = face_table_zoo(random_subdivision, non_sphere_controls)
+    for k in closed + bounded:
+        table = top_face_table(k)
+        assert table.chi == k.euler_characteristic()
+        assert table.closed is k.is_closed() is (k in closed)
+        # the cells in rank order are the closure by (dimension, face), and
+        # each cell's facet ranks name its facets
+        cells = list(itertools.chain.from_iterable(table.levels))
+        assert cells == sorted(k.closure(), key=lambda f: (len(f), f))
+        assert [[cells[r] for r in rs] for rs in table.facets] == [list(_facets(c)) for c in cells]
+
+
+def test_dropping_the_least_generator_collapses_the_closure_without_it(
+    random_subdivision, non_sphere_controls
+):
+    closed, bounded = face_table_zoo(random_subdivision, non_sphere_controls)
+    for k in closed + bounded:
+        table = top_face_table(k)
+        cells = list(itertools.chain.from_iterable(table.levels))
+        least = len(cells) - len(k)
+        assert cells[least] == min(k.generators)
+        left = {cells[c] for c in _collapse_ranks(table.facets, [least])}
+        rest = {f: len(f) - 1 for f in k.closure() - {min(k.generators)}}
+        assert left == free_face_collapse(rest, _facets)
+        left = {cells[c] for c in _collapse_ranks(table.facets)}
+        whole = {f: len(f) - 1 for f in k.closure()}
+        assert left == free_face_collapse(whole, _facets)
+
+
+def test_recognition_drops_the_least_generator_of_a_closed_complex(
+    monkeypatch, random_subdivision
+):
+    dropped = []
+    collapse = _collapse_ranks
+
+    def spy(facets, gone=()):
+        dropped.append(list(gone))
+        return collapse(facets, gone)
+
+    monkeypatch.setattr("stellar.moves._collapse_ranks", spy)
+    sphere = subdivided_3_spheres(random_subdivision)[-1]
+    for k, shape in ((sphere, Recognition.SPHERE), (subdivided_ball(), Recognition.BALL)):
+        dropped.clear()
+        assert recognize(k) is shape
+        cells = list(itertools.chain.from_iterable(top_face_table(k).levels))
+        assert [[cells[c] for c in gone] for gone in dropped] == (
+            [[min(k.generators)]] if k.is_closed() else [[]]
+        )
+
+
+def test_recognize_refuses_the_minus_one_dimensional_complex():
+    # {()} is uniform and nonempty but has no vertex
+    with pytest.raises(ComplexError, match="-1"):
+        recognize(Complex([()]))
+    assert recognize(Complex()) is Recognition.NEITHER
+
+
 def test_recognize_dimension_zero_and_one():
     assert recognize(Complex([(1,)])) is Recognition.BALL
     assert recognize(Complex([(1,), (2,)])) is Recognition.SPHERE
@@ -354,9 +440,11 @@ def surface_by_links(k):
 def test_surface_test_matches_the_per_vertex_definition():
     surfaces = set()
     for name, (k, _) in SURFACE_ZOO.items():
-        opposite = _surface_edges(k)
-        assert (opposite is not None) is surface_by_links(k), name
-        if opposite is not None:
+        surface = _surface_edges(k)
+        assert (surface is not None) is surface_by_links(k), name
+        if surface is not None:
+            opposite, around = surface
+            assert sorted(around) == sorted(k.vertices())
             surfaces.add(name)
             assert sorted(opposite) == sorted(k.faces_of_dim(1))
             for e, across in opposite.items():
