@@ -29,7 +29,6 @@ from .complexes import (
     Complex,
     Simplex,
     cone,
-    connected,
     simplex,
     simplex_boundary,
     star_connected,
@@ -232,17 +231,22 @@ def _collapse_ranks(facets: Sequence[Sequence[int]], gone: Iterable[int] = ()) -
     closed under faces, so that coface is one dimension up and maximal.  The
     least free cell goes first, together with its coface.  Cofaces count as
     distinct cells, not as incidences.
+
+    Each cell keeps two numbers, not a coface list: how many live cofaces it
+    has (-1 once it is dead) and the XOR of their ranks.  Both change as a
+    coface dies, so the XOR of a cell with one live coface is that coface.
     """
-    cofaces: List[List[int]] = [[] for _ in facets]
+    live = [0] * len(facets)  # live cofaces per cell; -1 for a dead cell
+    above = [0] * len(facets)  # XOR of the ranks of the live cofaces
     for c, below in enumerate(facets):
         for f in below:
-            cofaces[f].append(c)
-    live = [len(up) for up in cofaces]  # live cofaces per cell
-    alive = [True] * len(facets)
+            live[f] += 1
+            above[f] ^= c
     for c in gone:
-        alive[c] = False
+        live[c] = -1
         for f in facets[c]:
             live[f] -= 1
+            above[f] ^= c
 
     # every free cell is on the heap: a cell is pushed whenever it may have
     # become free, that is when its count is 1 and either the count has just
@@ -252,26 +256,31 @@ def _collapse_ranks(facets: Sequence[Sequence[int]], gone: Iterable[int] = ()) -
     heap = [c for c, n in enumerate(live) if n == 1]
     while heap:
         f = heapq.heappop(heap)
-        if live[f] != 1:  # dead cells keep a count of 0
+        if live[f] != 1:
             continue
-        up = next(u for u in cofaces[f] if alive[u])
+        up = above[f]
         if live[up]:
             continue
-        alive[f] = alive[up] = False
-        below = facets[f] + facets[up]
+        below = facets[f]
         for x in below:
             live[x] -= 1
+            above[x] ^= f
+        top = facets[up]
+        for x in top:
+            live[x] -= 1
+            above[x] ^= up
+        live[f] = live[up] = -1
         # cells below the pair lost a coface; those left maximal may now
         # free their own facets
-        for x in below:
-            if alive[x]:
-                if live[x] == 1:
-                    heapq.heappush(heap, x)
-                elif not live[x]:
-                    for y in facets[x]:
-                        if live[y] == 1:
-                            heapq.heappush(heap, y)
-    return [c for c, a in enumerate(alive) if a]
+        for x in below + top:
+            n = live[x]
+            if n == 1:
+                heapq.heappush(heap, x)
+            elif not n:
+                for y in facets[x]:
+                    if live[y] == 1:
+                        heapq.heappush(heap, y)
+    return [c for c, n in enumerate(live) if n >= 0]
 
 
 def free_face_collapse(
@@ -407,71 +416,44 @@ def _graph_shape(g: Complex) -> Recognition:
     return Recognition.NEITHER
 
 
-def _surface_edges(
-    k: Complex,
-) -> Optional[Tuple[Dict[Simplex, List[int]], Dict[int, List[int]]]]:
-    """(edge -> opposite vertices, vertex -> neighbours), for a uniform
-    2-complex `k` that is a connected surface; else None.
-
-    One pass over the triangles builds the map and refuses an edge in more
-    than two of them.  Then no vertex of a vertex link has degree above 2,
-    so a link is an arc or a circle exactly when it is connected.  The link
-    of v is walked on the map: from a neighbour u of v on to the vertices
-    opposite the edge uv.  The complex is connected when its edges are.
-    """
-    opposite: Dict[Simplex, List[int]] = {}
-    for a, b, c in k.generators:
-        for e, v in (((a, b), c), ((a, c), b), ((b, c), a)):
-            across = opposite.setdefault(e, [])
-            if len(across) == 2:
-                return None
-            across.append(v)
-    around: Dict[int, List[int]] = {}
-    for a, b in opposite:
-        around.setdefault(a, []).append(b)
-        around.setdefault(b, []).append(a)
-    for v, nbrs in around.items():
-        seen = {nbrs[0]}
-        todo = [nbrs[0]]
-        while todo:
-            u = todo.pop()
-            for w in opposite[(v, u) if v < u else (u, v)]:
-                if w not in seen:
-                    seen.add(w)
-                    todo.append(w)
-        if len(seen) != len(nbrs):
-            return None
-    start = next(iter(around))
-    seen = {start}
-    todo = [start]
-    while todo:
-        for w in around[todo.pop()]:
-            if w not in seen:
-                seen.add(w)
-                todo.append(w)
-    return (opposite, around) if len(seen) == len(around) else None
-
-
 def _recognize_dim2(k: Complex) -> Recognition:
-    """Exact recognition of a uniform 2-complex.
+    """Exact recognition of a uniform 2-complex from its dual graph.
 
-    Connectivity, closedness and the Euler characteristic come from the
-    edge map of `_surface_edges`.  A surface's rim (its edges in one
-    triangle) is a disjoint union of circles, since every rim vertex has an
-    arc for its link; a connected surface with chi = 2 and no rim is a
-    sphere, and one with chi = 1 and a single rim circle is a disk.
+    One pass over the triangles refuses an edge in a third triangle and
+    joins the two triangles on each shared edge in the dual graph.  When the
+    triangles are connected through shared edges, the complex is a sphere
+    when it is closed (2 #edges = 3 #triangles) with chi = 2, a disk when it
+    has a rim with chi = 1, and neither otherwise.
+
+    Why no vertex link is walked: every edge lies in at most two triangles,
+    so each vertex link is a disjoint union of arcs and circles.  Splitting
+    each vertex into one copy per link component gives a surface S' with
+    the same edges and triangles, connected because the dual graph is, and
+    with at least as many vertices, so chi(S') >= chi(k).  A connected
+    closed surface has chi <= 2, with equality only for the sphere; one with
+    a rim has chi <= 1, with equality only for the disk.  So chi(k) = 2
+    (closed) or 1 (with a rim) forces chi(S') = chi(k): no vertex was split,
+    and k is S' itself.
     """
-    surface = _surface_edges(k)
-    if surface is None:
+    first: Dict[Simplex, int] = {}  # edge -> its first triangle; -1 once shared
+    dual: Dict[int, List[Tuple[int, int]]] = {t: [] for t in range(len(k))}
+    for t, (a, b, c) in enumerate(k.generators):
+        for e in ((a, b), (a, c), (b, c)):
+            s = first.setdefault(e, t)
+            if s == t:
+                continue
+            if s < 0:
+                return Recognition.NEITHER
+            first[e] = -1
+            dual[s].append((s, t))
+            dual[t].append((s, t))
+    if not star_connected(dual):
         return Recognition.NEITHER
-    opposite, around = surface
-    chi = len(around) - len(opposite) + len(k)
-    rim = [e for e, across in opposite.items() if len(across) == 1]
-    if not rim:
+    edges, triangles = len(first), len(k)
+    chi = len(set().union(*k.generators)) - edges + triangles
+    if 2 * edges == 3 * triangles:
         return Recognition.SPHERE if chi == 2 else Recognition.NEITHER
-    if chi == 1 and connected(rim):
-        return Recognition.BALL
-    return Recognition.NEITHER
+    return Recognition.BALL if chi == 1 else Recognition.NEITHER
 
 
 # The certificate behind a decided recognition: "exact" when no collapse was

@@ -93,13 +93,14 @@ ZOO_SURFACES = {
     "book": ("Other", 1, None, None, "edge cell (1, 2) lies in 3 two-cells"),
     "two_spheres": ("Other", 4, True, 0, "2 components"),
     "double_octahedron": ("Other", 2, None, None, "vertex cell (1,) has a disconnected link"),
+    "sphere_and_torus": ("Other", 2, True, 0, "2 components"),
+    "disk_and_torus": ("Other", 1, True, 1, "2 components"),
 }
 MORE_SURFACES = [
     # the 5-vertex Moebius band: its rim is the pentagon of edges (i, i + 2)
     (Complex([tuple(sorted((i + a) % 5 + 1 for a in range(3))) for i in range(5)]),
      ("Other", 0, False, 1, "")),
     # a surface is named only when it is connected
-    (SURFACE_ZOO["disk"][0] + shifted(TORUS7, 10), ("Other", 1, True, 1, "2 components")),
     (RP2_6 + shifted(TORUS7, 10), ("Other", 1, False, 0, "2 components")),
     (Complex([(1, 2, 3), (1, 3, 4), (2, 4)]),
      ("Other", 0, None, None, "edge cell (2, 4) lies in no two-cell")),

@@ -17,6 +17,8 @@ from stellar import (
     check_manifold,
     collapse_greedy,
     cone,
+    fold_structure,
+    lens_structure,
     prism,
     recognize,
     relabel,
@@ -32,7 +34,7 @@ from stellar.moves import (
     _face_table,
     _facet_list,
     _facets,
-    _surface_edges,
+    _recognize_dim2,
     free_face_collapse,
     prism_offset,
     weld_factor,
@@ -274,6 +276,15 @@ def test_collapse_removal_order_is_pinned(random_subdivision, non_sphere_control
         assert free_face_collapse(dim, _facets) == reference_collapse(dim, _facets)
         q = quotient_poset(QuotientComplex.from_complex(k))
         assert free_face_collapse(*q) == reference_collapse(*q)
+    # quotients with cells in three or more cofaces: two edge cells of
+    # lens_structure(17, 3) lie in 17 triangle cells, and the vertex cells of
+    # fold_structure(6) in 3 or 6 edge cells.  The lens quotient has no free
+    # cell, so each is also collapsed without its least triangle cell
+    for s in (lens_structure(17, 3), fold_structure(6)):
+        dim, facets_of = quotient_poset(QuotientComplex.from_structure(s))
+        least = min(c for c, d in dim.items() if d == 2)
+        for cells in (dim, {c: d for c, d in dim.items() if c != least}):
+            assert free_face_collapse(cells, facets_of) == reference_collapse(cells, facets_of)
     # integer cells whose labels disagree with their dimensions: the faces of
     # the torus minus a facet, renamed by a seeded shuffle
     faces = sorted(minus_least_facet(TORUS7).closure())
@@ -397,6 +408,9 @@ def test_recognize_dimension_zero_and_one():
     assert recognize(two_cycles) is Recognition.NEITHER
 
 
+# a pentagon coned from 6, and the torus on the vertices 11 to 17
+DISK = Complex([(6, i, i % 5 + 1) for i in range(1, 6)])
+TORUS_11 = relabel(TORUS7, {v: v + 10 for v in range(1, 8)})
 # 2-complexes and their shapes: surfaces first, then complexes that are none
 SURFACE_ZOO = {
     "tetrahedron_boundary": (standard_sphere(2), Recognition.SPHERE),
@@ -404,7 +418,7 @@ SURFACE_ZOO = {
     "torus": (TORUS7, Recognition.NEITHER),
     "projective_plane": (RP2_6, Recognition.NEITHER),
     "triangle": (Complex([(1, 2, 3)]), Recognition.BALL),
-    "disk": (Complex([(6, i, i % 5 + 1) for i in range(1, 6)]), Recognition.BALL),
+    "disk": (DISK, Recognition.BALL),
     # inner triangle 1,2,3 and outer triangle 4,5,6
     "annulus": (
         Complex([(1, 2, 4), (2, 4, 5), (2, 3, 5), (3, 5, 6), (1, 3, 6), (1, 4, 6)]),
@@ -414,6 +428,10 @@ SURFACE_ZOO = {
     "book": (Complex([(1, 2, 3), (1, 2, 4), (1, 2, 5)]), Recognition.NEITHER),
     "two_spheres": (standard_sphere(2) + standard_sphere(2, start=5), Recognition.NEITHER),
     "double_octahedron": (DOUBLE_OCTAHEDRON, Recognition.NEITHER),
+    # closed with chi = 2 and with a rim with chi = 1, but in two pieces:
+    # every vertex link is connected, the dual graph is not
+    "sphere_and_torus": (standard_sphere(2) + TORUS_11, Recognition.NEITHER),
+    "disk_and_torus": (DISK + TORUS_11, Recognition.NEITHER),
 }
 
 
@@ -437,24 +455,59 @@ def surface_by_links(k):
     return connected(k.generators) and max(degree.values()) <= 2 and all(map(connected, links))
 
 
-def test_surface_test_matches_the_per_vertex_definition():
-    surfaces = set()
-    for name, (k, _) in SURFACE_ZOO.items():
-        surface = _surface_edges(k)
-        assert (surface is not None) is surface_by_links(k), name
-        if surface is not None:
-            opposite, around = surface
-            assert sorted(around) == sorted(k.vertices())
-            surfaces.add(name)
-            assert sorted(opposite) == sorted(k.faces_of_dim(1))
-            for e, across in opposite.items():
-                assert sorted(across) == sorted(
-                    next(v for v in g if v not in e) for g in k.generators if set(e) <= set(g)
-                )
-    assert surfaces == {
-        "tetrahedron_boundary", "octahedron", "torus", "projective_plane", "triangle", "disk",
-        "annulus",
-    }
+def surface_shape_by_links(k):
+    """The shape by the per-vertex definition: a surface, as in
+    `surface_by_links`, is a sphere when it is closed with chi = 2, a disk
+    when its rim is one circle and chi = 1, and neither otherwise."""
+    if not surface_by_links(k):
+        return Recognition.NEITHER
+    rim = k.boundary()  # the edges in one triangle
+    chi = k.euler_characteristic()
+    if not rim:
+        return Recognition.SPHERE if chi == 2 else Recognition.NEITHER
+    return Recognition.BALL if chi == 1 and rim.is_connected() else Recognition.NEITHER
+
+
+def random_2_complexes(rng, random_subdivision, count):
+    """`count` sets of triangles on 3 to 7 vertices, then `count` subdivided
+    2-spheres with up to two triangles removed, each alone or wedged at one
+    vertex or glued at two to a second such sphere."""
+    for _ in range(count):
+        triangles = list(itertools.combinations(range(1, rng.randint(3, 7) + 1), 3))
+        yield Complex(rng.sample(triangles, rng.randint(1, len(triangles))))
+    for _ in range(count):
+        pieces = []
+        for _ in range(rng.randint(1, 2)):
+            k = random_subdivision(rng, standard_sphere(2), rng.randint(0, 6))
+            for _ in range(rng.randint(0, 2)):
+                k = k.residual(rng.choice(k.sorted_generators()))
+            pieces.append(k)
+        k = pieces[0]
+        if len(pieces) == 2:
+            glued = rng.randint(1, 2)
+            ours = rng.sample(sorted(k.vertices()), glued)
+            theirs = rng.sample(sorted(pieces[1].vertices()), glued)
+            mapping = {v: v + k.max_label() for v in pieces[1].vertices()}
+            mapping.update(zip(theirs, ours))
+            k = k + relabel(pieces[1], mapping)
+        yield k
+
+
+def test_surface_test_matches_the_per_vertex_definition(random_subdivision):
+    for name, (k, shape) in SURFACE_ZOO.items():
+        assert _recognize_dim2(k) is surface_shape_by_links(k) is shape, name
+    shapes = set()
+    # closed and connected with chi = 2, yet no sphere, such as two spheres
+    # glued at two vertices: only the dual graph or a vertex link refutes them
+    pinched = 0
+    for k in random_2_complexes(random.Random(41), random_subdivision, 500):
+        shape = surface_shape_by_links(k)
+        assert _recognize_dim2(k) is shape, sorted(k.generators)
+        shapes.add(shape)
+        if shape is Recognition.NEITHER and k.is_closed() and k.is_connected():
+            pinched += k.euler_characteristic() == 2
+    assert shapes == {Recognition.SPHERE, Recognition.BALL, Recognition.NEITHER}
+    assert pinched
 
 
 def test_double_octahedron_is_refused_by_its_links_alone():
