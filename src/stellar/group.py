@@ -7,7 +7,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import lcm
-from typing import Callable, Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from .complexes import Simplex, UnionFind, cofaces
 from .errors import StructureError
@@ -15,17 +15,15 @@ from .quotient import QuotientComplex, StellarStructure, pair_matching
 
 Permutation = Tuple[int, ...]  # image array over the sorted generator list
 Swap = Dict[int, int]  # a class swap on its support: generator index -> image
-ClassOrders = List[Tuple[FrozenSet[Simplex], int, int]]  # (class, degree entry, full order)
-
-
-def _require_closed(structure: StellarStructure) -> None:
-    if not structure.is_closed:
-        raise StructureError("structure is not closed: the pairing is partial")
+Swaps = List[Tuple[Simplex, Swap]]  # (class's cell, swap) per face class
+ClassOrders = List[Tuple[Simplex, int, int]]  # (class's cell, degree entry, full order)
 
 
 def p0(structure: StellarStructure) -> Permutation:
-    """The pairing as an involution on the sphere's generators."""
-    _require_closed(structure)
+    """The pairing as an involution on the sphere's generators: the
+    stand-alone reference for `_pairing`."""
+    if not structure.is_closed:
+        raise StructureError("structure is not closed: the pairing is partial")
     gens = structure.sphere.sorted_generators()
     idx = {g: i for i, g in enumerate(gens)}
     image = list(range(len(gens)))
@@ -53,22 +51,11 @@ def face_classes(structure: StellarStructure) -> List[FrozenSet[Simplex]]:
     return sorted((frozenset(s) for s in uf.groups().values()), key=sorted)
 
 
-def _cell_classes(quotient: QuotientComplex) -> List[FrozenSet[Simplex]]:
-    """`face_classes` read off a structure's quotient: its cells one
-    dimension below the sphere's, each as the set of its member faces.  A
-    pair's matching identifies codimension-one faces with codimension-one
-    faces only, so these are the same classes, in the same order."""
-    d = quotient.sphere.dimension() - 1
-    return [frozenset(quotient.members[c]) for c in quotient.cells.get(d, [])]
-
-
-def _swap(idx: Dict[Simplex, int], around, alpha: FrozenSet[Simplex]) -> Swap:
-    """The class swap over the generator index `idx` and its `cofaces` map,
-    on the 2|alpha| generators it moves; every member of `alpha` must be a
-    codimension-one face of the generators, as a sorted tuple."""
+def _swap(sides: Iterable[Tuple[Simplex, Sequence[int]]]) -> Swap:
+    """A class swap on its support, from each member face of the class with
+    the generators it lies in."""
     swap: Swap = {}
-    for f in alpha:
-        hits = [idx[g] for g in around.get(f, ())]
+    for f, hits in sides:
         if len(hits) != 2:
             raise StructureError(
                 f"facet {f} lies in {len(hits)} generators; "
@@ -82,9 +69,13 @@ def _swap(idx: Dict[Simplex, int], around, alpha: FrozenSet[Simplex]) -> Swap:
 
 
 def _class_swap(structure: StellarStructure, alpha: FrozenSet[Simplex]) -> Swap:
+    """The swap of the class `alpha` through the `cofaces` map: the
+    reference for `_class_swaps`."""
     gens = structure.sphere.sorted_generators()
+    idx = {g: i for i, g in enumerate(gens)}
+    around = cofaces(gens)
     alpha = frozenset(tuple(sorted(f)) for f in alpha)
-    return _swap({g: i for i, g in enumerate(gens)}, cofaces(gens), alpha)
+    return _swap((f, [idx[g] for g in around.get(f, ())]) for f in alpha)
 
 
 def p_alpha(structure: StellarStructure, alpha: FrozenSet[Simplex]) -> Permutation:
@@ -98,17 +89,6 @@ def p_alpha(structure: StellarStructure, alpha: FrozenSet[Simplex]) -> Permutati
     for i, j in _class_swap(structure, alpha).items():
         image[i] = j
     return tuple(image)
-
-
-def _analysis(structure: StellarStructure, classes: List[FrozenSet[Simplex]]):
-    """What one query needs, built once: the generators, `p0`, and each of
-    the face classes `classes` with its swap on the support, made as the
-    caller reaches it."""
-    pairing = p0(structure)
-    gens = structure.sphere.sorted_generators()
-    idx = {g: i for i, g in enumerate(gens)}
-    around = cofaces(gens)
-    return gens, pairing, ((a, _swap(idx, around, a)) for a in classes)
 
 
 def _order(step: Callable[[int], int], starts: Iterable[int]) -> int:
@@ -129,7 +109,7 @@ def _rotation(pairing: Permutation, swap: Swap) -> int:
     """Order of `p0 ∘ p_alpha` on the support of the swap.  Face classes are
     closed under the pair matchings, so the pairing maps the support onto
     itself and this walk never leaves it."""
-    return _order(lambda x: pairing[swap[x]], swap)
+    return _order({x: pairing[y] for x, y in swap.items()}.__getitem__, swap)
 
 
 def _orders(pairing: Permutation, swap: Swap) -> Tuple[int, int]:
@@ -141,14 +121,45 @@ def _orders(pairing: Permutation, swap: Swap) -> Tuple[int, int]:
     return max(2, order), (order if len(swap) == len(pairing) else lcm(order, 2))
 
 
-def _class_orders(
-    structure: StellarStructure, classes: List[FrozenSet[Simplex]]
-) -> ClassOrders:
-    """Each of the structure's face classes `classes` with its degree entry
-    and full order, from one `_analysis` pass: what `degree`, `gamma_graph`
-    and a report share.  A report passes the classes its quotient holds."""
-    _, pairing, swaps = _analysis(structure, classes)
-    return [(alpha, *_orders(pairing, swap)) for alpha, swap in swaps]
+def _pairing(quotient: QuotientComplex) -> Permutation:
+    """`p0` from the quotient's pairs; where a report reads closedness."""
+    if not quotient._closed():
+        raise StructureError("structure is not closed: the pairing is partial")
+    image = list(range(len(quotient._generators)))
+    for i, j in quotient._pairs:
+        image[i] = j
+        image[j] = i
+    return tuple(image)
+
+
+def _class_swaps(quotient: QuotientComplex) -> Swaps:
+    """Each face class, by name, with its swap: the quotient's cells one
+    dimension below the sphere's, since a matching carries codimension-one
+    faces to codimension-one faces, so `face_classes` in its order.  The
+    generators on either side of each member face come from the generators'
+    facet numbers."""
+    q = quotient
+    dim = max(q._roots, default=-1)
+    if dim == 0:
+        # a 0-sphere's one class is the empty face, which lies in every
+        # generator and which the face table leaves out
+        return [((), _swap([((), range(len(q._generators)))]))]
+    around: Dict[int, List[int]] = {}
+    for i, r in enumerate(q._generators):
+        for f in q._facets[r]:
+            around.setdefault(f, []).append(i)
+    faces = q._faces
+    return [
+        (faces[root], _swap((faces[f], around[f]) for f in q._classes[root]))
+        for root in q._roots.get(dim - 1, ())
+    ]
+
+
+def _class_orders(quotient: QuotientComplex) -> ClassOrders:
+    """Each face class, by name, with its degree entry and full order: what
+    `degree`, `gamma_graph` and a report share."""
+    pairing = _pairing(quotient)
+    return [(cell, *_orders(pairing, swap)) for cell, swap in _class_swaps(quotient)]
 
 
 def order_of(structure: StellarStructure, alpha: FrozenSet[Simplex]) -> int:
@@ -188,7 +199,7 @@ def degree(structure: StellarStructure) -> Tuple[int, ...]:
     exactly when the full order does, but an odd class of k members has
     entry k where its full order is 2k.
     """
-    return _degree(_class_orders(structure, face_classes(structure)))
+    return _degree(_class_orders(QuotientComplex.from_structure(structure)))
 
 
 def _degree(orders: ClassOrders) -> Tuple[int, ...]:
@@ -206,17 +217,23 @@ def flatness_equivalence_check(structure: StellarStructure) -> bool:
     return is_flat(structure) == small
 
 
-def _require_shell(structure: StellarStructure) -> None:
-    _require_closed(structure)
-    if structure.sphere.dimension() != 2:
+def _require_shell(quotient: QuotientComplex) -> None:
+    if quotient.sphere.dimension() != 2:
         raise StructureError("edge analysis needs a two-dimensional sphere")
+
+
+def _shell_swaps(structure: StellarStructure) -> Tuple[QuotientComplex, Permutation, Swaps]:
+    """The quotient, pairing and class swaps of a closed 2-sphere shell."""
+    quotient = QuotientComplex.from_structure(structure)
+    pairing = _pairing(quotient)
+    _require_shell(quotient)
+    return quotient, pairing, _class_swaps(quotient)
 
 
 def collapsible_edges(structure: StellarStructure) -> List[FrozenSet[Simplex]]:
     """Edge classes alpha with a generator F satisfying swap(pair(F)) = F."""
-    _require_shell(structure)
-    _, pairing, swaps = _analysis(structure, face_classes(structure))
-    return [a for a, swap in swaps if _folds(pairing, swap)]
+    quotient, pairing, swaps = _shell_swaps(structure)
+    return [frozenset(quotient.members[c]) for c, swap in swaps if _folds(pairing, swap)]
 
 
 def _folds(pairing: Permutation, swap: Swap) -> bool:
@@ -230,8 +247,8 @@ def internally_flat_complexes(
 ) -> List[Tuple[FrozenSet[Simplex], FrozenSet[Simplex]]]:
     """Orbit pairs of the group generated by the order-2, non-collapsible
     edge swaps, with orbits matched up by the pairing involution."""
-    _require_shell(structure)
-    gens, pair, swaps = _analysis(structure, face_classes(structure))
+    quotient, pair, swaps = _shell_swaps(structure)
+    gens = [quotient._faces[r] for r in quotient._generators]
     uf = UnionFind(range(len(gens)))  # orbits under the generated group
     for _, swap in swaps:
         if _orders(pair, swap)[1] == 2 and not _folds(pair, swap):
@@ -280,18 +297,20 @@ def gamma_graph(structure: StellarStructure) -> GammaGraph:
     These are the classes whose degree entry exceeds 2, but the label is the
     full order: 2q, not q, for the odd lens classes.
     """
-    return _gamma(structure, _class_orders(structure, face_classes(structure)))
+    quotient = QuotientComplex.from_structure(structure)
+    return _gamma(quotient, _class_orders(quotient))
 
 
-def _gamma(structure: StellarStructure, orders: ClassOrders) -> GammaGraph:
-    _require_shell(structure)
-    cls = structure.equivalence.class_of(structure.sphere)
+def _gamma(quotient: QuotientComplex, orders: ClassOrders) -> GammaGraph:
+    """Γ from `_class_orders`: an edge joins the vertex classes of its
+    cell's name."""
+    _require_shell(quotient)
+    cls = quotient.vertex_class
     edges = []
     verts: Set[int] = set()
-    for alpha, _, order in orders:
+    for (u, v), _, order in orders:
         if order <= 2:
             continue
-        u, v = min(alpha)
         a, b = sorted((cls[u], cls[v]))
         verts.update((a, b))
         edges.append((a, b, order))

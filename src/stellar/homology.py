@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Set, Tuple
+from itertools import combinations
+from typing import Dict, List, Sequence, Set, Tuple
 
-from .complexes import Complex, Simplex
+from .complexes import Complex, UnionFind
 
 Matrix = List[List[int]]  # dense rows, only for the unit-free block
 SparseRows = List[Dict[int, int]]  # row i -> {column: value}; zeros may be absent
+Cells = Sequence[Sequence[Tuple[int, int]]]  # cell -> (facet cell, parity) per facet
 
 
 def smith_normal_form(rows: Sequence[Dict[int, int]]) -> List[int]:
@@ -136,10 +138,6 @@ def _dense_snf(rows: Sequence[Sequence[int]]) -> List[int]:
     return diag
 
 
-def integer_rank(rows: Sequence[Dict[int, int]]) -> int:
-    return len(smith_normal_form(rows))
-
-
 def z2_rank(rows: Sequence[Dict[int, int]]) -> int:
     """Rank over GF(2), via bitmask elimination.  Independent of SNF."""
     masks = []
@@ -179,66 +177,58 @@ class AbelianGroup:
         return self.rank + sum(1 for d in self.torsion if d % 2 == 0)
 
 
-def homology_from_boundaries(n1: int, d1: SparseRows, d2: SparseRows) -> AbelianGroup:
-    """H1 of a chain complex C2 --d2--> C1 --d1--> C0, C1 of dimension n1."""
-    snf2 = smith_normal_form(d2)
-    r1 = integer_rank(d1)
-    r2 = len(snf2)
-    rank = n1 - r1 - r2
-    torsion = tuple(d for d in snf2 if d > 1)
-    return AbelianGroup(rank, torsion)
-
-
 def z2_betti_from_boundaries(n1: int, d1: SparseRows, d2: SparseRows) -> int:
     """dim of first homology with GF(2) coefficients; oracle path."""
     return n1 - z2_rank(d1) - z2_rank(d2)
 
 
+def _rows(n: int, cells: Cells, d: int) -> SparseRows:
+    """The boundary of the d-cells `cells` as sparse rows, one for each of
+    the n (d-1)-cells: facet k of a cell, in `combinations` order, drops
+    position d - k, so it carries the sign (-1)^(d - k), flipped by its
+    parity.  Entries that cancel stay in their row as zeros."""
+    rows: SparseRows = [{} for _ in range(n)]
+    for j, facets in enumerate(cells):
+        for k, (f, parity) in enumerate(facets):
+            row = rows[f]
+            row[j] = row.get(j, 0) + (-1 if (d - k + parity) % 2 else 1)
+    return rows
+
+
 def boundary_matrices(
-    verts: Sequence[Simplex],
-    edges: Sequence[Simplex],
-    tris: Sequence[Simplex],
-    cell_of: Callable[[Simplex], Tuple[Simplex, int]],
+    n0: int, edges: Cells, tris: Cells
 ) -> Tuple[int, SparseRows, SparseRows]:
-    """(n1, d1, d2) of a cell complex through dimension two, as sparse rows:
-    d1 has a row per vertex cell, d2 a row per edge cell, and column j is
-    the j-th edge or triangle cell.
-
-    Cells are named by representative simplexes, listed per dimension in
-    matrix order.  `cell_of` maps a face of a representative to its cell and
-    the parity of the face's orientation against that cell's.  Orientations
-    follow the usual alternating-sign rule on sorted vertex tuples.  Entries
-    that cancel stay in their row as zeros.
-    """
-    vi: Dict[Simplex, int] = {v: i for i, v in enumerate(verts)}
-    ei: Dict[Simplex, int] = {e: i for i, e in enumerate(edges)}
-    d1: SparseRows = [{} for _ in verts]
-    for j, (u, v) in enumerate(edges):
-        row = d1[vi[cell_of((v,))[0]]]
-        row[j] = row.get(j, 0) + 1
-        row = d1[vi[cell_of((u,))[0]]]
-        row[j] = row.get(j, 0) - 1
-    d2: SparseRows = [{} for _ in edges]
-    for j, t in enumerate(tris):
-        # faces (t1,t2), (t0,t2), (t0,t1) carry signs +, -, +
-        for pos, face in enumerate([(t[1], t[2]), (t[0], t[2]), (t[0], t[1])]):
-            root, parity = cell_of(face)
-            row = d2[ei[root]]
-            row[j] = row.get(j, 0) + (-1 if (pos + parity) % 2 else 1)
-    return len(edges), d1, d2
+    """(n1, d1, d2) of a cell complex through dimension two, from its n0
+    vertex cells and each edge and two-cell's (facet cell, parity) list."""
+    return len(edges), _rows(n0, edges, 1), _rows(len(edges), tris, 2)
 
 
-def simplicial_boundary_matrices(k: Complex) -> Tuple[int, SparseRows, SparseRows]:
-    """(n1, d1, d2) for the full face closure of a complex."""
-    return boundary_matrices(
-        sorted(k.faces_of_dim(0)),
-        sorted(k.faces_of_dim(1)),
-        sorted(k.faces_of_dim(2)),
-        lambda f: (f, 0),
-    )
+def homology_from_boundaries(n0: int, edges: Cells, tris: Cells) -> AbelianGroup:
+    """H1 of the cell complex that `boundary_matrices` reads.
+
+    d1 is the incidence matrix of the graph of vertex and edge cells.  For
+    a spanning forest T of it, forgetting T's edges, pi: C1 -> Z^(E - T),
+    is injective on ker d1 (a cycle on a forest is zero) and onto (the
+    cycle closing e through T maps to e), so H1 = Z^(E - T) / pi(im d2):
+    only the rows of d2 of the edges outside T go through the SNF, and d1
+    through none."""
+    forest = UnionFind(range(n0))
+    outside = [j for j, ((u, _), (v, _)) in enumerate(edges) if not forest.union(u, v)]
+    d2 = _rows(len(edges), tris, 2)
+    snf = smith_normal_form([d2[j] for j in outside])
+    return AbelianGroup(len(outside) - len(snf), tuple(d for d in snf if d > 1))
+
+
+def simplicial_cells(k: Complex) -> Tuple[int, Cells, Cells]:
+    """The faces of a complex through dimension two, in sorted order, as the
+    cells of `boundary_matrices`."""
+    verts, edges, tris = (sorted(k.faces_of_dim(d)) for d in range(3))
+    at = {f: i for level in (verts, edges) for i, f in enumerate(level)}
+    edges, tris = ([[(at[f], 0) for f in combinations(c, len(c) - 1)] for c in level]
+                   for level in (edges, tris))
+    return len(verts), edges, tris
 
 
 def complex_h1(k: Complex) -> AbelianGroup:
     """Integer first homology of a simplicial complex (dims <= 2 matter)."""
-    n1, d1, d2 = simplicial_boundary_matrices(k)
-    return homology_from_boundaries(n1, d1, d2)
+    return homology_from_boundaries(*simplicial_cells(k))

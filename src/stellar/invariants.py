@@ -6,12 +6,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from itertools import chain
 from typing import Dict, List, Optional, Tuple, Union
 
 from .complexes import Complex, Simplex, UnionFind
 from .errors import StructureError
-from .group import _cell_classes, _class_orders, _degree, _gamma, has_circuit, GammaGraph
+from .group import _class_orders, _degree, _gamma, has_circuit, GammaGraph
 from .homology import AbelianGroup, complex_h1
 from .manifold import check_manifold
 from .moves import free_face_collapse
@@ -105,13 +105,12 @@ def classify_flat_quotient(q: QuotientComplex) -> SurfaceClass:
 
 
 def quotient_collapses_to_point(q: QuotientComplex) -> bool:
-    """Free-face collapse on the quotient cells; True when one 0-cell remains."""
-    dim = {c: d for d, group in q.cells.items() for c in group}
-    facets = {c: set() for c in dim}
-    for c, d in dim.items():
-        if d:
-            facets[c] = {q.cell_of(f)[0] for f in combinations(c, d)}
-    alive = free_face_collapse(dim, facets.__getitem__)
+    """Free-face collapse on the quotient cells; True when one 0-cell remains.
+    Cells go by their least faces' numbers, which follow (dimension, face)
+    order; a cell's facets are its least face's, found in the union-find."""
+    find, facets = q._uf.find, q._facets
+    dim = {root: d for d, roots in q._roots.items() for root in roots}
+    alive = free_face_collapse(dim, lambda c: {find(f)[0] for f in facets[c]})
     return len(alive) == 1 and dim[next(iter(alive))] == 0
 
 
@@ -142,17 +141,18 @@ class WorkflowReport:
 
 def structure_report(structure: StellarStructure) -> WorkflowReport:
     """Classification chain for a closed structure over a 2-sphere."""
-    return _report(structure, QuotientComplex.from_structure(structure))
+    return _report(QuotientComplex.from_structure(structure))
 
 
-def _report(structure: StellarStructure, quotient: QuotientComplex) -> WorkflowReport:
-    """`structure_report` on the structure's quotient, already built.
+def _report(quotient: QuotientComplex) -> WorkflowReport:
+    """`structure_report` on the structure's quotient, already built: every
+    stage reads the quotient's face numbers.
 
     Nontrivial H1 refutes a sphere; with H1 trivial, a quotient that
     collapses to a point certifies one (README, "Certificates").  Flatness,
     the surface class and the Γ graph are evidence only."""
     group = quotient.h1()
-    orders = _class_orders(structure, _cell_classes(quotient))
+    orders = _class_orders(quotient)
     deg = _degree(orders)
     report = WorkflowReport(flat=deg == (2,), degree=deg, h1=group)
     if report.flat:
@@ -160,7 +160,7 @@ def _report(structure: StellarStructure, quotient: QuotientComplex) -> WorkflowR
         report.evidence.append(f"degree {deg}: structure is flat")
         report.evidence.append(f"quotient classified as {report.surface.kind}")
     else:
-        report.gamma = _gamma(structure, orders)
+        report.gamma = _gamma(quotient, orders)
         report.gamma_has_circuit = has_circuit(report.gamma)
         report.evidence.append(f"degree {deg}: structure is not flat")
         report.evidence.append(
@@ -196,7 +196,7 @@ def sphere_workflow(m: Complex, budget: int = 100_000) -> WorkflowReport:
     problems, quotient = _verify(result, m)  # the one quotient of this run
     if problems:
         raise StructureError("; ".join(problems))
-    report = _report(result.structure, quotient)
+    report = _report(quotient)
     report.evidence.insert(
         0, f"structure built in {len(result.steps)} absorption steps"
     )

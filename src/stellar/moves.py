@@ -248,19 +248,19 @@ def _collapse_ranks(facets: Sequence[Sequence[int]], gone: Iterable[int] = ()) -
             live[f] -= 1
             above[f] ^= c
 
-    # every free cell is on the heap: a cell is pushed whenever it may have
-    # become free, that is when its count is 1 and either the count has just
-    # dropped or its coface has just become maximal.  Stale entries are
-    # skipped.  Counts only fall, so no other cell can be free.  The cells
-    # in order already form a heap
-    heap = [c for c, n in enumerate(live) if n == 1]
+    # every free cell is on the heap: a cell is pushed when it becomes free,
+    # that is when its count drops to 1 under a maximal coface, or when its
+    # one coface becomes maximal.  Counts only fall, so no other cell can be
+    # free, and a free cell stops being free only when its coface goes with
+    # another facet, which drops its count.  So an entry is stale exactly
+    # when its count is no longer 1, and is skipped.  The cells in order
+    # already form a heap
+    heap = [c for c, n in enumerate(live) if n == 1 and not live[above[c]]]
     while heap:
         f = heapq.heappop(heap)
         if live[f] != 1:
-            continue
+            continue  # stale
         up = above[f]
-        if live[up]:
-            continue
         below = facets[f]
         for x in below:
             live[x] -= 1
@@ -270,15 +270,19 @@ def _collapse_ranks(facets: Sequence[Sequence[int]], gone: Iterable[int] = ()) -
             live[x] -= 1
             above[x] ^= up
         live[f] = live[up] = -1
-        # cells below the pair lost a coface; those left maximal may now
-        # free their own facets
-        for x in below + top:
+        # cells below the pair lost a coface.  One left with one coface,
+        # which is maximal, is free now; one left maximal frees its facets
+        # that have it as their only coface, except those in `lost`, which
+        # the first branch pushes
+        lost = below + top
+        for x in lost:
             n = live[x]
             if n == 1:
-                heapq.heappush(heap, x)
+                if not live[above[x]]:
+                    heapq.heappush(heap, x)
             elif not n:
                 for y in facets[x]:
-                    if live[y] == 1:
+                    if live[y] == 1 and y not in lost:
                         heapq.heappush(heap, y)
     return [c for c, n in enumerate(live) if n >= 0]
 
@@ -339,13 +343,13 @@ def _face_table(
 ) -> _FaceTable:
     """The face table of the sorted top-dimensional cells `top`, whose facets
     `below` lists as `_facet_list` gives them, and of the lower cells
-    `lower`, from one top-down pass.
+    `lower`, from one top-down pass; with no cells, the table is empty.
 
     Each level takes its facets with one `combinations` per cell and is
     sorted once, so ranking needs no key function; the facets' ranks are
     read off each level's position map at the end.
     """
-    dim = len(top[0]) - 1
+    dim = len(top[0]) - 1 if top else -1
     closed = all(n % 2 == 0 for n in Counter(below).values())
     extra: Dict[int, List[Simplex]] = {}
     for g in lower:

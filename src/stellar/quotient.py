@@ -2,19 +2,23 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import chain, combinations, count
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .complexes import Complex, Simplex, all_faces, simplex
+from .complexes import Complex, Simplex, simplex
 from .errors import EquivalenceError
 from .homology import (
     AbelianGroup,
+    Cells,
     SparseRows,
     boundary_matrices,
     homology_from_boundaries,
     z2_betti_from_boundaries,
 )
+from .moves import _face_table, _facet_list
 
 Matching = Dict[int, int]  # vertex of a generator -> vertex of its partner
 # (problems, vertex -> class id, each pair's matching or None)
@@ -124,12 +128,16 @@ class RegularEquivalence:
 
     def class_of(self, sphere: Complex) -> Dict[int, int]:
         """Vertex -> class id; unlisted vertices become singleton classes."""
+        return self._class_map(sphere.vertices())
+
+    def _class_map(self, vertices: FrozenSet[int]) -> Dict[int, int]:
+        """`class_of` for a sphere with the vertex set `vertices`."""
         out: Dict[int, int] = {}
         for i, c in enumerate(self.vertex_classes):
             for v in c:
                 out[v] = i
         nxt = len(self.vertex_classes)
-        for v in sorted(sphere.vertices()):
+        for v in sorted(vertices):
             if v not in out:
                 out[v] = nxt
                 nxt += 1
@@ -137,15 +145,15 @@ class RegularEquivalence:
 
     def problems(self, sphere: Complex) -> List[str]:
         """Diagnostics; empty list means the equivalence is regular."""
-        return self._diagnose(sphere)[0]
+        return self._diagnose(sphere, sphere.vertices())[0]
 
-    def _diagnose(self, sphere: Complex) -> Diagnosis:
-        """`problems`, with the class map and the matching of each pair in
-        `generator_pairs` order (None where no matching was derived)."""
+    def _diagnose(self, sphere: Complex, vertices: FrozenSet[int]) -> Diagnosis:
+        """`problems` for a sphere with the vertex set `vertices`, with the
+        class map and the matching of each pair in `generator_pairs` order
+        (None where no matching was derived)."""
         out: List[str] = []
-        cls = self.class_of(sphere)
-        listed = {v for c in self.vertex_classes for v in c}
-        stray = listed - sphere.vertices()
+        cls = self._class_map(vertices)
+        stray = {v for c in self.vertex_classes for v in c} - vertices
         if stray:
             out.append(f"classes mention vertices {sorted(stray)} not in the sphere")
         gens = sphere.generators
@@ -211,9 +219,10 @@ class StellarStructure:
         """`validate`, with the class map and the pair matchings derived on
         the way, as `RegularEquivalence._diagnose` gives them."""
         out = []
-        if self.apex in self.sphere.vertices():
+        vertices = self.sphere.vertices()  # read once for all three checks
+        if self.apex in vertices:
             out.append(f"apex {self.apex} occurs in the sphere")
-        problems, cls, matchings = self.equivalence._diagnose(self.sphere)
+        problems, cls, matchings = self.equivalence._diagnose(self.sphere, vertices)
         return out + problems, cls, matchings
 
     @property
@@ -227,19 +236,27 @@ class StellarStructure:
 
 
 @lru_cache(maxsize=None)
-def _face_plan(sigma: Tuple[int, ...]) -> Tuple[Tuple[int, int, int], ...]:
+def _face_plan(sigma: Tuple[int, ...]) -> Tuple[tuple, tuple]:
     """How a pair's vertex bijection acts on faces, by position: position i
-    of a generator goes to position sigma[i] of its partner.  The faces of
-    an n-vertex generator are numbered locally in the order `all_faces`
-    lists them; for each local face this gives its number, its image's
-    number, and the parity of the permutation sorting the image."""
-    faces = list(all_faces(tuple(range(len(sigma)))))
-    local = {f: i for i, f in enumerate(faces)}
+    of a generator goes to position sigma[i] of its partner.  Local face 0
+    is the generator, and each other local face is first met as facet k of
+    an earlier face p; gives those (p, k), which read a generator's face
+    numbers off a face table, and for each local face its number, its
+    image's number and the parity of the permutation sorting the image."""
+    faces = [tuple(range(len(sigma)))]
+    local = {faces[0]: 0}
+    path = []
+    for p, f in enumerate(faces):  # the list grows as faces are met
+        for k, h in enumerate(combinations(f, len(f) - 1) if len(f) > 1 else ()):
+            if h not in local:
+                local[h] = len(faces)
+                faces.append(h)
+                path.append((p, k))
     plan = []
     for i, f in enumerate(faces):
         image = [sigma[x] for x in f]
         plan.append((i, local[tuple(sorted(image))], _sort_parity(image)))
-    return tuple(plan)
+    return tuple(path), tuple(plan)
 
 
 class QuotientComplex:
@@ -247,10 +264,16 @@ class QuotientComplex:
 
     Cells are classes of faces under the identifications induced, pair by
     pair, by the class-respecting vertex matchings.  The faces of the
-    sphere are numbered once, in (dimension, lexicographic) order, and
-    each pair joins its generators' faces through the `_face_plan` of its
-    matching, in a signed union-find on those numbers.  A cell is named by
-    its least face.
+    sphere are numbered once, in (dimension, lexicographic) order, by the
+    face table of `moves`: `_faces` lists them, and `_facets[r]` lists the
+    numbers of the facets of face r in `combinations` order.  Each pair
+    reads its generators' face numbers off that table and joins them
+    through the `_face_plan` of its matching, in a signed union-find on the
+    numbers (`_uf`).  A cell is named by its least face.  A report reads the
+    same numbers: `_roots[d]` lists the d-cells by their least faces,
+    `_classes` maps each to its faces, `_generators` lists the generators
+    in sorted order, and `_pairs` gives each pair by its generators' places
+    in that list.
     """
 
     def __init__(
@@ -262,26 +285,50 @@ class QuotientComplex:
     ) -> None:
         self.sphere = sphere
         self.vertex_class = cls
-        local = {g: list(all_faces(g)) for g in sphere.generators}
-        faces = sorted(set().union(*local.values()))
-        faces.sort(key=len)  # stable: lexicographic within a dimension
-        index = {f: i for i, f in enumerate(faces)}
-        ids = {g: list(map(index.__getitem__, fs)) for g, fs in local.items()}
+        gens = [g for g in sphere.generators if g]
+        size = max(map(len, gens), default=0)
+        top = sorted(g for g in gens if len(g) == size)
+        lower = [g for g in gens if len(g) < size]
+        table = _face_table(top, _facet_list(top, size - 1), lower)
+        faces = list(chain.from_iterable(table.levels))
+        index = dict(zip(faces, count()))
+        facets = table.facets
+        generators = sorted(map(index.__getitem__, gens))
         uf = SignedUnionFind(len(faces))
+        numbered = []
         for (g, p), phi in zip(pairs, matchings):
-            into, back = ids[g], ids[p]
             sigma = tuple(map(p.index, map(phi.__getitem__, g)))  # positions in p
-            for a, b, parity in _face_plan(sigma):
+            path, plan = _face_plan(sigma)
+            into, back = [index[g]], [index[p]]
+            for parent, k in path:
+                into.append(facets[into[parent]][k])
+                back.append(facets[back[parent]][k])
+            for a, b, parity in plan:
                 uf.union(into[a], back[b], parity)
+            numbered.append(
+                (bisect_left(generators, into[0]), bisect_left(generators, back[0]))
+            )
         self._faces = faces
-        self._index = index
+        self._facets = facets
+        self._generators = generators
+        self._pairs = numbered
         self._uf = uf
-        self.cells: Dict[int, List[Simplex]] = {}
-        self.members: Dict[Simplex, List[Simplex]] = {}
-        for root, mem in uf.members().items():
-            cell = faces[root]
-            self.cells.setdefault(len(cell) - 1, []).append(cell)
-            self.members[cell] = list(map(faces.__getitem__, mem))
+        self._classes = uf.members()
+        self._roots: Dict[int, List[int]] = {}
+        for root in self._classes:
+            self._roots.setdefault(len(faces[root]) - 1, []).append(root)
+        self.cells = {d: [faces[r] for r in roots] for d, roots in self._roots.items()}
+
+    @cached_property
+    def _index(self) -> Dict[Simplex, int]:
+        """Face -> its number, for `cell_of`; a report reads numbers only."""
+        return dict(zip(self._faces, count()))
+
+    @cached_property
+    def members(self) -> Dict[Simplex, List[Simplex]]:
+        """Each cell's faces, by name; a report reads `_classes` instead."""
+        faces = self._faces
+        return {faces[r]: list(map(faces.__getitem__, m)) for r, m in self._classes.items()}
 
     @staticmethod
     def from_structure(structure: StellarStructure) -> "QuotientComplex":
@@ -301,6 +348,11 @@ class QuotientComplex:
         root, parity = self._uf.find(self._index[tuple(face)])
         return self._faces[root], parity
 
+    def _closed(self) -> bool:
+        """Whether the pairing covers every generator: the pairs of a
+        validated structure are distinct generators."""
+        return 2 * len(self._pairs) == len(self._generators)
+
     def _conflicts(self) -> List[Simplex]:
         """The cells whose faces are identified with clashing orientations."""
         return sorted(self._faces[r] for r in self._uf.conflicts)
@@ -311,21 +363,26 @@ class QuotientComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * len(cells) for d, cells in self.cells.items())
 
-    def boundary_matrices(self) -> Tuple[int, SparseRows, SparseRows]:
-        """(n1, d1, d2) of the quotient CW complex through dimension two."""
+    def _chains(self) -> Tuple[int, Cells, Cells]:
+        """The cells through dimension two as `homology` takes them: a cell's
+        facets are its least face's, found in the union-find.  Refuses cells
+        with clashing orientations."""
         low = [c for c in self._conflicts() if len(c) <= 3]
         if low:
             raise EquivalenceError(f"cells {low} carry inconsistent orientations")
-        return boundary_matrices(
-            self.cells.get(0, []),
-            self.cells.get(1, []),
-            self.cells.get(2, []),
-            self.cell_of,
-        )
+        find, facets = self._uf.find, self._facets
+        verts, edges, tris = (self._roots.get(d, []) for d in range(3))
+        at = {r: i for level in (verts, edges) for i, r in enumerate(level)}
+        edges, tris = ([[(at[r], p) for r, p in map(find, facets[c])] for c in level]
+                       for level in (edges, tris))
+        return len(verts), edges, tris
+
+    def boundary_matrices(self) -> Tuple[int, SparseRows, SparseRows]:
+        """(n1, d1, d2) of the quotient CW complex through dimension two."""
+        return boundary_matrices(*self._chains())
 
     def h1(self) -> AbelianGroup:
-        n1, d1, d2 = self.boundary_matrices()
-        return homology_from_boundaries(n1, d1, d2)
+        return homology_from_boundaries(*self._chains())
 
     def z2_b1(self) -> int:
         n1, d1, d2 = self.boundary_matrices()

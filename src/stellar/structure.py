@@ -154,7 +154,8 @@ def _verify(
     """`verify_structure`'s diagnostics, and the quotient the Euler identity
     was checked on (None when an earlier problem stopped the check).  The
     quotient's construction validates the structure, so a valid structure
-    is validated once; an invalid one is validated again for the list."""
+    is validated once, and its quotient tells closedness; an invalid one is
+    validated again for the list."""
     structure = (
         result_or_structure.structure
         if isinstance(result_or_structure, BuildResult)
@@ -166,7 +167,7 @@ def _verify(
         quotient = QuotientComplex.from_structure(structure)
     except EquivalenceError:
         out = structure.validate()
-    if not structure.is_closed:
+    if not (quotient._closed() if quotient is not None else structure.is_closed):
         out.append("pairing does not cover every sphere generator")
     if structure.sphere.dimension() != m.dimension() - 1:
         out.append("sphere has the wrong dimension")

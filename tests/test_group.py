@@ -24,7 +24,7 @@ from stellar import (
     structure_report,
 )
 import stellar.group
-from stellar.group import _cell_classes, order_of, p0, p_alpha
+from stellar.group import _class_orders, _class_swaps, _pairing, order_of, p0, p_alpha
 
 
 def square_structure():
@@ -252,20 +252,39 @@ def reference_orbit_pairs(s, pairing, swaps):
 def test_one_report_builds_the_pairing_once(monkeypatch):
     # the degree and Γ come from one pass over the face classes
     calls = []
-    real = stellar.group.p0
-    monkeypatch.setattr(stellar.group, "p0", lambda s: calls.append(s) or real(s))
+    real = stellar.group._pairing
+    monkeypatch.setattr(stellar.group, "_pairing", lambda q: calls.append(q) or real(q))
     report = structure_report(lens_structure(17, 3))
     assert report.gamma_has_circuit
     assert len(calls) == 1
 
 
-def test_face_classes_are_the_codimension_one_cells(non_sphere_controls):
-    # a report reads the face classes off its quotient
-    structures = [square_structure(), fold_structure(5)]
-    structures += [lens_structure(q, p) for q, p in ((2, 1), (5, 2), (13, 5), (17, 3))]
+def test_face_classes_are_the_codimension_one_cells(cycle_join, non_sphere_controls):
+    # the integer pass reads each face class off the quotient by number: its
+    # name, members, swap and orders match the stand-alone references
+    structures = reference_structures(cycle_join) + [square_structure()]
+    structures.append(lens_structure(17, 3))
     structures += [build_structure(m).structure for m in non_sphere_controls]
     for s in structures:
-        assert _cell_classes(QuotientComplex.from_structure(s)) == face_classes(s)
+        q = QuotientComplex.from_structure(s)
+        classes = face_classes(s)
+        swaps = _class_swaps(q)
+        assert [frozenset(q.members[c]) for c, _ in swaps] == classes
+        assert _pairing(q) == p0(s)
+        n = len(s.sphere.generators)
+        for (cell, swap), alpha in zip(swaps, classes):
+            assert cell == min(alpha)
+            assert tuple(swap.get(i, i) for i in range(n)) == p_alpha(s, alpha)
+        orders = _class_orders(q)
+        assert [c for c, _, _ in orders] == [c for c, _ in swaps]
+        for (_, entry, order), alpha in zip(orders, classes):
+            assert entry == degree_entry(s, alpha), sorted(alpha)
+            assert order == order_of(s, alpha), sorted(alpha)
+    # a 0-sphere's one class is the empty face, which no face table lists
+    s = build_structure(circle(3)).structure
+    (alpha,) = face_classes(s)
+    assert [c for c, _, _ in _class_orders(QuotientComplex.from_structure(s))] == [()]
+    assert degree(s) == (degree_entry(s, alpha),) == (2,)
 
 
 def test_lens_gamma_is_a_single_cycle_edge():

@@ -15,14 +15,24 @@ from stellar import (
 from stellar.homology import (
     AbelianGroup,
     _dense_snf,
+    boundary_matrices,
     complex_h1,
-    homology_from_boundaries,
-    integer_rank,
-    simplicial_boundary_matrices,
+    simplicial_cells,
     smith_normal_form,
     z2_betti_from_boundaries,
     z2_rank,
 )
+
+
+def integer_rank(rows):
+    return len(smith_normal_form(rows))
+
+
+def full_snf_h1(n1, d1, d2):
+    """H1 with no forest: the rank of the whole d1 and the SNF of the whole
+    d2, the reference for `homology_from_boundaries`."""
+    snf = smith_normal_form(d2)
+    return AbelianGroup(n1 - integer_rank(d1) - len(snf), tuple(d for d in snf if d > 1))
 
 
 def sparse(rows):
@@ -86,8 +96,8 @@ def test_mod2_concordance_random():
         while len(gens) < 5:
             gens.add(tuple(sorted(rng.sample(range(1, 8), 3))))
         k = Complex(gens)
-        n1, d1, d2 = simplicial_boundary_matrices(k)
-        group = homology_from_boundaries(n1, d1, d2)
+        n1, d1, d2 = boundary_matrices(*simplicial_cells(k))
+        group = complex_h1(k)
         assert group.z2_betti() == z2_betti_from_boundaries(n1, d1, d2)
 
 
@@ -139,6 +149,34 @@ def test_h1_of_the_non_sphere_controls(non_sphere_controls):
         assert complex_h1(m) == group
         quotient = QuotientComplex.from_structure(build_structure(m).structure)
         assert quotient.h1() == group
+
+
+def test_forest_h1_equals_the_full_snf(cycle_join, random_subdivision, non_sphere_controls):
+    # H1 from the rows of d2 outside a spanning forest, against the rank of
+    # the whole d1 and the SNF of the whole d2
+    quotients = []
+    for q in range(2, 66):
+        for p in {1, next((p for p in range(2, q) if math.gcd(p, q) == 1), 1)}:
+            quotients.append(QuotientComplex.from_structure(lens_structure(q, p)))
+    rng = random.Random(9)
+    spheres = [random_subdivision(rng, cycle_join(3, 4), n) for n in (0, 3, 8)]
+    for m in spheres + non_sphere_controls:
+        quotients.append(QuotientComplex.from_structure(build_structure(m).structure))
+    for q in quotients:
+        assert q.h1() == full_snf_h1(*q.boundary_matrices())
+    # seeded random complexes: triangles, edges and vertices on few vertices,
+    # often disconnected, through `complex_h1`
+    rng = random.Random(65)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        gens = set()
+        for _ in range(rng.randint(1, 12)):
+            size = rng.choice((1, 2, 3, 3, 3, 4)) if n >= 4 else rng.randint(1, min(n, 3))
+            gens.add(tuple(sorted(rng.sample(range(1, n + 1), size))))
+        k = Complex(gens)
+        assert complex_h1(k) == full_snf_h1(*boundary_matrices(*simplicial_cells(k))), k
+    for m in non_sphere_controls:
+        assert complex_h1(m) == full_snf_h1(*boundary_matrices(*simplicial_cells(m)))
 
 
 def test_non_sphere_controls_are_never_recognised(non_sphere_controls):

@@ -235,3 +235,46 @@ def test_cell_of_returns_representative():
     rep, _sign = q.cell_of((min(poles),))
     rep2, _sign2 = q.cell_of((max(poles),))
     assert rep == rep2
+
+
+def test_face_numbers_agree_with_cell_of(random_subdivision, cycle_join, non_sphere_controls):
+    # the report reads cells through face numbers; each number must name the
+    # face that `cell_of` names, and each facet number the facet it stands for
+    structures = [lens_structure(q, p) for q, p in ((2, 1), (5, 2), (13, 5), (17, 3))]
+    structures += [fold_structure(n) for n in (3, 6)]
+    rng = random.Random(17)
+    spheres = [random_subdivision(rng, standard_sphere(3), 5), cycle_join(4, 5)]
+    structures += [build_structure(m).structure for m in spheres + non_sphere_controls]
+    for s in structures:
+        q = QuotientComplex.from_structure(s)
+        assert q._faces == sorted(s.sphere.closure(), key=lambda f: (len(f), f))
+        for r, face in enumerate(q._faces):
+            below = list(itertools.combinations(face, len(face) - 1)) if len(face) > 1 else []
+            assert [q._faces[f] for f in q._facets[r]] == below, face
+            root, parity = q._uf.find(r)
+            assert q.cell_of(face) == (q._faces[root], parity), face
+        for d, roots in q._roots.items():
+            assert [q._faces[r] for r in roots] == q.cells[d]
+            for r in roots:
+                assert [q._faces[f] for f in q._classes[r]] == q.members[q._faces[r]]
+        gens = s.sphere.sorted_generators()
+        assert [q._faces[r] for r in q._generators] == gens
+        assert [(gens[i], gens[j]) for i, j in q._pairs] == list(s.equivalence.generator_pairs)
+        assert q._closed() is s.is_closed
+
+
+def test_chains_read_the_cells_as_cell_of_does():
+    # the facets of each edge and two-cell, read by number, against the
+    # same cells found through `cell_of`
+    for s in (lens_structure(7, 2), lens_structure(17, 3), fold_structure(5)):
+        q = QuotientComplex.from_structure(s)
+        n0, *chains = q._chains()
+        verts, edges, tris = (q.cells.get(d, []) for d in range(3))
+        assert n0 == len(verts)
+        at = {c: i for level in (verts, edges) for i, c in enumerate(level)}
+        for cells, level in zip(chains, (edges, tris)):
+            expected = []
+            for c in level:
+                facets = [q.cell_of(f) for f in itertools.combinations(c, len(c) - 1)]
+                expected.append([(at[f], parity) for f, parity in facets])
+            assert cells == expected
