@@ -183,8 +183,11 @@ def _dispatch(args: argparse.Namespace) -> None:
         structure = io.parse_structure(_read(args.input))
         gamma = gamma_graph(structure)
         if args.dot:
-            with open(args.dot, "w", encoding="utf-8") as handle:
-                handle.write(gamma.to_dot() + "\n")
+            try:
+                with open(args.dot, "w", encoding="utf-8") as handle:
+                    handle.write(gamma.to_dot() + "\n")
+            except OSError as exc:
+                raise ParseError(f"cannot write {args.dot}: {exc}") from exc
         _emit(
             {
                 "vertices": list(gamma.vertices),

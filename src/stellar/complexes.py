@@ -10,7 +10,19 @@ link of a generator inside itself.  Public parsers never accept it.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Set, Tuple
+from collections import Counter
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    NamedTuple,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from .errors import ComplexError
 
@@ -248,6 +260,75 @@ def star_index(gens: Iterable[Simplex]) -> Dict[int, List[Simplex]]:
     return out
 
 
+def _facet_list(cells: Iterable[Simplex], d: int) -> List[Simplex]:
+    """The facets of the d-simplexes `cells`, cell by cell; each cell's come
+    in `combinations` order, which drops the last vertex first, as in
+    `star_index`."""
+    if not d:
+        return []
+    faces = map(itertools.combinations, cells, itertools.repeat(d))
+    return list(itertools.chain.from_iterable(faces))
+
+
+class _FaceTable(NamedTuple):
+    """Every face of a complex, ranked by (dimension, face).
+
+    levels[d] lists the d-faces in order; a face's rank is its place in
+    levels[0] + levels[1] + ....  facets[r] lists the ranks of the facets of
+    the face of rank r.  `closed` tells whether every facet of a top cell
+    lies in an even number of top cells.
+    """
+
+    levels: List[List[Simplex]]
+    facets: List[Sequence[int]]
+    closed: bool
+
+    @property
+    def chi(self) -> int:
+        return sum(-len(level) if d % 2 else len(level) for d, level in enumerate(self.levels))
+
+
+def _face_table(
+    top: List[Simplex], below: List[Simplex], lower: Iterable[Simplex] = ()
+) -> _FaceTable:
+    """The face table of the sorted top-dimensional cells `top`, whose facets
+    `below` lists as `_facet_list` gives them, and of the lower cells
+    `lower`, from one top-down pass; with no cells, the table is empty.
+
+    Each level takes its facets with one `combinations` per cell and is
+    sorted once, so ranking needs no key function; the facets' ranks are
+    read off each level's position map at the end.
+    """
+    dim = len(top[0]) - 1 if top else -1
+    closed = all(n % 2 == 0 for n in Counter(below).values())
+    extra: Dict[int, List[Simplex]] = {}
+    for g in lower:
+        extra.setdefault(len(g) - 1, []).append(g)
+    levels, faces = [top], [below]
+    for d in range(dim - 1, -1, -1):
+        level = sorted(set(faces[-1]).union(extra.get(d, ())))
+        levels.append(level)
+        faces.append(_facet_list(level, d))
+    levels.reverse()
+    faces.reverse()
+    facets: List[Sequence[int]] = [()] * len(levels[0])
+    for d in range(1, dim + 1):
+        rank = dict(zip(levels[d - 1], itertools.count(len(facets) - len(levels[d - 1]))))
+        # a d-cell has d + 1 facets, consecutive in faces[d]
+        ranks = map(rank.__getitem__, faces[d])
+        facets.extend(zip(*[ranks] * (d + 1)))
+    return _FaceTable(levels, facets, closed)
+
+
+def face_table(k: Complex) -> _FaceTable:
+    """The face table of the nonempty generators of `k`: those of the top
+    dimension, sorted, and the rest as lower cells."""
+    gens = [g for g in k.generators if g]
+    size = max(map(len, gens), default=0)
+    top = sorted(g for g in gens if len(g) == size)
+    return _face_table(top, _facet_list(top, size - 1), [g for g in gens if len(g) < size])
+
+
 def connected(gens: Iterable[Simplex]) -> bool:
     """Whether the union of the simplexes `gens` is connected; an empty
     union is."""
@@ -278,38 +359,67 @@ def star_connected(star: Mapping[int, Iterable[Simplex]]) -> bool:
 
 
 class UnionFind:
-    """Disjoint sets of hashable elements, with path halving.
+    """Union-find on the integers 0..n-1 where each element carries a sign
+    relative to its root.  The least element of a class is its root."""
 
-    Elements join as singletons when passed to the constructor or first
-    seen by `find` or `union`.  `union(x, y)` hangs the class of `x` under the root of `y`, so roots
-    depend only on the order of the unions.
-    """
+    def __init__(self, n: int) -> None:
+        self._parent = list(range(n))
+        self._parity = [0] * n
+        self.conflicts: Set[int] = set()  # roots of classes with clashing signs
 
-    def __init__(self, elements: Iterable[Hashable] = ()) -> None:
-        self._parent: Dict[Hashable, Hashable] = {x: x for x in elements}
-
-    def find(self, x: Hashable) -> Hashable:
-        parent = self._parent
-        parent.setdefault(x, x)
+    def find(self, x: int) -> Tuple[int, int]:
+        """(root, parity of x against the root), with path compression."""
+        parent, signs = self._parent, self._parity
+        up = parent[x]
+        if parent[up] == up:  # x is a root or hangs under one
+            return up, signs[x]
+        path = []
+        parity = 0
         while parent[x] != x:
-            parent[x] = parent[parent[x]]
+            path.append(x)
+            parity ^= signs[x]
             x = parent[x]
-        return x
+        total = parity
+        for node in path:  # a node's parity to the root is what is left
+            above = signs[node]
+            parent[node] = x
+            signs[node] = parity
+            parity ^= above
+        return x, total
 
-    def union(self, x: Hashable, y: Hashable) -> bool:
-        """Merge the classes of `x` and `y`; False when they were one."""
-        rx, ry = self.find(x), self.find(y)
+    def union(self, x: int, y: int, parity: int = 0) -> bool:
+        """Record that x and y agree up to `parity`; False when they were
+        one class already."""
+        rx, px = self.find(x)
+        ry, py = self.find(y)
         if rx == ry:
+            if px ^ py != parity:
+                self.conflicts.add(rx)
             return False
-        self._parent[rx] = ry
+        if ry < rx:
+            rx, ry = ry, rx
+        self._parent[ry] = rx
+        self._parity[ry] = px ^ py ^ parity
+        if ry in self.conflicts:
+            self.conflicts.discard(ry)
+            self.conflicts.add(rx)
         return True
 
-    def groups(self) -> Dict[Hashable, Set[Hashable]]:
-        """Root -> members, for every element added so far."""
-        out: Dict[Hashable, Set[Hashable]] = {}
-        for x in self._parent:
-            out.setdefault(self.find(x), set()).add(x)
-        return out
+    def members(self) -> Dict[int, List[int]]:
+        """Root -> members in increasing order.  Every element is hung
+        straight under its root on the way: a parent is never greater than
+        its child, so one increasing pass finds each parent done."""
+        parent, signs = self._parent, self._parity
+        groups: Dict[int, List[int]] = {}
+        for x, up in enumerate(parent):
+            if up == x:
+                groups[x] = [x]
+            else:
+                root = parent[up]
+                parent[x] = root
+                signs[x] ^= signs[up]
+                groups[root].append(x)
+        return groups
 
 
 def cone(a: int) -> Complex:

@@ -41,14 +41,16 @@ def face_classes(structure: StellarStructure) -> List[FrozenSet[Simplex]]:
     """
     sphere = structure.sphere
     cls = structure.equivalence.class_of(sphere)
-    uf = UnionFind(
-        f for g in sphere.generators for f in itertools.combinations(g, len(g) - 1)
-    )
-    for g, p in structure.equivalence.generator_pairs:
+    pairs = structure.equivalence.generator_pairs
+    cells = itertools.chain(sphere.generators, *pairs)  # paired simplexes too
+    facets = sorted({f for g in cells for f in itertools.combinations(g, len(g) - 1)})
+    index = {f: i for i, f in enumerate(facets)}
+    uf = UnionFind(len(facets))
+    for g, p in pairs:
         phi = pair_matching(g, p, cls)
         for f in itertools.combinations(g, len(g) - 1):
-            uf.union(f, tuple(sorted(phi[v] for v in f)))
-    return sorted((frozenset(s) for s in uf.groups().values()), key=sorted)
+            uf.union(index[f], index[tuple(sorted(phi[v] for v in f))])
+    return [frozenset(map(facets.__getitem__, m)) for m in uf.members().values()]
 
 
 def _swap(sides: Iterable[Tuple[Simplex, Sequence[int]]]) -> Swap:
@@ -249,19 +251,19 @@ def internally_flat_complexes(
     edge swaps, with orbits matched up by the pairing involution."""
     quotient, pair, swaps = _shell_swaps(structure)
     gens = [quotient._faces[r] for r in quotient._generators]
-    uf = UnionFind(range(len(gens)))  # orbits under the generated group
+    uf = UnionFind(len(gens))  # orbits under the generated group
     for _, swap in swaps:
         if _orders(pair, swap)[1] == 2 and not _folds(pair, swap):
             for i, j in swap.items():
                 uf.union(i, j)
-    orbits = uf.groups()
+    orbits = uf.members()
     done: Set[int] = set()
     out = []
-    for root, members in sorted(orbits.items()):
+    for root, members in orbits.items():
         if root in done:
             continue
-        image_root = uf.find(pair[root])
-        if {uf.find(pair[i]) for i in members} != {image_root}:
+        image_root = uf.find(pair[root])[0]
+        if {uf.find(pair[i])[0] for i in members} != {image_root}:
             raise StructureError("the pairing does not carry orbits to orbits")
         done.update((root, image_root))
         out.append(
@@ -319,5 +321,5 @@ def _gamma(quotient: QuotientComplex, orders: ClassOrders) -> GammaGraph:
 
 def has_circuit(gamma: GammaGraph) -> bool:
     """A multigraph has a circuit iff it has more edges than a forest allows."""
-    uf = UnionFind(gamma.vertices)
+    uf = UnionFind(max(gamma.vertices, default=-1) + 1)
     return not all(uf.union(a, b) for a, b, _ in gamma.edges)

@@ -212,7 +212,7 @@ def homology_from_boundaries(n0: int, edges: Cells, tris: Cells) -> AbelianGroup
     cycle closing e through T maps to e), so H1 = Z^(E - T) / pi(im d2):
     only the rows of d2 of the edges outside T go through the SNF, and d1
     through none."""
-    forest = UnionFind(range(n0))
+    forest = UnionFind(n0)
     outside = [j for j, ((u, _), (v, _)) in enumerate(edges) if not forest.union(u, v)]
     d2 = _rows(len(edges), tris, 2)
     snf = smith_normal_form([d2[j] for j in outside])

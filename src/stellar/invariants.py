@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, count
 from typing import Dict, List, Optional, Tuple, Union
 
 from .complexes import Complex, Simplex, UnionFind
@@ -14,8 +14,8 @@ from .errors import StructureError
 from .group import _class_orders, _degree, _gamma, has_circuit, GammaGraph
 from .homology import AbelianGroup, complex_h1
 from .manifold import check_manifold
-from .moves import free_face_collapse
-from .quotient import QuotientComplex, SignedUnionFind, StellarStructure
+from .moves import _collapse_ranks
+from .quotient import QuotientComplex, StellarStructure
 from .structure import _verify, build_structure
 
 
@@ -66,36 +66,39 @@ def classify_flat_quotient(q: QuotientComplex) -> SurfaceClass:
     if q.cells.get(3):
         return SurfaceClass("Other", chi, detail="has cells above dimension two")
     verts, tris = q.cells.get(0, []), q.cells.get(2, [])
-    vcell = {v: c for c in verts for (v,) in q.members[c]}
+    vcell = {v: i for i, c in enumerate(verts) for (v,) in q.members[c]}
     corners = [tuple(vcell[v] for v in t) for t in tris]
     inc: Dict[Simplex, List[Tuple[int, int, int]]] = {e: [] for e in q.cells.get(1, [])}
     for ti, t in enumerate(tris):
         for side, face in enumerate([(t[1], t[2]), (t[0], t[2]), (t[0], t[1])]):
             root, parity = q.cell_of(face)
             inc[root].append((ti, side, parity))
-    links = UnionFind((ti, v) for ti, c in enumerate(corners) for v in c)
-    rim, sheets = UnionFind(), SignedUnionFind(len(tris))
+    # corner k of triangle t is 3t + k
+    links, rim, sheets = UnionFind(3 * len(tris)), UnionFind(len(verts)), UnionFind(len(tris))
+    circles = 0
     for (t1, s1, p1), *glued in filter(None, inc.values()):
         ends = corners[t1][:s1] + corners[t1][s1 + 1:]  # side s omits position s
         if not glued:
-            rim.union(*ends)
+            # the rim is a union of circles, with as many edges as vertices,
+            # so each circle closes with one union that merges nothing
+            circles += not rim.union(*ends)
         elif len(glued) == 1:
             ((t2, s2, p2),) = glued
             for v in ends:
-                links.union((t1, v), (t2, v))
+                links.union(3 * t1 + corners[t1].index(v), 3 * t2 + corners[t2].index(v))
             # side s has sign (-1)^s in the boundary of its triangle, and
             # coherent sheets induce opposite signs on the edge cell
             sheets.union(t1, t2, 1 ^ (s1 + s2 + p1 + p2) % 2)
-    split = Counter(v for _, v in links.groups())
+    split = Counter(corners[c // 3][c % 3] for c in links.members())
     problem = next(chain(
         (f"edge cell {e} lies in {len(h)} two-cells" for e, h in inc.items() if len(h) > 2),
-        (f"isolated vertex cell {v}" for v in verts if not split[v]),
+        (f"isolated vertex cell {v}" for i, v in enumerate(verts) if not split[i]),
         (f"edge cell {e} lies in no two-cell" for e, h in inc.items() if not h),
-        (f"vertex cell {v} has a disconnected link" for v in verts if split[v] > 1),
+        (f"vertex cell {v} has a disconnected link" for i, v in enumerate(verts) if split[i] > 1),
     ), "")
     if problem:
         return SurfaceClass("Other", chi, detail=problem)
-    components, circles = len(sheets.members()), len(rim.groups())
+    components = len(sheets.members())
     orientable = not sheets.conflicts
     if components > 1:
         return SurfaceClass("Other", chi, orientable, circles, f"{components} components")
@@ -106,12 +109,14 @@ def classify_flat_quotient(q: QuotientComplex) -> SurfaceClass:
 
 def quotient_collapses_to_point(q: QuotientComplex) -> bool:
     """Free-face collapse on the quotient cells; True when one 0-cell remains.
-    Cells go by their least faces' numbers, which follow (dimension, face)
-    order; a cell's facets are its least face's, found in the union-find."""
+    Cells are ranked by their least faces' numbers, which follow (dimension,
+    face) order; a cell's facets are its least face's, found in the
+    union-find."""
     find, facets = q._uf.find, q._facets
-    dim = {root: d for d, roots in q._roots.items() for root in roots}
-    alive = free_face_collapse(dim, lambda c: {find(f)[0] for f in facets[c]})
-    return len(alive) == 1 and dim[next(iter(alive))] == 0
+    roots = sorted(q._classes)
+    rank = dict(zip(roots, count()))
+    left = _collapse_ranks([list({rank[find(f)[0]] for f in facets[c]}) for c in roots])
+    return len(left) == 1 and len(q._faces[roots[left[0]]]) == 1
 
 
 def prism_cell_counts(q: QuotientComplex) -> Dict[int, int]:

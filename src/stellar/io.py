@@ -84,10 +84,14 @@ def parse_structure(data: Any) -> StellarStructure:
     sphere = parse_complex(data["sphere"])
     eq = parse_equivalence(data["equivalence"])
     structure = StellarStructure(apex, sphere, eq)
-    if "closed" in data and bool(data["closed"]) != structure.is_closed:
-        raise ParseError(
-            f'structure claims closed={data["closed"]} but the pairing says otherwise'
-        )
+    if "closed" in data:
+        closed = data["closed"]
+        if not isinstance(closed, bool):
+            raise ParseError('"closed" must be true or false')
+        if closed != structure.is_closed:
+            raise ParseError(
+                f"structure claims closed={closed} but the pairing says otherwise"
+            )
     return structure
 
 

@@ -101,12 +101,19 @@ def make_regular(
         if start in repaired:
             continue
         # the orbit is the class of `start` when each edge e of a paired
-        # generator is joined to its image phi(e)
-        edges = UnionFind([start])
-        for (g, _), phi in table.items():
-            for e in combinations(g, 2):
-                edges.union(e, _tri(*(phi[v] for v in e)))
-        orbit = edges.groups()[edges.find(start)]
+        # generator is joined to its image phi(e).  The edges are numbered
+        # as met, `start` first, so the orbit is the class rooted at 0
+        number = {start: 0}
+        joins = [
+            [number.setdefault(f, len(number)) for f in (e, _tri(*(phi[v] for v in e)))]
+            for (g, _), phi in table.items()
+            for e in combinations(g, 2)
+        ]
+        edges = UnionFind(len(number))
+        for e, image in joins:
+            edges.union(e, image)
+        faces = list(number)
+        orbit = {faces[i] for i in edges.members()[0]}
         repaired |= orbit
         mid = {e: alloc.fresh() for e in sorted(orbit)}
         held: Dict[Simplex, Tuple[Simplex, int]] = {}

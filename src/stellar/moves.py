@@ -6,29 +6,18 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import (
-    Callable,
-    Dict,
-    FrozenSet,
-    Hashable,
-    Iterable,
-    List,
-    Mapping,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .complexes import (
     EMPTY,
     Complex,
     Simplex,
+    _face_table,
+    _facet_list,
     cone,
+    face_table,
     simplex,
     simplex_boundary,
     star_connected,
@@ -287,87 +276,8 @@ def _collapse_ranks(facets: Sequence[Sequence[int]], gone: Iterable[int] = ()) -
     return [c for c, n in enumerate(live) if n >= 0]
 
 
-def free_face_collapse(
-    dim: Mapping[Hashable, int],
-    facets_of: Callable[[Hashable], Iterable[Hashable]],
-) -> Set[Hashable]:
-    """Greedy free-face collapse of a cell poset; returns the cells left.
-
-    `dim` gives every cell's dimension and `facets_of` its codimension-one
-    faces, each once.  The free cell least by (dimension, cell) goes first;
-    see `_collapse_ranks`.  The cells are ranked once by (dimension, cell):
-    bucketed by dimension, each bucket sorted on its own.
-    """
-    buckets: Dict[int, List[Hashable]] = {}
-    for c, d in dim.items():
-        buckets.setdefault(d, []).append(c)
-    cells = [c for d in sorted(buckets) for c in sorted(buckets[d])]
-    rank = {c: i for i, c in enumerate(cells)}
-    left = _collapse_ranks([[rank[f] for f in facets_of(c)] for c in cells])
-    return {cells[c] for c in left}
-
-
 def _facets(s: Simplex) -> Iterable[Simplex]:
     return itertools.combinations(s, len(s) - 1) if len(s) > 1 else ()
-
-
-def _facet_list(cells: Iterable[Simplex], d: int) -> List[Simplex]:
-    """The facets of the d-simplexes `cells`, cell by cell; each cell's come
-    in `combinations` order, which drops the last vertex first."""
-    if not d:
-        return []
-    faces = map(itertools.combinations, cells, itertools.repeat(d))
-    return list(itertools.chain.from_iterable(faces))
-
-
-class _FaceTable(NamedTuple):
-    """Every face of a complex, ranked by (dimension, face).
-
-    levels[d] lists the d-faces in order; a face's rank is its place in
-    levels[0] + levels[1] + ....  facets[r] lists the ranks of the facets of
-    the face of rank r.  `closed` tells whether every facet of a top cell
-    lies in an even number of top cells.
-    """
-
-    levels: List[List[Simplex]]
-    facets: List[Sequence[int]]
-    closed: bool
-
-    @property
-    def chi(self) -> int:
-        return sum(-len(level) if d % 2 else len(level) for d, level in enumerate(self.levels))
-
-
-def _face_table(
-    top: List[Simplex], below: List[Simplex], lower: Iterable[Simplex] = ()
-) -> _FaceTable:
-    """The face table of the sorted top-dimensional cells `top`, whose facets
-    `below` lists as `_facet_list` gives them, and of the lower cells
-    `lower`, from one top-down pass; with no cells, the table is empty.
-
-    Each level takes its facets with one `combinations` per cell and is
-    sorted once, so ranking needs no key function; the facets' ranks are
-    read off each level's position map at the end.
-    """
-    dim = len(top[0]) - 1 if top else -1
-    closed = all(n % 2 == 0 for n in Counter(below).values())
-    extra: Dict[int, List[Simplex]] = {}
-    for g in lower:
-        extra.setdefault(len(g) - 1, []).append(g)
-    levels, faces = [top], [below]
-    for d in range(dim - 1, -1, -1):
-        level = sorted(set(faces[-1]).union(extra.get(d, ())))
-        levels.append(level)
-        faces.append(_facet_list(level, d))
-    levels.reverse()
-    faces.reverse()
-    facets: List[Sequence[int]] = [()] * len(levels[0])
-    for d in range(1, dim + 1):
-        rank = dict(zip(levels[d - 1], itertools.count(len(facets) - len(levels[d - 1]))))
-        # a d-cell has d + 1 facets, consecutive in faces[d]
-        ranks = map(rank.__getitem__, faces[d])
-        facets.extend(zip(*[ranks] * (d + 1)))
-    return _FaceTable(levels, facets, closed)
 
 
 def collapse_greedy(k: Complex) -> Complex:
@@ -377,12 +287,7 @@ def collapse_greedy(k: Complex) -> Complex:
     by (dimension, lexicographic) order.  Returns the residue as a complex
     of its maximal faces.
     """
-    gens = [g for g in k.generators if g]
-    if not gens:
-        return Complex()
-    dim = max(map(len, gens)) - 1
-    top = sorted(g for g in gens if len(g) > dim)
-    table = _face_table(top, _facet_list(top, dim), [g for g in gens if len(g) <= dim])
+    table = face_table(k)
     cells = list(itertools.chain.from_iterable(table.levels))
     alive = {cells[c] for c in _collapse_ranks(table.facets)}
     return Complex(alive - {h for g in alive for h in _facets(g)})

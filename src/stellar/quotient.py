@@ -8,7 +8,7 @@ from functools import cached_property, lru_cache
 from itertools import chain, combinations, count
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .complexes import Complex, Simplex, simplex
+from .complexes import Complex, Simplex, UnionFind, face_table, simplex
 from .errors import EquivalenceError
 from .homology import (
     AbelianGroup,
@@ -18,7 +18,6 @@ from .homology import (
     homology_from_boundaries,
     z2_betti_from_boundaries,
 )
-from .moves import _face_table, _facet_list
 
 Matching = Dict[int, int]  # vertex of a generator -> vertex of its partner
 # (problems, vertex -> class id, each pair's matching or None)
@@ -34,68 +33,6 @@ def _sort_parity(seq: Sequence[int]) -> int:
             if seq[i] > seq[j]:
                 parity ^= 1
     return parity
-
-
-class SignedUnionFind:
-    """Union-find on the integers 0..n-1 where each element carries a sign
-    relative to its root.  The least element of a class is its root."""
-
-    def __init__(self, n: int) -> None:
-        self._parent = list(range(n))
-        self._parity = [0] * n
-        self.conflicts: Set[int] = set()  # roots of classes with clashing signs
-
-    def find(self, x: int) -> Tuple[int, int]:
-        """(root, parity of x against the root), with path compression."""
-        parent, signs = self._parent, self._parity
-        up = parent[x]
-        if parent[up] == up:  # x is a root or hangs under one
-            return up, signs[x]
-        path = []
-        parity = 0
-        while parent[x] != x:
-            path.append(x)
-            parity ^= signs[x]
-            x = parent[x]
-        total = parity
-        for node in path:  # a node's parity to the root is what is left
-            above = signs[node]
-            parent[node] = x
-            signs[node] = parity
-            parity ^= above
-        return x, total
-
-    def union(self, x: int, y: int, parity: int) -> None:
-        """Record that x and y agree up to `parity`."""
-        rx, px = self.find(x)
-        ry, py = self.find(y)
-        if rx == ry:
-            if px ^ py != parity:
-                self.conflicts.add(rx)
-            return
-        if ry < rx:
-            rx, ry = ry, rx
-        self._parent[ry] = rx
-        self._parity[ry] = px ^ py ^ parity
-        if ry in self.conflicts:
-            self.conflicts.discard(ry)
-            self.conflicts.add(rx)
-
-    def members(self) -> Dict[int, List[int]]:
-        """Root -> members in increasing order.  Every element is hung
-        straight under its root on the way: a parent is never greater than
-        its child, so one increasing pass finds each parent done."""
-        parent, signs = self._parent, self._parity
-        groups: Dict[int, List[int]] = {}
-        for x, up in enumerate(parent):
-            if up == x:
-                groups[x] = [x]
-            else:
-                root = parent[up]
-                parent[x] = root
-                signs[x] ^= signs[up]
-                groups[root].append(x)
-        return groups
 
 
 @dataclass(frozen=True)
@@ -264,8 +201,8 @@ class QuotientComplex:
 
     Cells are classes of faces under the identifications induced, pair by
     pair, by the class-respecting vertex matchings.  The faces of the
-    sphere are numbered once, in (dimension, lexicographic) order, by the
-    face table of `moves`: `_faces` lists them, and `_facets[r]` lists the
+    sphere are numbered once, in (dimension, lexicographic) order, by
+    `complexes.face_table`: `_faces` lists them, and `_facets[r]` lists the
     numbers of the facets of face r in `combinations` order.  Each pair
     reads its generators' face numbers off that table and joins them
     through the `_face_plan` of its matching, in a signed union-find on the
@@ -285,16 +222,12 @@ class QuotientComplex:
     ) -> None:
         self.sphere = sphere
         self.vertex_class = cls
-        gens = [g for g in sphere.generators if g]
-        size = max(map(len, gens), default=0)
-        top = sorted(g for g in gens if len(g) == size)
-        lower = [g for g in gens if len(g) < size]
-        table = _face_table(top, _facet_list(top, size - 1), lower)
+        table = face_table(sphere)
         faces = list(chain.from_iterable(table.levels))
         index = dict(zip(faces, count()))
         facets = table.facets
-        generators = sorted(map(index.__getitem__, gens))
-        uf = SignedUnionFind(len(faces))
+        generators = sorted(index[g] for g in sphere.generators if g)
+        uf = UnionFind(len(faces))
         numbered = []
         for (g, p), phi in zip(pairs, matchings):
             sigma = tuple(map(p.index, map(phi.__getitem__, g)))  # positions in p

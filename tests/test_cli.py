@@ -133,6 +133,16 @@ def test_gamma_writes_dot(tmp_path):
     assert text.startswith("graph gamma {")
 
 
+def test_gamma_reports_an_unwritable_dot_file_as_json(tmp_path):
+    _, lens_out, _ = run(["lens", "3", "1"])
+    dot_file = tmp_path / "missing" / "gamma.dot"
+    code, out, err = run(["gamma", "-", "--dot", str(dot_file)], lens_out)
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert error["kind"] == "parse"
+    assert error["error"].startswith(f"cannot write {dot_file}")
+
+
 def test_collapse_triangle():
     code, out, _ = run(["collapse", "-"], '{"generators": [[1, 2, 3]]}')
     assert code == 0

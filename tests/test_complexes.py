@@ -151,11 +151,37 @@ def test_connected_matches_a_spanning_forest():
     assert connected([(3, 4), (1, 2), (2, 3)])
     for k in complex_zoo(random.Random(17)):
         # connected exactly when a spanning forest has |V| - 1 edges
-        uf = UnionFind()
+        uf = UnionFind(k.max_label() + 1)
         merges = sum(uf.union(g[0], v) for g in k.generators if g for v in g[1:])
         assert connected(k.generators) is (merges == max(len(k.vertices()) - 1, 0))
         # the same search on the link generators of the star index
         assert star_connected(star_index(k.generators)) is connected(k.generators)
+
+
+def test_union_find_merges_each_pair_of_classes_once():
+    uf = UnionFind(4)
+    assert uf.union(2, 3) and uf.union(3, 1)
+    assert not uf.union(1, 2)  # already one class
+    assert not uf.conflicts
+    assert uf.find(3) == (1, 0)  # the least element is the root
+
+
+def test_union_find_moves_a_parity_clash_to_the_smaller_root():
+    uf = UnionFind(5)
+    uf.union(3, 4, 1)
+    assert not uf.union(4, 3, 0)  # 3 and 4 already differ in sign
+    assert uf.conflicts == {3}
+    uf.union(4, 1)  # the clashing class hangs under 1
+    assert uf.conflicts == {1}
+    assert uf.find(4) == (1, 0) and uf.find(3) == (1, 1)
+
+
+def test_union_find_members_are_ascending_under_the_least_element():
+    uf = UnionFind(7)
+    for x, y in [(6, 4), (5, 2), (4, 2), (3, 0)]:
+        uf.union(x, y)
+    assert uf.members() == {0: [0, 3], 1: [1], 2: [2, 4, 5, 6]}
+    assert list(uf.members()) == [0, 1, 2]
 
 
 def test_closure_and_faces():

@@ -336,3 +336,11 @@ def test_has_circuit_detects_parallel_edges():
 
     assert has_circuit(GammaGraph((0, 1), ((0, 1, 4), (0, 1, 6))))
     assert not has_circuit(GammaGraph((0, 1, 2), ((0, 1, 4), (1, 2, 6))))
+
+
+def test_has_circuit_on_vertex_ids_with_gaps():
+    from stellar.group import GammaGraph
+
+    assert not has_circuit(GammaGraph((0, 5, 9), ((0, 5, 4), (5, 9, 6))))
+    assert has_circuit(GammaGraph((0, 5, 9), ((0, 5, 4), (5, 9, 6), (0, 9, 8))))
+    assert not has_circuit(GammaGraph((), ()))

@@ -55,6 +55,13 @@ def test_structure_closed_flag_is_verified():
     data["closed"] = False
     with pytest.raises(ParseError):
         parse_structure(data)
+    # the flag is a JSON boolean: bool() would read "false" as true and so
+    # accept it on this closed structure
+    assert s.is_closed
+    for flag in ("false", "true", 1, 0, None):
+        data["closed"] = flag
+        with pytest.raises(ParseError, match='"closed" must be true or false'):
+            parse_structure(data)
 
 
 def test_loads_reports_json_errors():

@@ -27,15 +27,12 @@ from stellar import (
     subdivide,
     weld,
 )
-from stellar.complexes import LabelAllocator, cofaces, connected, star_index
+from stellar.complexes import LabelAllocator, cofaces, connected, face_table, star_index
 from stellar.invariants import quotient_collapses_to_point
 from stellar.moves import (
     _collapse_ranks,
-    _face_table,
-    _facet_list,
     _facets,
     _recognize_dim2,
-    free_face_collapse,
     prism_offset,
     weld_factor,
 )
@@ -172,6 +169,14 @@ def test_collapse_circle_has_no_free_face():
     assert_collapses_agree(circle)
 
 
+def ranked_collapse(dim, facets_of):
+    """`_collapse_ranks` on a cell poset with the cells ranked by (dimension,
+    cell); returns the cells left."""
+    cells = sorted(dim, key=lambda c: (dim[c], c))
+    rank = {c: i for i, c in enumerate(cells)}
+    return {cells[c] for c in _collapse_ranks([[rank[f] for f in facets_of(c)] for c in cells])}
+
+
 def reference_collapse(dim, facets_of):
     """The free-face collapse as first written: cofaces listed afresh on
     every query, the same heap order."""
@@ -273,9 +278,9 @@ def test_collapse_removal_order_is_pinned(random_subdivision, non_sphere_control
     )
     for k in collapse_inputs(random_subdivision, non_sphere_controls):
         dim = {f: len(f) - 1 for f in k.closure()}
-        assert free_face_collapse(dim, _facets) == reference_collapse(dim, _facets)
+        assert ranked_collapse(dim, _facets) == reference_collapse(dim, _facets)
         q = quotient_poset(QuotientComplex.from_complex(k))
-        assert free_face_collapse(*q) == reference_collapse(*q)
+        assert ranked_collapse(*q) == reference_collapse(*q)
     # quotients with cells in three or more cofaces: two edge cells of
     # lens_structure(17, 3) lie in 17 triangle cells, and the vertex cells of
     # fold_structure(6) in 3 or 6 edge cells.  The lens quotient has no free
@@ -284,14 +289,14 @@ def test_collapse_removal_order_is_pinned(random_subdivision, non_sphere_control
         dim, facets_of = quotient_poset(QuotientComplex.from_structure(s))
         least = min(c for c, d in dim.items() if d == 2)
         for cells in (dim, {c: d for c, d in dim.items() if c != least}):
-            assert free_face_collapse(cells, facets_of) == reference_collapse(cells, facets_of)
+            assert ranked_collapse(cells, facets_of) == reference_collapse(cells, facets_of)
     # integer cells whose labels disagree with their dimensions: the faces of
     # the torus minus a facet, renamed by a seeded shuffle
     faces = sorted(minus_least_facet(TORUS7).closure())
     name = dict(zip(faces, random.Random(1).sample(range(len(faces)), len(faces))))
     dim = {name[f]: len(f) - 1 for f in faces}
     below = {name[f]: [name[h] for h in _facets(f)] for f in faces}
-    assert free_face_collapse(dim, below.__getitem__) == reference_collapse(dim, below.__getitem__)
+    assert ranked_collapse(dim, below.__getitem__) == reference_collapse(dim, below.__getitem__)
 
 
 def test_collapse_frees_the_facets_of_a_cell_left_maximal():
@@ -303,7 +308,7 @@ def test_collapse_frees_the_facets_of_a_cell_left_maximal():
     dim = {0: 0, 1: 0, 2: 1, 3: 1, 4: 2}
     below = {0: [], 1: [], 2: [0], 3: [1], 4: [2, 3]}
     assert reference_collapse(dim, below.__getitem__) == {0}
-    assert free_face_collapse(dim, below.__getitem__) == {0}
+    assert ranked_collapse(dim, below.__getitem__) == {0}
 
 
 def test_closure_minus_a_generator_of_a_closed_complex(random_subdivision, non_sphere_controls):
@@ -331,15 +336,10 @@ def face_table_zoo(random_subdivision, non_sphere_controls):
     return closed, [subdivided_ball(), Complex([(1, 2, 3), (1, 2, 4), (1, 2, 5)])]
 
 
-def top_face_table(k):
-    top = sorted(k.generators)
-    return _face_table(top, _facet_list(top, k.dimension()))
-
-
 def test_face_table_gives_chi_closedness_and_ranks(random_subdivision, non_sphere_controls):
     closed, bounded = face_table_zoo(random_subdivision, non_sphere_controls)
     for k in closed + bounded:
-        table = top_face_table(k)
+        table = face_table(k)
         assert table.chi == k.euler_characteristic()
         assert table.closed is k.is_closed() is (k in closed)
         # the cells in rank order are the closure by (dimension, face), and
@@ -354,16 +354,16 @@ def test_dropping_the_least_generator_collapses_the_closure_without_it(
 ):
     closed, bounded = face_table_zoo(random_subdivision, non_sphere_controls)
     for k in closed + bounded:
-        table = top_face_table(k)
+        table = face_table(k)
         cells = list(itertools.chain.from_iterable(table.levels))
         least = len(cells) - len(k)
         assert cells[least] == min(k.generators)
         left = {cells[c] for c in _collapse_ranks(table.facets, [least])}
         rest = {f: len(f) - 1 for f in k.closure() - {min(k.generators)}}
-        assert left == free_face_collapse(rest, _facets)
+        assert left == ranked_collapse(rest, _facets)
         left = {cells[c] for c in _collapse_ranks(table.facets)}
         whole = {f: len(f) - 1 for f in k.closure()}
-        assert left == free_face_collapse(whole, _facets)
+        assert left == ranked_collapse(whole, _facets)
 
 
 def test_recognition_drops_the_least_generator_of_a_closed_complex(
@@ -381,7 +381,7 @@ def test_recognition_drops_the_least_generator_of_a_closed_complex(
     for k, shape in ((sphere, Recognition.SPHERE), (subdivided_ball(), Recognition.BALL)):
         dropped.clear()
         assert recognize(k) is shape
-        cells = list(itertools.chain.from_iterable(top_face_table(k).levels))
+        cells = list(itertools.chain.from_iterable(face_table(k).levels))
         assert [[cells[c] for c in gone] for gone in dropped] == (
             [[min(k.generators)]] if k.is_closed() else [[]]
         )

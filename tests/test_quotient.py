@@ -16,8 +16,9 @@ from stellar import (
     lens_structure,
     standard_sphere,
 )
+from stellar.complexes import UnionFind
 from stellar.homology import AbelianGroup, complex_h1
-from stellar.quotient import SignedUnionFind, pair_matching
+from stellar.quotient import pair_matching
 
 
 def sort_parity(seq):
@@ -130,7 +131,7 @@ def test_orientation_conflicts_match_the_reference():
 
 def test_signed_union_find_tracks_parity():
     a, b, c = 0, 1, 2
-    uf = SignedUnionFind(3)
+    uf = UnionFind(3)
     uf.union(a, b, 1)
     uf.union(b, c, 1)
     ra, pa = uf.find(a)
