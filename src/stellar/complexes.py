@@ -33,13 +33,17 @@ EMPTY: Simplex = ()
 
 def simplex(vertices: Iterable[int]) -> Simplex:
     """Normalize an iterable of vertex labels into a simplex tuple."""
-    vs = tuple(sorted(vertices))
-    for v in vs:
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+    vs = list(vertices)
+    for v in vs:  # before sorting, which raises TypeError on mixed types
+        if type(v) is not int and (not isinstance(v, int) or isinstance(v, bool)):
             raise ComplexError(f"vertex labels must be positive integers, got {v!r}")
-    for a, b in zip(vs, vs[1:]):
-        if a == b:
-            raise ComplexError(f"repeated vertex {a} in simplex {vs}")
+    vs.sort()
+    vs = tuple(vs)
+    if vs and vs[0] < 1:
+        raise ComplexError(f"vertex labels must be positive integers, got {vs[0]!r}")
+    if len(set(vs)) < len(vs):
+        a = next(a for a, b in zip(vs, vs[1:]) if a == b)
+        raise ComplexError(f"repeated vertex {a} in simplex {vs}")
     return vs
 
 
@@ -73,9 +77,7 @@ class Complex:
     def __init__(self, generators: Iterable[Simplex] = ()):
         gens = set()
         for g in generators:
-            g = tuple(g)
-            if g != EMPTY:
-                g = simplex(g)
+            g = simplex(g)
             if g in gens:
                 gens.discard(g)  # mod-2: a pair cancels
             else:
@@ -231,10 +233,7 @@ class Complex:
         dim = self.dimension()
         if dim < 0:
             return []
-        counts = [0] * (dim + 1)
-        for f in self.closure():
-            counts[len(f) - 1] += 1
-        return counts
+        return [len(self.faces_of_dim(d)) for d in range(dim + 1)]
 
     def euler_characteristic(self) -> int:
         chi = 0

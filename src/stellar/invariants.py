@@ -190,11 +190,11 @@ def sphere_workflow(m: Complex, budget: int = 100_000) -> WorkflowReport:
     """Decide whether a closed 3-manifold is a sphere via the structure chain."""
     if m.dimension() != 3 or not m.is_uniform():
         raise StructureError("sphere workflow expects a uniform 3-complex")
-    if not m.is_closed():
+    manifold = check_manifold(m)
+    if not manifold.closed:
         raise StructureError("sphere workflow expects a closed complex")
     if not m.is_connected():
         raise StructureError("sphere workflow expects a connected complex")
-    manifold = check_manifold(m)
     if manifold.is_manifold is False:
         raise StructureError(manifold.describe())
     result = build_structure(m, budget=budget)

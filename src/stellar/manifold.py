@@ -85,9 +85,12 @@ def check_manifold(k: Complex, budget: Optional[int] = None) -> ManifoldReport:
         verdict = None
     else:
         verdict = True
+    # k is closed exactly when every vertex link is: a sphere link is and a
+    # ball link is not; a NEITHER or UNKNOWN link leaves it to a boundary pass
+    closed = Recognition.BALL not in results.values() and (verdict is True or k.is_closed())
     return ManifoldReport(
         is_manifold=verdict,
-        closed=k.is_closed(),
+        closed=closed,
         dimension=dim,
         link_results=results,
         link_certificates=certificates,

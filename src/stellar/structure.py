@@ -12,7 +12,10 @@ link, w is a fresh copy of v; the copies are remembered as an equivalence
 on the final sphere.
 
 The input must be a closed pseudomanifold: every codimension-one face lies
-in exactly two generators.
+in exactly two generators.  The build runs on numbers: generators in
+sorted order, codimension-one faces in order of first appearance among the
+generators' facets.  The two link copies of each face that no step crossed
+are the pairs of the equivalence.
 """
 
 from __future__ import annotations
@@ -23,14 +26,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from .complexes import Complex, LabelAllocator, Simplex, cofaces, simplex_boundary
+from .complexes import Complex, LabelAllocator, Simplex, _facet_list
 from .errors import BudgetExceeded, EquivalenceError, StructureError
-from .quotient import (
-    QuotientComplex,
-    RegularEquivalence,
-    StellarStructure,
-    _euler_identity,
-)
+from .quotient import QuotientComplex, RegularEquivalence, StellarStructure, _euler_identity
 
 
 @dataclass
@@ -62,82 +60,84 @@ def build_structure(m: Complex, budget: int = 100_000) -> BuildResult:
         raise StructureError("input must have dimension >= 1")
     if not m.is_connected():
         raise StructureError("input must be connected")
-    around = cofaces(m.generators)
-    for fp, gs in sorted(around.items()):  # also rules out a boundary
-        if len(gs) != 2:
-            raise StructureError(
-                f"face {fp} lies in {len(gs)} generators; the input is not a pseudomanifold"
-            )
+    # gens[i] is generator i: its facet k sits at position (n + 1) i + k of
+    # `below`, drops its vertex n - k and has the face id face[(n + 1) i + k]
+    gens = sorted(m.generators)
+    n = len(gens[0]) - 1
+    below = _facet_list(gens, n)
+    ids = dict(zip(dict.fromkeys(below), itertools.count()))
+    face = list(map(ids.__getitem__, below))
+    count = Counter(face)
+    if set(count.values()) != {2}:  # also rules out a boundary
+        fp = min(f for f, k in ids.items() if count[k] != 2)
+        raise StructureError(
+            f"face {fp} lies in {count[ids[fp]]} generators; the input is not a pseudomanifold"
+        )
+    order = sorted(range(len(face)), key=face.__getitem__)
+    both = [a + b for a, b in zip(order[::2], order[1::2])]  # face id -> sum of its positions
 
     alloc = LabelAllocator(m)
     apex = alloc.fresh()
-    first = min(m.generators)
-    residual: Set[Simplex] = set(m.generators) - {first}
-    # root label of every vertex; a split copy points back to its original
-    root: Dict[int, int] = {v: v for v in m.vertices()}
+    residual = [False] + [True] * (len(gens) - 1)
+    root: Dict[int, int] = {}  # an absorbed far vertex or a copy of one -> its original
     link: Set[Simplex] = set()
-    on_link: Counter = Counter()  # original -> link generators holding it or a copy
-    facing: Dict[Simplex, Simplex] = {}  # face of m with a residual coface -> its link copy
-    frontier: List[Simplex] = []  # heap of residual generators touching the link
+    # original -> link faces holding it or a copy: n for each vertex of gens[0]
+    on_link = Counter(dict.fromkeys(gens[0], n))
+    facing: Dict[int, Simplex] = {}  # face id with a residual coface -> its link copy
+    frontier: List[int] = []  # heap of residual generators touching the link
+    pairs: List[Tuple[Simplex, Simplex]] = []  # the link copies of each uncrossed face
     steps: List[BuildStep] = []
 
-    def add_to_link(gens: Set[Simplex], absorbed: Simplex) -> None:
-        if not link.isdisjoint(gens):
+    def add_to_link(new: List[Tuple[Simplex, int]], absorbed: Simplex) -> None:
+        """Put the faces of `new`, each with the facet position of its face of m, on the link."""
+        if not link.isdisjoint(h for h, _ in new):
             raise StructureError(
                 f"absorbing {absorbed} adds faces already on the apex sphere"
             )
-        for h in gens:
+        for h, at in new:
             link.add(h)
-            fp = tuple(sorted(root[u] for u in h))
-            on_link.update(fp)
-            across = next(g for g in around[fp] if g != absorbed)
-            if across in residual:
-                facing[fp] = h
+            k = face[at]
+            across = (both[k] - at) // (n + 1)
+            if residual[across]:
+                facing[k] = h
                 heapq.heappush(frontier, across)
+            else:  # both cofaces are in, and k was not crossed
+                pairs.append((facing.pop(k), h))
 
-    add_to_link(simplex_boundary(first), first)
-    while residual:
+    add_to_link(list(zip(below, range(n + 1))), gens[0])
+    while len(steps) < len(gens) - 1:
         if len(steps) >= budget:
             raise BudgetExceeded(f"structure build exceeded {budget} steps")
-        while frontier and frontier[0] not in residual:
+        while frontier and not residual[frontier[0]]:
             heapq.heappop(frontier)
         if not frontier:
             raise StructureError(
                 "no residual generator touches the apex sphere along a facet"
             )
-        p = heapq.heappop(frontier)
-        fp = next(e for e in itertools.combinations(p, len(p) - 1) if e in facing)
-        f = facing.pop(fp)
-        (v,) = tuple(x for x in p if x not in fp)
-        w = v
-        if on_link[v]:  # v is on the sphere already: absorb p at a fresh copy
-            w = alloc.fresh()
-            root[w] = v
+        i = heapq.heappop(frontier)
+        p, base = gens[i], (n + 1) * i
+        k = next(k for k in range(n + 1) if face[base + k] in facing)
+        f = facing.pop(face[base + k])
+        v = p[n - k]
+        w = alloc.fresh() if on_link[v] else v  # v on the sphere already: a fresh copy
+        root[w] = v
         alloc.fresh()  # as subdivide-then-weld: a midpoint of f that the weld erases
-        residual.remove(p)
+        residual[i] = False
         link.remove(f)
-        on_link.subtract(fp)
-        add_to_link({tuple(sorted(e + (w,))) for e in simplex_boundary(f)}, p)
+        for u in p:  # each vertex of f leaves f and joins n - 1 new faces; v joins n
+            on_link[u] += n - 2
+        on_link[v] += 2
+        # the new face without x lies on the facet of p without x's original
+        fw = sorted(f + (w,))
+        new = zip(itertools.combinations(fw, n), reversed(fw))
+        add_to_link([(h, base + n - p.index(root.get(x, x))) for h, x in new if x != w], p)
         steps.append(BuildStep(p, f, None if w == v else (w, v)))
 
     sphere = Complex(link)
     copies: Dict[int, List[int]] = {}
     for u in sphere.vertices():
-        copies.setdefault(root[u], []).append(u)
+        copies.setdefault(root.get(u, u), []).append(u)
     classes = [c for c in copies.values() if len(c) > 1]
-    class_id = RegularEquivalence.build(classes, ()).class_of(sphere)
-
-    groups: Dict[frozenset, List[Simplex]] = {}
-    for g in sphere.sorted_generators():
-        groups.setdefault(frozenset(class_id[v] for v in g), []).append(g)
-    pairs = []
-    for key, gens in sorted(groups.items(), key=lambda kv: kv[1][0]):
-        if len(gens) == 2:
-            pairs.append((gens[0], gens[1]))
-        elif len(gens) > 2:
-            raise StructureError(
-                f"{len(gens)} sphere generators share the class profile of {gens[0]}"
-            )
     eq = RegularEquivalence.build(classes, pairs)
     structure = StellarStructure(apex=apex, sphere=sphere, equivalence=eq)
     return BuildResult(structure=structure, steps=steps)

@@ -39,6 +39,18 @@ def test_simplex_normalizes_and_rejects_bad_input():
         simplex((0, 1))
 
 
+def test_non_integer_labels_raise_complex_error():
+    # the labels' types are checked before sorting, which raises TypeError
+    # on mixed types
+    for gens in ([("a", 1)], [(None, 2)], [(2, 1.5)], [(True, 2)]):
+        with pytest.raises(ComplexError, match="vertex labels must be positive integers"):
+            Complex(gens)
+    with pytest.raises(ComplexError, match="got None"):
+        simplex((None, 2))
+    with pytest.raises(ComplexError, match="got -1"):  # the least bad label
+        simplex((3, 0, -1))
+
+
 def test_addition_is_symmetric_difference():
     a = Complex([(1, 2), (2, 3)])
     b = Complex([(2, 3), (3, 4)])
@@ -103,6 +115,18 @@ def test_f_vector_and_chi():
     ball = standard_simplex(3)
     assert ball.f_vector() == [4, 6, 4, 1]
     assert ball.euler_characteristic() == 1
+
+
+def test_f_vector_counts_the_closure():
+    rng = random.Random(21)
+    for _ in range(40):
+        k = random_complex(rng, dim=rng.randint(1, 4), verts=8, gens=rng.randint(1, 7))
+        if rng.random() < 0.5:  # lower generators too
+            k = k + random_complex(rng, dim=rng.randint(0, 1), verts=8, gens=rng.randint(1, 4))
+        counts = [0] * (k.dimension() + 1)
+        for f in k.closure():
+            counts[len(f) - 1] += 1
+        assert k.f_vector() == counts
 
 
 def test_connectedness():

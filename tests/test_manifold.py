@@ -170,3 +170,26 @@ def test_shared_links_give_each_link_its_own_verdict(
 def test_two_disjoint_3_spheres_are_neither():
     # every vertex link is a 2-sphere and chi = 0, yet the union is disconnected
     assert recognize(standard_sphere(3) + standard_sphere(3, start=10)) is Recognition.NEITHER
+
+
+def test_closedness_is_read_off_the_links(random_subdivision):
+    # a closed complex has closed vertex links only, and the report reads
+    # closedness off the link verdicts unless a link is NEITHER or UNKNOWN
+    rng = random.Random(23)
+    cases = [
+        Complex([(1, 2, 3), (1, 4, 5)]),  # pinched: a bad link and ball links
+        standard_sphere(2) + standard_sphere(2, start=4),  # closed, a bad link
+        standard_sphere(3) + standard_sphere(3, start=5),
+    ]
+    for d in (1, 2, 3, 4):
+        for base in (standard_sphere(d), standard_simplex(d)):
+            cases += [base] + [random_subdivision(rng, base, rng.randint(1, 5)) for _ in range(3)]
+        for _ in range(6):  # a subdivided sphere with a random generator toggled
+            k = random_subdivision(rng, standard_sphere(d), rng.randint(0, 4))
+            cases.append(k + Complex([rng.sample(range(1, k.max_label() + 3), d + 1)]))
+        for _ in range(6):  # random uniform complexes
+            gens = [rng.sample(range(1, d + 5), d + 1) for _ in range(rng.randint(1, 12))]
+            cases.append(Complex(gens))
+    for k in cases:
+        if k:
+            assert check_manifold(k).closed == k.is_closed(), k

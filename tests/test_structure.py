@@ -1,4 +1,6 @@
+import hashlib
 import random
+import re
 
 import pytest
 
@@ -145,3 +147,48 @@ def test_build_rejects_non_pseudomanifolds():
         assert m.is_closed() and m.is_connected()
         with pytest.raises(StructureError, match="not a pseudomanifold"):
             build_structure(m)
+
+
+def test_build_matches_its_golden_digest(random_subdivision, cycle_join, non_sphere_controls):
+    # apex, sphere, vertex classes, generator pairs and steps of every build
+    # on a seeded corpus, pinned by their digest
+    rng = random.Random(19)
+    corpus = [random_subdivision(rng, standard_sphere(n), 3 * n) for n in range(1, 5)]
+    corpus += [cycle_join(n, n) for n in range(3, 7)] + non_sphere_controls
+    records = []
+    for m in corpus:
+        result = build_structure(m)
+        s = result.structure
+        records.append((
+            s.apex,
+            sorted(s.sphere.generators),
+            [sorted(c) for c in s.equivalence.vertex_classes],
+            list(s.equivalence.generator_pairs),
+            [(step.generator, step.shared_face, step.split) for step in result.steps],
+        ))
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()
+    assert digest == "7cfc5544d4f683b67ea3046cf08f389bdbe1a9464e568f1782c85e271d6526da"
+
+
+@pytest.mark.parametrize(
+    "m, message",
+    [
+        (Complex([(1, 2, 3), (1, 3, 4)]), "face (1, 2) lies in 1 generators"),
+        (
+            standard_sphere(2, start=5) + Complex([(1, 2, 7, 8)]).boundary(),
+            "face (7, 8) lies in 4 generators",
+        ),
+    ],
+)
+def test_build_names_the_least_face_off_two_generators(m, message):
+    assert m.is_connected()
+    with pytest.raises(StructureError, match=re.escape(f"{message}; the input is not a pseudomanifold")):
+        build_structure(m)
+
+
+def test_build_stops_where_no_facet_leads_on():
+    # two tetrahedron boundaries wedged at the vertex 4: every edge lies in
+    # two triangles, but no facet leads from one sphere to the other
+    wedge = standard_sphere(2) + standard_sphere(2, start=4)
+    with pytest.raises(StructureError, match="no residual generator touches the apex sphere along a facet"):
+        build_structure(wedge)
