@@ -135,10 +135,7 @@ class Complex:
     # -- vertex bookkeeping ---------------------------------------------
 
     def vertices(self) -> FrozenSet[int]:
-        out: set = set()
-        for g in self._gens:
-            out.update(g)
-        return frozenset(out)
+        return frozenset(itertools.chain.from_iterable(self._gens))
 
     def max_label(self) -> int:
         vs = self.vertices()
@@ -274,17 +271,22 @@ class _FaceTable(NamedTuple):
 
     levels[d] lists the d-faces in order; a face's rank is its place in
     levels[0] + levels[1] + ....  facets[r] lists the ranks of the facets of
-    the face of rank r.  `closed` tells whether every facet of a top cell
-    lies in an even number of top cells.
+    the face of rank r.
     """
 
     levels: List[List[Simplex]]
     facets: List[Sequence[int]]
-    closed: bool
 
     @property
     def chi(self) -> int:
         return sum(-len(level) if d % 2 else len(level) for d, level in enumerate(self.levels))
+
+    @property
+    def closed(self) -> bool:
+        """Whether every facet of a top cell lies in an even number of top
+        cells, counted on the top cells' facet ranks when asked."""
+        top = self.facets[len(self.facets) - len(self.levels[-1]):]
+        return all(n % 2 == 0 for n in Counter(itertools.chain.from_iterable(top)).values())
 
 
 def _face_table(
@@ -299,7 +301,6 @@ def _face_table(
     read off each level's position map at the end.
     """
     dim = len(top[0]) - 1 if top else -1
-    closed = all(n % 2 == 0 for n in Counter(below).values())
     extra: Dict[int, List[Simplex]] = {}
     for g in lower:
         extra.setdefault(len(g) - 1, []).append(g)
@@ -316,7 +317,7 @@ def _face_table(
         # a d-cell has d + 1 facets, consecutive in faces[d]
         ranks = map(rank.__getitem__, faces[d])
         facets.extend(zip(*[ranks] * (d + 1)))
-    return _FaceTable(levels, facets, closed)
+    return _FaceTable(levels, facets)
 
 
 def face_table(k: Complex) -> _FaceTable:
@@ -389,20 +390,38 @@ class UnionFind:
     def union(self, x: int, y: int, parity: int = 0) -> bool:
         """Record that x and y agree up to `parity`; False when they were
         one class already."""
-        rx, px = self.find(x)
-        ry, py = self.find(y)
-        if rx == ry:
-            if px ^ py != parity:
-                self.conflicts.add(rx)
-            return False
-        if ry < rx:
-            rx, ry = ry, rx
-        self._parent[ry] = rx
-        self._parity[ry] = px ^ py ^ parity
-        if ry in self.conflicts:
-            self.conflicts.discard(ry)
-            self.conflicts.add(rx)
-        return True
+        return not self.union_all((x,), (y,), (parity,))
+
+    def union_all(
+        self, xs: Iterable[int], ys: Iterable[int], parities: Iterable[int] = itertools.repeat(0)
+    ) -> List[int]:
+        """`union` of xs[i] and ys[i] up to parities[i], in order; gives the
+        places i where the two were one class already."""
+        parent, signs, conflicts, find = self._parent, self._parity, self.conflicts, self.find
+        idle: List[int] = []
+        for i, x, y, parity in zip(itertools.count(), xs, ys, parities):
+            rx, ry = parent[x], parent[y]
+            if parent[rx] == rx:  # x is a root or hangs under one, as in `find`
+                px = signs[x]
+            else:
+                rx, px = find(x)
+            if parent[ry] == ry:
+                py = signs[y]
+            else:
+                ry, py = find(y)
+            if rx == ry:
+                if px ^ py != parity:
+                    conflicts.add(rx)
+                idle.append(i)
+                continue
+            if ry < rx:
+                rx, ry = ry, rx
+            parent[ry] = rx
+            signs[ry] = px ^ py ^ parity
+            if ry in conflicts:
+                conflicts.discard(ry)
+                conflicts.add(rx)
+        return idle
 
     def members(self) -> Dict[int, List[int]]:
         """Root -> members in increasing order.  Every element is hung
@@ -419,6 +438,13 @@ class UnionFind:
                 signs[x] ^= signs[up]
                 groups[root].append(x)
         return groups
+
+    @property
+    def flat(self) -> Tuple[List[int], List[int]]:
+        """Each element's root and its parity against the root, as two lists
+        indexed by element.  Exact after `members`, which hangs every element
+        straight under its root, until the next `union`."""
+        return self._parent, self._parity
 
 
 def cone(a: int) -> Complex:

@@ -213,7 +213,7 @@ def homology_from_boundaries(n0: int, edges: Cells, tris: Cells) -> AbelianGroup
     only the rows of d2 of the edges outside T go through the SNF, and d1
     through none."""
     forest = UnionFind(n0)
-    outside = [j for j, ((u, _), (v, _)) in enumerate(edges) if not forest.union(u, v)]
+    outside = forest.union_all([u for (u, _), _ in edges], [v for _, (v, _) in edges])
     d2 = _rows(len(edges), tris, 2)
     snf = smith_normal_form([d2[j] for j in outside])
     return AbelianGroup(len(outside) - len(snf), tuple(d for d in snf if d > 1))

@@ -110,12 +110,12 @@ def classify_flat_quotient(q: QuotientComplex) -> SurfaceClass:
 def quotient_collapses_to_point(q: QuotientComplex) -> bool:
     """Free-face collapse on the quotient cells; True when one 0-cell remains.
     Cells are ranked by their least faces' numbers, which follow (dimension,
-    face) order; a cell's facets are its least face's, found in the
-    union-find."""
-    find, facets = q._uf.find, q._facets
+    face) order; a cell's facets are its least face's, read off the
+    union-find's flat root list."""
+    (root, _), facets = q._uf.flat, q._facets
     roots = sorted(q._classes)
     rank = dict(zip(roots, count()))
-    left = _collapse_ranks([list({rank[find(f)[0]] for f in facets[c]}) for c in roots])
+    left = _collapse_ranks([list({rank[root[f]] for f in facets[c]}) for c in roots])
     return len(left) == 1 and len(q._faces[roots[left[0]]]) == 1
 
 

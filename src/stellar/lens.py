@@ -110,8 +110,7 @@ def make_regular(
             for e in combinations(g, 2)
         ]
         edges = UnionFind(len(number))
-        for e, image in joins:
-            edges.union(e, image)
+        edges.union_all([e for e, _ in joins], [image for _, image in joins])
         faces = list(number)
         orbit = {faces[i] for i in edges.members()[0]}
         repaired |= orbit

@@ -5,7 +5,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, combinations, count
+from itertools import accumulate, chain, combinations, count
+from operator import itemgetter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .complexes import Complex, Simplex, UnionFind, face_table, simplex
@@ -203,14 +204,16 @@ class QuotientComplex:
     pair, by the class-respecting vertex matchings.  The faces of the
     sphere are numbered once, in (dimension, lexicographic) order, by
     `complexes.face_table`: `_faces` lists them, and `_facets[r]` lists the
-    numbers of the facets of face r in `combinations` order.  Each pair
-    reads its generators' face numbers off that table and joins them
-    through the `_face_plan` of its matching, in a signed union-find on the
-    numbers (`_uf`).  A cell is named by its least face.  A report reads the
-    same numbers: `_roots[d]` lists the d-cells by their least faces,
-    `_classes` maps each to its faces, `_generators` lists the generators
-    in sorted order, and `_pairs` gives each pair by its generators' places
-    in that list.
+    numbers of the facets of face r in `combinations` order.  The pairs are
+    grouped by the position map of their matching, and each group reads its
+    generators' face numbers off that table a column at a time along the
+    `_face_plan` of that map.  The identifications are then applied in the
+    pairs' order, in a signed union-find on the numbers (`_uf`), whose flat
+    lists then give every face's cell and parity.  A cell is named by its
+    least face.  A report reads the same numbers: `_roots[d]` lists the
+    d-cells by their least faces, `_classes` maps each to its faces,
+    `_generators` lists the generators in sorted order, and `_pairs` gives
+    each pair by its generators' places in that list.
     """
 
     def __init__(
@@ -223,34 +226,47 @@ class QuotientComplex:
         self.sphere = sphere
         self.vertex_class = cls
         table = face_table(sphere)
-        faces = list(chain.from_iterable(table.levels))
-        index = dict(zip(faces, count()))
-        facets = table.facets
-        generators = sorted(index[g] for g in sphere.generators if g)
-        uf = UnionFind(len(faces))
-        numbered = []
-        for (g, p), phi in zip(pairs, matchings):
+        levels, facets = table.levels, table.facets
+        faces = list(chain.from_iterable(levels))
+        starts = list(accumulate(map(len, levels), initial=0))  # level d begins at starts[d]
+        lower = sorted(starts[len(g) - 1] + bisect_left(levels[len(g) - 1], g)
+                       for g in sphere.generators if 0 < len(g) < len(levels))
+        generators = lower + list(range(starts[-2], starts[-1]))  # then the top level
+        place = dict(zip(map(faces.__getitem__, generators), count()))  # in `generators`
+        heads, tails = [place[g] for g, _ in pairs], [place[p] for _, p in pairs]
+        shapes: Dict[Tuple[int, ...], List[int]] = {}  # sigma -> its pairs' places in `pairs`
+        for j, ((g, p), phi) in enumerate(zip(pairs, matchings)):
             sigma = tuple(map(p.index, map(phi.__getitem__, g)))  # positions in p
+            shapes.setdefault(sigma, []).append(j)
+        # each shape walks its face plan a column at a time; the pairs' rows
+        # then go back to input order, so the identifications are applied
+        # pair by pair, plan entry by plan entry
+        into: List[Sequence[int]] = [()] * len(pairs)
+        back: List[Sequence[int]] = [()] * len(pairs)
+        signs: List[Sequence[int]] = [()] * len(pairs)
+        for sigma, at in shapes.items():
             path, plan = _face_plan(sigma)
-            into, back = [index[g]], [index[p]]
+            xs = [[generators[heads[j]] for j in at]]  # local face i of each pair is xs[i]
+            ys = [[generators[tails[j]] for j in at]]
             for parent, k in path:
-                into.append(facets[into[parent]][k])
-                back.append(facets[back[parent]][k])
-            for a, b, parity in plan:
-                uf.union(into[a], back[b], parity)
-            numbered.append(
-                (bisect_left(generators, into[0]), bisect_left(generators, back[0]))
-            )
+                step = itemgetter(k)
+                xs.append(list(map(step, map(facets.__getitem__, xs[parent]))))
+                ys.append(list(map(step, map(facets.__getitem__, ys[parent]))))
+            sign = tuple(parity for _, _, parity in plan)
+            for j, x, y in zip(at, zip(*xs), zip(*[ys[b] for _, b, _ in plan])):
+                into[j], back[j], signs[j] = x, y, sign
+        uf = UnionFind(len(faces))
+        uf.union_all(chain.from_iterable(into), chain.from_iterable(back), chain.from_iterable(signs))
         self._faces = faces
         self._facets = facets
         self._generators = generators
-        self._pairs = numbered
+        self._pairs = list(zip(heads, tails))
         self._uf = uf
         self._classes = uf.members()
-        self._roots: Dict[int, List[int]] = {}
-        for root in self._classes:
-            self._roots.setdefault(len(faces[root]) - 1, []).append(root)
-        self.cells = {d: [faces[r] for r in roots] for d, roots in self._roots.items()}
+        roots = list(self._classes)  # increasing, so the d-cells' roots are one run
+        runs = (roots[bisect_left(roots, a):bisect_left(roots, b)] for a, b in zip(starts, starts[1:]))
+        self._roots = {d: run for d, run in enumerate(runs) if run}
+        self.cells = {d: list(map(faces.__getitem__, run)) for d, run in self._roots.items()}
 
     @cached_property
     def _index(self) -> Dict[Simplex, int]:
@@ -277,8 +293,13 @@ class QuotientComplex:
         return QuotientComplex(k, {v: i for i, v in enumerate(sorted(k.vertices()))})
 
     def cell_of(self, face: Simplex) -> Tuple[Simplex, int]:
-        """(representative, parity) for any face of the sphere."""
-        root, parity = self._uf.find(self._index[tuple(face)])
+        """(representative, parity) for any face of the sphere, its vertices
+        in any order."""
+        face = tuple(sorted(face))
+        at = self._index.get(face)
+        if at is None:
+            raise EquivalenceError(f"{face} is not a face of the sphere")
+        root, parity = self._uf.find(at)
         return self._faces[root], parity
 
     def _closed(self) -> bool:
@@ -298,15 +319,15 @@ class QuotientComplex:
 
     def _chains(self) -> Tuple[int, Cells, Cells]:
         """The cells through dimension two as `homology` takes them: a cell's
-        facets are its least face's, found in the union-find.  Refuses cells
-        with clashing orientations."""
+        facets are its least face's, read off the union-find's flat root and
+        parity lists.  Refuses cells with clashing orientations."""
         low = [c for c in self._conflicts() if len(c) <= 3]
         if low:
             raise EquivalenceError(f"cells {low} carry inconsistent orientations")
-        find, facets = self._uf.find, self._facets
+        (root, sign), facets = self._uf.flat, self._facets
         verts, edges, tris = (self._roots.get(d, []) for d in range(3))
         at = {r: i for level in (verts, edges) for i, r in enumerate(level)}
-        edges, tris = ([[(at[r], p) for r, p in map(find, facets[c])] for c in level]
+        edges, tris = ([[(at[root[f]], sign[f]) for f in facets[c]] for c in level]
                        for level in (edges, tris))
         return len(verts), edges, tris
 

@@ -53,13 +53,19 @@ def build_structure(m: Complex, budget: int = 100_000) -> BuildResult:
     every codimension-one face lies in exactly two generators.  Each step
     absorbs the smallest residual generator that has a face on the apex
     sphere, across the first such face in lexicographic order.
+
+    Steps cross shared facets only, so the build never absorbs all of a
+    disconnected input and ends on a refusal; connectivity is searched only
+    there, and a disconnected input is refused as such first.
     """
     if not m or not m.is_uniform():
         raise StructureError("input must be a nonempty uniform complex")
     if m.dimension() < 1:
         raise StructureError("input must have dimension >= 1")
-    if not m.is_connected():
-        raise StructureError("input must be connected")
+
+    def refuse(error: Exception) -> Exception:
+        return error if m.is_connected() else StructureError("input must be connected")
+
     # gens[i] is generator i: its facet k sits at position (n + 1) i + k of
     # `below`, drops its vertex n - k and has the face id face[(n + 1) i + k]
     gens = sorted(m.generators)
@@ -70,9 +76,9 @@ def build_structure(m: Complex, budget: int = 100_000) -> BuildResult:
     count = Counter(face)
     if set(count.values()) != {2}:  # also rules out a boundary
         fp = min(f for f, k in ids.items() if count[k] != 2)
-        raise StructureError(
+        raise refuse(StructureError(
             f"face {fp} lies in {count[ids[fp]]} generators; the input is not a pseudomanifold"
-        )
+        ))
     order = sorted(range(len(face)), key=face.__getitem__)
     both = [a + b for a, b in zip(order[::2], order[1::2])]  # face id -> sum of its positions
 
@@ -91,9 +97,9 @@ def build_structure(m: Complex, budget: int = 100_000) -> BuildResult:
     def add_to_link(new: List[Tuple[Simplex, int]], absorbed: Simplex) -> None:
         """Put the faces of `new`, each with the facet position of its face of m, on the link."""
         if not link.isdisjoint(h for h, _ in new):
-            raise StructureError(
+            raise refuse(StructureError(
                 f"absorbing {absorbed} adds faces already on the apex sphere"
-            )
+            ))
         for h, at in new:
             link.add(h)
             k = face[at]
@@ -107,13 +113,13 @@ def build_structure(m: Complex, budget: int = 100_000) -> BuildResult:
     add_to_link(list(zip(below, range(n + 1))), gens[0])
     while len(steps) < len(gens) - 1:
         if len(steps) >= budget:
-            raise BudgetExceeded(f"structure build exceeded {budget} steps")
+            raise refuse(BudgetExceeded(f"structure build exceeded {budget} steps"))
         while frontier and not residual[frontier[0]]:
             heapq.heappop(frontier)
         if not frontier:
-            raise StructureError(
+            raise refuse(StructureError(
                 "no residual generator touches the apex sphere along a facet"
-            )
+            ))
         i = heapq.heappop(frontier)
         p, base = gens[i], (n + 1) * i
         k = next(k for k in range(n + 1) if face[base + k] in facing)

@@ -21,6 +21,7 @@ from stellar import (
     standard_sphere,
     structure_report,
 )
+import stellar.complexes
 import stellar.group
 import stellar.lens
 import stellar.quotient
@@ -245,6 +246,18 @@ def test_one_workflow_builds_one_quotient(monkeypatch):
     )
     assert sphere_workflow(standard_sphere(3)).conclusion == "sphere"
     assert len(calls) == 1
+
+
+def test_one_workflow_searches_connectivity_once(monkeypatch, cycle_join):
+    # the workflow refuses a disconnected input itself, and the build
+    # searches only where it refuses
+    calls = []
+    real = stellar.complexes.connected
+    monkeypatch.setattr(stellar.complexes, "connected", lambda gens: calls.append(1) or real(gens))
+    for m in (standard_sphere(3), cycle_join(4, 5)):
+        calls.clear()
+        assert sphere_workflow(m).conclusion == "sphere"
+        assert len(calls) == 1
 
 
 def count_pair_matchings(monkeypatch):

@@ -338,6 +338,9 @@ def face_table_zoo(random_subdivision, non_sphere_controls):
 
 def test_face_table_gives_chi_closedness_and_ranks(random_subdivision, non_sphere_controls):
     closed, bounded = face_table_zoo(random_subdivision, non_sphere_controls)
+    # two tetrahedron boundaries sharing the edge (1, 2), which lies in four
+    # triangles: closed, yet no pseudomanifold
+    closed.append(standard_sphere(2) + Complex([(1, 2, 5, 6)]).boundary())
     for k in closed + bounded:
         table = face_table(k)
         assert table.chi == k.euler_characteristic()

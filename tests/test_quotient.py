@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from math import gcd
 
 import pytest
@@ -127,6 +128,21 @@ def test_orientation_conflicts_match_the_reference():
     assert q._conflicts() == [(1, 2)]
     with pytest.raises(EquivalenceError, match="inconsistent orientations"):
         q.h1()
+    # on an octahedron, four pairs in three position maps: the parities
+    # inside the clashing class depend on the order the identifications
+    # are applied in, and pair by pair, each pair's faces from the top
+    # down, matches the reference; by position map, or pairs or faces
+    # reversed, does not
+    octahedron = Complex([(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 2, 5),
+                          (2, 3, 6), (3, 4, 6), (4, 5, 6), (2, 5, 6)])
+    pairs = [((1, 3, 4), (2, 5, 6)), ((1, 4, 5), (4, 5, 6)),
+             ((1, 2, 3), (1, 2, 5)), ((2, 3, 6), (3, 4, 6))]
+    matchings = [{1: 2, 3: 6, 4: 5}, {1: 4, 4: 5, 5: 6}, {1: 5, 2: 2, 3: 1}, {2: 3, 3: 6, 6: 4}]
+    shapes = {tuple(p.index(phi[v]) for v in g) for (g, p), phi in zip(pairs, matchings)}
+    assert len(shapes) == 3
+    q = QuotientComplex(octahedron, {v: v for v in range(1, 7)}, pairs, matchings)
+    assert_matches_reference(q, octahedron, pairs, matchings)
+    assert q._conflicts() == [(1, 2)]
 
 
 def test_signed_union_find_tracks_parity():
@@ -236,6 +252,16 @@ def test_cell_of_returns_representative():
     rep, _sign = q.cell_of((min(poles),))
     rep2, _sign2 = q.cell_of((max(poles),))
     assert rep == rep2
+
+
+def test_cell_of_sorts_its_argument_and_refuses_a_non_face():
+    q = QuotientComplex.from_complex(Complex([(1, 2, 3), (4, 5)]))
+    assert q.cell_of((2, 1)) == q.cell_of((1, 2)) == ((1, 2), 0)
+    assert q.cell_of([5, 4]) == ((4, 5), 0)
+    with pytest.raises(EquivalenceError, match=re.escape("(7, 8) is not a face of the sphere")):
+        q.cell_of((8, 7))
+    with pytest.raises(EquivalenceError, match=re.escape("(1, 4) is not a face of the sphere")):
+        q.cell_of((1, 4))
 
 
 def test_face_numbers_agree_with_cell_of(random_subdivision, cycle_join, non_sphere_controls):

@@ -192,3 +192,16 @@ def test_build_stops_where_no_facet_leads_on():
     wedge = standard_sphere(2) + standard_sphere(2, start=4)
     with pytest.raises(StructureError, match="no residual generator touches the apex sphere along a facet"):
         build_structure(wedge)
+
+
+def test_build_refuses_a_disconnected_input_first():
+    # the build never absorbs a second component, so each refusal it ends
+    # on names the disconnection instead
+    two = standard_sphere(2) + standard_sphere(2, start=11)
+    with pytest.raises(StructureError, match="input must be connected"):
+        build_structure(two)
+    with pytest.raises(StructureError, match="input must be connected"):
+        build_structure(two, budget=1)
+    three = two + Complex([(1, 2, 5)])  # the edge (1, 2) lies in three triangles
+    with pytest.raises(StructureError, match="input must be connected"):
+        build_structure(three)
