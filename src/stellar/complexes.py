@@ -467,11 +467,8 @@ def standard_sphere(n: int, start: int = 1) -> Complex:
 class LabelAllocator:
     """Deterministic fresh-label source: always max-seen + 1."""
 
-    def __init__(self, *complexes: Complex, floor: int = 0):
-        top = floor
-        for k in complexes:
-            top = max(top, k.max_label())
-        self._next = top + 1
+    def __init__(self, *complexes: Complex):
+        self._next = max((k.max_label() for k in complexes), default=0) + 1
 
     def note(self, label: int) -> None:
         if label >= self._next:

@@ -146,6 +146,8 @@ class WorkflowReport:
 
 def structure_report(structure: StellarStructure) -> WorkflowReport:
     """Classification chain for a closed structure over a 2-sphere."""
+    if set(map(len, structure.sphere.generators)) != {3}:
+        raise StructureError("structure report expects a uniform 2-complex as its sphere")
     return _report(QuotientComplex.from_structure(structure))
 
 

@@ -304,50 +304,34 @@ class Recognition(Enum):
     UNKNOWN = "unknown"
 
 
-def _vertex_degrees(k: Complex) -> Dict[int, int]:
-    deg: Dict[int, int] = {}
-    for g in k.generators:
-        for v in g:
-            deg[v] = deg.get(v, 0) + 1
-    return deg
+def _recognize_low(k: Complex, dim: int) -> Recognition:
+    """Exact recognition of a uniform complex of dimension 0, 1 or 2 from
+    its dual graph, whose nodes are the generators.
 
+    One pass over each generator's facets refuses a facet in a third
+    generator and joins the two generators on each shared facet.  When the
+    generators are connected through shared facets, the complex is closed
+    when 2 #facets = (dim + 1) #generators.  Closed, it is a sphere, and
+    with a rim a ball; at dimension 2 this needs chi = 2 (closed) or 1.
 
-def _graph_shape(g: Complex) -> Recognition:
-    """A uniform 1-complex: circle (SPHERE), arc (BALL) or NEITHER."""
-    deg = _vertex_degrees(g)
-    if any(d > 2 for d in deg.values()) or not g.is_connected():
-        return Recognition.NEITHER
-    ends = sum(1 for d in deg.values() if d == 1)
-    if ends == 0:
-        return Recognition.SPHERE
-    if ends == 2:
-        return Recognition.BALL
-    return Recognition.NEITHER
-
-
-def _recognize_dim2(k: Complex) -> Recognition:
-    """Exact recognition of a uniform 2-complex from its dual graph.
-
-    One pass over the triangles refuses an edge in a third triangle and
-    joins the two triangles on each shared edge in the dual graph.  When the
-    triangles are connected through shared edges, the complex is a sphere
-    when it is closed (2 #edges = 3 #triangles) with chi = 2, a disk when it
-    has a rim with chi = 1, and neither otherwise.
-
-    Why no vertex link is walked: every edge lies in at most two triangles,
-    so each vertex link is a disjoint union of arcs and circles.  Splitting
-    each vertex into one copy per link component gives a surface S' with
-    the same edges and triangles, connected because the dual graph is, and
-    with at least as many vertices, so chi(S') >= chi(k).  A connected
-    closed surface has chi <= 2, with equality only for the sphere; one with
-    a rim has chi <= 1, with equality only for the disk.  So chi(k) = 2
-    (closed) or 1 (with a rim) forces chi(S') = chi(k): no vertex was split,
-    and k is S' itself.
+    At dimension 0 the one facet is the empty face: one or two points are a
+    ball or S^0, and a third point refutes.  At dimension 1 a connected graph
+    with no vertex in three edges is a path or a cycle, a cycle exactly when
+    it has as many vertices as edges.  At dimension 2 every edge lies in at
+    most two triangles, so each vertex link is a disjoint union of arcs and
+    circles.  Splitting each vertex into one copy per link component gives a
+    surface S' with the same edges and triangles, connected because the dual
+    graph is, and with at least as many vertices, so chi(S') >= chi(k).  A
+    connected closed surface has chi <= 2, with equality only for the
+    sphere; one with a rim has chi <= 1, with equality only for the disk.
+    So chi(k) = 2 (closed) or 1 (with a rim) forces chi(S') = chi(k): no
+    vertex was split, and k is S' itself.
     """
-    first: Dict[Simplex, int] = {}  # edge -> its first triangle; -1 once shared
+    first: Dict[Simplex, int] = {}  # facet -> its first generator; -1 once shared
     dual: Dict[int, List[Tuple[int, int]]] = {t: [] for t in range(len(k))}
-    for t, (a, b, c) in enumerate(k.generators):
-        for e in ((a, b), (a, c), (b, c)):
+    facets = map(itertools.combinations, k.generators, itertools.repeat(dim))
+    for t, below in enumerate(facets):
+        for e in below:
             s = first.setdefault(e, t)
             if s == t:
                 continue
@@ -358,11 +342,12 @@ def _recognize_dim2(k: Complex) -> Recognition:
             dual[t].append((s, t))
     if not star_connected(dual):
         return Recognition.NEITHER
-    edges, triangles = len(first), len(k)
-    chi = len(set().union(*k.generators)) - edges + triangles
-    if 2 * edges == 3 * triangles:
-        return Recognition.SPHERE if chi == 2 else Recognition.NEITHER
-    return Recognition.BALL if chi == 1 else Recognition.NEITHER
+    closed = 2 * len(first) == (dim + 1) * len(k)
+    if dim == 2:
+        chi = len(set().union(*k.generators)) - len(first) + len(k)
+        if chi != (2 if closed else 1):
+            return Recognition.NEITHER
+    return Recognition.SPHERE if closed else Recognition.BALL
 
 
 # The certificate behind a decided recognition: "exact" when no collapse was
@@ -425,14 +410,8 @@ def _recognize(k: Complex, dim: int, seen: Seen) -> Verdict:
 
 
 def _certify(k: Complex, dim: int, seen: Seen) -> Verdict:
-    if dim == 0:
-        n = len(k)
-        shapes = {1: Recognition.BALL, 2: Recognition.SPHERE}
-        return shapes.get(n, Recognition.NEITHER), EXACT
-    if dim == 1:
-        return _graph_shape(k), EXACT
-    if dim == 2:
-        return _recognize_dim2(k), EXACT
+    if dim <= 2:
+        return _recognize_low(k, dim), EXACT
 
     # one top-down face pass.  The generators' facets come first, and they
     # are the star index too: the facet that drops v is a generator of

@@ -7,6 +7,8 @@ import pytest
 from stellar import (
     Complex,
     QuotientComplex,
+    RegularEquivalence,
+    StellarStructure,
     StructureError,
     build_structure,
     classify_flat_quotient,
@@ -175,6 +177,24 @@ def test_lens_report_refuses_sphere():
     assert not report.flat
     assert report.gamma_has_circuit
     assert report.conclusion == "not a sphere: H1 = Z/5"
+
+
+def test_report_refuses_a_sphere_that_is_not_a_surface():
+    # the surface class, degree and Γ describe a 2-sphere only, so a report
+    # on any other sphere is refused before a stage reads it, whether the
+    # structure is flat (the square folded along its diagonal 2-4) or not
+    # (the structure that build_structure gives the tetrahedron's boundary)
+    square = StellarStructure(
+        9,
+        Complex([(1, 2), (2, 3), (3, 4), (1, 4)]),
+        RegularEquivalence.build([[2, 4]], [((1, 2), (1, 4)), ((2, 3), (3, 4))]),
+    )
+    assert square.validate() == [] and square.is_closed
+    circle = build_structure(standard_sphere(2)).structure
+    assert circle.sphere.dimension() == 1 and circle.is_closed
+    for structure in (square, circle):
+        with pytest.raises(StructureError, match="expects a uniform 2-complex as its sphere"):
+            structure_report(structure)
 
 
 def test_subdivided_spheres_are_never_refused(random_subdivision):

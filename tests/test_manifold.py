@@ -124,10 +124,14 @@ def test_one_check_recognises_each_edge_link_once(monkeypatch, random_subdivisio
     # check recognises it once, and a second check as often as the first,
     # so nothing is kept between calls
     recognised = []
-    surface = moves._recognize_dim2
-    monkeypatch.setattr(
-        moves, "_recognize_dim2", lambda k: recognised.append(k.generators) or surface(k)
-    )
+    low = moves._recognize_low
+
+    def spy(k, dim):
+        if dim == 2:
+            recognised.append(k.generators)
+        return low(k, dim)
+
+    monkeypatch.setattr(moves, "_recognize_low", spy)
     subdivided = random_subdivision(random.Random(5), standard_sphere(4), 3)
     for k in (standard_sphere(4), subdivided):
         edge_links = {k.link(e).generators for e in k.faces_of_dim(1)}

@@ -32,7 +32,7 @@ from stellar.invariants import quotient_collapses_to_point
 from stellar.moves import (
     _collapse_ranks,
     _facets,
-    _recognize_dim2,
+    _recognize_low,
     prism_offset,
     weld_factor,
 )
@@ -397,6 +397,22 @@ def test_recognize_refuses_the_minus_one_dimensional_complex():
     assert recognize(Complex()) is Recognition.NEITHER
 
 
+def shape_by_vertices(k, dim):
+    """The shape of a point set or a graph by the per-vertex definition: one
+    point is a ball and two are a sphere; a graph with every vertex in at
+    most two edges that is connected is a circle with no ends and an arc
+    with two."""
+    if dim == 0:
+        return {1: Recognition.BALL, 2: Recognition.SPHERE}.get(len(k), Recognition.NEITHER)
+    degree = {}
+    for v in itertools.chain.from_iterable(k.generators):
+        degree[v] = degree.get(v, 0) + 1
+    if max(degree.values()) > 2 or not connected(k.generators):
+        return Recognition.NEITHER
+    ends = sum(d == 1 for d in degree.values())
+    return {0: Recognition.SPHERE, 2: Recognition.BALL}.get(ends, Recognition.NEITHER)
+
+
 def test_recognize_dimension_zero_and_one():
     assert recognize(Complex([(1,)])) is Recognition.BALL
     assert recognize(Complex([(1,), (2,)])) is Recognition.SPHERE
@@ -409,6 +425,18 @@ def test_recognize_dimension_zero_and_one():
     assert recognize(wedge) is Recognition.NEITHER
     two_cycles = standard_sphere(1) + standard_sphere(1, start=4)
     assert recognize(two_cycles) is Recognition.NEITHER
+    # seeded point sets and graphs on at most 7 vertices against the
+    # per-vertex rule
+    rng = random.Random(17)
+    shapes = {0: set(), 1: set()}
+    for i in range(2400):
+        dim = i % 2
+        faces = list(itertools.combinations(range(1, rng.randint(dim + 1, 7) + 1), dim + 1))
+        k = Complex(rng.sample(faces, rng.randint(1, min(len(faces), 8))))
+        shape = shape_by_vertices(k, dim)
+        assert recognize(k) is _recognize_low(k, dim) is shape, sorted(k.generators)
+        shapes[dim].add(shape)
+    assert shapes[0] == shapes[1] == {Recognition.SPHERE, Recognition.BALL, Recognition.NEITHER}
 
 
 # a pentagon coned from 6, and the torus on the vertices 11 to 17
@@ -498,14 +526,14 @@ def random_2_complexes(rng, random_subdivision, count):
 
 def test_surface_test_matches_the_per_vertex_definition(random_subdivision):
     for name, (k, shape) in SURFACE_ZOO.items():
-        assert _recognize_dim2(k) is surface_shape_by_links(k) is shape, name
+        assert _recognize_low(k, 2) is surface_shape_by_links(k) is shape, name
     shapes = set()
     # closed and connected with chi = 2, yet no sphere, such as two spheres
     # glued at two vertices: only the dual graph or a vertex link refutes them
     pinched = 0
     for k in random_2_complexes(random.Random(41), random_subdivision, 500):
         shape = surface_shape_by_links(k)
-        assert _recognize_dim2(k) is shape, sorted(k.generators)
+        assert _recognize_low(k, 2) is shape, sorted(k.generators)
         shapes.add(shape)
         if shape is Recognition.NEITHER and k.is_closed() and k.is_connected():
             pinched += k.euler_characteristic() == 2
