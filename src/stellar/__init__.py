@@ -20,11 +20,7 @@ from .errors import (
 )
 from .homology import AbelianGroup
 from .moves import (
-    MoveSequence,
     Recognition,
-    Relabel,
-    Subdivide,
-    Weld,
     collapse_greedy,
     prism,
     recognize,

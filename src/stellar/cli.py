@@ -21,11 +21,11 @@ from .invariants import (
     h1,
     sphere_workflow,
     structure_report,
+    surface_quotient,
 )
 from .lens import lens_structure
 from .manifold import check_manifold
 from .moves import collapse_greedy, prism, subdivide, weld
-from .quotient import QuotientComplex
 from .structure import build_structure
 
 
@@ -206,7 +206,7 @@ def _dispatch(args: argparse.Namespace) -> None:
         _emit(_group_json(group))
     elif args.verb == "classify":
         structure = io.parse_structure(_read(args.input))
-        surface = classify_flat_quotient(QuotientComplex.from_structure(structure))
+        surface = classify_flat_quotient(surface_quotient(structure))
         _emit(
             {
                 "kind": surface.kind,

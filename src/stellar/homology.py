@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Dict, List, Sequence, Set, Tuple
+from itertools import accumulate
+from typing import Dict, List, Mapping, Sequence, Set, Tuple
 
-from .complexes import Complex, UnionFind
+from .complexes import Complex, UnionFind, face_table
 
 Matrix = List[List[int]]  # dense rows, only for the unit-free block
 SparseRows = List[Dict[int, int]]  # row i -> {column: value}; zeros may be absent
@@ -219,16 +219,25 @@ def homology_from_boundaries(n0: int, edges: Cells, tris: Cells) -> AbelianGroup
     return AbelianGroup(len(outside) - len(snf), tuple(d for d in snf if d > 1))
 
 
-def simplicial_cells(k: Complex) -> Tuple[int, Cells, Cells]:
-    """The faces of a complex through dimension two, in sorted order, as the
-    cells of `boundary_matrices`."""
-    verts, edges, tris = (sorted(k.faces_of_dim(d)) for d in range(3))
-    at = {f: i for level in (verts, edges) for i, f in enumerate(level)}
-    edges, tris = ([[(at[f], 0) for f in combinations(c, len(c) - 1)] for c in level]
+def cell_chains(cells: Mapping[int, Sequence[int]], facets: Sequence[Sequence[int]],
+                root: Sequence[int], sign: Sequence[int]) -> Tuple[int, Cells, Cells]:
+    """The cells through dimension two as `boundary_matrices` takes them,
+    from faces numbered as in a face table: `facets[r]` lists the numbers of
+    the facets of face r, `root[r]` and `sign[r]` give its cell, by that
+    cell's least face, and its parity against it, and `cells[d]` lists the
+    d-cells by their least faces.  A cell's facets are its least face's."""
+    verts, edges, tris = (cells.get(d, ()) for d in range(3))
+    at = {r: i for level in (verts, edges) for i, r in enumerate(level)}
+    edges, tris = ([[(at[root[f]], sign[f]) for f in facets[c]] for c in level]
                    for level in (edges, tris))
     return len(verts), edges, tris
 
 
 def complex_h1(k: Complex) -> AbelianGroup:
-    """Integer first homology of a simplicial complex (dims <= 2 matter)."""
-    return homology_from_boundaries(*simplicial_cells(k))
+    """Integer first homology of a simplicial complex (dims <= 2 matter):
+    every face is its own cell."""
+    levels, facets = face_table(k)
+    starts = list(accumulate(map(len, levels[:3]), initial=0))
+    cells = dict(enumerate(map(range, starts, starts[1:])))
+    n = len(facets)
+    return homology_from_boundaries(*cell_chains(cells, facets, range(n), [0] * n))

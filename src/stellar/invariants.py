@@ -144,11 +144,17 @@ class WorkflowReport:
     evidence: List[str] = field(default_factory=list)
 
 
-def structure_report(structure: StellarStructure) -> WorkflowReport:
-    """Classification chain for a closed structure over a 2-sphere."""
+def surface_quotient(structure: StellarStructure) -> QuotientComplex:
+    """The quotient of a structure over a 2-sphere; refuses, by name, a
+    structure whose sphere is not a uniform 2-complex."""
     if set(map(len, structure.sphere.generators)) != {3}:
         raise StructureError("structure report expects a uniform 2-complex as its sphere")
-    return _report(QuotientComplex.from_structure(structure))
+    return QuotientComplex.from_structure(structure)
+
+
+def structure_report(structure: StellarStructure) -> WorkflowReport:
+    """Classification chain for a closed structure over a 2-sphere."""
+    return _report(surface_quotient(structure))
 
 
 def _report(quotient: QuotientComplex) -> WorkflowReport:

@@ -15,9 +15,8 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from .complexes import Complex, LabelAllocator, Simplex, UnionFind
 from .errors import EquivalenceError, StructureError
-from .quotient import RegularEquivalence, StellarStructure, pair_matching
+from .quotient import Matching, RegularEquivalence, StellarStructure, pair_matching
 
-Matching = Dict[int, int]
 MatchingTable = Dict[Tuple[Simplex, Simplex], Matching]
 
 

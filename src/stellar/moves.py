@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -131,79 +130,6 @@ def prism(k: Complex) -> Complex:
         for cut in range(1, r + 1):
             gens.append(tuple(sorted(g[:cut] + tuple(v + off for v in g[cut - 1:]))))
     return Complex(gens)
-
-
-# ---------------------------------------------------------------------------
-# move records
-
-
-@dataclass(frozen=True)
-class Subdivide:
-    simplex: Simplex
-    vertex: int
-
-    op = "subdivide"
-
-    def apply(self, k: Complex) -> Complex:
-        return subdivide(k, self.simplex, self.vertex)
-
-    def inverse(self) -> "Weld":
-        return Weld(self.simplex, self.vertex)
-
-    def to_json(self) -> dict:
-        return {"op": "subdivide", "simplex": list(self.simplex), "vertex": self.vertex}
-
-
-@dataclass(frozen=True)
-class Weld:
-    simplex: Simplex
-    vertex: int
-
-    op = "weld"
-
-    def apply(self, k: Complex) -> Complex:
-        return weld(k, self.simplex, self.vertex)
-
-    def inverse(self) -> Subdivide:
-        return Subdivide(self.simplex, self.vertex)
-
-    def to_json(self) -> dict:
-        return {"op": "weld", "simplex": list(self.simplex), "vertex": self.vertex}
-
-
-@dataclass(frozen=True)
-class Relabel:
-    mapping: Tuple[Tuple[int, int], ...]
-
-    op = "relabel"
-
-    def apply(self, k: Complex) -> Complex:
-        return relabel(k, dict(self.mapping))
-
-    def inverse(self) -> "Relabel":
-        return Relabel(tuple(sorted((b, a) for a, b in self.mapping)))
-
-    def to_json(self) -> dict:
-        return {"op": "relabel", "mapping": {str(a): b for a, b in self.mapping}}
-
-
-Move = Subdivide | Weld | Relabel
-
-
-@dataclass
-class MoveSequence:
-    moves: List[Move] = field(default_factory=list)
-
-    def apply(self, k: Complex) -> Complex:
-        for m in self.moves:
-            k = m.apply(k)
-        return k
-
-    def inverse(self) -> "MoveSequence":
-        return MoveSequence([m.inverse() for m in reversed(self.moves)])
-
-    def to_json(self) -> list:
-        return [m.to_json() for m in self.moves]
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from .homology import (
     Cells,
     SparseRows,
     boundary_matrices,
+    cell_chains,
     homology_from_boundaries,
     z2_betti_from_boundaries,
 )
@@ -119,9 +120,6 @@ class RegularEquivalence:
                     out.append(str(exc))
             matchings.append(phi)
         return out, cls, matchings
-
-    def is_regular(self, sphere: Complex) -> bool:
-        return not self.problems(sphere)
 
 
 def pair_matching(g: Simplex, p: Simplex, cls: Dict[int, int]) -> Matching:
@@ -318,18 +316,13 @@ class QuotientComplex:
         return sum((-1) ** d * len(cells) for d, cells in self.cells.items())
 
     def _chains(self) -> Tuple[int, Cells, Cells]:
-        """The cells through dimension two as `homology` takes them: a cell's
-        facets are its least face's, read off the union-find's flat root and
-        parity lists.  Refuses cells with clashing orientations."""
+        """The cells through dimension two as `homology` takes them, read
+        off the union-find's flat root and parity lists.  Refuses cells with
+        clashing orientations."""
         low = [c for c in self._conflicts() if len(c) <= 3]
         if low:
             raise EquivalenceError(f"cells {low} carry inconsistent orientations")
-        (root, sign), facets = self._uf.flat, self._facets
-        verts, edges, tris = (self._roots.get(d, []) for d in range(3))
-        at = {r: i for level in (verts, edges) for i, r in enumerate(level)}
-        edges, tris = ([[(at[root[f]], sign[f]) for f in facets[c]] for c in level]
-                       for level in (edges, tris))
-        return len(verts), edges, tris
+        return cell_chains(self._roots, self._facets, *self._uf.flat)
 
     def boundary_matrices(self) -> Tuple[int, SparseRows, SparseRows]:
         """(n1, d1, d2) of the quotient CW complex through dimension two."""

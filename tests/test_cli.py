@@ -113,25 +113,34 @@ def test_sphere_check_refuses_lens():
     assert json.loads(out)["conclusion"] == "not a sphere: H1 = Z/5"
 
 
+# the square folded along its diagonal: a flat structure over a circle
+FOLDED_SQUARE = json.dumps({
+    "apex": 9,
+    "sphere": {"generators": [[1, 2], [2, 3], [3, 4], [1, 4]]},
+    "equivalence": {
+        "vertex_classes": [[2, 4]],
+        "generator_pairs": [[[1, 2], [1, 4]], [[2, 3], [3, 4]]],
+    },
+})
+REFUSAL = {"error": "structure report expects a uniform 2-complex as its sphere", "kind": "domain"}
+
+
 def test_sphere_check_refuses_a_structure_over_a_circle():
     # the tetrahedron boundary's structure, which is not flat, and the
-    # square folded along its diagonal, which is
+    # folded square, which is
     _, circle, _ = run(["structure", "-"], '{"generators": [[1,2,3],[1,2,4],[1,3,4],[2,3,4]]}')
-    square = json.dumps({
-        "apex": 9,
-        "sphere": {"generators": [[1, 2], [2, 3], [3, 4], [1, 4]]},
-        "equivalence": {
-            "vertex_classes": [[2, 4]],
-            "generator_pairs": [[[1, 2], [1, 4]], [[2, 3], [3, 4]]],
-        },
-    })
-    for structure in (circle, square):
+    for structure in (circle, FOLDED_SQUARE):
         code, out, err = run(["sphere-check", "-"], structure)
         assert code == 1 and out == ""
-        assert json.loads(err) == {
-            "error": "structure report expects a uniform 2-complex as its sphere",
-            "kind": "domain",
-        }
+        assert json.loads(err) == REFUSAL
+
+
+def test_classify_refuses_a_structure_over_a_circle():
+    # the surface classifier would name the folded square's 1-dimensional
+    # quotient "Other", for an isolated vertex cell
+    code, out, err = run(["classify", "-"], FOLDED_SQUARE)
+    assert code == 1 and out == ""
+    assert json.loads(err) == REFUSAL
 
 
 def test_classify_fold_quotient(tmp_path):

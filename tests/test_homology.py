@@ -15,9 +15,7 @@ from stellar import (
 from stellar.homology import (
     AbelianGroup,
     _dense_snf,
-    boundary_matrices,
     complex_h1,
-    simplicial_cells,
     smith_normal_form,
     z2_betti_from_boundaries,
     z2_rank,
@@ -96,7 +94,7 @@ def test_mod2_concordance_random():
         while len(gens) < 5:
             gens.add(tuple(sorted(rng.sample(range(1, 8), 3))))
         k = Complex(gens)
-        n1, d1, d2 = boundary_matrices(*simplicial_cells(k))
+        n1, d1, d2 = QuotientComplex.from_complex(k).boundary_matrices()
         group = complex_h1(k)
         assert group.z2_betti() == z2_betti_from_boundaries(n1, d1, d2)
 
@@ -174,9 +172,11 @@ def test_forest_h1_equals_the_full_snf(cycle_join, random_subdivision, non_spher
             size = rng.choice((1, 2, 3, 3, 3, 4)) if n >= 4 else rng.randint(1, min(n, 3))
             gens.add(tuple(sorted(rng.sample(range(1, n + 1), size))))
         k = Complex(gens)
-        assert complex_h1(k) == full_snf_h1(*boundary_matrices(*simplicial_cells(k))), k
+        q = QuotientComplex.from_complex(k)
+        assert complex_h1(k) == full_snf_h1(*q.boundary_matrices()), k
+        assert complex_h1(k) == q.h1(), k
     for m in non_sphere_controls:
-        assert complex_h1(m) == full_snf_h1(*boundary_matrices(*simplicial_cells(m)))
+        assert complex_h1(m) == full_snf_h1(*QuotientComplex.from_complex(m).boundary_matrices())
 
 
 def test_non_sphere_controls_are_never_recognised(non_sphere_controls):

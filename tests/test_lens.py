@@ -97,7 +97,7 @@ def _equator_class(q):
 def test_coarse_lens_violates_regularity():
     s, table = coarse_lens(5, 1)
     assert len(s.sphere) == 10
-    assert not s.equivalence.is_regular(s.sphere)
+    assert s.equivalence.problems(s.sphere)
     assert len(_violating_edges(s)) == 5  # the equator edges
     assert len(table) == 5
 

@@ -8,11 +8,8 @@ from stellar import (
     Complex,
     ComplexError,
     MoveError,
-    MoveSequence,
     QuotientComplex,
     Recognition,
-    Subdivide,
-    Weld,
     WeldError,
     check_manifold,
     collapse_greedy,
@@ -120,15 +117,6 @@ def test_prism_matches_subdivision_construction():
             tuple(v + off for v in g) for g in k.generators
         )
         assert built.link((apex,)) == expected_link
-
-
-def test_move_records_round_trip():
-    seq = MoveSequence([Subdivide((1, 2), 4), Subdivide((1, 4), 5)])
-    circle = standard_sphere(1)
-    out = seq.apply(circle)
-    assert seq.inverse().apply(out) == circle
-    assert seq.to_json()[0] == {"op": "subdivide", "simplex": [1, 2], "vertex": 4}
-    assert seq.moves[0].inverse() == Weld((1, 2), 4)
 
 
 def assert_collapses_agree(k):
