@@ -15,14 +15,8 @@ from typing import Any, List, Optional
 
 from . import io
 from .errors import ParseError, StellarError
-from .group import degree, gamma_graph, has_circuit
-from .invariants import (
-    classify_flat_quotient,
-    h1,
-    sphere_workflow,
-    structure_report,
-    surface_quotient,
-)
+from .group import degree, gamma_graph, has_circuit, surface_quotient
+from .invariants import classify_flat_quotient, h1, sphere_workflow, structure_report
 from .lens import lens_structure
 from .manifold import check_manifold
 from .moves import collapse_greedy, prism, subdivide, weld
@@ -51,20 +45,6 @@ def _parse_simplex_arg(text: str) -> tuple:
     if not parts:
         raise ParseError("empty simplex argument")
     return parts
-
-
-def _budget(args: argparse.Namespace) -> int:
-    """`--budget`, else `STELLAR_BUDGET`, else 100000; read only where a
-    structure is built."""
-    if args.budget is not None:
-        return args.budget
-    raw = os.environ.get("STELLAR_BUDGET")
-    if raw is None:
-        return 100_000
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ParseError(f"STELLAR_BUDGET must be an integer, got {raw!r}") from exc
 
 
 def _group_json(group) -> dict:
@@ -123,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     with_input(sub.add_parser("prism", help="prism over a uniform complex"))
     with_input(sub.add_parser("check", help="manifold check via vertex links"))
     p = with_input(sub.add_parser("structure", help="build an apex structure"))
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=100_000)
     with_input(sub.add_parser("degree", help="degree string of a structure"))
     p = with_input(sub.add_parser("gamma", help="graph of high-order edge classes"))
     p.add_argument("--dot", metavar="FILE", help="also write Graphviz dot")
@@ -133,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
     with_input(sub.add_parser("h1", help="first homology of a complex or structure"))
     with_input(sub.add_parser("classify", help="surface class of a flat quotient"))
     p = with_input(sub.add_parser("sphere-check", help="full sphere workflow"))
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=100_000)
     with_input(sub.add_parser("collapse", help="greedy free-face collapse"))
     return parser
 
@@ -174,7 +154,7 @@ def _dispatch(args: argparse.Namespace) -> None:
         )
     elif args.verb == "structure":
         k = io.parse_complex(_read(args.input))
-        result = build_structure(k, budget=_budget(args))
+        result = build_structure(k, budget=args.budget)
         _emit(io.structure_to_json(result.structure))
     elif args.verb == "degree":
         structure = io.parse_structure(_read(args.input))
@@ -221,7 +201,7 @@ def _dispatch(args: argparse.Namespace) -> None:
         if isinstance(data, dict) and "sphere" in data:
             report = structure_report(io.parse_structure(data))
         else:
-            report = sphere_workflow(io.parse_complex(data), budget=_budget(args))
+            report = sphere_workflow(io.parse_complex(data), budget=args.budget)
         _emit(_report_json(report))
     elif args.verb == "collapse":
         k = io.parse_complex(_read(args.input))

@@ -452,23 +452,23 @@ def cone(a: int) -> Complex:
     return Complex([(a,)])
 
 
-def standard_simplex(n: int, start: int = 1) -> Complex:
-    """The n-simplex on labels start..start+n as a one-generator complex."""
+def standard_simplex(n: int) -> Complex:
+    """The n-simplex on labels 1..n+1 as a one-generator complex."""
     if n < 0:
         raise ComplexError("dimension must be >= 0")
-    return Complex([tuple(range(start, start + n + 1))])
+    return Complex([tuple(range(1, n + 2))])
 
 
-def standard_sphere(n: int, start: int = 1) -> Complex:
+def standard_sphere(n: int) -> Complex:
     """Boundary of the (n+1)-simplex: the standard n-sphere."""
-    return standard_simplex(n + 1, start).boundary()
+    return standard_simplex(n + 1).boundary()
 
 
 class LabelAllocator:
     """Deterministic fresh-label source: always max-seen + 1."""
 
-    def __init__(self, *complexes: Complex):
-        self._next = max((k.max_label() for k in complexes), default=0) + 1
+    def __init__(self, k: Complex):
+        self._next = k.max_label() + 1
 
     def note(self, label: int) -> None:
         if label >= self._next:

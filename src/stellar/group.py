@@ -219,17 +219,19 @@ def flatness_equivalence_check(structure: StellarStructure) -> bool:
     return is_flat(structure) == small
 
 
-def _require_shell(quotient: QuotientComplex) -> None:
-    if quotient.sphere.dimension() != 2:
-        raise StructureError("edge analysis needs a two-dimensional sphere")
+def surface_quotient(structure: StellarStructure) -> QuotientComplex:
+    """The quotient of a structure over a 2-sphere.  Edge classes, Γ and
+    the surface class describe such a structure only, so a structure whose
+    sphere is not a uniform 2-complex is refused by name."""
+    if set(map(len, structure.sphere.generators)) != {3}:
+        raise StructureError("structure needs a uniform 2-complex as its sphere")
+    return QuotientComplex.from_structure(structure)
 
 
 def _shell_swaps(structure: StellarStructure) -> Tuple[QuotientComplex, Permutation, Swaps]:
     """The quotient, pairing and class swaps of a closed 2-sphere shell."""
-    quotient = QuotientComplex.from_structure(structure)
-    pairing = _pairing(quotient)
-    _require_shell(quotient)
-    return quotient, pairing, _class_swaps(quotient)
+    quotient = surface_quotient(structure)
+    return quotient, _pairing(quotient), _class_swaps(quotient)
 
 
 def collapsible_edges(structure: StellarStructure) -> List[FrozenSet[Simplex]]:
@@ -299,14 +301,13 @@ def gamma_graph(structure: StellarStructure) -> GammaGraph:
     These are the classes whose degree entry exceeds 2, but the label is the
     full order: 2q, not q, for the odd lens classes.
     """
-    quotient = QuotientComplex.from_structure(structure)
+    quotient = surface_quotient(structure)
     return _gamma(quotient, _class_orders(quotient))
 
 
 def _gamma(quotient: QuotientComplex, orders: ClassOrders) -> GammaGraph:
     """Γ from `_class_orders`: an edge joins the vertex classes of its
     cell's name."""
-    _require_shell(quotient)
     cls = quotient.vertex_class
     edges = []
     verts: Set[int] = set()

@@ -11,7 +11,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from .complexes import Complex, Simplex, UnionFind
 from .errors import StructureError
-from .group import _class_orders, _degree, _gamma, has_circuit, GammaGraph
+from .group import _class_orders, _degree, _gamma, has_circuit, surface_quotient, GammaGraph
 from .homology import AbelianGroup, complex_h1
 from .manifold import check_manifold
 from .moves import _collapse_ranks
@@ -144,14 +144,6 @@ class WorkflowReport:
     evidence: List[str] = field(default_factory=list)
 
 
-def surface_quotient(structure: StellarStructure) -> QuotientComplex:
-    """The quotient of a structure over a 2-sphere; refuses, by name, a
-    structure whose sphere is not a uniform 2-complex."""
-    if set(map(len, structure.sphere.generators)) != {3}:
-        raise StructureError("structure report expects a uniform 2-complex as its sphere")
-    return QuotientComplex.from_structure(structure)
-
-
 def structure_report(structure: StellarStructure) -> WorkflowReport:
     """Classification chain for a closed structure over a 2-sphere."""
     return _report(surface_quotient(structure))
@@ -201,8 +193,6 @@ def sphere_workflow(m: Complex, budget: int = 100_000) -> WorkflowReport:
     manifold = check_manifold(m)
     if not manifold.closed:
         raise StructureError("sphere workflow expects a closed complex")
-    if not m.is_connected():
-        raise StructureError("sphere workflow expects a connected complex")
     if manifold.is_manifold is False:
         raise StructureError(manifold.describe())
     result = build_structure(m, budget=budget)

@@ -146,21 +146,12 @@ def make_regular(
 
     equivalence = RegularEquivalence.build(cls_list, pairs)
     out = StellarStructure(structure.apex, sphere, equivalence)
-    problems, cls, derived = out._diagnose()
+    problems, cls = out._diagnose()
     if problems:
         raise EquivalenceError("; ".join(problems))
-    # the repaired structure must agree with the matchings its validation
-    # derived from the vertex classes; the table may name a pair the other
-    # way round, or name a pair the structure does not have
-    found = dict(zip(equivalence.generator_pairs, derived))
+    # the repaired matchings must be the ones the vertex classes give
     for (g, h), phi in table.items():
-        if (g, h) in found:
-            psi = found[(g, h)]
-        elif (h, g) in found:
-            psi = {w: v for v, w in found[(h, g)].items()}
-        else:
-            psi = pair_matching(g, h, cls)
-        if psi != phi:
+        if pair_matching(g, h, cls) != phi:
             raise StructureError(
                 f"repaired matching of ({g}, {h}) disagrees with the vertex classes"
             )

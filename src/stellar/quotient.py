@@ -5,9 +5,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain, combinations, count
+from itertools import accumulate, chain, combinations, count, repeat
 from operator import itemgetter
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from .complexes import Complex, Simplex, UnionFind, face_table, simplex
 from .errors import EquivalenceError
@@ -22,8 +22,7 @@ from .homology import (
 )
 
 Matching = Dict[int, int]  # vertex of a generator -> vertex of its partner
-# (problems, vertex -> class id, each pair's matching or None)
-Diagnosis = Tuple[List[str], Dict[int, int], List[Optional[Matching]]]
+Diagnosis = Tuple[List[str], Dict[int, int]]  # (problems, vertex -> class id)
 
 
 def _sort_parity(seq: Sequence[int]) -> int:
@@ -88,8 +87,7 @@ class RegularEquivalence:
 
     def _diagnose(self, sphere: Complex, vertices: FrozenSet[int]) -> Diagnosis:
         """`problems` for a sphere with the vertex set `vertices`, with the
-        class map and the matching of each pair in `generator_pairs` order
-        (None where no matching was derived)."""
+        class map."""
         out: List[str] = []
         cls = self._class_map(vertices)
         stray = {v for c in self.vertex_classes for v in c} - vertices
@@ -110,16 +108,13 @@ class RegularEquivalence:
         for h, n in counts.items():
             if n > 1:
                 out.append(f"generator {h} occurs in {n} pairs")
-        matchings: List[Optional[Matching]] = []
         for g, p in self.generator_pairs:
-            phi = None
             if g in gens and p in gens:
                 try:
-                    phi = pair_matching(g, p, cls)
+                    pair_matching(g, p, cls)
                 except EquivalenceError as exc:
                     out.append(str(exc))
-            matchings.append(phi)
-        return out, cls, matchings
+        return out, cls
 
 
 def pair_matching(g: Simplex, p: Simplex, cls: Dict[int, int]) -> Matching:
@@ -152,14 +147,14 @@ class StellarStructure:
         return self._diagnose()[0]
 
     def _diagnose(self) -> Diagnosis:
-        """`validate`, with the class map and the pair matchings derived on
-        the way, as `RegularEquivalence._diagnose` gives them."""
+        """`validate`, with the class map, as `RegularEquivalence._diagnose`
+        gives it."""
         out = []
         vertices = self.sphere.vertices()  # read once for all three checks
         if self.apex in vertices:
             out.append(f"apex {self.apex} occurs in the sphere")
-        problems, cls, matchings = self.equivalence._diagnose(self.sphere, vertices)
-        return out + problems, cls, matchings
+        problems, cls = self.equivalence._diagnose(self.sphere, vertices)
+        return out + problems, cls
 
     @property
     def is_closed(self) -> bool:
@@ -177,8 +172,8 @@ def _face_plan(sigma: Tuple[int, ...]) -> Tuple[tuple, tuple]:
     of a generator goes to position sigma[i] of its partner.  Local face 0
     is the generator, and each other local face is first met as facet k of
     an earlier face p; gives those (p, k), which read a generator's face
-    numbers off a face table, and for each local face its number, its
-    image's number and the parity of the permutation sorting the image."""
+    numbers off a face table, and for each local face its image's number
+    and the parity of the permutation sorting the image."""
     faces = [tuple(range(len(sigma)))]
     local = {faces[0]: 0}
     path = []
@@ -189,29 +184,41 @@ def _face_plan(sigma: Tuple[int, ...]) -> Tuple[tuple, tuple]:
                 faces.append(h)
                 path.append((p, k))
     plan = []
-    for i, f in enumerate(faces):
+    for f in faces:
         image = [sigma[x] for x in f]
-        plan.append((i, local[tuple(sorted(image))], _sort_parity(image)))
+        plan.append((local[tuple(sorted(image))], _sort_parity(image)))
     return tuple(path), tuple(plan)
 
 
 class QuotientComplex:
     """CW quotient of a sphere by a regular equivalence.
 
-    Cells are classes of faces under the identifications induced, pair by
-    pair, by the class-respecting vertex matchings.  The faces of the
-    sphere are numbered once, in (dimension, lexicographic) order, by
-    `complexes.face_table`: `_faces` lists them, and `_facets[r]` lists the
-    numbers of the facets of face r in `combinations` order.  The pairs are
-    grouped by the position map of their matching, and each group reads its
-    generators' face numbers off that table a column at a time along the
-    `_face_plan` of that map.  The identifications are then applied in the
-    pairs' order, in a signed union-find on the numbers (`_uf`), whose flat
-    lists then give every face's cell and parity.  A cell is named by its
-    least face.  A report reads the same numbers: `_roots[d]` lists the
-    d-cells by their least faces, `_classes` maps each to its faces,
-    `_generators` lists the generators in sorted order, and `_pairs` gives
-    each pair by its generators' places in that list.
+    Takes the sphere, a class map `cls` and pairs of generators, and needs
+    what `from_structure` and `from_complex` guarantee: the vertices of
+    each generator lie in distinct classes, and each pair's generators meet
+    the same classes.  Each pair's vertex matching is then the one that
+    respects the classes, read off `cls` as a map of positions.
+
+    Cells are classes of faces under the identifications those matchings
+    induce, and no cell carries clashing orientations.  A chain of
+    identifications that carries a face back to itself maps each vertex to
+    a vertex of the same class, and the face's vertices lie in distinct
+    classes, so the chain is the identity, of even sign.  So each face's
+    cell and parity do not depend on the order of the identifications.
+
+    The faces of the sphere are numbered once, in (dimension,
+    lexicographic) order, by `complexes.face_table`: `_faces` lists them,
+    and `_facets[r]` lists the numbers of the facets of face r in
+    `combinations` order.  The pairs are grouped by the position map of
+    their matching, and each group reads its generators' face numbers off
+    that table a column at a time along the `_face_plan` of that map, and
+    applies each column's identifications in one batch to a signed
+    union-find on the numbers (`_uf`), whose flat lists then give every
+    face's cell and parity.  A cell is named by its least face.  A report
+    reads the same numbers: `_roots[d]` lists the d-cells by their least
+    faces, `_classes` maps each to its faces, `_generators` lists the
+    generators in sorted order, and `_pairs` gives each pair by its
+    generators' places in that list.
     """
 
     def __init__(
@@ -219,7 +226,6 @@ class QuotientComplex:
         sphere: Complex,
         cls: Dict[int, int],
         pairs: Sequence[Tuple[Simplex, Simplex]] = (),
-        matchings: Sequence[Matching] = (),
     ) -> None:
         self.sphere = sphere
         self.vertex_class = cls
@@ -233,15 +239,10 @@ class QuotientComplex:
         place = dict(zip(map(faces.__getitem__, generators), count()))  # in `generators`
         heads, tails = [place[g] for g, _ in pairs], [place[p] for _, p in pairs]
         shapes: Dict[Tuple[int, ...], List[int]] = {}  # sigma -> its pairs' places in `pairs`
-        for j, ((g, p), phi) in enumerate(zip(pairs, matchings)):
-            sigma = tuple(map(p.index, map(phi.__getitem__, g)))  # positions in p
-            shapes.setdefault(sigma, []).append(j)
-        # each shape walks its face plan a column at a time; the pairs' rows
-        # then go back to input order, so the identifications are applied
-        # pair by pair, plan entry by plan entry
-        into: List[Sequence[int]] = [()] * len(pairs)
-        back: List[Sequence[int]] = [()] * len(pairs)
-        signs: List[Sequence[int]] = [()] * len(pairs)
+        for j, (g, p) in enumerate(pairs):
+            pos = {cls[v]: i for i, v in enumerate(p)}  # class -> its vertex's position in p
+            shapes.setdefault(tuple(pos[cls[v]] for v in g), []).append(j)
+        uf = UnionFind(len(faces))
         for sigma, at in shapes.items():
             path, plan = _face_plan(sigma)
             xs = [[generators[heads[j]] for j in at]]  # local face i of each pair is xs[i]
@@ -250,11 +251,8 @@ class QuotientComplex:
                 step = itemgetter(k)
                 xs.append(list(map(step, map(facets.__getitem__, xs[parent]))))
                 ys.append(list(map(step, map(facets.__getitem__, ys[parent]))))
-            sign = tuple(parity for _, _, parity in plan)
-            for j, x, y in zip(at, zip(*xs), zip(*[ys[b] for _, b, _ in plan])):
-                into[j], back[j], signs[j] = x, y, sign
-        uf = UnionFind(len(faces))
-        uf.union_all(chain.from_iterable(into), chain.from_iterable(back), chain.from_iterable(signs))
+            for x, (image, parity) in zip(xs, plan):
+                uf.union_all(x, ys[image], repeat(parity))
         self._faces = faces
         self._facets = facets
         self._generators = generators
@@ -279,11 +277,10 @@ class QuotientComplex:
 
     @staticmethod
     def from_structure(structure: StellarStructure) -> "QuotientComplex":
-        problems, cls, matchings = structure._diagnose()
+        problems, cls = structure._diagnose()
         if problems:
             raise EquivalenceError("; ".join(problems))
-        pairs = structure.equivalence.generator_pairs
-        return QuotientComplex(structure.sphere, cls, pairs, matchings)
+        return QuotientComplex(structure.sphere, cls, structure.equivalence.generator_pairs)
 
     @staticmethod
     def from_complex(k: Complex) -> "QuotientComplex":
@@ -305,10 +302,6 @@ class QuotientComplex:
         validated structure are distinct generators."""
         return 2 * len(self._pairs) == len(self._generators)
 
-    def _conflicts(self) -> List[Simplex]:
-        """The cells whose faces are identified with clashing orientations."""
-        return sorted(self._faces[r] for r in self._uf.conflicts)
-
     def cell_counts(self) -> Dict[int, int]:
         return {d: len(cells) for d, cells in self.cells.items()}
 
@@ -317,11 +310,7 @@ class QuotientComplex:
 
     def _chains(self) -> Tuple[int, Cells, Cells]:
         """The cells through dimension two as `homology` takes them, read
-        off the union-find's flat root and parity lists.  Refuses cells with
-        clashing orientations."""
-        low = [c for c in self._conflicts() if len(c) <= 3]
-        if low:
-            raise EquivalenceError(f"cells {low} carry inconsistent orientations")
+        off the union-find's flat root and parity lists."""
         return cell_chains(self._roots, self._facets, *self._uf.flat)
 
     def boundary_matrices(self) -> Tuple[int, SparseRows, SparseRows]:

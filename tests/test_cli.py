@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -122,7 +123,7 @@ FOLDED_SQUARE = json.dumps({
         "generator_pairs": [[[1, 2], [1, 4]], [[2, 3], [3, 4]]],
     },
 })
-REFUSAL = {"error": "structure report expects a uniform 2-complex as its sphere", "kind": "domain"}
+REFUSAL = {"error": "structure needs a uniform 2-complex as its sphere", "kind": "domain"}
 
 
 def test_sphere_check_refuses_a_structure_over_a_circle():
@@ -141,6 +142,22 @@ def test_classify_refuses_a_structure_over_a_circle():
     code, out, err = run(["classify", "-"], FOLDED_SQUARE)
     assert code == 1 and out == ""
     assert json.loads(err) == REFUSAL
+
+
+def test_gamma_refuses_a_structure_over_two_points():
+    # the triangle's structure has a 0-sphere, which has no edge classes
+    _, points, _ = run(["structure", "-"], '{"generators": [[1, 2], [2, 3], [1, 3]]}')
+    code, out, err = run(["gamma", "-"], points)
+    assert code == 1 and out == ""
+    assert json.loads(err) == REFUSAL
+
+
+def test_sphere_check_refuses_disjoint_spheres():
+    two = {"generators": [list(g) for s in (range(1, 6), range(6, 11))
+                          for g in itertools.combinations(s, 4)]}
+    code, out, err = run(["sphere-check", "-"], json.dumps(two))
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "input must be connected", "kind": "domain"}
 
 
 def test_classify_fold_quotient(tmp_path):
@@ -225,24 +242,6 @@ def test_file_input(tmp_path):
     code, out, _ = run(["chi", str(f)])
     assert code == 0
     assert json.loads(out) == {"chi": 0}
-
-
-def test_budget_env_variable_is_read_only_by_structure_builds(monkeypatch):
-    monkeypatch.setenv("STELLAR_BUDGET", "x")
-    code, out, _ = run(["chi", "-"], CIRCLE)
-    assert code == 0
-    assert json.loads(out) == {"chi": 0}
-    for verb in ("structure", "sphere-check"):
-        code, _, err = run([verb, "-"], S3)
-        assert code == 2, verb
-        assert "STELLAR_BUDGET" in json.loads(err)["error"]
-
-
-def test_budget_env_variable(monkeypatch):
-    monkeypatch.setenv("STELLAR_BUDGET", "1")
-    code, out, err = run(["structure", "-"], S3)
-    assert code == 1
-    assert "exceeded" in json.loads(err)["error"]
 
 
 def test_one_parser_serves_verbs_in_turn(tmp_path):

@@ -103,7 +103,7 @@ def test_link_and_residual_decomposition():
 
 
 def test_link_of_edge_in_join_of_circles():
-    s3 = standard_sphere(1, start=1).join(standard_sphere(1, start=10))
+    s3 = standard_sphere(1).join(Complex([(10, 11, 12)]).boundary())
     lk = s3.link((1, 10))
     assert lk == Complex([(2, 11), (2, 12), (3, 11), (3, 12)])
 
@@ -147,7 +147,7 @@ def complex_zoo(rng):
         Complex([(1, 2), (2, 3), (1, 3), (1, 4), (4, 5), (1, 5)]),
         Complex([(1, 2, 3), (4, 5)]),
         Complex([(), (1, 2)]),
-        standard_sphere(1).join(standard_sphere(1, start=10)),
+        standard_sphere(1).join(Complex([(10, 11, 12)]).boundary()),
     ]
     zoo += [random_complex(rng, dim=rng.choice([1, 2, 3]), verts=8, gens=6) for _ in range(20)]
     for start in (standard_sphere(3), standard_sphere(4)):
@@ -246,7 +246,7 @@ def test_built_complexes_equal_their_validated_copies():
                 sub.residual(face),
                 sub.link(whole),
                 sub.link(whole).join(cone(v + 1)),
-                sub.join(standard_sphere(1, start=v + 1)),
+                sub.join(Complex([(v + 1, v + 2, v + 3)]).boundary()),
                 sub + k,
                 sub.boundary(),
                 Complex([whole]).boundary(),

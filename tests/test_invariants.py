@@ -193,7 +193,7 @@ def test_report_refuses_a_sphere_that_is_not_a_surface():
     circle = build_structure(standard_sphere(2)).structure
     assert circle.sphere.dimension() == 1 and circle.is_closed
     for structure in (square, circle):
-        with pytest.raises(StructureError, match="expects a uniform 2-complex as its sphere"):
+        with pytest.raises(StructureError, match="^structure needs a uniform 2-complex as its sphere$"):
             structure_report(structure)
 
 
@@ -269,15 +269,22 @@ def test_one_workflow_builds_one_quotient(monkeypatch):
 
 
 def test_one_workflow_searches_connectivity_once(monkeypatch, cycle_join):
-    # the workflow refuses a disconnected input itself, and the build
-    # searches only where it refuses
+    # the build searches connectivity only where it refuses, so an accepted
+    # input runs no search at all
     calls = []
     real = stellar.complexes.connected
     monkeypatch.setattr(stellar.complexes, "connected", lambda gens: calls.append(1) or real(gens))
     for m in (standard_sphere(3), cycle_join(4, 5)):
         calls.clear()
         assert sphere_workflow(m).conclusion == "sphere"
-        assert len(calls) == 1
+        assert calls == []
+
+
+def test_sphere_workflow_refuses_disjoint_spheres():
+    # every vertex link is a 2-sphere, so the build is what refuses
+    m = standard_sphere(3) + Complex([(6, 7, 8, 9, 10)]).boundary()
+    with pytest.raises(StructureError, match="^input must be connected$"):
+        sphere_workflow(m)
 
 
 def count_pair_matchings(monkeypatch):
@@ -295,8 +302,9 @@ def count_pair_matchings(monkeypatch):
 
 
 def test_one_report_matches_each_pair_once(monkeypatch):
-    # validation derives the matchings, and the quotient and the face
-    # classes are built from them
+    # validation checks each pair's matching; the quotient reads the
+    # matchings' positions off the class map, and the face classes off the
+    # quotient
     s = lens_structure(17, 3)
     calls = count_pair_matchings(monkeypatch)
     assert structure_report(s).conclusion == "not a sphere: H1 = Z/17"

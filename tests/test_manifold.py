@@ -25,6 +25,12 @@ def test_sphere_is_closed_manifold():
         assert not rep.bad_vertices
 
 
+def test_points_are_a_closed_0_manifold():
+    rep = check_manifold(Complex([(1,), (2,), (3,)]))
+    assert (rep.is_manifold, rep.closed, rep.dimension) == (True, True, 0)
+    assert rep.describe() == "closed 0-manifold"
+
+
 def test_ball_is_manifold_with_boundary():
     rep = check_manifold(standard_simplex(3))
     assert rep.is_manifold is True
@@ -151,8 +157,8 @@ def test_shared_links_give_each_link_its_own_verdict(
     rng = random.Random(13)
     suspended_c33 = cycle_join(3, 3).join(Complex([(101,), (102,)]))
     cases = [
-        projective_plane.join(standard_sphere(1, start=11)),
-        standard_sphere(4) + standard_sphere(4, start=6),
+        projective_plane.join(Complex([(11, 12, 13)]).boundary()),
+        standard_sphere(4) + Complex([(6, 7, 8, 9, 10, 11)]).boundary(),
         *(random_subdivision(rng, base, n)
           for base in (standard_sphere(4), suspended_c33) for n in (0, 2, 3)),
     ]
@@ -173,7 +179,8 @@ def test_shared_links_give_each_link_its_own_verdict(
 
 def test_two_disjoint_3_spheres_are_neither():
     # every vertex link is a 2-sphere and chi = 0, yet the union is disconnected
-    assert recognize(standard_sphere(3) + standard_sphere(3, start=10)) is Recognition.NEITHER
+    two = standard_sphere(3) + Complex([(10, 11, 12, 13, 14)]).boundary()
+    assert recognize(two) is Recognition.NEITHER
 
 
 def test_closedness_is_read_off_the_links(random_subdivision):
@@ -182,8 +189,8 @@ def test_closedness_is_read_off_the_links(random_subdivision):
     rng = random.Random(23)
     cases = [
         Complex([(1, 2, 3), (1, 4, 5)]),  # pinched: a bad link and ball links
-        standard_sphere(2) + standard_sphere(2, start=4),  # closed, a bad link
-        standard_sphere(3) + standard_sphere(3, start=5),
+        standard_sphere(2) + Complex([(4, 5, 6, 7)]).boundary(),  # closed, a bad link
+        standard_sphere(3) + Complex([(5, 6, 7, 8, 9)]).boundary(),
     ]
     for d in (1, 2, 3, 4):
         for base in (standard_sphere(d), standard_simplex(d)):

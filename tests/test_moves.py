@@ -411,7 +411,7 @@ def test_recognize_dimension_zero_and_one():
     assert recognize(arc) is Recognition.BALL
     wedge = Complex([(1, 2), (2, 3), (1, 3), (1, 4)])
     assert recognize(wedge) is Recognition.NEITHER
-    two_cycles = standard_sphere(1) + standard_sphere(1, start=4)
+    two_cycles = standard_sphere(1) + Complex([(4, 5, 6)]).boundary()
     assert recognize(two_cycles) is Recognition.NEITHER
     # seeded point sets and graphs on at most 7 vertices against the
     # per-vertex rule
@@ -445,7 +445,7 @@ SURFACE_ZOO = {
     ),
     "bow_tie": (Complex([(1, 2, 3), (1, 4, 5)]), Recognition.NEITHER),
     "book": (Complex([(1, 2, 3), (1, 2, 4), (1, 2, 5)]), Recognition.NEITHER),
-    "two_spheres": (standard_sphere(2) + standard_sphere(2, start=5), Recognition.NEITHER),
+    "two_spheres": (standard_sphere(2) + Complex([(5, 6, 7, 8)]).boundary(), Recognition.NEITHER),
     "double_octahedron": (DOUBLE_OCTAHEDRON, Recognition.NEITHER),
     # closed with chi = 2 and with a rim with chi = 1, but in two pieces:
     # every vertex link is connected, the dual graph is not

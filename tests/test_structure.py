@@ -1,6 +1,7 @@
 import hashlib
 import random
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -8,6 +9,7 @@ from stellar import (
     Complex,
     LabelAllocator,
     QuotientComplex,
+    RegularEquivalence,
     StructureError,
     build_structure,
     standard_sphere,
@@ -75,6 +77,19 @@ def test_build_succeeds_on_fixture_zoo():
         assert verify_structure(result, m) == [], name
 
 
+def test_verify_structure_names_each_fault():
+    m = standard_sphere(3)
+    s = build_structure(m).structure
+    assert 1 in s.sphere.vertices()
+    classes = [sorted(c) for c in s.equivalence.vertex_classes]
+    partial = RegularEquivalence.build(classes, s.equivalence.generator_pairs[:-1])
+    assert verify_structure(replace(s, apex=1), m) == ["apex 1 occurs in the sphere"]
+    assert verify_structure(replace(s, equivalence=partial), m) == [
+        "pairing does not cover every sphere generator"
+    ]
+    assert verify_structure(s, standard_sphere(4)) == ["sphere has the wrong dimension"]
+
+
 def test_steps_shrink_residual_one_generator_at_a_time():
     m = standard_sphere(3)
     result = build_structure(m)
@@ -139,8 +154,8 @@ def test_flips_equal_subdivide_then_weld(random_subdivision):
 def test_build_rejects_non_pseudomanifolds():
     # closed and connected, but a codimension-one face lies in four generators
     cases = [
-        standard_sphere(2, start=5) + Complex([(1, 2, 7, 8)]).boundary(),
-        standard_sphere(3, start=11) + Complex([(1, 2, 13, 14, 15)]).boundary(),
+        Complex([(5, 6, 7, 8)]).boundary() + Complex([(1, 2, 7, 8)]).boundary(),
+        Complex([(11, 12, 13, 14, 15)]).boundary() + Complex([(1, 2, 13, 14, 15)]).boundary(),
         standard_sphere(3) + Complex([(3, 4, 5, 6, 7)]).boundary(),
     ]
     for m in cases:
@@ -175,7 +190,7 @@ def test_build_matches_its_golden_digest(random_subdivision, cycle_join, non_sph
     [
         (Complex([(1, 2, 3), (1, 3, 4)]), "face (1, 2) lies in 1 generators"),
         (
-            standard_sphere(2, start=5) + Complex([(1, 2, 7, 8)]).boundary(),
+            Complex([(5, 6, 7, 8)]).boundary() + Complex([(1, 2, 7, 8)]).boundary(),
             "face (7, 8) lies in 4 generators",
         ),
     ],
@@ -189,7 +204,7 @@ def test_build_names_the_least_face_off_two_generators(m, message):
 def test_build_stops_where_no_facet_leads_on():
     # two tetrahedron boundaries wedged at the vertex 4: every edge lies in
     # two triangles, but no facet leads from one sphere to the other
-    wedge = standard_sphere(2) + standard_sphere(2, start=4)
+    wedge = standard_sphere(2) + Complex([(4, 5, 6, 7)]).boundary()
     with pytest.raises(StructureError, match="no residual generator touches the apex sphere along a facet"):
         build_structure(wedge)
 
@@ -197,7 +212,7 @@ def test_build_stops_where_no_facet_leads_on():
 def test_build_refuses_a_disconnected_input_first():
     # the build never absorbs a second component, so each refusal it ends
     # on names the disconnection instead
-    two = standard_sphere(2) + standard_sphere(2, start=11)
+    two = standard_sphere(2) + Complex([(11, 12, 13, 14)]).boundary()
     with pytest.raises(StructureError, match="input must be connected"):
         build_structure(two)
     with pytest.raises(StructureError, match="input must be connected"):
