@@ -234,9 +234,15 @@ def cell_chains(cells: Mapping[int, Sequence[int]], facets: Sequence[Sequence[in
 
 
 def complex_h1(k: Complex) -> AbelianGroup:
-    """Integer first homology of a simplicial complex (dims <= 2 matter):
-    every face is its own cell."""
-    levels, facets = face_table(k)
+    """Integer first homology of a simplicial complex (dims <= 2 matter)."""
+    return table_h1(*face_table(k))
+
+
+def table_h1(levels: Sequence[Sequence], facets: Sequence[Sequence[int]]) -> AbelianGroup:
+    """Integer first homology of the simplicial complex whose face table has
+    the levels `levels` and the facet ranks `facets`, as `face_table` gives
+    them: every face is its own cell.  A caller that holds the table already
+    passes it here rather than building it again."""
     starts = list(accumulate(map(len, levels[:3]), initial=0))
     cells = dict(enumerate(map(range, starts, starts[1:])))
     n = len(facets)

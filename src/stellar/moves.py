@@ -22,7 +22,7 @@ from .complexes import (
     star_connected,
 )
 from .errors import ComplexError, MoveError, WeldError
-from .homology import complex_h1
+from .homology import table_h1
 
 
 def subdivide(k: Complex, a: Simplex, vertex: int) -> Complex:
@@ -284,8 +284,14 @@ COLLAPSE = "collapse"
 
 
 Verdict = Tuple[Recognition, Optional[str]]
-# generator set -> the finished recognition of that complex, shared by the
-# recursion of one top-level call and dropped when the call returns
+# key -> the finished recognition of a complex with that key, shared by the
+# recursion of one top-level call and dropped when the call returns.  From
+# dimension 3 up the key is the order type (`_order_type`): an
+# order-preserving renaming keeps every face's rank, and so the collapse and
+# the certificate, which a general isomorphism need not.  Below dimension 3
+# the key is the generator set, since renumbering there costs about what
+# the dual-graph pass it saves does (see `recognize`).  The two kinds of key
+# have generators of different lengths, so they never meet
 Seen = Dict[FrozenSet[Simplex], Verdict]
 
 
@@ -307,9 +313,22 @@ def recognize(k: Complex) -> Recognition:
     the collapse stopped short while H1 is trivial.  It never means that the
     complex was silently accepted.
 
-    One call recognises each distinct link once: the verdict depends only on
-    the generator set, and the edge link lk(vw) is met twice, as the link of
-    w in lk(v) and of v in lk(w).
+    One call recognises each link once up to an order-preserving renaming
+    of its vertices.  From dimension 3 up a link is looked up by its order
+    type: its vertices renumbered 1..n in increasing order.  Such a renaming
+    keeps the (dimension, lexicographic) rank of every face, so the face
+    table, chi, closedness, the order of the vertex links and the greedy
+    collapse are the same, and so are the verdict and the certificate.  Every
+    vertex link of the boundary of the 5-simplex is the boundary of the
+    4-simplex on other labels, so it is certified once.  A general
+    isomorphism is not used: it can reorder the collapse, whose greedy
+    choice may then stop short elsewhere.  Below dimension 3 a link is looked
+    up by its generator set, since renumbering costs about as much as the
+    dual-graph pass it would save: with the order type at every dimension,
+    the link4 benchmark took 0.60 s instead of 0.55 s and subdiv_mix about
+    4% longer.  The edge link lk(vw) is met twice, as the link of w in lk(v)
+    and of v in lk(w), and is recognised once.  The table lives for one
+    top-level call; nothing is kept between calls.
     """
     if not k.is_uniform():
         raise ComplexError("recognition requires a uniform complex")
@@ -329,10 +348,19 @@ def _recognize(k: Complex, dim: int, seen: Seen) -> Verdict:
     whose verdict is in `seen` is not recognised again; a finished
     recognition goes into it.  The vertex links of `k` are uniform of
     dimension `dim` - 1, so neither is checked again."""
-    verdict = seen.get(k.generators)
+    key = k.generators if dim < 3 else _order_type(k.generators)
+    verdict = seen.get(key)
     if verdict is None:
-        verdict = seen[k.generators] = _certify(k, dim, seen)
+        verdict = seen[key] = _certify(k, dim, seen)
     return verdict
+
+
+def _order_type(gens: FrozenSet[Simplex]) -> FrozenSet[Simplex]:
+    """The generators `gens` with their vertices renumbered 1..n in
+    increasing order: equal for two complexes exactly when an
+    order-preserving renaming carries one onto the other."""
+    rank = {v: i for i, v in enumerate(sorted(set().union(*gens)), 1)}
+    return frozenset(tuple(map(rank.__getitem__, g)) for g in gens)
 
 
 def _certify(k: Complex, dim: int, seen: Seen) -> Verdict:
@@ -367,7 +395,7 @@ def _certify(k: Complex, dim: int, seen: Seen) -> Verdict:
         if len(_collapse_ranks(table.facets, gone)) == 1:
             return target, COLLAPSE
 
-    if not complex_h1(k).is_trivial():
+    if not table_h1(*table).is_trivial():
         return Recognition.NEITHER, EXACT
     return Recognition.UNKNOWN, None
 

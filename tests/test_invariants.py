@@ -268,7 +268,7 @@ def test_one_workflow_builds_one_quotient(monkeypatch):
     assert len(calls) == 1
 
 
-def test_one_workflow_searches_connectivity_once(monkeypatch, cycle_join):
+def test_one_workflow_searches_no_connectivity(monkeypatch, cycle_join):
     # the build searches connectivity only where it refuses, so an accepted
     # input runs no search at all
     calls = []

@@ -11,6 +11,7 @@ from stellar import (
     recognize,
     standard_simplex,
     standard_sphere,
+    relabel,
     subdivide,
 )
 from stellar import moves
@@ -125,10 +126,12 @@ def test_undecided_report_names_the_missing_certificate():
     )
 
 
-def test_one_check_recognises_each_edge_link_once(monkeypatch, random_subdivision):
+def test_one_check_recognises_no_edge_link_twice(monkeypatch, random_subdivision):
     # the edge link lk(vw) is the link of w in lk(v) and of v in lk(w); one
-    # check recognises it once, and a second check as often as the first,
-    # so nothing is kept between calls
+    # check recognises it at most once.  Edge links inside a 3-link that
+    # shares its order type with one already certified are not visited at
+    # all.  A second check recognises exactly what the first did, so nothing
+    # is kept between calls
     recognised = []
     low = moves._recognize_low
 
@@ -141,24 +144,90 @@ def test_one_check_recognises_each_edge_link_once(monkeypatch, random_subdivisio
     subdivided = random_subdivision(random.Random(5), standard_sphere(4), 3)
     for k in (standard_sphere(4), subdivided):
         edge_links = {k.link(e).generators for e in k.faces_of_dim(1)}
+        runs = []
         for _ in range(2):
             recognised.clear()
             assert check_manifold(k).is_manifold is True
-            assert len(recognised) == len(edge_links)
-            assert set(recognised) == edge_links
+            assert len(recognised) == len(set(recognised))
+            assert set(recognised) <= edge_links
+            runs.append(list(recognised))
+        assert runs[0] == runs[1]
+
+
+def certified_3_complexes(monkeypatch):
+    """The generator sets that `moves._certify` sees at dimension 3, in order."""
+    certified = []
+    certify = moves._certify
+
+    def spy(k, dim, seen):
+        if dim == 3:
+            certified.append(k.generators)
+        return certify(k, dim, seen)
+
+    monkeypatch.setattr(moves, "_certify", spy)
+    return certified
+
+
+def test_order_isomorphic_links_are_certified_once(monkeypatch):
+    # every vertex link of the boundary of the 5-simplex is the boundary of
+    # the 4-simplex on other labels, in the same order
+    certified = certified_3_complexes(monkeypatch)
+    report = check_manifold(standard_sphere(4))
+    assert len(certified) == 1
+    assert report.is_manifold is True
+    assert report.link_certificates == {v: "collapse" for v in range(1, 7)}
+
+
+def test_isomorphic_links_of_another_order_type_are_certified_apart(monkeypatch):
+    # the boundary of the 4-simplex on 2..6, subdivided at the facet
+    # (2, 3, 4, 5) by the vertex 7 and by the vertex 1: isomorphic 3-spheres
+    # whose least vertex is the new one in one and not in the other
+    certified = certified_3_complexes(monkeypatch)
+    base = Complex([(2, 3, 4, 5, 6)]).boundary()
+    first, second = (subdivide(base, (2, 3, 4, 5), v) for v in (7, 1))
+    assert moves._order_type(first.generators) != moves._order_type(second.generators)
+    seen = {}
+    for k in (first, second):
+        assert moves._recognize(k, 3, seen) == (Recognition.SPHERE, "collapse")
+    assert certified == [first.generators, second.generators]
+
+
+def test_an_order_preserving_relabel_renames_the_report(random_subdivision, cycle_join):
+    # v -> 2v + 5 keeps the order of the vertices, so every link keeps its
+    # verdict and its certificate
+    rng = random.Random(17)
+    bases = [standard_sphere(4), cycle_join(3, 3).join(Complex([(101,), (102,)]))]
+    cases = bases + [random_subdivision(rng, base, n) for base in bases for n in (1, 3)]
+    for k in cases:
+        image = {v: 2 * v + 5 for v in k.vertices()}
+        report = check_manifold(k)
+        moved = check_manifold(relabel(k, image))
+        assert (moved.is_manifold, moved.closed, moved.dimension) == (
+            report.is_manifold, report.closed, report.dimension
+        )
+        assert moved.link_results == {image[v]: r for v, r in report.link_results.items()}
+        assert moved.link_certificates == {
+            image[v]: c for v, c in report.link_certificates.items()
+        }
+        assert moved.bad_vertices == [image[v] for v in report.bad_vertices]
+        assert moved.unknown_vertices == [image[v] for v in report.unknown_vertices]
 
 
 def test_shared_links_give_each_link_its_own_verdict(
-    random_subdivision, cycle_join, projective_plane
+    random_subdivision, cycle_join, projective_plane, non_sphere_controls
 ):
     # check_manifold against a fresh recognition of every vertex link: RP^2 * S^1
     # (the circle's links are suspensions of RP^2), two 4-spheres wedged at
-    # vertex 6, and seeded subdivisions of the link4 bases
+    # vertex 6, S^2 x S^1 suspended from 101 and 102 (H1 refutes the two
+    # apexes' links, and the other 16 are suspended 2-spheres), and seeded
+    # subdivisions of the link4 bases
     rng = random.Random(13)
-    suspended_c33 = cycle_join(3, 3).join(Complex([(101,), (102,)]))
+    poles = Complex([(101,), (102,)])
+    suspended_c33 = cycle_join(3, 3).join(poles)
     cases = [
         projective_plane.join(Complex([(11, 12, 13)]).boundary()),
         standard_sphere(4) + Complex([(6, 7, 8, 9, 10, 11)]).boundary(),
+        non_sphere_controls[0].join(poles),
         *(random_subdivision(rng, base, n)
           for base in (standard_sphere(4), suspended_c33) for n in (0, 2, 3)),
     ]
@@ -175,6 +244,10 @@ def test_shared_links_give_each_link_its_own_verdict(
         )
     assert check_manifold(cases[0]).bad_vertices == [11, 12, 13]
     assert check_manifold(cases[1]).bad_vertices == [6]
+    report = check_manifold(cases[2])
+    assert report.bad_vertices == [101, 102]
+    assert {v: report.link_certificates[v] for v in (101, 102)} == {101: "exact", 102: "exact"}
+    assert list(report.link_certificates.values()).count("collapse") == 16
 
 
 def test_two_disjoint_3_spheres_are_neither():

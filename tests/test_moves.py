@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import stellar
 from stellar import (
     Complex,
     ComplexError,
@@ -562,6 +563,18 @@ def test_subdivided_3_spheres_need_no_search(random_subdivision):
     for moves in range(1, 9):
         k = random_subdivision(rng, standard_sphere(3), moves)
         assert recognize(k) is Recognition.SPHERE
+
+
+def test_h1_reads_the_face_table_of_the_recognition(monkeypatch, non_sphere_controls):
+    # the collapse of S^2 x S^1 stops short, and H1 = Z refutes it from the
+    # face table that recognition built, not from a second one
+    built = []
+    own = stellar.moves._face_table
+    full = stellar.homology.face_table
+    monkeypatch.setattr(stellar.moves, "_face_table", lambda *a: built.append("own") or own(*a))
+    monkeypatch.setattr(stellar.homology, "face_table", lambda k: built.append("h1") or full(k))
+    assert recognize(non_sphere_controls[0]) is Recognition.NEITHER
+    assert built == ["own"]
 
 
 @pytest.mark.parametrize(
