@@ -13,6 +13,8 @@ from .complexes import (
     EMPTY,
     Complex,
     Simplex,
+    UnionFind,
+    _FaceTable,
     _face_table,
     _facet_list,
     cone,
@@ -309,6 +311,14 @@ def recognize(k: Complex) -> Recognition:
        does so after its least generator is removed.
     3. Nontrivial H1 refutes.
 
+    A closed 3-complex with chi = 0 recognises no link: one pass over its
+    tetrahedra's corners decides whether every link is a 2-sphere.  Every
+    triangle must lie in exactly two tetrahedra, and then
+    sum over v of (2 - chi(lk v)) = 2 chi = 0.  A closed pseudo-surface with
+    a connected dual graph has chi <= 2, with equality only for the sphere,
+    so the links are spheres exactly when their dual graphs are connected
+    (`_certify`, `_closed_3_links`).  The verdict is the recursion's.
+
     Unknown means no certificate was found: a vertex link was undecided, or
     the collapse stopped short while H1 is trivial.  It never means that the
     complex was silently accepted.
@@ -325,10 +335,11 @@ def recognize(k: Complex) -> Recognition:
     choice may then stop short elsewhere.  Below dimension 3 a link is looked
     up by its generator set, since renumbering costs about as much as the
     dual-graph pass it would save: with the order type at every dimension,
-    the link4 benchmark took 0.60 s instead of 0.55 s and subdiv_mix about
-    4% longer.  The edge link lk(vw) is met twice, as the link of w in lk(v)
-    and of v in lk(w), and is recognised once.  The table lives for one
-    top-level call; nothing is kept between calls.
+    the link4 benchmark took 0.60 s instead of 0.55 s, before closed 3-links
+    were certified without their links, and subdiv_mix about 4% longer.
+    Inside bounded 3-links the edge link lk(vw) is met twice, as the link of
+    w in lk(v) and of v in lk(w), and is recognised once.  The table lives
+    for one top-level call; nothing is kept between calls.
     """
     if not k.is_uniform():
         raise ComplexError("recognition requires a uniform complex")
@@ -364,27 +375,47 @@ def _order_type(gens: FrozenSet[Simplex]) -> FrozenSet[Simplex]:
 
 
 def _certify(k: Complex, dim: int, seen: Seen) -> Verdict:
+    """`recognize`'s certificates for `k`, which `_recognize` has not seen.
+
+    A closed 3-complex with chi = 0 recognises none of its vertex links:
+    one pass, `_closed_3_links`, decides whether they are all 2-spheres.
+    When every triangle lies in exactly two tetrahedra (F = 2T), each vertex
+    link is a closed pseudo-surface, and counting each vertex, edge and
+    triangle of a link as the edge, triangle and tetrahedron at v it comes
+    from gives sum over v of chi(lk v) = 2E - 3F + 4T = 2E - 2T, so
+    sum over v of (2 - chi(lk v)) = 2V - 2E + 2T = 2 chi(k) = 0.  A closed
+    pseudo-surface with a connected dual graph has chi <= 2, with equality
+    only for the 2-sphere (splitting its vertices, as in `_recognize_low`).
+    So every term is >= 0 when every link's dual graph is connected, hence
+    0, and every link is a 2-sphere; a link whose dual graph is not
+    connected is NEITHER.  The verdict is the one the recursion gives: a
+    closed 3-pseudomanifold with chi = 0 and connected links is a
+    3-manifold (Seifert & Threlfall, 1934).  Every other complex from
+    dimension 3 up recognises its vertex links (`_link_test`).
+    """
     if dim <= 2:
         return _recognize_low(k, dim), EXACT
 
-    # one top-down face pass.  The generators' facets come first, and they
-    # are the star index too: the facet that drops v is a generator of
-    # lk(v), and v is joined to every vertex of lk(v)
+    # one top-down face pass, from the generators and their facets
     top = sorted(k.generators)
     below = _facet_list(top, dim)
-    star: Dict[int, List[Simplex]] = {}
-    for f, v in zip(below, itertools.chain.from_iterable(map(reversed, top))):
-        star.setdefault(v, []).append(f)
-    if not star_connected(star):
-        return Recognition.NEITHER, EXACT
-
     table = _face_table(top, below)
     closed = table.closed
     if table.chi != (1 if not closed else 0 if dim % 2 else 2):
         return Recognition.NEITHER, EXACT
     target = Recognition.SPHERE if closed else Recognition.BALL
 
-    links = _link_test(star, dim - 1, target, seen)
+    if dim == 3 and closed:
+        links = target if _closed_3_links(table) else Recognition.NEITHER
+    else:
+        # the generators' facets are the star index: the facet that drops v
+        # is a generator of lk(v), and v is joined to every vertex of lk(v)
+        star: Dict[int, List[Simplex]] = {}
+        for f, v in zip(below, itertools.chain.from_iterable(map(reversed, top))):
+            star.setdefault(v, []).append(f)
+        if not star_connected(star):
+            return Recognition.NEITHER, EXACT
+        links = _link_test(star, dim - 1, target, seen)
     if links is Recognition.NEITHER:
         return Recognition.NEITHER, EXACT
     if links is target:
@@ -398,6 +429,50 @@ def _certify(k: Complex, dim: int, seen: Seen) -> Verdict:
     if not table_h1(*table).is_trivial():
         return Recognition.NEITHER, EXACT
     return Recognition.UNKNOWN, None
+
+
+# A tetrahedron t's corner at its vertex in place p is numbered 4t + 3 - p,
+# the number of its facet that drops that vertex: facet 4t + i drops the
+# vertex in place 3 - i.  Entry i lists the corners of the vertices of facet
+# 4t + i, in increasing vertex order, less 4t + i
+_FACET_CORNERS = ((3, 2, 1), (2, 1, -1), (1, -1, -2), (-1, -2, -3))
+
+
+def _closed_3_links(table: _FaceTable) -> bool:
+    """Whether the 3-complex of the closed face table `table` has every
+    triangle in exactly two tetrahedra, a connected dual graph at every
+    vertex link and a connected dual graph of its own.  With chi = 0 this
+    holds exactly when the complex is connected and every vertex link is a
+    2-sphere (`_certify`).
+
+    Every triangle lies in an even number of tetrahedra, so in exactly two
+    when there are half as many triangles as tetrahedron facets.  The corner
+    of a tetrahedron at v is a triangle of lk(v), and two corners at v are
+    adjacent in the dual graph of lk(v) when their tetrahedra share a
+    triangle at v.  So one union-find on the corners joins, across each
+    triangle, the corners of its three vertices, and every link's dual graph
+    is connected when the corners fall into one class per vertex.  Then the
+    complex is connected exactly when its tetrahedra are connected through
+    shared triangles: tetrahedra that share a vertex v are, through lk(v).
+    """
+    levels, facets = table
+    tets = len(levels[3])
+    slots = 4 * tets  # the tetrahedra's facets, numbered as their corners
+    if 2 * len(levels[2]) != slots:
+        return False  # some triangle lies in four or more tetrahedra
+    ranks = list(itertools.chain.from_iterable(facets[len(facets) - tets:]))
+    by_rank = sorted(range(slots), key=ranks.__getitem__)
+    # the two facets on each triangle, the lower first.  Taken in the order
+    # of the lower one, the unions below seldom leave a deep tree to search
+    pairs = sorted(zip(by_rank[0::2], by_rank[1::2]))
+    firsts = [s + c for s, _ in pairs for c in _FACET_CORNERS[s & 3]]
+    seconds = [s + c for _, s in pairs for c in _FACET_CORNERS[s & 3]]
+    # each union that is not idle merges two classes
+    idle = UnionFind(slots).union_all(firsts, seconds)
+    if slots - len(firsts) + len(idle) != len(levels[0]):
+        return False
+    idle = UnionFind(tets).union_all([s >> 2 for s, _ in pairs], [s >> 2 for _, s in pairs])
+    return tets - len(pairs) + len(idle) == 1
 
 
 def _link_test(

@@ -128,10 +128,12 @@ def test_undecided_report_names_the_missing_certificate():
 
 def test_one_check_recognises_no_edge_link_twice(monkeypatch, random_subdivision):
     # the edge link lk(vw) is the link of w in lk(v) and of v in lk(w); one
-    # check recognises it at most once.  Edge links inside a 3-link that
-    # shares its order type with one already certified are not visited at
-    # all.  A second check recognises exactly what the first did, so nothing
-    # is kept between calls
+    # check recognises it at most once.  A closed 3-link is certified by one
+    # corner pass, so a closed 4-complex recognises no edge link at all; a
+    # bounded one recognises them inside its bounded 3-links, and edge links
+    # inside a 3-link that shares its order type with one already certified
+    # are not visited.  A second check recognises exactly what the first
+    # did, so nothing is kept between calls
     recognised = []
     low = moves._recognize_low
 
@@ -141,8 +143,12 @@ def test_one_check_recognises_no_edge_link_twice(monkeypatch, random_subdivision
         return low(k, dim)
 
     monkeypatch.setattr(moves, "_recognize_low", spy)
-    subdivided = random_subdivision(random.Random(5), standard_sphere(4), 3)
-    for k in (standard_sphere(4), subdivided):
+    cases = [
+        (standard_sphere(4), True),
+        (random_subdivision(random.Random(5), standard_sphere(4), 3), True),
+        (random_subdivision(random.Random(5), standard_simplex(4), 3), False),
+    ]
+    for k, closed in cases:
         edge_links = {k.link(e).generators for e in k.faces_of_dim(1)}
         runs = []
         for _ in range(2):
@@ -152,6 +158,7 @@ def test_one_check_recognises_no_edge_link_twice(monkeypatch, random_subdivision
             assert set(recognised) <= edge_links
             runs.append(list(recognised))
         assert runs[0] == runs[1]
+        assert (runs[0] == []) is closed
 
 
 def certified_3_complexes(monkeypatch):

@@ -28,8 +28,10 @@ from stellar import (
 from stellar.complexes import LabelAllocator, cofaces, connected, face_table, star_index
 from stellar.invariants import quotient_collapses_to_point
 from stellar.moves import (
+    _closed_3_links,
     _collapse_ranks,
     _facets,
+    _link_test,
     _recognize_low,
     prism_offset,
     weld_factor,
@@ -592,3 +594,95 @@ def test_two_tetrahedra_are_no_ball(pair):
     report = check_manifold(coned)
     assert report.is_manifold is False
     assert report.link_results[9] is Recognition.NEITHER
+
+
+def suspension(triangles, poles):
+    """The suspension from `poles`, two labels above every vertex, of the
+    sorted `triangles`."""
+    return Complex([t + (p,) for t in triangles for p in poles])
+
+
+def link4_3_links(random_subdivision, cycle_join):
+    """The distinct vertex links of the link4 benchmark's corpus at seed 0:
+    96 subdivisions of each of its two 4-spheres, with 0 to 3 moves."""
+    rng = random.Random(0)
+    bases = [standard_sphere(4), cycle_join(3, 3).join(Complex([(101,), (102,)]))]
+    links = {}
+    for base in bases:
+        for i in range(96):
+            for lk in random_subdivision(rng, base, i % 4).vertex_links().values():
+                links.setdefault(lk.generators, lk)
+    return list(links.values())
+
+
+def test_closed_3_links_agree_with_the_link_recursion(
+    random_subdivision, cycle_join, non_sphere_controls
+):
+    # on closed 3-complexes with chi = 0 the one corner pass accepts exactly
+    # when the complex is connected and every vertex link is recognised as a
+    # 2-sphere, and `recognize` gives what the per-link recursion gave
+    rng = random.Random(41)
+    spheres = [
+        standard_sphere(3),
+        *(random_subdivision(rng, standard_sphere(3), n) for n in (2, 5, 9)),
+        *(random_subdivision(rng, cycle_join(a, b), n)
+          for a, b in ((3, 4), (5, 5)) for n in (0, 3, 6)),
+        *link4_3_links(random_subdivision, cycle_join),
+    ]
+    # two disjoint 3-spheres: only the connectivity of the complex refutes
+    two = standard_sphere(3) + Complex([(6, 7, 8, 9, 10)]).boundary()
+    # X, the suspension of two octahedra glued at their poles 1 and 2: the
+    # links at 1, 2, 11 and 12 are connected with chi = 2, but their dual
+    # graphs are not, and neither is the dual graph of X
+    x = suspension(DOUBLE_OCTAHEDRON.sorted_generators(), (11, 12))
+    # a stacked 3-sphere whose vertices 5 and 10 have disjoint closed stars,
+    # with 10 identified to 5 (chi = -1), summed along (1, 2, 3, 6) with the
+    # suspension of RP^2 from 17 and 18 (chi = 1).  Its tetrahedra are
+    # connected through triangles, and only the link of 5, two 2-spheres,
+    # fails the dual-graph test: the links of 6 (where 17 is glued) and 18
+    # are projective planes, with chi = 1, so 2 - chi sums to 0 over the links
+    stacked = standard_sphere(3)
+    facets = [(1, 2, 3, 4), (2, 3, 4, 6), (3, 4, 6, 7), (4, 6, 7, 8), (6, 7, 8, 9)]
+    for v, facet in enumerate(facets, 6):
+        stacked = subdivide(stacked, facet, v)
+    rp2 = relabel(RP2_6, {v: v + 10 for v in range(1, 7)})
+    gens = stacked.generators | suspension(rp2.sorted_generators(), (17, 18)).generators
+    glue = {10: 5, 11: 1, 12: 2, 13: 3, 17: 6}
+    gens -= {(1, 2, 3, 6), (11, 12, 13, 17)}
+    pinched = Complex(tuple(sorted(glue.get(v, v) for v in g)) for g in gens)
+    bad = {
+        v: lk.euler_characteristic()
+        for v, lk in pinched.vertex_links().items()
+        if _recognize_low(lk, 2) is not Recognition.SPHERE
+    }
+    assert bad == {5: 4, 6: 1, 18: 1}
+    assert len(spheres) > 1000
+    for k, shape in [
+        *((k, Recognition.SPHERE) for k in spheres),
+        *((k, Recognition.NEITHER) for k in (*non_sphere_controls, two, x, pinched)),
+    ]:
+        table = face_table(k)
+        assert table.closed and table.chi == 0
+        verdict = _link_test(star_index(k.generators), 2, Recognition.SPHERE, {})
+        assert _closed_3_links(table) is (verdict is Recognition.SPHERE and connected(k.generators))
+        assert recognize(k) is shape
+    for k in non_sphere_controls:  # every link passes, and H1 refutes
+        assert _closed_3_links(face_table(k))
+    assert not _closed_3_links(face_table(two)) and connected(x.generators)
+    assert _link_test(star_index(x.generators), 2, Recognition.SPHERE, {}) is Recognition.NEITHER
+
+
+def test_closed_3_links_refuse_a_triangle_in_four_tetrahedra():
+    # two octahedra sharing the edge (3, 4), suspended from 11 and 12: the
+    # triangles (3, 4, 11) and (3, 4, 12) lie in four tetrahedra each.  With
+    # the poles 1, 7 and 2, 8, two tetrahedra from different octahedra come
+    # first on each, so pairing each triangle's tetrahedra in order would
+    # join the octahedra and leave every link connected
+    for poles in ((1, 2), (7, 8)), ((1, 7), (2, 8)):
+        octahedra = octahedron(poles[0], (3, 4, 5, 6)) + octahedron(poles[1], (3, 4, 9, 10))
+        k = suspension(octahedra, (11, 12))
+        up = cofaces(k.generators)
+        assert len(up[(3, 4, 11)]) == len(up[(3, 4, 12)]) == 4
+        assert face_table(k).closed and connected(k.generators)
+        assert not _closed_3_links(face_table(k))
+        assert recognize(k) is Recognition.NEITHER
