@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from .complexes import Complex, UnionFind, face_table
 
@@ -177,11 +177,6 @@ class AbelianGroup:
         return self.rank + sum(1 for d in self.torsion if d % 2 == 0)
 
 
-def z2_betti_from_boundaries(n1: int, d1: SparseRows, d2: SparseRows) -> int:
-    """dim of first homology with GF(2) coefficients; oracle path."""
-    return n1 - z2_rank(d1) - z2_rank(d2)
-
-
 def _rows(n: int, cells: Cells, d: int) -> SparseRows:
     """The boundary of the d-cells `cells` as sparse rows, one for each of
     the n (d-1)-cells: facet k of a cell, in `combinations` order, drops
@@ -195,42 +190,34 @@ def _rows(n: int, cells: Cells, d: int) -> SparseRows:
     return rows
 
 
-def boundary_matrices(
-    n0: int, edges: Cells, tris: Cells
-) -> Tuple[int, SparseRows, SparseRows]:
-    """(n1, d1, d2) of a cell complex through dimension two, from its n0
-    vertex cells and each edge and two-cell's (facet cell, parity) list."""
-    return len(edges), _rows(n0, edges, 1), _rows(len(edges), tris, 2)
-
-
-def homology_from_boundaries(n0: int, edges: Cells, tris: Cells) -> AbelianGroup:
-    """H1 of the cell complex that `boundary_matrices` reads.
+def homology_from_boundaries(chains: Sequence[Cells]) -> AbelianGroup:
+    """H1 of the cell complex whose levels `cell_chains` gives.
 
     d1 is the incidence matrix of the graph of vertex and edge cells.  For
     a spanning forest T of it, forgetting T's edges, pi: C1 -> Z^(E - T),
     is injective on ker d1 (a cycle on a forest is zero) and onto (the
     cycle closing e through T maps to e), so H1 = Z^(E - T) / pi(im d2):
     only the rows of d2 of the edges outside T go through the SNF, and d1
-    through none."""
-    forest = UnionFind(n0)
+    through none.  Levels above two are not read."""
+    verts, edges, tris = (*chains, (), (), ())[:3]
+    forest = UnionFind(len(verts))
     outside = forest.union_all([u for (u, _), _ in edges], [v for _, (v, _) in edges])
     d2 = _rows(len(edges), tris, 2)
     snf = smith_normal_form([d2[j] for j in outside])
     return AbelianGroup(len(outside) - len(snf), tuple(d for d in snf if d > 1))
 
 
-def cell_chains(cells: Mapping[int, Sequence[int]], facets: Sequence[Sequence[int]],
-                root: Sequence[int], sign: Sequence[int]) -> Tuple[int, Cells, Cells]:
-    """The cells through dimension two as `boundary_matrices` takes them,
-    from faces numbered as in a face table: `facets[r]` lists the numbers of
-    the facets of face r, `root[r]` and `sign[r]` give its cell, by that
-    cell's least face, and its parity against it, and `cells[d]` lists the
-    d-cells by their least faces.  A cell's facets are its least face's."""
-    verts, edges, tris = (cells.get(d, ()) for d in range(3))
-    at = {r: i for level in (verts, edges) for i, r in enumerate(level)}
-    edges, tris = ([[(at[root[f]], sign[f]) for f in facets[c]] for c in level]
-                   for level in (edges, tris))
-    return len(verts), edges, tris
+def cell_chains(levels: Iterable[Sequence[int]], facets: Sequence[Sequence[int]],
+                root: Sequence[int], sign: Sequence[int]) -> List[Cells]:
+    """Each level's cells with their (facet cell, parity) lists, in every
+    dimension, from faces numbered as in a face table: `facets[r]` lists the
+    numbers of the facets of face r, `root[r]` and `sign[r]` give its cell,
+    by that cell's least face, and its parity against it, and `levels[d]`
+    lists the d-cells by their least faces.  A cell's facets are its least
+    face's, and a facet cell is named by its place in the level below."""
+    levels = list(levels)
+    at = {r: i for level in levels[:-1] for i, r in enumerate(level)}
+    return [[[(at[root[f]], sign[f]) for f in facets[c]] for c in level] for level in levels]
 
 
 def complex_h1(k: Complex) -> AbelianGroup:
@@ -241,9 +228,10 @@ def complex_h1(k: Complex) -> AbelianGroup:
 def table_h1(levels: Sequence[Sequence], facets: Sequence[Sequence[int]]) -> AbelianGroup:
     """Integer first homology of the simplicial complex whose face table has
     the levels `levels` and the facet ranks `facets`, as `face_table` gives
-    them: every face is its own cell.  A caller that holds the table already
-    passes it here rather than building it again."""
+    them: every face is its own cell, and only the levels through dimension
+    two, which H1 reads, become chains.  A caller that holds the table
+    already passes it here rather than building it again."""
     starts = list(accumulate(map(len, levels[:3]), initial=0))
-    cells = dict(enumerate(map(range, starts, starts[1:])))
     n = len(facets)
-    return homology_from_boundaries(*cell_chains(cells, facets, range(n), [0] * n))
+    cells = map(range, starts, starts[1:])
+    return homology_from_boundaries(cell_chains(cells, facets, range(n), [0] * n))

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, count
+from itertools import accumulate, chain
 from typing import Dict, List, Optional, Tuple, Union
 
 from .complexes import Complex, Simplex, UnionFind
@@ -108,15 +108,14 @@ def classify_flat_quotient(q: QuotientComplex) -> SurfaceClass:
 
 
 def quotient_collapses_to_point(q: QuotientComplex) -> bool:
-    """Free-face collapse on the quotient cells; True when one 0-cell remains.
-    Cells are ranked by their least faces' numbers, which follow (dimension,
-    face) order; a cell's facets are its least face's, read off the
-    union-find's flat root list."""
-    (root, _), facets = q._uf.flat, q._facets
-    roots = sorted(q._classes)
-    rank = dict(zip(roots, count()))
-    left = _collapse_ranks([list({rank[root[f]] for f in facets[c]}) for c in roots])
-    return len(left) == 1 and len(q._faces[roots[left[0]]]) == 1
+    """Free-face collapse on the quotient's cells, as `q.chains` gives them;
+    True when one 0-cell remains.  A cell's rank is its level's offset plus
+    its place in the level, which is (dimension, face) order."""
+    chains = q.chains
+    starts = list(accumulate(map(len, chains), initial=0))
+    left = _collapse_ranks([list({starts[d - 1] + f for f, _ in cell})
+                            for d, level in enumerate(chains) for cell in level])
+    return len(left) == 1 and left[0] < starts[1]
 
 
 def prism_cell_counts(q: QuotientComplex) -> Dict[int, int]:

@@ -15,10 +15,10 @@ from .homology import (
     AbelianGroup,
     Cells,
     SparseRows,
-    boundary_matrices,
+    _rows,
     cell_chains,
     homology_from_boundaries,
-    z2_betti_from_boundaries,
+    z2_rank,
 )
 
 Matching = Dict[int, int]  # vertex of a generator -> vertex of its partner
@@ -218,7 +218,10 @@ class QuotientComplex:
     reads the same numbers: `_roots[d]` lists the d-cells by their least
     faces, `_classes` maps each to its faces, `_generators` lists the
     generators in sorted order, and `_pairs` gives each pair by its
-    generators' places in that list.
+    generators' places in that list.  `chains` reads every level's cells
+    with their facet cells once, in every dimension, and H1,
+    `boundary_matrices`, the GF(2) oracle `z2_b1` and the quotient collapse
+    all read it.
     """
 
     def __init__(
@@ -308,21 +311,26 @@ class QuotientComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * len(cells) for d, cells in self.cells.items())
 
-    def _chains(self) -> Tuple[int, Cells, Cells]:
-        """The cells through dimension two as `homology` takes them, read
-        off the union-find's flat root and parity lists."""
-        return cell_chains(self._roots, self._facets, *self._uf.flat)
+    @cached_property
+    def chains(self) -> List[Cells]:
+        """Each level's cells with their (facet cell, parity) lists, in every
+        dimension, read once off the union-find's flat root and parity
+        lists: what H1, the boundary maps and the collapse share."""
+        return cell_chains(self._roots.values(), self._facets, *self._uf.flat)
 
-    def boundary_matrices(self) -> Tuple[int, SparseRows, SparseRows]:
-        """(n1, d1, d2) of the quotient CW complex through dimension two."""
-        return boundary_matrices(*self._chains())
+    def boundary_matrices(self) -> List[SparseRows]:
+        """d_1, ..., d_n of the quotient CW complex as sparse rows: d_k has
+        one row for each (k-1)-cell and one column for each k-cell."""
+        chains = self.chains
+        return [_rows(len(chains[d - 1]), chains[d], d) for d in range(1, len(chains))]
 
     def h1(self) -> AbelianGroup:
-        return homology_from_boundaries(*self._chains())
+        return homology_from_boundaries(self.chains)
 
     def z2_b1(self) -> int:
-        n1, d1, d2 = self.boundary_matrices()
-        return z2_betti_from_boundaries(n1, d1, d2)
+        """dim of H1 with GF(2) coefficients from the ranks of the full d1
+        and d2: the oracle path, independent of the SNF."""
+        return self.cell_counts().get(1, 0) - sum(map(z2_rank, self.boundary_matrices()[:2]))
 
 
 def euler_identity_check(structure: StellarStructure, m: Complex) -> bool:

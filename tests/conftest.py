@@ -52,6 +52,11 @@ def _staircase_product(k, l):
     return Complex(out)
 
 
+@pytest.fixture
+def staircase_product():
+    return _staircase_product
+
+
 RP2 = Complex([
     (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
     (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6),

@@ -17,7 +17,6 @@ from stellar.homology import (
     _dense_snf,
     complex_h1,
     smith_normal_form,
-    z2_betti_from_boundaries,
     z2_rank,
 )
 
@@ -26,10 +25,14 @@ def integer_rank(rows):
     return len(smith_normal_form(rows))
 
 
-def full_snf_h1(n1, d1, d2):
-    """H1 with no forest: the rank of the whole d1 and the SNF of the whole
-    d2, the reference for `homology_from_boundaries`."""
+def full_snf_h1(q):
+    """H1 of the quotient `q` with no forest: the rank of the whole d1 and
+    the SNF of the whole d2, the reference for `homology_from_boundaries`.
+    n1 is the number of edge cells, which d2 does not give when there are
+    no two-cells."""
+    d1, d2 = (q.boundary_matrices() + [[], []])[:2]
     snf = smith_normal_form(d2)
+    n1 = q.cell_counts().get(1, 0)
     return AbelianGroup(n1 - integer_rank(d1) - len(snf), tuple(d for d in snf if d > 1))
 
 
@@ -94,9 +97,10 @@ def test_mod2_concordance_random():
         while len(gens) < 5:
             gens.add(tuple(sorted(rng.sample(range(1, 8), 3))))
         k = Complex(gens)
-        n1, d1, d2 = QuotientComplex.from_complex(k).boundary_matrices()
+        q = QuotientComplex.from_complex(k)
+        d1, d2 = q.boundary_matrices()
         group = complex_h1(k)
-        assert group.z2_betti() == z2_betti_from_boundaries(n1, d1, d2)
+        assert group.z2_betti() == len(q.cells[1]) - z2_rank(d1) - z2_rank(d2) == q.z2_b1()
 
 
 def random_matrices(rng, count):
@@ -161,7 +165,7 @@ def test_forest_h1_equals_the_full_snf(cycle_join, random_subdivision, non_spher
     for m in spheres + non_sphere_controls:
         quotients.append(QuotientComplex.from_structure(build_structure(m).structure))
     for q in quotients:
-        assert q.h1() == full_snf_h1(*q.boundary_matrices())
+        assert q.h1() == full_snf_h1(q)
     # seeded random complexes: triangles, edges and vertices on few vertices,
     # often disconnected, through `complex_h1`
     rng = random.Random(65)
@@ -173,10 +177,46 @@ def test_forest_h1_equals_the_full_snf(cycle_join, random_subdivision, non_spher
             gens.add(tuple(sorted(rng.sample(range(1, n + 1), size))))
         k = Complex(gens)
         q = QuotientComplex.from_complex(k)
-        assert complex_h1(k) == full_snf_h1(*q.boundary_matrices()), k
+        assert complex_h1(k) == full_snf_h1(q), k
         assert complex_h1(k) == q.h1(), k
     for m in non_sphere_controls:
-        assert complex_h1(m) == full_snf_h1(*QuotientComplex.from_complex(m).boundary_matrices())
+        assert complex_h1(m) == full_snf_h1(QuotientComplex.from_complex(m))
+
+
+def test_boundary_maps_in_every_dimension(staircase_product, non_sphere_controls):
+    # every d_k of a built quotient, d_k after d_(k+1) is zero, and H_k(Q)
+    # for 0 < k <= dim Q from the Smith normal forms: Q is M less an open
+    # ball, so by Künneth these are the groups of M below its top dimension
+    s2 = standard_sphere(2)
+    cases = [
+        (standard_sphere(4), 1, ["0", "0", "0"]),
+        (staircase_product(s2, s2), 3, ["0", "Z + Z", "0"]),
+        (non_sphere_controls[0], 1, ["Z", "Z"]),  # S^2 x S^1
+        (non_sphere_controls[2], 1, ["Z + Z/2", "Z"]),  # RP^2 x S^1
+    ]
+    for m, chi, groups in cases:
+        q = QuotientComplex.from_structure(build_structure(m).structure)
+        counts = q.cell_counts()
+        d = q.boundary_matrices()
+        assert len(d) == m.dimension() - 1 == len(groups)
+        for k, rows in enumerate(d, 1):
+            assert len(rows) == counts[k - 1]
+            assert all(0 <= j < counts[k] for row in rows for j in row)
+        for dk, above in zip(d, d[1:]):
+            for row in dk:
+                product = {}
+                for c, v in row.items():
+                    for j, w in above[c].items():
+                        product[j] = product.get(j, 0) + v * w
+                assert not any(product.values()), m
+        snf = [smith_normal_form(rows) for rows in d] + [[]]
+        found = [
+            AbelianGroup(counts[k] - len(snf[k - 1]) - len(snf[k]), tuple(x for x in snf[k] if x > 1))
+            for k in range(1, len(d) + 1)
+        ]
+        assert [g.describe() for g in found] == groups
+        assert q.euler_characteristic() == chi
+        assert q.h1() == found[0]
 
 
 def test_non_sphere_controls_are_never_recognised(non_sphere_controls):

@@ -264,17 +264,19 @@ def test_face_numbers_agree_with_cell_of(random_subdivision, cycle_join, non_sph
 
 
 def test_chains_read_the_cells_as_cell_of_does():
-    # the facets of each edge and two-cell, read by number, against the
-    # same cells found through `cell_of`
-    for s in (lens_structure(7, 2), lens_structure(17, 3), fold_structure(5)):
+    # the facets of the cells of every level, read by number, against the
+    # same cells found through `cell_of`; the quotient of the boundary of
+    # the 5-simplex has 3-cells
+    structures = [lens_structure(7, 2), lens_structure(17, 3), fold_structure(5)]
+    structures.append(build_structure(standard_sphere(4)).structure)
+    for s in structures:
         q = QuotientComplex.from_structure(s)
-        n0, *chains = q._chains()
-        verts, edges, tris = (q.cells.get(d, []) for d in range(3))
-        assert n0 == len(verts)
-        at = {c: i for level in (verts, edges) for i, c in enumerate(level)}
-        for cells, level in zip(chains, (edges, tris)):
+        assert q.chains is q.chains  # read once
+        assert len(q.chains) == len(q.cells) == s.sphere.dimension() + 1
+        for d, cells in enumerate(q.chains):
+            at = {c: i for i, c in enumerate(q.cells.get(d - 1, []))}
             expected = []
-            for c in level:
-                facets = [q.cell_of(f) for f in itertools.combinations(c, len(c) - 1)]
-                expected.append([(at[f], parity) for f, parity in facets])
-            assert cells == expected
+            for c in q.cells[d]:
+                below = itertools.combinations(c, len(c) - 1) if len(c) > 1 else ()
+                expected.append([(at[f], parity) for f, parity in map(q.cell_of, below)])
+            assert cells == expected, d
