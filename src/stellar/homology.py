@@ -4,9 +4,13 @@ Matrices come in and go out as sparse rows, a list of {column: value}
 dicts of Python ints, which keeps the arithmetic exact at any size and the
 memory proportional to the nonzero entries.  The Smith normal form
 eliminates unit pivots on those rows first and runs a dense loop only on
-the block they leave.  Two independent code paths are provided on purpose:
-Smith normal form over the integers, and Gaussian elimination over GF(2)
-used as a cross-check oracle.
+the block they leave.  H1 hands it less still: a spanning forest of the
+1-skeleton and then one of the 2-cells, across the edges that lie in two of
+them (a tree-cotree reduction), eliminate all but a few edges, so a lens
+shell's quotient reaches the SNF as a 2 x 2 block.  Two independent code
+paths are provided on purpose: Smith normal form over the integers, and
+Gaussian elimination over GF(2) on the full d1 and d2, used as a
+cross-check oracle.
 """
 
 from __future__ import annotations
@@ -191,20 +195,56 @@ def _rows(n: int, cells: Cells, d: int) -> SparseRows:
 
 
 def homology_from_boundaries(chains: Sequence[Cells]) -> AbelianGroup:
-    """H1 of the cell complex whose levels `cell_chains` gives.
+    """H1 of the cell complex whose levels `cell_chains` gives, by a
+    tree-cotree reduction: a spanning forest of the edges, then one of the
+    2-cells across the edges it leaves.
 
     d1 is the incidence matrix of the graph of vertex and edge cells.  For
     a spanning forest T of it, forgetting T's edges, pi: C1 -> Z^(E - T),
     is injective on ker d1 (a cycle on a forest is zero) and onto (the
     cycle closing e through T maps to e), so H1 = Z^(E - T) / pi(im d2):
-    only the rows of d2 of the edges outside T go through the SNF, and d1
-    through none.  Levels above two are not read."""
+    a generator for each edge outside T, a relation for each 2-cell.
+
+    An edge e in exactly two relations R1 and R2, with coefficients a and b
+    = +-1, is e = -a R1 by the first; put into the second, that leaves
+    R2 - ab R1, which has no e.  Dropping e and R1 for it changes neither
+    the rank nor the torsion.  Restricted to such edges d2 is the signed
+    incidence matrix of the dual graph, so a spanning forest of the 2-cells
+    across them, joined with parity 1 where a = b, does every substitution
+    at once: each dual component keeps one relation, the sum of its cells c
+    each times e_c = +-1, its sign against the root, and an edge whose join
+    was idle closes a dual cycle and stays, with the coefficient
+    e_1 a + e_2 b, 0 or +-2.  Those rows, and the rows of the edges in one
+    2-cell or in more than two, are all that go through the SNF.
+
+    An edge that lies twice in one 2-cell is not looked for: a face table
+    has none, and a regular equivalence puts the vertices of a face in
+    distinct classes, so no quotient has one either.  Levels above two are
+    not read."""
     verts, edges, tris = (*chains, (), (), ())[:3]
     forest = UnionFind(len(verts))
     outside = forest.union_all([u for (u, _), _ in edges], [v for _, (v, _) in edges])
-    d2 = _rows(len(edges), tris, 2)
-    snf = smith_normal_form([d2[j] for j in outside])
-    return AbelianGroup(len(outside) - len(snf), tuple(d for d in snf if d > 1))
+    around: Dict[int, List[Tuple[int, int]]] = {e: [] for e in outside}
+    for c, facets in enumerate(tris):  # facet k of a 2-cell carries (-1)^(k + parity)
+        for k, (e, parity) in enumerate(facets):
+            if e in around:
+                around[e].append((c, (k + parity) & 1))
+    pairs = [(e, cells) for e, cells in around.items() if len(cells) == 2]
+    dual = UnionFind(len(tris))
+    idle = set(dual.union_all([a for _, ((a, _), _) in pairs], [b for _, (_, (b, _)) in pairs],
+                              [1 ^ s ^ t for _, ((_, s), (_, t)) in pairs]))
+    for i, (e, _) in enumerate(pairs):
+        if i not in idle:
+            del around[e]  # a dual forest edge: its relation merged into its neighbour's
+    rows: SparseRows = []
+    for incidences in around.values():
+        row: Dict[int, int] = {}
+        for c, s in incidences:
+            root, parity = dual.find(c)
+            row[root] = row.get(root, 0) + (-1 if parity ^ s else 1)
+        rows.append(row)
+    snf = smith_normal_form(rows)
+    return AbelianGroup(len(rows) - len(snf), tuple(d for d in snf if d > 1))
 
 
 def cell_chains(levels: Iterable[Sequence[int]], facets: Sequence[Sequence[int]],

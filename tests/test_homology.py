@@ -1,6 +1,7 @@
 import math
 import random
 
+import stellar.homology
 from stellar import (
     Complex,
     QuotientComplex,
@@ -9,6 +10,7 @@ from stellar import (
     collapse_greedy,
     lens_structure,
     recognize,
+    relabel,
     sphere_workflow,
     standard_sphere,
 )
@@ -19,6 +21,7 @@ from stellar.homology import (
     smith_normal_form,
     z2_rank,
 )
+from test_moves import RP2_6, TORUS7
 
 
 def integer_rank(rows):
@@ -181,6 +184,72 @@ def test_forest_h1_equals_the_full_snf(cycle_join, random_subdivision, non_spher
         assert complex_h1(k) == q.h1(), k
     for m in non_sphere_controls:
         assert complex_h1(m) == full_snf_h1(QuotientComplex.from_complex(m))
+
+
+def klein_bottle():
+    """A 3 x 3 grid of squares, each cut by a diagonal, whose columns close
+    up plainly and whose rows close up with a flip."""
+    def vertex(i, j):
+        if i == 3:
+            i, j = 0, -j
+        return 3 * i + j % 3 + 1
+    triangles = []
+    for i in range(3):
+        for j in range(3):
+            a, b, c, d = vertex(i, j), vertex(i + 1, j), vertex(i, j + 1), vertex(i + 1, j + 1)
+            triangles += [sorted((a, b, d)), sorted((a, c, d))]
+    return Complex(triangles)
+
+
+def test_h1_where_the_dual_forest_closes_a_cycle(monkeypatch):
+    # a closed surface leaves one dual component, and each edge whose join
+    # in the 2-cells' forest was idle closes a dual cycle and stays as a row:
+    # with the coefficient 0 on the torus and +-2 on the projective plane
+    handed = []
+
+    def spy(rows):
+        handed.append(rows)
+        return smith_normal_form(rows)
+
+    monkeypatch.setattr(stellar.homology, "smith_normal_form", spy)
+    rp2 = relabel(RP2_6, {v: v + 10 for v in range(1, 7)})
+    circle = Complex([(21, 22), (22, 23), (21, 23)])
+    cases = [
+        (TORUS7, "Z + Z", {0}),
+        (RP2_6, "Z/2", {2}),
+        (klein_bottle(), "Z + Z/2", None),
+        # the edge (1, 2) in three triangles: a fin on the torus
+        (TORUS7 + Complex([(1, 2, 8)]), "Z + Z", None),
+        # two tetrahedron boundaries sharing the triangle (1, 2, 3)
+        (standard_sphere(2) + Complex([(1, 2, 3, 5)]).boundary(), "0", None),
+        (TORUS7 + rp2 + circle, "Z + Z + Z + Z/2", None),
+    ]
+    for k, group, closing in cases:
+        handed.clear()
+        found = complex_h1(k)
+        rows = list(handed)
+        q = QuotientComplex.from_complex(k)
+        assert found == q.h1() == full_snf_h1(q), k
+        assert found.describe() == group, k
+        assert len(handed) == 2  # one SNF call for each H1
+        if closing is not None:
+            assert {abs(v) for row in rows[0] for v in row.values()} == closing, rows
+
+
+def test_lens_h1_hands_the_snf_two_rows_at_most(monkeypatch):
+    # L(65, 8): 130 two-cells and 132 edges, all but two of which the two
+    # forests eliminate; a fall-back to the rows of d2 hands the SNF 130
+    sizes = []
+
+    def spy(rows):
+        sizes.append(len(rows))
+        return smith_normal_form(rows)
+
+    monkeypatch.setattr(stellar.homology, "smith_normal_form", spy)
+    q = QuotientComplex.from_structure(lens_structure(65, 8))
+    assert q.cell_counts() == {0: 3, 1: 132, 2: 130}
+    assert q.h1() == AbelianGroup(0, (65,))
+    assert len(sizes) == 1 and sizes[0] <= 2
 
 
 def test_boundary_maps_in_every_dimension(staircase_product, non_sphere_controls):
