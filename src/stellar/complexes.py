@@ -17,7 +17,6 @@ from typing import (
     Iterable,
     Iterator,
     List,
-    Mapping,
     NamedTuple,
     Sequence,
     Set,
@@ -331,31 +330,21 @@ def face_table(k: Complex) -> _FaceTable:
 
 def connected(gens: Iterable[Simplex]) -> bool:
     """Whether the union of the simplexes `gens` is connected; an empty
-    union is."""
-    star: Dict[int, List[Simplex]] = {}
+    union is.  Each simplex joins its vertices to its first one."""
+    index: Dict[int, int] = {}  # vertex -> its number in the union-find
+    xs: List[int] = []
+    ys: List[int] = []
     for g in gens:
         for v in g:
-            star.setdefault(v, []).append(g)
-    return star_connected(star)
+            ys.append(index.setdefault(v, len(index)))
+            xs.append(index[g[0]])
+    return _components(len(index), xs, ys) <= 1
 
 
-def star_connected(star: Mapping[int, Iterable[Simplex]]) -> bool:
-    """Whether a search from one vertex of `star`, on to the vertices of the
-    simplexes listed at each vertex it reaches, reaches every vertex of
-    `star`.  The simplexes at v may be those containing v, as in `connected`,
-    or the generators of the link of v, as in `star_index`: v is joined to
-    every vertex of its link.  An empty `star` is connected."""
-    if not star:
-        return True
-    todo = [next(iter(star))]
-    reached = set(todo)
-    while todo:
-        for g in star[todo.pop()]:
-            for u in g:
-                if u not in reached:
-                    reached.add(u)
-                    todo.append(u)
-    return len(reached) == len(star)
+def _components(n: int, xs: List[int], ys: List[int]) -> int:
+    """The number of classes of 0..n-1 once xs[i] is joined to ys[i] for
+    each i: each join that is not idle merges two classes."""
+    return n - len(xs) + len(UnionFind(n).union_all(xs, ys))
 
 
 class UnionFind:

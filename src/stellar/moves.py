@@ -13,7 +13,7 @@ from .complexes import (
     EMPTY,
     Complex,
     Simplex,
-    UnionFind,
+    _components,
     _FaceTable,
     _face_table,
     _facet_list,
@@ -21,7 +21,6 @@ from .complexes import (
     face_table,
     simplex,
     simplex_boundary,
-    star_connected,
 )
 from .errors import ComplexError, MoveError, WeldError
 from .homology import table_h1
@@ -237,7 +236,8 @@ def _recognize_low(k: Complex, dim: int) -> Recognition:
     its dual graph, whose nodes are the generators.
 
     One pass over each generator's facets refuses a facet in a third
-    generator and joins the two generators on each shared facet.  When the
+    generator and lists the two generators on each shared facet, the edges
+    of the dual graph, which one union-find then joins.  When the
     generators are connected through shared facets, the complex is closed
     when 2 #facets = (dim + 1) #generators.  Closed, it is a sphere, and
     with a rim a ball; at dimension 2 this needs chi = 2 (closed) or 1.
@@ -256,7 +256,8 @@ def _recognize_low(k: Complex, dim: int) -> Recognition:
     vertex was split, and k is S' itself.
     """
     first: Dict[Simplex, int] = {}  # facet -> its first generator; -1 once shared
-    dual: Dict[int, List[Tuple[int, int]]] = {t: [] for t in range(len(k))}
+    firsts: List[int] = []  # the dual graph's edges, firsts[i] to seconds[i]
+    seconds: List[int] = []
     facets = map(itertools.combinations, k.generators, itertools.repeat(dim))
     for t, below in enumerate(facets):
         for e in below:
@@ -266,9 +267,9 @@ def _recognize_low(k: Complex, dim: int) -> Recognition:
             if s < 0:
                 return Recognition.NEITHER
             first[e] = -1
-            dual[s].append((s, t))
-            dual[t].append((s, t))
-    if not star_connected(dual):
+            firsts.append(s)
+            seconds.append(t)
+    if _components(len(k), firsts, seconds) != 1:
         return Recognition.NEITHER
     closed = 2 * len(first) == (dim + 1) * len(k)
     if dim == 2:
@@ -302,8 +303,8 @@ def recognize(k: Complex) -> Recognition:
 
     For dimension >= 3 the certificates are tried in this order:
 
-    1. Connectivity and the Euler characteristic (0 or 2 when closed, by
-       parity of the dimension; 1 with boundary) can refute.
+    1. The Euler characteristic (0 or 2 when closed, by parity of the
+       dimension; 1 with boundary), then connectivity, can refute.
     2. Every vertex link is recognised, recursively.  A link that is NEITHER
        makes the complex NEITHER.  When every link is a sphere (or, with
        boundary, a sphere or a ball), the complex is a PL manifold; it is a
@@ -377,6 +378,10 @@ def _order_type(gens: FrozenSet[Simplex]) -> FrozenSet[Simplex]:
 def _certify(k: Complex, dim: int, seen: Seen) -> Verdict:
     """`recognize`'s certificates for `k`, which `_recognize` has not seen.
 
+    From dimension 3 up, a complex whose 1-skeleton is not connected is
+    refused before any vertex link is looked at: neither its links nor a
+    collapse certify it.
+
     A closed 3-complex with chi = 0 recognises none of its vertex links:
     one pass, `_closed_3_links`, decides whether they are all 2-spheres.
     When every triangle lies in exactly two tetrahedra (F = 2T), each vertex
@@ -403,18 +408,21 @@ def _certify(k: Complex, dim: int, seen: Seen) -> Verdict:
     closed = table.closed
     if table.chi != (1 if not closed else 0 if dim % 2 else 2):
         return Recognition.NEITHER, EXACT
+    # the 1-skeleton: each edge's facets are its two vertices' ranks, from 0
+    n0, n1 = len(table.levels[0]), len(table.levels[1])
+    edges = table.facets[n0 : n0 + n1]
+    if _components(n0, [a for a, _ in edges], [b for _, b in edges]) != 1:
+        return Recognition.NEITHER, EXACT
     target = Recognition.SPHERE if closed else Recognition.BALL
 
     if dim == 3 and closed:
         links = target if _closed_3_links(table) else Recognition.NEITHER
     else:
         # the generators' facets are the star index: the facet that drops v
-        # is a generator of lk(v), and v is joined to every vertex of lk(v)
+        # is a generator of lk(v)
         star: Dict[int, List[Simplex]] = {}
         for f, v in zip(below, itertools.chain.from_iterable(map(reversed, top))):
             star.setdefault(v, []).append(f)
-        if not star_connected(star):
-            return Recognition.NEITHER, EXACT
         links = _link_test(star, dim - 1, target, seen)
     if links is Recognition.NEITHER:
         return Recognition.NEITHER, EXACT
@@ -440,10 +448,9 @@ _FACET_CORNERS = ((3, 2, 1), (2, 1, -1), (1, -1, -2), (-1, -2, -3))
 
 def _closed_3_links(table: _FaceTable) -> bool:
     """Whether the 3-complex of the closed face table `table` has every
-    triangle in exactly two tetrahedra, a connected dual graph at every
-    vertex link and a connected dual graph of its own.  With chi = 0 this
-    holds exactly when the complex is connected and every vertex link is a
-    2-sphere (`_certify`).
+    triangle in exactly two tetrahedra and a connected dual graph at every
+    vertex link.  With chi = 0 this holds exactly when every vertex link is
+    a 2-sphere (`_certify`).
 
     Every triangle lies in an even number of tetrahedra, so in exactly two
     when there are half as many triangles as tetrahedron facets.  The corner
@@ -451,9 +458,7 @@ def _closed_3_links(table: _FaceTable) -> bool:
     adjacent in the dual graph of lk(v) when their tetrahedra share a
     triangle at v.  So one union-find on the corners joins, across each
     triangle, the corners of its three vertices, and every link's dual graph
-    is connected when the corners fall into one class per vertex.  Then the
-    complex is connected exactly when its tetrahedra are connected through
-    shared triangles: tetrahedra that share a vertex v are, through lk(v).
+    is connected when the corners fall into one class per vertex.
     """
     levels, facets = table
     tets = len(levels[3])
@@ -467,12 +472,7 @@ def _closed_3_links(table: _FaceTable) -> bool:
     pairs = sorted(zip(by_rank[0::2], by_rank[1::2]))
     firsts = [s + c for s, _ in pairs for c in _FACET_CORNERS[s & 3]]
     seconds = [s + c for _, s in pairs for c in _FACET_CORNERS[s & 3]]
-    # each union that is not idle merges two classes
-    idle = UnionFind(slots).union_all(firsts, seconds)
-    if slots - len(firsts) + len(idle) != len(levels[0]):
-        return False
-    idle = UnionFind(tets).union_all([s >> 2 for s, _ in pairs], [s >> 2 for _, s in pairs])
-    return tets - len(pairs) + len(idle) == 1
+    return _components(slots, firsts, seconds) == len(levels[0])
 
 
 def _link_test(

@@ -114,7 +114,8 @@ class RegularEquivalence:
                     pair_matching(g, p, cls)
                 except EquivalenceError as exc:
                     out.append(str(exc))
-        return out, cls
+        # each fault once: `pair_matching` refuses a generator the scan above listed
+        return list(dict.fromkeys(out)), cls
 
 
 def pair_matching(g: Simplex, p: Simplex, cls: Dict[int, int]) -> Matching:

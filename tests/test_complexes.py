@@ -5,6 +5,7 @@ import pytest
 from stellar import (
     Complex,
     ComplexError,
+    QuotientComplex,
     cone,
     simplex,
     standard_simplex,
@@ -18,9 +19,9 @@ from stellar.complexes import (
     all_faces,
     connected,
     simplex_boundary,
-    star_connected,
     star_index,
 )
+from stellar.homology import z2_rank
 
 
 def random_complex(rng, dim=2, verts=8, gens=6):
@@ -174,12 +175,12 @@ def test_connected_matches_a_spanning_forest():
     assert not connected([(1, 2), (3, 4)])
     assert connected([(3, 4), (1, 2), (2, 3)])
     for k in complex_zoo(random.Random(17)):
-        # connected exactly when a spanning forest has |V| - 1 edges
-        uf = UnionFind(k.max_label() + 1)
-        merges = sum(uf.union(g[0], v) for g in k.generators if g for v in g[1:])
-        assert connected(k.generators) is (merges == max(len(k.vertices()) - 1, 0))
-        # the same search on the link generators of the star index
-        assert star_connected(star_index(k.generators)) is connected(k.generators)
+        # a spanning forest has rank d1 edges over GF(2), so the complex is
+        # connected exactly when b0 = #vertices - rank d1 is at most 1; d1
+        # comes from the GF(2) oracle's boundary matrices
+        d = QuotientComplex.from_complex(k).boundary_matrices()
+        b0 = len(k.vertices()) - (z2_rank(d[0]) if d else 0)
+        assert connected(k.generators) is (b0 <= 1), sorted(k.generators)
 
 
 def test_union_find_merges_each_pair_of_classes_once():

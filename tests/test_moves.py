@@ -32,6 +32,7 @@ from stellar.moves import (
     _collapse_ranks,
     _facets,
     _link_test,
+    _recognize,
     _recognize_low,
     prism_offset,
     weld_factor,
@@ -532,6 +533,26 @@ def test_surface_test_matches_the_per_vertex_definition(random_subdivision):
     assert pinched
 
 
+# disjoint unions that only connectivity refutes, one for each path that
+# checks it: a graph and a closed surface with chi = 2 through the dual
+# graph, and from dimension 3 up, through the 1-skeleton, a bounded complex
+# with chi = 1 whose links the link test passes and a closed one with
+# chi = 0 whose links the corner pass passes
+DISJOINT_UNIONS = {
+    "two_triangle_boundaries": standard_sphere(1) + Complex([(4, 5, 6)]).boundary(),
+    "sphere_and_torus": standard_sphere(2) + TORUS_11,
+    "ball_and_3_sphere": standard_simplex(3) + Complex([(5, 6, 7, 8, 9)]).boundary(),
+    "two_3_spheres": standard_sphere(3) + Complex([(6, 7, 8, 9, 10)]).boundary(),
+}
+
+
+@pytest.mark.parametrize("name", DISJOINT_UNIONS)
+def test_connectivity_alone_refutes_a_disjoint_union(name):
+    k = DISJOINT_UNIONS[name]
+    assert not connected(k.generators)
+    assert _recognize(k, k.dimension(), {}) == (Recognition.NEITHER, "exact")
+
+
 def test_double_octahedron_is_refused_by_its_links_alone():
     # connected and closed, chi = 2 and every edge in exactly two triangles:
     # only the links of the glued vertices, two circles each, refute it
@@ -619,8 +640,8 @@ def test_closed_3_links_agree_with_the_link_recursion(
     random_subdivision, cycle_join, non_sphere_controls
 ):
     # on closed 3-complexes with chi = 0 the one corner pass accepts exactly
-    # when the complex is connected and every vertex link is recognised as a
-    # 2-sphere, and `recognize` gives what the per-link recursion gave
+    # when every vertex link is recognised as a 2-sphere, and `recognize`,
+    # which checks connectivity first, gives what the per-link recursion gave
     rng = random.Random(41)
     spheres = [
         standard_sphere(3),
@@ -664,11 +685,13 @@ def test_closed_3_links_agree_with_the_link_recursion(
         table = face_table(k)
         assert table.closed and table.chi == 0
         verdict = _link_test(star_index(k.generators), 2, Recognition.SPHERE, {})
-        assert _closed_3_links(table) is (verdict is Recognition.SPHERE and connected(k.generators))
+        assert _closed_3_links(table) is (verdict is Recognition.SPHERE)
         assert recognize(k) is shape
     for k in non_sphere_controls:  # every link passes, and H1 refutes
         assert _closed_3_links(face_table(k))
-    assert not _closed_3_links(face_table(two)) and connected(x.generators)
+    # every link of `two` is a 2-sphere, and `_certify` refutes it by connectivity
+    assert _closed_3_links(face_table(two)) and not connected(two.generators)
+    assert connected(x.generators)
     assert _link_test(star_index(x.generators), 2, Recognition.SPHERE, {}) is Recognition.NEITHER
 
 

@@ -155,6 +155,16 @@ def test_problems_catch_bad_pairings():
     assert any("occurs in 2 pairs" in p for p in eq.problems(sphere))
 
 
+def test_problems_list_each_fault_once():
+    # (2, 3, 4) contains two equivalent vertices and is paired, so the pair
+    # matching refuses it too; it is listed once
+    eq = RegularEquivalence.build([[2, 4]], [((1, 2, 3), (1, 3, 4)), ((1, 2, 4), (2, 3, 4))])
+    assert eq.problems(standard_sphere(2)) == [
+        "generator (1, 2, 4) contains two equivalent vertices",
+        "generator (2, 3, 4) contains two equivalent vertices",
+    ]
+
+
 def test_pair_matching_respects_classes():
     cls = {1: 0, 2: 1, 3: 2, 4: 1, 5: 2}
     assert pair_matching((1, 2, 3), (1, 4, 5), cls) == {1: 1, 2: 4, 3: 5}
