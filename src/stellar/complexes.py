@@ -10,14 +10,15 @@ link of a generator inside itself.  Public parsers never accept it.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from typing import (
     Dict,
     FrozenSet,
+    Hashable,
     Iterable,
     Iterator,
     List,
     NamedTuple,
+    Optional,
     Sequence,
     Set,
     Tuple,
@@ -258,9 +259,7 @@ def star_index(gens: Iterable[Simplex]) -> Dict[int, List[Simplex]]:
 def _facet_list(cells: Iterable[Simplex], d: int) -> List[Simplex]:
     """The facets of the d-simplexes `cells`, cell by cell; each cell's come
     in `combinations` order, which drops the last vertex first, as in
-    `star_index`."""
-    if not d:
-        return []
+    `star_index`.  A point's one facet is the empty face."""
     faces = map(itertools.combinations, cells, itertools.repeat(d))
     return list(itertools.chain.from_iterable(faces))
 
@@ -280,13 +279,6 @@ class _FaceTable(NamedTuple):
     def chi(self) -> int:
         return sum(-len(level) if d % 2 else len(level) for d, level in enumerate(self.levels))
 
-    @property
-    def closed(self) -> bool:
-        """Whether every facet of a top cell lies in an even number of top
-        cells, counted on the top cells' facet ranks when asked."""
-        top = self.facets[len(self.facets) - len(self.levels[-1]):]
-        return all(n % 2 == 0 for n in Counter(itertools.chain.from_iterable(top)).values())
-
 
 def _face_table(
     top: List[Simplex], below: List[Simplex], lower: Iterable[Simplex] = ()
@@ -297,17 +289,21 @@ def _face_table(
 
     Each level takes its facets with one `combinations` per cell and is
     sorted once, so ranking needs no key function; the facets' ranks are
-    read off each level's position map at the end.
+    read off each level's position map at the end.  Vertices are ranked as
+    their labels, so an edge's facets are its two ends, and become 1-tuples
+    once ranked.
     """
     dim = len(top[0]) - 1 if top else -1
-    extra: Dict[int, List[Simplex]] = {}
+    extra: Dict[int, list] = {}
     for g in lower:
-        extra.setdefault(len(g) - 1, []).append(g)
+        extra.setdefault(len(g) - 1, []).append(g if len(g) > 1 else g[0])
     levels, faces = [top], [below]
     for d in range(dim - 1, -1, -1):
+        if not d:  # the edges' ends, in `combinations` order
+            faces[-1] = list(itertools.chain.from_iterable(levels[-1]))
         level = sorted(set(faces[-1]).union(extra.get(d, ())))
         levels.append(level)
-        faces.append(_facet_list(level, d))
+        faces.append(_facet_list(level, d) if d > 1 else [])
     levels.reverse()
     faces.reverse()
     facets: List[Sequence[int]] = [()] * len(levels[0])
@@ -316,6 +312,8 @@ def _face_table(
         # a d-cell has d + 1 facets, consecutive in faces[d]
         ranks = map(rank.__getitem__, faces[d])
         facets.extend(zip(*[ranks] * (d + 1)))
+    if dim > 0:
+        levels[0] = [(v,) for v in levels[0]]
     return _FaceTable(levels, facets)
 
 
@@ -326,6 +324,22 @@ def face_table(k: Complex) -> _FaceTable:
     size = max(map(len, gens), default=0)
     top = sorted(g for g in gens if len(g) == size)
     return _face_table(top, _facet_list(top, size - 1), [g for g in gens if len(g) < size])
+
+
+def _partners(facets: Sequence[Hashable]) -> Optional[List[int]]:
+    """The facet pairing of a complex's top cells, whose facets `facets`
+    lists cell by cell: for each place, the place of the same facet in the
+    one other cell that has it, or -1 when no other cell has it; None when a
+    facet lies in a third cell."""
+    first: Dict[Hashable, int] = {}  # facet -> the place it was first seen
+    partner = [-1] * len(facets)
+    for at, f in enumerate(facets):
+        s = first.setdefault(f, at)
+        if s != at:
+            if partner[s] >= 0:
+                return None
+            partner[s], partner[at] = at, s
+    return partner
 
 
 def connected(gens: Iterable[Simplex]) -> bool:

@@ -14,9 +14,9 @@ from .complexes import (
     Complex,
     Simplex,
     _components,
-    _FaceTable,
     _face_table,
     _facet_list,
+    _partners,
     cone,
     face_table,
     simplex,
@@ -235,12 +235,12 @@ def _recognize_low(k: Complex, dim: int) -> Recognition:
     """Exact recognition of a uniform complex of dimension 0, 1 or 2 from
     its dual graph, whose nodes are the generators.
 
-    One pass over each generator's facets refuses a facet in a third
-    generator and lists the two generators on each shared facet, the edges
-    of the dual graph, which one union-find then joins.  When the
-    generators are connected through shared facets, the complex is closed
-    when 2 #facets = (dim + 1) #generators.  Closed, it is a sphere, and
-    with a rim a ball; at dimension 2 this needs chi = 2 (closed) or 1.
+    The facet pairing of the generators (`_partners`) refuses a facet in a
+    third generator and gives the two generators on each shared facet, the
+    edges of the dual graph, which must be connected (`_dual_connected`).
+    The complex is closed when every facet lies in two generators.  Closed,
+    it is a sphere, and with a rim a ball; at dimension 2 this needs chi = 2
+    (closed) or 1.
 
     At dimension 0 the one facet is the empty face: one or two points are a
     ball or S^0, and a third point refutes.  At dimension 1 a connected graph
@@ -255,33 +255,29 @@ def _recognize_low(k: Complex, dim: int) -> Recognition:
     So chi(k) = 2 (closed) or 1 (with a rim) forces chi(S') = chi(k): no
     vertex was split, and k is S' itself.
     """
-    first: Dict[Simplex, int] = {}  # facet -> its first generator; -1 once shared
-    firsts: List[int] = []  # the dual graph's edges, firsts[i] to seconds[i]
-    seconds: List[int] = []
-    facets = map(itertools.combinations, k.generators, itertools.repeat(dim))
-    for t, below in enumerate(facets):
-        for e in below:
-            s = first.setdefault(e, t)
-            if s == t:
-                continue
-            if s < 0:
-                return Recognition.NEITHER
-            first[e] = -1
-            firsts.append(s)
-            seconds.append(t)
-    if _components(len(k), firsts, seconds) != 1:
+    partner = _partners(_facet_list(k.generators, dim))
+    if partner is None or not _dual_connected(partner, dim + 1):
         return Recognition.NEITHER
-    closed = 2 * len(first) == (dim + 1) * len(k)
+    closed = -1 not in partner
     if dim == 2:
-        chi = len(set().union(*k.generators)) - len(first) + len(k)
+        # a shared facet takes two places, a lone one one
+        edges = (len(partner) + partner.count(-1)) // 2
+        chi = len(set().union(*k.generators)) - edges + len(k)
         if chi != (2 if closed else 1):
             return Recognition.NEITHER
     return Recognition.SPHERE if closed else Recognition.BALL
 
 
+def _dual_connected(partner: List[int], w: int) -> bool:
+    """Whether the cells of the facet pairing `partner`, whose places come w
+    to a cell, are connected through shared facets."""
+    pairs = [(s // w, t // w) for s, t in enumerate(partner) if s < t]
+    return _components(len(partner) // w, [a for a, _ in pairs], [b for _, b in pairs]) == 1
+
+
 # The certificate behind a decided recognition: "exact" when no collapse was
-# needed (dimension <= 2, or a refuting invariant: connectivity, chi, H1, a
-# vertex link), "collapse" for the link test plus a collapse to a vertex.
+# needed (dimension <= 2, or a refuting invariant: the facet pairing, chi,
+# H1, a vertex link), "collapse" for the link test plus a collapse to a vertex.
 EXACT = "exact"
 COLLAPSE = "collapse"
 
@@ -301,10 +297,14 @@ Seen = Dict[FrozenSet[Simplex], Verdict]
 def recognize(k: Complex) -> Recognition:
     """Decide ball/sphere: exact through dimension 2, certified above.
 
-    For dimension >= 3 the certificates are tried in this order:
+    Every dimension starts from the generators' facet pairing: a facet in a
+    third generator, or a dual graph that is not connected, refutes at once.
+    Below dimension 3 the pairing and chi decide (`_recognize_low`).
+
+    For dimension >= 3 the certificates are then tried in this order:
 
     1. The Euler characteristic (0 or 2 when closed, by parity of the
-       dimension; 1 with boundary), then connectivity, can refute.
+       dimension; 1 with boundary) can refute.
     2. Every vertex link is recognised, recursively.  A link that is NEITHER
        makes the complex NEITHER.  When every link is a sphere (or, with
        boundary, a sphere or a ball), the complex is a PL manifold; it is a
@@ -314,7 +314,7 @@ def recognize(k: Complex) -> Recognition:
 
     A closed 3-complex with chi = 0 recognises no link: one pass over its
     tetrahedra's corners decides whether every link is a 2-sphere.  Every
-    triangle must lie in exactly two tetrahedra, and then
+    triangle lies in exactly two tetrahedra, so
     sum over v of (2 - chi(lk v)) = 2 chi = 0.  A closed pseudo-surface with
     a connected dual graph has chi <= 2, with equality only for the sphere,
     so the links are spheres exactly when their dual graphs are connected
@@ -378,13 +378,28 @@ def _order_type(gens: FrozenSet[Simplex]) -> FrozenSet[Simplex]:
 def _certify(k: Complex, dim: int, seen: Seen) -> Verdict:
     """`recognize`'s certificates for `k`, which `_recognize` has not seen.
 
-    From dimension 3 up, a complex whose 1-skeleton is not connected is
-    refused before any vertex link is looked at: neither its links nor a
-    collapse certify it.
+    Every dimension opens with the facet pairing of the generators
+    (`_partners`).  From dimension 3 up it is read on the face table's
+    facet ranks, and a facet in a third generator, or a dual graph that is
+    not connected, is refused before chi or any vertex link is looked at.
+    The recursion would give the same verdict, NEITHER with an exact
+    certificate:
+    - a facet f in a third generator puts the facet f - u of lk(u) in a
+      third generator of lk(u), for every vertex u of f, and so on down to
+      `_recognize_low`, which refuses it;
+    - when the dual graph is not connected, either the 1-skeleton is not,
+      and neither the links nor a collapse certify k, or two dual
+      components share a vertex u.  Two generators of lk(u) share a facet
+      exactly when the generators of k they come from share a facet at u,
+      so the dual graph of lk(u) is not connected either, and lk(u) is
+      refused the same way, down to `_recognize_low`.
+    A connected dual graph makes the 1-skeleton connected, so no other
+    connectivity check is made.  The complex is closed when every facet
+    lies in two generators.
 
     A closed 3-complex with chi = 0 recognises none of its vertex links:
     one pass, `_closed_3_links`, decides whether they are all 2-spheres.
-    When every triangle lies in exactly two tetrahedra (F = 2T), each vertex
+    Every triangle lies in exactly two tetrahedra (F = 2T), so each vertex
     link is a closed pseudo-surface, and counting each vertex, edge and
     triangle of a link as the edge, triangle and tetrahedron at v it comes
     from gives sum over v of chi(lk v) = 2E - 3F + 4T = 2E - 2T, so
@@ -396,7 +411,8 @@ def _certify(k: Complex, dim: int, seen: Seen) -> Verdict:
     connected is NEITHER.  The verdict is the one the recursion gives: a
     closed 3-pseudomanifold with chi = 0 and connected links is a
     3-manifold (Seifert & Threlfall, 1934).  Every other complex from
-    dimension 3 up recognises its vertex links (`_link_test`).
+    dimension 3 up recognises its vertex links (`_link_test`), read off the
+    generators' facets, which are the star index.
     """
     if dim <= 2:
         return _recognize_low(k, dim), EXACT
@@ -405,18 +421,16 @@ def _certify(k: Complex, dim: int, seen: Seen) -> Verdict:
     top = sorted(k.generators)
     below = _facet_list(top, dim)
     table = _face_table(top, below)
-    closed = table.closed
-    if table.chi != (1 if not closed else 0 if dim % 2 else 2):
+    partner = _partners(list(itertools.chain.from_iterable(table.facets[-len(top):])))
+    if partner is None or not _dual_connected(partner, dim + 1):
         return Recognition.NEITHER, EXACT
-    # the 1-skeleton: each edge's facets are its two vertices' ranks, from 0
-    n0, n1 = len(table.levels[0]), len(table.levels[1])
-    edges = table.facets[n0 : n0 + n1]
-    if _components(n0, [a for a, _ in edges], [b for _, b in edges]) != 1:
+    closed = -1 not in partner
+    if table.chi != (1 if not closed else 0 if dim % 2 else 2):
         return Recognition.NEITHER, EXACT
     target = Recognition.SPHERE if closed else Recognition.BALL
 
     if dim == 3 and closed:
-        links = target if _closed_3_links(table) else Recognition.NEITHER
+        links = target if _closed_3_links(partner, len(table.levels[0])) else Recognition.NEITHER
     else:
         # the generators' facets are the star index: the facet that drops v
         # is a generator of lk(v)
@@ -446,33 +460,25 @@ def _certify(k: Complex, dim: int, seen: Seen) -> Verdict:
 _FACET_CORNERS = ((3, 2, 1), (2, 1, -1), (1, -1, -2), (-1, -2, -3))
 
 
-def _closed_3_links(table: _FaceTable) -> bool:
-    """Whether the 3-complex of the closed face table `table` has every
-    triangle in exactly two tetrahedra and a connected dual graph at every
-    vertex link.  With chi = 0 this holds exactly when every vertex link is
-    a 2-sphere (`_certify`).
+def _closed_3_links(partner: List[int], n0: int) -> bool:
+    """Whether every vertex link of a closed 3-complex, whose tetrahedra
+    have the facet pairing `partner` and whose vertices number `n0`, has a
+    connected dual graph.  Every triangle lies in exactly two tetrahedra, so
+    with chi = 0 this holds exactly when every vertex link is a 2-sphere
+    (`_certify`).
 
-    Every triangle lies in an even number of tetrahedra, so in exactly two
-    when there are half as many triangles as tetrahedron facets.  The corner
-    of a tetrahedron at v is a triangle of lk(v), and two corners at v are
-    adjacent in the dual graph of lk(v) when their tetrahedra share a
-    triangle at v.  So one union-find on the corners joins, across each
+    The corner of a tetrahedron at v is a triangle of lk(v), and two corners
+    at v are adjacent in the dual graph of lk(v) when their tetrahedra share
+    a triangle at v.  So one union-find on the corners joins, across each
     triangle, the corners of its three vertices, and every link's dual graph
     is connected when the corners fall into one class per vertex.
     """
-    levels, facets = table
-    tets = len(levels[3])
-    slots = 4 * tets  # the tetrahedra's facets, numbered as their corners
-    if 2 * len(levels[2]) != slots:
-        return False  # some triangle lies in four or more tetrahedra
-    ranks = list(itertools.chain.from_iterable(facets[len(facets) - tets:]))
-    by_rank = sorted(range(slots), key=ranks.__getitem__)
     # the two facets on each triangle, the lower first.  Taken in the order
     # of the lower one, the unions below seldom leave a deep tree to search
-    pairs = sorted(zip(by_rank[0::2], by_rank[1::2]))
+    pairs = [(s, t) for s, t in enumerate(partner) if s < t]
     firsts = [s + c for s, _ in pairs for c in _FACET_CORNERS[s & 3]]
-    seconds = [s + c for _, s in pairs for c in _FACET_CORNERS[s & 3]]
-    return _components(slots, firsts, seconds) == len(levels[0])
+    seconds = [t + c for _, t in pairs for c in _FACET_CORNERS[t & 3]]
+    return _components(len(partner), firsts, seconds) == n0
 
 
 def _link_test(

@@ -94,7 +94,7 @@ class RegularEquivalence:
         if stray:
             out.append(f"classes mention vertices {sorted(stray)} not in the sphere")
         gens = sphere.generators
-        bad = [g for g in gens if len({cls[v] for v in g}) != len(g)]
+        bad = {g for g in gens if len({cls[v] for v in g}) != len(g)}
         for g in sorted(bad, key=lambda g: (len(g), g)):
             out.append(f"generator {g} contains two equivalent vertices")
         counts: Dict[Simplex, int] = {}
@@ -108,13 +108,19 @@ class RegularEquivalence:
         for h, n in counts.items():
             if n > 1:
                 out.append(f"generator {h} occurs in {n} pairs")
+        # a pair has a class-respecting matching when the sizes agree, p has
+        # no two equivalent vertices (else the scan above listed it), and
+        # every class of g is a class of p
         for g, p in self.generator_pairs:
             if g in gens and p in gens:
-                try:
-                    pair_matching(g, p, cls)
-                except EquivalenceError as exc:
-                    out.append(str(exc))
-        # each fault once: `pair_matching` refuses a generator the scan above listed
+                if len(g) != len(p):
+                    out.append(f"paired generators {g} and {p} have different sizes")
+                elif p not in bad:
+                    classes = {cls[v] for v in p}
+                    v = next((v for v in g if cls[v] not in classes), None)
+                    if v is not None:
+                        out.append(f"no vertex of {p} is equivalent to vertex {v} of {g}")
+        # each fault once: a generator in two pairs can be faulted twice
         return list(dict.fromkeys(out)), cls
 
 

@@ -13,9 +13,10 @@ on the final sphere.
 
 The input must be a closed pseudomanifold: every codimension-one face lies
 in exactly two generators.  The build runs on numbers: generators in
-sorted order, codimension-one faces in order of first appearance among the
-generators' facets.  The two link copies of each face that no step crossed
-are the pairs of the equivalence.
+sorted order, and each codimension-one face by its two positions among the
+generators' facets, which the facet pairing of `complexes` matches.  The
+two link copies of each face that no step crossed are the pairs of the
+equivalence.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from .complexes import Complex, LabelAllocator, Simplex, _facet_list
+from .complexes import Complex, LabelAllocator, Simplex, _facet_list, _partners
 from .errors import BudgetExceeded, EquivalenceError, StructureError
 from .quotient import QuotientComplex, RegularEquivalence, StellarStructure, _euler_identity
 
@@ -66,21 +67,19 @@ def build_structure(m: Complex, budget: int = 100_000) -> BuildResult:
     def refuse(error: Exception) -> Exception:
         return error if m.is_connected() else StructureError("input must be connected")
 
-    # gens[i] is generator i: its facet k sits at position (n + 1) i + k of
-    # `below`, drops its vertex n - k and has the face id face[(n + 1) i + k]
+    # gens[i] is generator i: its facet k sits at position at = (n + 1) i + k
+    # of `below`, drops its vertex n - k, and is also the facet at position
+    # partner[at], of generator partner[at] // (n + 1)
     gens = sorted(m.generators)
     n = len(gens[0]) - 1
     below = _facet_list(gens, n)
-    ids = dict(zip(dict.fromkeys(below), itertools.count()))
-    face = list(map(ids.__getitem__, below))
-    count = Counter(face)
-    if set(count.values()) != {2}:  # also rules out a boundary
-        fp = min(f for f, k in ids.items() if count[k] != 2)
+    partner = _partners(below)
+    if partner is None or -1 in partner:
+        count = Counter(below)
+        fp = min(f for f, c in count.items() if c != 2)
         raise refuse(StructureError(
-            f"face {fp} lies in {count[ids[fp]]} generators; the input is not a pseudomanifold"
+            f"face {fp} lies in {count[fp]} generators; the input is not a pseudomanifold"
         ))
-    order = sorted(range(len(face)), key=face.__getitem__)
-    both = [a + b for a, b in zip(order[::2], order[1::2])]  # face id -> sum of its positions
 
     alloc = LabelAllocator(m)
     apex = alloc.fresh()
@@ -89,7 +88,7 @@ def build_structure(m: Complex, budget: int = 100_000) -> BuildResult:
     link: Set[Simplex] = set()
     # original -> link faces holding it or a copy: n for each vertex of gens[0]
     on_link = Counter(dict.fromkeys(gens[0], n))
-    facing: Dict[int, Simplex] = {}  # face id with a residual coface -> its link copy
+    facing: Dict[int, Simplex] = {}  # a residual generator's facet position -> its link copy
     frontier: List[int] = []  # heap of residual generators touching the link
     pairs: List[Tuple[Simplex, Simplex]] = []  # the link copies of each uncrossed face
     steps: List[BuildStep] = []
@@ -102,13 +101,12 @@ def build_structure(m: Complex, budget: int = 100_000) -> BuildResult:
             ))
         for h, at in new:
             link.add(h)
-            k = face[at]
-            across = (both[k] - at) // (n + 1)
+            across = partner[at] // (n + 1)
             if residual[across]:
-                facing[k] = h
+                facing[partner[at]] = h
                 heapq.heappush(frontier, across)
-            else:  # both cofaces are in, and k was not crossed
-                pairs.append((facing.pop(k), h))
+            else:  # both cofaces are in, and the face was not crossed
+                pairs.append((facing.pop(at), h))
 
     add_to_link(list(zip(below, range(n + 1))), gens[0])
     while len(steps) < len(gens) - 1:
@@ -122,8 +120,8 @@ def build_structure(m: Complex, budget: int = 100_000) -> BuildResult:
             ))
         i = heapq.heappop(frontier)
         p, base = gens[i], (n + 1) * i
-        k = next(k for k in range(n + 1) if face[base + k] in facing)
-        f = facing.pop(face[base + k])
+        k = next(k for k in range(n + 1) if base + k in facing)
+        f = facing.pop(base + k)
         v = p[n - k]
         w = alloc.fresh() if on_link[v] else v  # v on the sphere already: a fresh copy
         root[w] = v

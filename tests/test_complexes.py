@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -16,7 +17,9 @@ from stellar import (
 from stellar.complexes import (
     LabelAllocator,
     UnionFind,
+    _partners,
     all_faces,
+    cofaces,
     connected,
     simplex_boundary,
     star_index,
@@ -181,6 +184,38 @@ def test_connected_matches_a_spanning_forest():
         d = QuotientComplex.from_complex(k).boundary_matrices()
         b0 = len(k.vertices()) - (z2_rank(d[0]) if d else 0)
         assert connected(k.generators) is (b0 <= 1), sorted(k.generators)
+
+
+def test_partners_pair_each_facet_with_its_other_coface():
+    # the facet pairing against `cofaces`: symmetric, -1 exactly on a lone
+    # coface, and None exactly when some facet has three or more
+    rng = random.Random(19)
+    zoo = [k for k in complex_zoo(rng) if k.is_uniform() and k.dimension() >= 0]
+    zoo += [random_complex(rng, dim=d, verts=d + 4, gens=rng.randint(1, 4))
+            for d in range(5) for _ in range(8)]
+    kinds = set()
+    for k in zoo:
+        gens = sorted(k.generators)
+        w = len(gens[0])
+        facets = [f for g in gens for f in itertools.combinations(g, w - 1)]
+        up = cofaces(gens)
+        partner = _partners(facets)
+        if max(map(len, up.values())) > 2:
+            assert partner is None, gens
+            kinds.add("third")
+            continue
+        assert len(partner) == len(facets)
+        for at, other in enumerate(partner):
+            f, cell = facets[at], gens[at // w]
+            if other < 0:
+                assert up[f] == [cell], gens
+                kinds.add("lone")
+            else:
+                assert facets[other] == f and partner[other] == at, gens
+                assert sorted(up[f]) == sorted([cell, gens[other // w]]), gens
+                kinds.add("pair")
+        kinds.add(k.dimension())
+    assert kinds == {0, 1, 2, 3, 4, "third", "lone", "pair"}
 
 
 def test_union_find_merges_each_pair_of_classes_once():

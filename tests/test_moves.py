@@ -25,11 +25,12 @@ from stellar import (
     subdivide,
     weld,
 )
-from stellar.complexes import LabelAllocator, cofaces, connected, face_table, star_index
+from stellar.complexes import LabelAllocator, _partners, cofaces, connected, face_table, star_index
 from stellar.invariants import quotient_collapses_to_point
 from stellar.moves import (
     _closed_3_links,
     _collapse_ranks,
+    _dual_connected,
     _facets,
     _link_test,
     _recognize,
@@ -328,20 +329,39 @@ def face_table_zoo(random_subdivision, non_sphere_controls):
     return closed, [subdivided_ball(), Complex([(1, 2, 3), (1, 2, 4), (1, 2, 5)])]
 
 
+def top_pairing(table):
+    """The facet pairing of a face table's top cells, read on their facets'
+    ranks, as `_certify` reads it."""
+    return _partners(list(itertools.chain.from_iterable(table.facets[-len(table.levels[-1]):])))
+
+
 def test_face_table_gives_chi_closedness_and_ranks(random_subdivision, non_sphere_controls):
     closed, bounded = face_table_zoo(random_subdivision, non_sphere_controls)
     # two tetrahedron boundaries sharing the edge (1, 2), which lies in four
-    # triangles: closed, yet no pseudomanifold
-    closed.append(standard_sphere(2) + Complex([(1, 2, 5, 6)]).boundary())
-    for k in closed + bounded:
+    # triangles: closed, yet no pseudomanifold, as is the book of three
+    # triangles, which is not closed
+    four = standard_sphere(2) + Complex([(1, 2, 5, 6)]).boundary()
+    closed.append(four)
+    # points, a graph and lower cells beside the top ones, where vertices
+    # are ranked as their labels
+    lower = [Complex([(1,), (2,)]), Complex([(1, 2), (2, 3), (1, 3), (3, 4)]),
+             Complex([(1, 2, 3), (3, 4), (5,)])]
+    for k in closed + bounded + lower:
         table = face_table(k)
         assert table.chi == k.euler_characteristic()
-        assert table.closed is k.is_closed() is (k in closed)
         # the cells in rank order are the closure by (dimension, face), and
         # each cell's facet ranks name its facets
         cells = list(itertools.chain.from_iterable(table.levels))
         assert cells == sorted(k.closure(), key=lambda f: (len(f), f))
         assert [[cells[r] for r in rs] for rs in table.facets] == [list(_facets(c)) for c in cells]
+        if k in lower:
+            continue
+        assert k.is_closed() is (k in closed)
+        partner = top_pairing(table)
+        if k in (four, bounded[-1]):
+            assert partner is None
+        else:  # closed exactly when every facet has a partner
+            assert (-1 not in partner) is k.is_closed()
 
 
 def test_dropping_the_least_generator_collapses_the_closure_without_it(
@@ -683,14 +703,15 @@ def test_closed_3_links_agree_with_the_link_recursion(
         *((k, Recognition.NEITHER) for k in (*non_sphere_controls, two, x, pinched)),
     ]:
         table = face_table(k)
-        assert table.closed and table.chi == 0
+        partner = top_pairing(table)
+        assert -1 not in partner and table.chi == 0
         verdict = _link_test(star_index(k.generators), 2, Recognition.SPHERE, {})
-        assert _closed_3_links(table) is (verdict is Recognition.SPHERE)
+        assert _closed_3_links(partner, len(k.vertices())) is (verdict is Recognition.SPHERE)
         assert recognize(k) is shape
     for k in non_sphere_controls:  # every link passes, and H1 refutes
-        assert _closed_3_links(face_table(k))
+        assert _closed_3_links(top_pairing(face_table(k)), len(k.vertices()))
     # every link of `two` is a 2-sphere, and `_certify` refutes it by connectivity
-    assert _closed_3_links(face_table(two)) and not connected(two.generators)
+    assert _closed_3_links(top_pairing(face_table(two)), 10) and not connected(two.generators)
     assert connected(x.generators)
     assert _link_test(star_index(x.generators), 2, Recognition.SPHERE, {}) is Recognition.NEITHER
 
@@ -699,13 +720,34 @@ def test_closed_3_links_refuse_a_triangle_in_four_tetrahedra():
     # two octahedra sharing the edge (3, 4), suspended from 11 and 12: the
     # triangles (3, 4, 11) and (3, 4, 12) lie in four tetrahedra each.  With
     # the poles 1, 7 and 2, 8, two tetrahedra from different octahedra come
-    # first on each, so pairing each triangle's tetrahedra in order would
-    # join the octahedra and leave every link connected
+    # first on each, so pairing each triangle's first two tetrahedra would
+    # join the octahedra and leave every link connected; the facet pairing
+    # refuses both labellings before any link pass
     for poles in ((1, 2), (7, 8)), ((1, 7), (2, 8)):
         octahedra = octahedron(poles[0], (3, 4, 5, 6)) + octahedron(poles[1], (3, 4, 9, 10))
         k = suspension(octahedra, (11, 12))
         up = cofaces(k.generators)
         assert len(up[(3, 4, 11)]) == len(up[(3, 4, 12)]) == 4
-        assert face_table(k).closed and connected(k.generators)
-        assert not _closed_3_links(face_table(k))
+        assert k.is_closed() and connected(k.generators)
+        assert top_pairing(face_table(k)) is None
         assert recognize(k) is Recognition.NEITHER
+
+
+@pytest.mark.parametrize("name", ["two_tetrahedra_at_a_vertex", "book_of_three_tetrahedra",
+                                  "x", "suspended_x", "cone_over_x"])
+def test_the_facet_pairing_refuses_first(name):
+    # a facet in a third generator, or a dual graph that is not connected
+    # while the 1-skeleton is, is refused before chi and the links; the
+    # recursion refuses the same inputs with the same certificate
+    x = suspension(DOUBLE_OCTAHEDRON.sorted_generators(), (11, 12))
+    k = {
+        "two_tetrahedra_at_a_vertex": Complex([(1, 2, 3, 4), (1, 5, 6, 7)]),
+        "book_of_three_tetrahedra": Complex([(1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 3, 6)]),
+        "x": x,
+        "suspended_x": suspension(x.sorted_generators(), (13, 14)),
+        "cone_over_x": x.join(cone(13)),
+    }[name]
+    assert connected(k.generators)
+    partner = top_pairing(face_table(k))
+    assert partner is None or not _dual_connected(partner, k.dimension() + 1)
+    assert _recognize(k, k.dimension(), {}) == (Recognition.NEITHER, "exact")

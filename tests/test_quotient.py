@@ -165,6 +165,21 @@ def test_problems_list_each_fault_once():
     ]
 
 
+def test_problems_name_the_pair_faults_in_order():
+    # sizes that differ, then the first vertex of g whose class p misses; a
+    # partner with two equivalent vertices is named once, by the scan
+    sphere = standard_sphere(2) + Complex([(5, 6, 7), (5, 6, 8), (9, 10)])
+    eq = RegularEquivalence.build(
+        [[2, 4]], [((1, 2, 3), (9, 10)), ((1, 3, 4), (1, 2, 4)), ((5, 6, 7), (5, 6, 8))]
+    )
+    assert eq.problems(sphere) == [
+        "generator (1, 2, 4) contains two equivalent vertices",
+        "generator (2, 3, 4) contains two equivalent vertices",
+        "paired generators (1, 2, 3) and (9, 10) have different sizes",
+        "no vertex of (5, 6, 8) is equivalent to vertex 7 of (5, 6, 7)",
+    ]
+
+
 def test_pair_matching_respects_classes():
     cls = {1: 0, 2: 1, 3: 2, 4: 1, 5: 2}
     assert pair_matching((1, 2, 3), (1, 4, 5), cls) == {1: 1, 2: 4, 3: 5}
