@@ -13,6 +13,7 @@ from .complexes import (
     EMPTY,
     Complex,
     Simplex,
+    _FaceTable,
     _components,
     _face_table,
     _facet_list,
@@ -203,6 +204,83 @@ def _collapse_ranks(facets: Sequence[Sequence[int]], gone: Iterable[int] = ()) -
     return [c for c, n in enumerate(live) if n >= 0]
 
 
+def _collapses(table: _FaceTable, gone: Sequence[int]) -> List[int]:
+    """The cells of dimension >= 2 that `_collapse_ranks(table.facets, gone)`
+    leaves, in order, for a face table of dimension >= 2; no vertex is read.
+
+    Phase 1 runs the greedy's heap on the pairs whose free cell has
+    dimension >= 2, counting cofaces from the cells of dimension >= 3 alone;
+    phase 2 removes (edge, triangle) pairs off a plain list, counting the
+    triangles phase 1 left.  A pair whose free cell is a vertex or an edge
+    takes it with a maximal edge or triangle, so it never changes which cell
+    of dimension >= 2 is free, and stays valid after phase 1; and a triangle
+    with a free edge stays removable until it goes, so phase 2's order
+    leaves the same triangles (proof in README "Certificates").
+    """
+    facets = table.facets
+    tris = len(table.levels[0]) + len(table.levels[1])
+    solids = tris + len(table.levels[2])
+    live = [0] * len(facets)  # as in `_collapse_ranks`, above the edges
+    above = [0] * len(facets)
+    for c in range(solids, len(facets)):
+        for f in facets[c]:
+            live[f] += 1
+            above[f] ^= c
+    for c in gone:
+        live[c] = -1
+        if c >= solids:
+            for f in facets[c]:
+                live[f] -= 1
+                above[f] ^= c
+
+    # phase 1: `_collapse_ranks`' loop, blind to the edges
+    heap = [c for c in range(tris, len(facets)) if live[c] == 1 and not live[above[c]]]
+    while heap:
+        f = heapq.heappop(heap)
+        if live[f] != 1:
+            continue  # stale
+        up = above[f]
+        below = facets[f] if f >= solids else ()
+        for x in below:
+            live[x] -= 1
+            above[x] ^= f
+        top = facets[up]
+        for x in top:
+            live[x] -= 1
+            above[x] ^= up
+        live[f] = live[up] = -1
+        lost = below + top
+        for x in lost:
+            n = live[x]
+            if n == 1:
+                if not live[above[x]]:
+                    heapq.heappush(heap, x)
+            elif not n and x >= solids:
+                for y in facets[x]:
+                    if live[y] == 1 and y not in lost:
+                        heapq.heappush(heap, y)
+
+    # phase 2: an edge is free when one triangle is left on it, a maximal one
+    for c in range(tris, solids):
+        if live[c] >= 0:
+            for f in facets[c]:
+                live[f] += 1
+                above[f] ^= c
+    free = [e for e in range(len(table.levels[0]), tris) if live[e] == 1 and not live[above[e]]]
+    while free:
+        e = free.pop()
+        if live[e] != 1:
+            continue  # its triangle went with another edge
+        t = above[e]
+        live[t] = -1
+        for x in facets[t]:
+            live[x] -= 1
+            above[x] ^= t
+            if live[x] == 1 and not live[above[x]]:
+                free.append(x)
+    return [c for c in range(tris, len(facets)) if live[c] >= 0]
+
+
 def _facets(s: Simplex) -> Iterable[Simplex]:
     return itertools.combinations(s, len(s) - 1) if len(s) > 1 else ()
 
@@ -298,7 +376,8 @@ def recognize(k: Complex) -> Recognition:
     """Decide ball/sphere: exact through dimension 2, certified above.
 
     Every dimension starts from the generators' facet pairing: a facet in a
-    third generator, or a dual graph that is not connected, refutes at once.
+    third generator, or a dual graph that is not connected, refutes (the
+    latter, in a closed 3-complex, once the corner pass below has run).
     Below dimension 3 the pairing and chi decide (`_recognize_low`).
 
     For dimension >= 3 the certificates are then tried in this order:
@@ -380,9 +459,10 @@ def _certify(k: Complex, dim: int, seen: Seen) -> Verdict:
 
     Every dimension opens with the facet pairing of the generators
     (`_partners`).  From dimension 3 up it is read on the face table's
-    facet ranks, and a facet in a third generator, or a dual graph that is
-    not connected, is refused before chi or any vertex link is looked at.
-    The recursion would give the same verdict, NEITHER with an exact
+    facet ranks, and a facet in a third generator is refused before chi or
+    any vertex link is looked at; so is a dual graph that is not connected,
+    except in a closed 3-complex, where the collapse finds it.  The
+    recursion would give the same verdict, NEITHER with an exact
     certificate:
     - a facet f in a third generator puts the facet f - u of lk(u) in a
       third generator of lk(u), for every vertex u of f, and so on down to
@@ -393,9 +473,14 @@ def _certify(k: Complex, dim: int, seen: Seen) -> Verdict:
       exactly when the generators of k they come from share a facet at u,
       so the dual graph of lk(u) is not connected either, and lk(u) is
       refused the same way, down to `_recognize_low`.
-    A connected dual graph makes the 1-skeleton connected, so no other
-    connectivity check is made.  The complex is closed when every facet
-    lies in two generators.
+    In a closed pseudomanifold the collapse removes every generator exactly
+    when the dual graph is connected, and the corner pass never answers
+    UNKNOWN, so a tetrahedron the collapse leaves is the same refusal.  A
+    connected dual graph makes the 1-skeleton connected, so no other
+    connectivity check is made; the collapse then certifies when it leaves
+    no cell above the edges (`_collapses`), since what is left has chi = 1
+    and is a tree, which the greedy takes to a vertex.  The complex is
+    closed when every facet lies in two generators.
 
     A closed 3-complex with chi = 0 recognises none of its vertex links:
     one pass, `_closed_3_links`, decides whether they are all 2-spheres.
@@ -422,14 +507,17 @@ def _certify(k: Complex, dim: int, seen: Seen) -> Verdict:
     below = _facet_list(top, dim)
     table = _face_table(top, below)
     partner = _partners(list(itertools.chain.from_iterable(table.facets[-len(top):])))
-    if partner is None or not _dual_connected(partner, dim + 1):
+    if partner is None:
         return Recognition.NEITHER, EXACT
     closed = -1 not in partner
+    closed_3 = dim == 3 and closed
+    if not closed_3 and not _dual_connected(partner, dim + 1):
+        return Recognition.NEITHER, EXACT
     if table.chi != (1 if not closed else 0 if dim % 2 else 2):
         return Recognition.NEITHER, EXACT
     target = Recognition.SPHERE if closed else Recognition.BALL
 
-    if dim == 3 and closed:
+    if closed_3:
         links = target if _closed_3_links(partner, len(table.levels[0])) else Recognition.NEITHER
     else:
         # the generators' facets are the star index: the facet that drops v
@@ -443,10 +531,12 @@ def _certify(k: Complex, dim: int, seen: Seen) -> Verdict:
     if links is target:
         # closed: each facet of the least generator lies in another
         # generator, so dropping the generator leaves the closure of the rest
-        gone = [len(table.facets) - len(top)] if closed else []
-        # the live cells stay closed under faces, so a lone one is a vertex
-        if len(_collapse_ranks(table.facets, gone)) == 1:
+        first = len(table.facets) - len(top)
+        left = _collapses(table, [first] if closed else [])
+        if not left:
             return target, COLLAPSE
+        if closed_3 and left[-1] >= first:
+            return Recognition.NEITHER, EXACT  # the dual graph is not connected
 
     if not table_h1(*table).is_trivial():
         return Recognition.NEITHER, EXACT

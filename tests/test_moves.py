@@ -30,6 +30,7 @@ from stellar.invariants import quotient_collapses_to_point
 from stellar.moves import (
     _closed_3_links,
     _collapse_ranks,
+    _collapses,
     _dual_connected,
     _facets,
     _link_test,
@@ -381,17 +382,55 @@ def test_dropping_the_least_generator_collapses_the_closure_without_it(
         assert left == ranked_collapse(whole, _facets)
 
 
+def pinched_pair():
+    """Two boundaries of the 5-simplex, on 1..6 and 6..11, sharing the vertex 6."""
+    return Complex([(1, 2, 3, 4, 5, 6), (6, 7, 8, 9, 10, 11)]).boundary()
+
+
+def test_collapses_leave_what_the_greedy_leaves_above_the_edges(
+    random_subdivision, non_sphere_controls
+):
+    rng = random.Random(47)
+    zoo = [*map(minus_least_facet, non_sphere_controls), pinched_pair(),
+           pinched_pair().link((6,))]
+    for dim in range(2, 6):
+        for base in (standard_simplex(dim), standard_sphere(dim)):
+            for moves in range(0, 10 if dim < 5 else 5):
+                k = random_subdivision(rng, base, moves)
+                # a random subcomplex whose maximal cells stop at every level
+                gens = k.sorted_generators()
+                part = [g if rng.random() < 0.7 else g[:rng.randint(2, dim)] for g in gens]
+                zoo += [k, Complex(set(part) | {gens[0]})]
+    for k in zoo:
+        table = face_table(k)
+        edges = len(table.levels[0]) + len(table.levels[1])
+        least = len(table.facets) - len(table.levels[-1])
+        for gone in ([], [least]):
+            greedy = [c for c in _collapse_ranks(table.facets, gone) if c >= edges]
+            assert _collapses(table, gone) == greedy
+    # the link at the pinch is two disjoint boundaries of the 4-simplex, closed
+    # with chi = 0: the corner pass accepts it, and the tetrahedra the collapse
+    # leaves refuse it
+    two = pinched_pair().link((6,))
+    table = face_table(two)
+    least = len(table.facets) - len(two)
+    assert _closed_3_links(top_pairing(table), 10) and table.chi == 0
+    assert _collapses(table, [least])[-1] >= least
+    assert _recognize(two, 3, {}) == (Recognition.NEITHER, "exact")
+    assert check_manifold(pinched_pair()).bad_vertices == [6]
+
+
 def test_recognition_drops_the_least_generator_of_a_closed_complex(
     monkeypatch, random_subdivision
 ):
     dropped = []
-    collapse = _collapse_ranks
+    collapse = _collapses
 
-    def spy(facets, gone=()):
+    def spy(table, gone):
         dropped.append(list(gone))
-        return collapse(facets, gone)
+        return collapse(table, gone)
 
-    monkeypatch.setattr("stellar.moves._collapse_ranks", spy)
+    monkeypatch.setattr("stellar.moves._collapses", spy)
     sphere = subdivided_3_spheres(random_subdivision)[-1]
     for k, shape in ((sphere, Recognition.SPHERE), (subdivided_ball(), Recognition.BALL)):
         dropped.clear()
