@@ -15,13 +15,13 @@ from .quotient import QuotientComplex, StellarStructure, pair_matching
 
 Permutation = Tuple[int, ...]  # image array over the sorted generator list
 Swap = Dict[int, int]  # a class swap on its support: generator index -> image
-Swaps = List[Tuple[Simplex, Swap]]  # (class's cell, swap) per face class
+Sides = List[Tuple[Simplex, List[Sequence[int]]]]  # (class's cell, each member face's two generators)
 ClassOrders = List[Tuple[Simplex, int, int]]  # (class's cell, degree entry, full order)
 
 
 def p0(structure: StellarStructure) -> Permutation:
     """The pairing as an involution on the sphere's generators: the
-    stand-alone reference for `_pairing`."""
+    stand-alone reference for the quotient's `_pairs`."""
     if not structure.is_closed:
         raise StructureError("structure is not closed: the pairing is partial")
     gens = structure.sphere.sorted_generators()
@@ -53,17 +53,23 @@ def face_classes(structure: StellarStructure) -> List[FrozenSet[Simplex]]:
     return [frozenset(map(facets.__getitem__, m)) for m in uf.members().values()]
 
 
+def _sides(f: Simplex, hits: Sequence[int]) -> Sequence[int]:
+    """The two generators on either side of the face `f`, from those it
+    lies in."""
+    if len(hits) != 2:
+        raise StructureError(
+            f"facet {f} lies in {len(hits)} generators; "
+            "the sphere is not closed there"
+        )
+    return hits
+
+
 def _swap(sides: Iterable[Tuple[Simplex, Sequence[int]]]) -> Swap:
     """A class swap on its support, from each member face of the class with
     the generators it lies in."""
     swap: Swap = {}
     for f, hits in sides:
-        if len(hits) != 2:
-            raise StructureError(
-                f"facet {f} lies in {len(hits)} generators; "
-                "the sphere is not closed there"
-            )
-        i, j = hits
+        i, j = _sides(f, hits)
         if i in swap or j in swap:
             raise StructureError(f"a generator contains two facets of the class of {f}")
         swap[i], swap[j] = j, i
@@ -72,7 +78,7 @@ def _swap(sides: Iterable[Tuple[Simplex, Sequence[int]]]) -> Swap:
 
 def _class_swap(structure: StellarStructure, alpha: FrozenSet[Simplex]) -> Swap:
     """The swap of the class `alpha` through the `cofaces` map: the
-    reference for `_class_swaps`."""
+    reference for the sides `_classes` reads off the quotient."""
     gens = structure.sphere.sorted_generators()
     idx = {g: i for i, g in enumerate(gens)}
     around = cofaces(gens)
@@ -85,8 +91,8 @@ def p_alpha(structure: StellarStructure, alpha: FrozenSet[Simplex]) -> Permutati
     in the class `alpha`; everything else is fixed.  `alpha` must be a class
     of facets of the sphere's generators, as `face_classes` gives them.
 
-    This is the full permutation, the reference for the support-only swaps
-    the queries below work with."""
+    This is the full permutation, the reference for the class sizes the
+    queries below count."""
     image = list(range(len(structure.sphere.generators)))
     for i, j in _class_swap(structure, alpha).items():
         image[i] = j
@@ -107,61 +113,46 @@ def _order(step: Callable[[int], int], starts: Iterable[int]) -> int:
     return order
 
 
-def _rotation(pairing: Permutation, swap: Swap) -> int:
-    """Order of `p0 ∘ p_alpha` on the support of the swap.  Face classes are
-    closed under the pair matchings, so the pairing maps the support onto
-    itself and this walk never leaves it."""
-    return _order({x: pairing[y] for x, y in swap.items()}.__getitem__, swap)
-
-
-def _orders(pairing: Permutation, swap: Swap) -> Tuple[int, int]:
-    """Degree entry and full order of a class from its swap: the rotation's
-    order, counted as at least 2, and the order of `p0 ∘ p_alpha` on all
-    generators, where off the support the pairing's own transpositions add
-    a factor 2 if there are any."""
-    order = _rotation(pairing, swap)
-    return max(2, order), (order if len(swap) == len(pairing) else lcm(order, 2))
-
-
-def _pairing(quotient: QuotientComplex) -> Permutation:
-    """`p0` from the quotient's pairs; where a report reads closedness."""
-    if not quotient._closed():
-        raise StructureError("structure is not closed: the pairing is partial")
-    image = list(range(len(quotient._generators)))
-    for i, j in quotient._pairs:
-        image[i] = j
-        image[j] = i
-    return tuple(image)
-
-
-def _class_swaps(quotient: QuotientComplex) -> Swaps:
-    """Each face class, by name, with its swap: the quotient's cells one
-    dimension below the sphere's, since a matching carries codimension-one
-    faces to codimension-one faces, so `face_classes` in its order.  The
-    generators on either side of each member face come from the generators'
-    facet numbers."""
+def _classes(quotient: QuotientComplex) -> Sides:
+    """Each face class, by name, with the two generators on either side of
+    each member face, by their places in `_generators`: the quotient's cells
+    one dimension below the sphere's, since a matching carries
+    codimension-one faces to codimension-one faces, so `face_classes` in its
+    order.  The generators around each face come from the generators' facet
+    numbers, and `_sides` refuses a face that lies in any other number."""
     q = quotient
+    if not q._closed():
+        raise StructureError("structure is not closed: the pairing is partial")
     dim = max(q._roots, default=-1)
     if dim == 0:
         # a 0-sphere's one class is the empty face, which lies in every
         # generator and which the face table leaves out
-        return [((), _swap([((), range(len(q._generators)))]))]
+        return [((), [_sides((), range(len(q._generators)))])]
     around: Dict[int, List[int]] = {}
     for i, r in enumerate(q._generators):
         for f in q._facets[r]:
             around.setdefault(f, []).append(i)
     faces = q._faces
     return [
-        (faces[root], _swap((faces[f], around[f]) for f in q._classes[root]))
+        (faces[root], [_sides(faces[f], around.get(f, ())) for f in q._classes[root]])
         for root in q._roots.get(dim - 1, ())
     ]
 
 
 def _class_orders(quotient: QuotientComplex) -> ClassOrders:
     """Each face class, by name, with its degree entry and full order: what
-    `degree`, `gamma_graph` and a report share."""
-    pairing = _pairing(quotient)
-    return [(cell, *_orders(pairing, swap)) for cell, swap in _class_swaps(quotient)]
+    `degree`, `gamma_graph` and a report share.  By `degree_entry` and
+    `order_of`, a class of m faces among n generators has entry max(m, 2)
+    and full order m if 2m = n, else lcm(m, 2).
+
+    Those proofs need the 2m generators around a class to be distinct, so
+    no generator has two facets in one class (`_swap`'s refusal), which a
+    validated structure ensures: two facets of a generator differ in one
+    vertex, and the faces of one cell meet the same vertex classes, so two
+    of the generator's vertices would share a class."""
+    n = len(quotient._generators)
+    sizes = [(cell, len(sides)) for cell, sides in _classes(quotient)]
+    return [(cell, max(m, 2), m if 2 * m == n else lcm(m, 2)) for cell, m in sizes]
 
 
 def order_of(structure: StellarStructure, alpha: FrozenSet[Simplex]) -> int:
@@ -173,7 +164,7 @@ def order_of(structure: StellarStructure, alpha: FrozenSet[Simplex]) -> int:
     generator it is the pairing's own transposition, so the full order is
     |alpha| when the class touches every generator and lcm(|alpha|, 2)
     otherwise.  Computed here on the full permutations, as the reference
-    for the support-only orders of `degree` and `gamma_graph`.
+    for the orders `degree` and `gamma_graph` count.
     """
     pairing, swap = p0(structure), p_alpha(structure, alpha)
     return _order(lambda x: pairing[swap[x]], range(len(swap)))
@@ -189,8 +180,11 @@ def degree_entry(structure: StellarStructure, alpha: FrozenSet[Simplex]) -> int:
     2|alpha|-cycle, so their composite is two |alpha|-cycles and the entry
     is |alpha|.  A fold class, whose restriction is the identity (see
     `collapsible_edges`), counts as 2, so the entry is max(|alpha|, 2).
+    Walked here on the class swap, as the reference for the entries
+    `degree` counts.
     """
-    return _orders(p0(structure), _class_swap(structure, alpha))[0]
+    pairing, swap = p0(structure), _class_swap(structure, alpha)
+    return max(2, _order(lambda x: pairing[swap[x]], swap))
 
 
 def degree(structure: StellarStructure) -> Tuple[int, ...]:
@@ -228,36 +222,33 @@ def surface_quotient(structure: StellarStructure) -> QuotientComplex:
     return QuotientComplex.from_structure(structure)
 
 
-def _shell_swaps(structure: StellarStructure) -> Tuple[QuotientComplex, Permutation, Swaps]:
-    """The quotient, pairing and class swaps of a closed 2-sphere shell."""
-    quotient = surface_quotient(structure)
-    return quotient, _pairing(quotient), _class_swaps(quotient)
-
-
 def collapsible_edges(structure: StellarStructure) -> List[FrozenSet[Simplex]]:
-    """Edge classes alpha with a generator F satisfying swap(pair(F)) = F."""
-    quotient, pairing, swaps = _shell_swaps(structure)
-    return [frozenset(quotient.members[c]) for c, swap in swaps if _folds(pairing, swap)]
-
-
-def _folds(pairing: Permutation, swap: Swap) -> bool:
-    """Whether `swap ∘ pairing` fixes some generator.  Off the support that
-    would be a fixed point of the pairing, which has none."""
-    return any(swap[pairing[i]] == i for i in swap)
+    """Edge classes alpha with a generator F satisfying swap(pair(F)) = F:
+    the classes of one edge.  F has one edge in alpha (see `_class_orders`),
+    so swap(pair(F)) = F exactly when F's matching fixes that edge, and
+    then no matching carries it to another."""
+    quotient = surface_quotient(structure)
+    classes = _classes(quotient)
+    return [frozenset(quotient.members[c]) for c, sides in classes if len(sides) == 1]
 
 
 def internally_flat_complexes(
     structure: StellarStructure,
 ) -> List[Tuple[FrozenSet[Simplex], FrozenSet[Simplex]]]:
     """Orbit pairs of the group generated by the order-2, non-collapsible
-    edge swaps, with orbits matched up by the pairing involution."""
-    quotient, pair, swaps = _shell_swaps(structure)
+    edge swaps, with orbits matched up by the pairing involution.  Those
+    are the swaps of the classes of two edges: by `_class_orders` only a
+    class of one or two edges has full order 2, and one of one edge folds."""
+    quotient = surface_quotient(structure)
     gens = [quotient._faces[r] for r in quotient._generators]
     uf = UnionFind(len(gens))  # orbits under the generated group
-    for _, swap in swaps:
-        if _orders(pair, swap)[1] == 2 and not _folds(pair, swap):
-            for i, j in swap.items():
+    for _, sides in _classes(quotient):
+        if len(sides) == 2:
+            for i, j in sides:
                 uf.union(i, j)
+    pair: Dict[int, int] = {}
+    for i, j in quotient._pairs:
+        pair[i], pair[j] = j, i
     orbits = uf.members()
     done: Set[int] = set()
     out = []

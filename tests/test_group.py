@@ -24,7 +24,7 @@ from stellar import (
     structure_report,
 )
 import stellar.group
-from stellar.group import _class_orders, _class_swaps, _pairing, order_of, p0, p_alpha
+from stellar.group import _class_orders, _classes, order_of, p0, p_alpha
 
 
 def square_structure():
@@ -170,14 +170,14 @@ def test_p_alpha_swaps_the_two_generators_on_each_facet():
 
 
 def reference_structures(cycle_join):
-    """The lens zoo for q <= 13, folds of 3..7 and built structures of C_a*C_b."""
+    """The lens zoo for q <= 13, folds of 3..8 and built structures of C_a*C_b."""
     out = [
         lens_structure(q, p)
         for q in range(2, 14)
         for p in range(1, q)
         if math.gcd(p, q) == 1
     ]
-    out += [fold_structure(n) for n in range(3, 8)]
+    out += [fold_structure(n) for n in range(3, 9)]
     for a, b in ((3, 3), (3, 5), (4, 4), (6, 7)):
         out.append(build_structure(cycle_join(a, b)).structure)
     return out
@@ -249,42 +249,108 @@ def reference_orbit_pairs(s, pairing, swaps):
     return sorted(set(pairs))
 
 
-def test_one_report_builds_the_pairing_once(monkeypatch):
-    # the degree and Γ come from one pass over the face classes
-    calls = []
-    real = stellar.group._pairing
-    monkeypatch.setattr(stellar.group, "_pairing", lambda q: calls.append(q) or real(q))
+def test_one_report_counts_the_classes_once(monkeypatch):
+    # the degree and Γ come from one pass over the face classes, which
+    # counts their faces: a report builds no swap and walks no cycle
+    calls = {"_classes": 0, "_swap": 0, "_order": 0}
+
+    def spy(name, real):
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(stellar.group, name, spy(name, getattr(stellar.group, name)))
     report = structure_report(lens_structure(17, 3))
     assert report.gamma_has_circuit
-    assert len(calls) == 1
+    assert calls == {"_classes": 1, "_swap": 0, "_order": 0}
 
 
 def test_face_classes_are_the_codimension_one_cells(cycle_join, non_sphere_controls):
-    # the integer pass reads each face class off the quotient by number: its
-    # name, members, swap and orders match the stand-alone references
+    # the class pass reads each face class off the quotient by number and
+    # counts its faces: its name, members, sides, degree entry, full order,
+    # folds and flat orbits match the stand-alone references
     structures = reference_structures(cycle_join) + [square_structure()]
     structures.append(lens_structure(17, 3))
     structures += [build_structure(m).structure for m in non_sphere_controls]
     for s in structures:
         q = QuotientComplex.from_structure(s)
         classes = face_classes(s)
-        swaps = _class_swaps(q)
-        assert [frozenset(q.members[c]) for c, _ in swaps] == classes
-        assert _pairing(q) == p0(s)
-        n = len(s.sphere.generators)
-        for (cell, swap), alpha in zip(swaps, classes):
-            assert cell == min(alpha)
-            assert tuple(swap.get(i, i) for i in range(n)) == p_alpha(s, alpha)
+        sides = _classes(q)
+        assert [frozenset(q.members[c]) for c, _ in sides] == classes
         orders = _class_orders(q)
-        assert [c for c, _, _ in orders] == [c for c, _ in swaps]
-        for (_, entry, order), alpha in zip(orders, classes):
+        assert [c for c, _, _ in orders] == [c for c, _ in sides]
+        pairing = p0(s)
+        folds, flat_swaps = [], []
+        for (cell, hits), (_, entry, order), alpha in zip(sides, orders, classes):
+            assert cell == min(alpha)
+            swap = p_alpha(s, alpha)
+            moved = {frozenset((i, j)) for i, j in enumerate(swap) if i != j}
+            assert set(map(frozenset, hits)) == moved and len(hits) == len(alpha)
             assert entry == degree_entry(s, alpha), sorted(alpha)
             assert order == order_of(s, alpha), sorted(alpha)
+            if any(swap[j] == i for i, j in enumerate(pairing)):
+                folds.append(alpha)
+            elif order == 2:
+                flat_swaps.append(swap)
+        if s.sphere.dimension() == 2:
+            assert collapsible_edges(s) == folds
+            assert orbit_pairs(internally_flat_complexes(s)) == reference_orbit_pairs(
+                s, pairing, flat_swaps
+            )
     # a 0-sphere's one class is the empty face, which no face table lists
     s = build_structure(circle(3)).structure
     (alpha,) = face_classes(s)
     assert [c for c, _, _ in _class_orders(QuotientComplex.from_structure(s))] == [()]
     assert degree(s) == (degree_entry(s, alpha),) == (2,)
+
+
+def unclosed_spheres():
+    """Validated closed structures whose spheres are not closed
+    pseudomanifolds: a disk, a book of four triangles on the edge (1, 2),
+    four points in one class, and a square beside two points."""
+    def structure(generators, classes, pairs):
+        eq = RegularEquivalence.build(classes, pairs)
+        return StellarStructure(apex=99, sphere=Complex(generators), equivalence=eq)
+
+    return [
+        structure([(1, 2, 3), (2, 3, 4)], [[1, 4]], [((1, 2, 3), (2, 3, 4))]),
+        structure(
+            [(1, 2, k) for k in range(3, 7)],
+            [[3, 4], [5, 6]],
+            [((1, 2, 3), (1, 2, 4)), ((1, 2, 5), (1, 2, 6))],
+        ),
+        structure([(1,), (2,), (3,), (4,)], [[1, 2, 3, 4]], [((1,), (2,)), ((3,), (4,))]),
+        structure(
+            [(1, 2), (2, 3), (3, 4), (1, 4), (5,), (6,)],
+            [[1, 3], [2, 4], [5, 6]],
+            [((1, 2), (3, 4)), ((2, 3), (1, 4)), ((5,), (6,))],
+        ),
+    ]
+
+
+@pytest.mark.parametrize(
+    "case, facet, hits",
+    [(0, "(1, 2)", 1), (1, "(1, 2)", 4), (2, "()", 4), (3, "(5,)", 0)],
+    ids=["disk", "book", "four_points", "square_and_two_points"],
+)
+def test_a_sphere_that_is_not_closed_is_refused_at_a_facet(case, facet, hits):
+    # the class pass refuses a face that does not lie in exactly two
+    # generators; over a sphere that is not a 2-complex, the edge analyses,
+    # Γ and the report refuse it first by its dimension
+    s = unclosed_spheres()[case]
+    assert s.validate() == [] and s.is_closed
+    refusal = f"facet {facet} lies in {hits} generators; the sphere is not closed there"
+    with pytest.raises(StructureError) as caught:
+        degree(s)
+    assert str(caught.value) == refusal
+    if s.sphere.dimension() != 2:
+        refusal = "structure needs a uniform 2-complex as its sphere"
+    for query in (gamma_graph, collapsible_edges, internally_flat_complexes, structure_report):
+        with pytest.raises(StructureError) as caught:
+            query(s)
+        assert str(caught.value) == refusal, query.__name__
 
 
 def test_lens_gamma_is_a_single_cycle_edge():
