@@ -186,7 +186,12 @@ def _report(quotient: QuotientComplex) -> WorkflowReport:
 
 
 def sphere_workflow(m: Complex, budget: int = 100_000) -> WorkflowReport:
-    """Decide whether a closed 3-manifold is a sphere via the structure chain."""
+    """Decide whether a closed 3-manifold is a sphere via the structure chain.
+
+    chi(M) = 0 is not counted again for the Euler identity: `check_manifold`
+    accepted M as a closed 3-manifold only if every vertex link is a
+    2-sphere, and then its corner pass counted V - E + T = 0.  The identity
+    stays a real check on chi of the quotient."""
     if m.dimension() != 3 or not m.is_uniform():
         raise StructureError("sphere workflow expects a uniform 3-complex")
     manifold = check_manifold(m)
@@ -195,7 +200,7 @@ def sphere_workflow(m: Complex, budget: int = 100_000) -> WorkflowReport:
     if manifold.is_manifold is False:
         raise StructureError(manifold.describe())
     result = build_structure(m, budget=budget)
-    problems, quotient = _verify(result, m)  # the one quotient of this run
+    problems, quotient = _verify(result, 3, 0)  # the one quotient of this run
     if problems:
         raise StructureError("; ".join(problems))
     report = _report(quotient)

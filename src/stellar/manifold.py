@@ -5,9 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from .complexes import Complex
+from .complexes import Complex, _facet_list, _partners
 from .errors import ComplexError
-from .moves import Recognition, Seen, _recognize
+from .moves import EXACT, Recognition, Seen, _closed_3_links, _recognize
 
 
 @dataclass
@@ -51,6 +51,15 @@ def check_manifold(k: Complex, budget: Optional[int] = None) -> ManifoldReport:
     on the boundary.  Any other answer disqualifies the complex.  `budget`
     has no effect: recognition runs no search.  The keyword is kept for
     callers that still pass it.
+
+    A uniform 3-complex first goes through the closed-3 rule of `recognize`
+    on its own tetrahedra (README, "Certificates": closed 3-complexes
+    recognise no link), `_closed_3_manifold`.  When it accepts, every vertex
+    link is a 2-sphere, which `_recognize_low` would decide exactly, so each
+    vertex gets SPHERE with an exact certificate and no link is built.  When
+    it refuses, the links are recognised one by one, which names the bad
+    vertices.  A closed 3-manifold accepted here has chi = 0, which the
+    corner pass counted; `sphere_workflow` takes chi(M) from that.
     """
     if not k:
         raise ComplexError("cannot check the empty complex")
@@ -63,6 +72,13 @@ def check_manifold(k: Complex, budget: Optional[int] = None) -> ManifoldReport:
         )
     if dim == 0:
         return ManifoldReport(True, True, 0)
+    if dim == 3 and _closed_3_manifold(k):
+        vertices = sorted(k.vertices())
+        return ManifoldReport(
+            True, True, 3,
+            link_results=dict.fromkeys(vertices, Recognition.SPHERE),
+            link_certificates=dict.fromkeys(vertices, EXACT),
+        )
     results: Dict[int, Recognition] = {}
     certificates: Dict[int, Optional[str]] = {}
     bad: List[int] = []
@@ -98,3 +114,21 @@ def check_manifold(k: Complex, budget: Optional[int] = None) -> ManifoldReport:
         unknown_vertices=unknown,
     )
 
+
+def _closed_3_manifold(k: Complex) -> bool:
+    """Whether every vertex link of the uniform 3-complex `k` is a 2-sphere,
+    by the closed-3 rule of `moves._certify` applied to k itself: every
+    triangle lies in exactly two tetrahedra, chi = 0, and every link's dual
+    graph is connected (`_closed_3_links`).  When every link is a 2-sphere,
+    each triangle lies in two tetrahedra and sum over v of (2 - chi(lk v))
+    = 2 chi = 0, so the rule accepts; when it accepts, every link is a
+    2-sphere.  False says only that some link is not."""
+    top = sorted(k.generators)
+    partner = _partners(_facet_list(top, 3))
+    if partner is None or -1 in partner:
+        return False
+    n0 = len(k.vertices())
+    # closed, so F = 2T and chi = V - E + F - T = V - E + T
+    if n0 - len(set(_facet_list(top, 2))) + len(top):
+        return False
+    return _closed_3_links(partner, n0)

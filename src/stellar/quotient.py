@@ -342,9 +342,12 @@ class QuotientComplex:
 
 def euler_identity_check(structure: StellarStructure, m: Complex) -> bool:
     """chi of the quotient equals chi of the manifold plus (-1)^(n+1)."""
-    return _euler_identity(QuotientComplex.from_structure(structure), m)
+    q = QuotientComplex.from_structure(structure)
+    return _euler_identity(q, m.dimension(), m.euler_characteristic())
 
 
-def _euler_identity(q: QuotientComplex, m: Complex) -> bool:
-    n = m.dimension()
-    return q.euler_characteristic() == m.euler_characteristic() + (-1) ** (n + 1)
+def _euler_identity(q: QuotientComplex, n: int, chi: int) -> bool:
+    """`euler_identity_check` on the quotient `q` over a manifold of
+    dimension `n` and Euler characteristic `chi`, which the caller counts
+    or already knows."""
+    return q.euler_characteristic() == chi + (-1) ** (n + 1)

@@ -149,17 +149,20 @@ def build_structure(m: Complex, budget: int = 100_000) -> BuildResult:
 
 def verify_structure(result_or_structure, m: Complex) -> List[str]:
     """Sanity diagnostics for a structure built over the manifold `m`."""
-    return _verify(result_or_structure, m)[0]
+    return _verify(result_or_structure, m.dimension(), m.euler_characteristic())[0]
 
 
 def _verify(
-    result_or_structure, m: Complex
+    result_or_structure, dim: int, chi: int
 ) -> Tuple[List[str], Optional[QuotientComplex]]:
-    """`verify_structure`'s diagnostics, and the quotient the Euler identity
-    was checked on (None when an earlier problem stopped the check).  The
-    quotient's construction validates the structure, so a valid structure
-    is validated once, and its quotient tells closedness; an invalid one is
-    validated again for the list."""
+    """`verify_structure`'s diagnostics for a structure over a manifold of
+    dimension `dim` and Euler characteristic `chi`, and the quotient the
+    Euler identity was checked on (None when an earlier problem stopped the
+    check).  The caller gives chi: `verify_structure` counts it, and
+    `sphere_workflow` knows it from its manifold check.  The quotient's
+    construction validates the structure, so a valid structure is validated
+    once, and its quotient tells closedness; an invalid one is validated
+    again for the list."""
     structure = (
         result_or_structure.structure
         if isinstance(result_or_structure, BuildResult)
@@ -173,10 +176,10 @@ def _verify(
         out = structure.validate()
     if not (quotient._closed() if quotient is not None else structure.is_closed):
         out.append("pairing does not cover every sphere generator")
-    if structure.sphere.dimension() != m.dimension() - 1:
+    if structure.sphere.dimension() != dim - 1:
         out.append("sphere has the wrong dimension")
     if out:
         return out, None
-    if not _euler_identity(quotient, m):
+    if not _euler_identity(quotient, dim, chi):
         out.append("cell count of the quotient fails the Euler identity")
     return out, quotient

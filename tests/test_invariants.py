@@ -319,9 +319,36 @@ def test_one_workflow_derives_no_pair_matching(monkeypatch, cycle_join):
 
 
 def test_workflow_still_checks_the_euler_identity(monkeypatch):
-    monkeypatch.setattr(stellar.structure, "_euler_identity", lambda q, m: False)
+    # the workflow gives chi(M) = 0 from its manifold check, and a false
+    # identity still refuses
+    seen = []
+
+    def false_identity(q, dim, chi):
+        seen.append((dim, chi))
+        return False
+
+    monkeypatch.setattr(stellar.structure, "_euler_identity", false_identity)
     with pytest.raises(StructureError, match="Euler identity"):
         sphere_workflow(standard_sphere(3))
+    assert seen == [(3, 0)]
+
+
+def test_workflow_counts_no_euler_characteristic_of_the_manifold(monkeypatch, cycle_join):
+    counted = []
+    chi = Complex.euler_characteristic
+
+    def spy(k):
+        counted.append(k)
+        return chi(k)
+
+    monkeypatch.setattr(Complex, "euler_characteristic", spy)
+    m = cycle_join(4, 5)
+    for k in (standard_sphere(3), m):
+        assert sphere_workflow(k).conclusion == "sphere"
+    assert counted == []
+    # the public check still counts it
+    assert stellar.structure.verify_structure(build_structure(m), m) == []
+    assert counted == [m]
 
 
 def test_sphere_workflow_at_nine_hundred_facets(cycle_join):

@@ -15,6 +15,8 @@ from stellar import (
     subdivide,
 )
 from stellar import moves
+import stellar.manifold
+from test_moves import DOUBLE_OCTAHEDRON, TORUS7
 
 
 def test_sphere_is_closed_manifold():
@@ -284,3 +286,86 @@ def test_closedness_is_read_off_the_links(random_subdivision):
     for k in cases:
         if k:
             assert check_manifold(k).closed == k.is_closed(), k
+
+
+def closed_3_zoo(random_subdivision, cycle_join, non_sphere_controls):
+    """Closed 3-complexes, each with the bad vertices a fresh recognition of
+    its links finds."""
+    rng = random.Random(29)
+    poles = Complex([(8,), (9,)])
+    suspended_torus = TORUS7.join(poles)  # chi = 2, every link connected
+    wedged = (  # chi = 0, the links at the wedge points 1 and 2 disconnected
+        suspended_torus
+        + Complex([(1, 10, 11, 12, 13)]).boundary()
+        + Complex([(2, 14, 15, 16, 17)]).boundary()
+    )
+    accepted = [
+        random_subdivision(rng, base, moves)
+        for base in (standard_sphere(3), cycle_join(3, 4), cycle_join(5, 5))
+        for moves in range(13)
+    ]
+    accepted += non_sphere_controls
+    accepted.append(standard_sphere(3) + Complex([(6, 7, 8, 9, 10)]).boundary())
+    refused = [
+        (suspended_torus, [8, 9]),
+        (wedged, [1, 2, 8, 9]),
+        (DOUBLE_OCTAHEDRON.join(Complex([(11,), (12,)])), [1, 2, 11, 12]),  # chi = 0
+        (standard_sphere(3) + Complex([(5, 6, 7, 8, 9)]).boundary(), [5]),  # chi = -1
+    ]
+    return [(k, []) for k in accepted] + refused
+
+
+def reference_report(k):
+    """The report of recognising every vertex link of the closed 3-complex
+    `k` on its own, in sorted vertex order."""
+    fresh = {v: moves._recognize(lk, 2, {}) for v, lk in sorted(k.vertex_links().items())}
+    results = {v: shape for v, (shape, _) in fresh.items()}
+    bad = [v for v, shape in results.items() if shape is Recognition.NEITHER]
+    unknown = [v for v, shape in results.items() if shape is Recognition.UNKNOWN]
+    return ManifoldReport(
+        is_manifold=False if bad else None if unknown else True,
+        closed=True,
+        dimension=3,
+        link_results=results,
+        link_certificates={v: cert for v, (_, cert) in fresh.items()},
+        bad_vertices=bad,
+        unknown_vertices=unknown,
+    )
+
+
+def test_closed_3_complexes_match_a_recognition_of_every_link(
+    random_subdivision, cycle_join, non_sphere_controls
+):
+    # the corner pass on M accepts exactly when every link is a 2-sphere; a
+    # refusal falls back to the links, which name the bad vertices
+    for k, bad in closed_3_zoo(random_subdivision, cycle_join, non_sphere_controls):
+        assert k.is_closed()
+        report, reference = check_manifold(k), reference_report(k)
+        assert report == reference, k
+        assert list(report.link_results) == list(report.link_certificates) == sorted(k.vertices())
+        assert report.bad_vertices == bad
+
+
+def test_an_accepted_closed_3_manifold_recognises_no_link(monkeypatch, cycle_join):
+    calls = []
+    recognise, links = moves._recognize, Complex.vertex_links
+
+    def recognise_spy(k, dim, seen):
+        calls.append("_recognize")
+        return recognise(k, dim, seen)
+
+    def links_spy(k):
+        calls.append("vertex_links")
+        return links(k)
+
+    monkeypatch.setattr(moves, "_recognize", recognise_spy)
+    monkeypatch.setattr(stellar.manifold, "_recognize", recognise_spy)
+    monkeypatch.setattr(Complex, "vertex_links", links_spy)
+    for k in (standard_sphere(3), cycle_join(4, 5)):
+        report = check_manifold(k)
+        assert (report.is_manifold, report.closed) == (True, True)
+        assert report.link_certificates == dict.fromkeys(sorted(k.vertices()), "exact")
+        assert calls == []
+    # the spies are wired: a refused complex recognises its links
+    assert check_manifold(TORUS7.join(Complex([(8,), (9,)]))).bad_vertices == [8, 9]
+    assert "vertex_links" in calls and "_recognize" in calls
