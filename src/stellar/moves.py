@@ -13,7 +13,6 @@ from .complexes import (
     EMPTY,
     Complex,
     Simplex,
-    _FaceTable,
     _components,
     _face_table,
     _facet_list,
@@ -138,16 +137,27 @@ def prism(k: Complex) -> Complex:
 # collapse
 
 
-def _collapse_ranks(facets: Sequence[Sequence[int]], gone: Iterable[int] = ()) -> List[int]:
-    """Greedy free-face collapse of the cells 0, 1, ..., n - 1; returns the
-    cells left, in order.
+def _collapse_ranks(
+    facets: Sequence[Sequence[int]], lo: int, hi: int, gone: Iterable[int]
+) -> List[int]:
+    """Greedy free-face collapse of the cells 0, 1, ..., n - 1 above two rank
+    floors; returns each cell's count of live cofaces, -1 for a dead cell.
 
-    facets[c] lists the codimension-one faces of cell c, each once.  The
-    cells in `gone` are dropped up front; each must be maximal.  A cell is
-    free when exactly one live cell lies above it.  The live cells stay
-    closed under faces, so that coface is one dimension up and maximal.  The
-    least free cell goes first, together with its coface.  Cofaces count as
-    distinct cells, not as incidences.
+    facets[c] is the tuple of the codimension-one faces of cell c, each
+    once.  The cells in `gone` are dropped up front; each must be maximal.
+    A cell is free when exactly one live cell lies above it.  The live cells
+    stay closed under faces, so that coface is one dimension up and maximal.
+    The least free cell goes first, together with its coface.  Cofaces count
+    as distinct cells, not as incidences.
+
+    No cell below `lo` is ever pushed: the heap starts from the free cells
+    from `lo` up, and every cell pushed later is a facet of a cell from `hi`
+    up, which lies in the level below `hi`'s or higher.  The facets of a
+    cell below `hi` are not counted, so a cell below `hi` that becomes
+    maximal frees nothing.  At lo = hi = 0 this is the whole greedy.  With
+    `lo` the first triangle and `hi` the first tetrahedron it is phase 1 of
+    `_collapses`: the pairs whose free cell has dimension >= 2, with cofaces
+    counted from the cells of dimension >= 3 alone.
 
     Each cell keeps two numbers, not a coface list: how many live cofaces it
     has (-1 once it is dead) and the XOR of their ranks.  Both change as a
@@ -155,15 +165,16 @@ def _collapse_ranks(facets: Sequence[Sequence[int]], gone: Iterable[int] = ()) -
     """
     live = [0] * len(facets)  # live cofaces per cell; -1 for a dead cell
     above = [0] * len(facets)  # XOR of the ranks of the live cofaces
-    for c, below in enumerate(facets):
-        for f in below:
+    for c in range(hi, len(facets)):
+        for f in facets[c]:
             live[f] += 1
             above[f] ^= c
     for c in gone:
         live[c] = -1
-        for f in facets[c]:
-            live[f] -= 1
-            above[f] ^= c
+        if c >= hi:
+            for f in facets[c]:
+                live[f] -= 1
+                above[f] ^= c
 
     # every free cell is on the heap: a cell is pushed when it becomes free,
     # that is when its count drops to 1 under a maximal coface, or when its
@@ -172,13 +183,13 @@ def _collapse_ranks(facets: Sequence[Sequence[int]], gone: Iterable[int] = ()) -
     # another facet, which drops its count.  So an entry is stale exactly
     # when its count is no longer 1, and is skipped.  The cells in order
     # already form a heap
-    heap = [c for c, n in enumerate(live) if n == 1 and not live[above[c]]]
+    heap = [c for c in range(lo, len(facets)) if live[c] == 1 and not live[above[c]]]
     while heap:
         f = heapq.heappop(heap)
         if live[f] != 1:
             continue  # stale
         up = above[f]
-        below = facets[f]
+        below = facets[f] if f >= hi else ()
         for x in below:
             live[x] -= 1
             above[x] ^= f
@@ -197,76 +208,41 @@ def _collapse_ranks(facets: Sequence[Sequence[int]], gone: Iterable[int] = ()) -
             if n == 1:
                 if not live[above[x]]:
                     heapq.heappush(heap, x)
-            elif not n:
+            elif not n and x >= hi:
                 for y in facets[x]:
                     if live[y] == 1 and y not in lost:
                         heapq.heappush(heap, y)
-    return [c for c, n in enumerate(live) if n >= 0]
+    return live
 
 
-def _collapses(table: _FaceTable, gone: Sequence[int]) -> List[int]:
-    """The cells of dimension >= 2 that `_collapse_ranks(table.facets, gone)`
-    leaves, in order, for a face table of dimension >= 2; no vertex is read.
+def _collapses(
+    facets: Sequence[Sequence[int]], sizes: Sequence[int], gone: Iterable[int]
+) -> List[int]:
+    """The cells of dimension >= 2 that the greedy, `_collapse_ranks(facets,
+    0, 0, gone)`, leaves, in order, for cells ranked by (dimension, face)
+    with `sizes` cells in each level from the vertices up, through at least
+    the triangles; no vertex is read.
 
-    Phase 1 runs the greedy's heap on the pairs whose free cell has
-    dimension >= 2, counting cofaces from the cells of dimension >= 3 alone;
-    phase 2 removes (edge, triangle) pairs off a plain list, counting the
-    triangles phase 1 left.  A pair whose free cell is a vertex or an edge
-    takes it with a maximal edge or triangle, so it never changes which cell
-    of dimension >= 2 is free, and stays valid after phase 1; and a triangle
-    with a free edge stays removable until it goes, so phase 2's order
-    leaves the same triangles (proof in README "Certificates").
+    Phase 1 is `_collapse_ranks` with the floors at the first triangle and
+    the first tetrahedron; phase 2 removes (edge, triangle) pairs off a
+    plain list, counting the triangles phase 1 left.  A pair whose free cell
+    is a vertex or an edge takes it with a maximal edge or triangle, so it
+    never changes which cell of dimension >= 2 is free, and stays valid
+    after phase 1; and a triangle with a free edge stays removable until it
+    goes, so phase 2's order leaves the same triangles (proof in README
+    "Certificates").
     """
-    facets = table.facets
-    tris = len(table.levels[0]) + len(table.levels[1])
-    solids = tris + len(table.levels[2])
-    live = [0] * len(facets)  # as in `_collapse_ranks`, above the edges
-    above = [0] * len(facets)
-    for c in range(solids, len(facets)):
-        for f in facets[c]:
-            live[f] += 1
-            above[f] ^= c
-    for c in gone:
-        live[c] = -1
-        if c >= solids:
-            for f in facets[c]:
-                live[f] -= 1
-                above[f] ^= c
-
-    # phase 1: `_collapse_ranks`' loop, blind to the edges
-    heap = [c for c in range(tris, len(facets)) if live[c] == 1 and not live[above[c]]]
-    while heap:
-        f = heapq.heappop(heap)
-        if live[f] != 1:
-            continue  # stale
-        up = above[f]
-        below = facets[f] if f >= solids else ()
-        for x in below:
-            live[x] -= 1
-            above[x] ^= f
-        top = facets[up]
-        for x in top:
-            live[x] -= 1
-            above[x] ^= up
-        live[f] = live[up] = -1
-        lost = below + top
-        for x in lost:
-            n = live[x]
-            if n == 1:
-                if not live[above[x]]:
-                    heapq.heappush(heap, x)
-            elif not n and x >= solids:
-                for y in facets[x]:
-                    if live[y] == 1 and y not in lost:
-                        heapq.heappush(heap, y)
+    tris = sizes[0] + sizes[1]
+    live = _collapse_ranks(facets, tris, tris + sizes[2], gone)
 
     # phase 2: an edge is free when one triangle is left on it, a maximal one
-    for c in range(tris, solids):
+    above = [0] * tris  # as in `_collapse_ranks`, for the edges
+    for c in range(tris, tris + sizes[2]):
         if live[c] >= 0:
             for f in facets[c]:
                 live[f] += 1
                 above[f] ^= c
-    free = [e for e in range(len(table.levels[0]), tris) if live[e] == 1 and not live[above[e]]]
+    free = [e for e in range(sizes[0], tris) if live[e] == 1 and not live[above[e]]]
     while free:
         e = free.pop()
         if live[e] != 1:
@@ -294,7 +270,8 @@ def collapse_greedy(k: Complex) -> Complex:
     """
     table = face_table(k)
     cells = list(itertools.chain.from_iterable(table.levels))
-    alive = {cells[c] for c in _collapse_ranks(table.facets)}
+    live = _collapse_ranks(table.facets, 0, 0, ())
+    alive = {cells[c] for c, n in enumerate(live) if n >= 0}
     return Complex(alive - {h for g in alive for h in _facets(g)})
 
 
@@ -478,8 +455,10 @@ def _certify(k: Complex, dim: int, seen: Seen) -> Verdict:
     UNKNOWN, so a tetrahedron the collapse leaves is the same refusal.  A
     connected dual graph makes the 1-skeleton connected, so no other
     connectivity check is made; the collapse then certifies when it leaves
-    no cell above the edges (`_collapses`), since what is left has chi = 1
-    and is a tree, which the greedy takes to a vertex.  The complex is
+    no cell above the edges (`_collapses`: the greedy `_collapse_ranks` with
+    its floors at the first triangle and the first tetrahedron, then the
+    (edge, triangle) pairs off a list), since what is left has chi = 1 and
+    is a tree, which the greedy takes to a vertex.  The complex is
     closed when every facet lies in two generators.
 
     A closed 3-complex with chi = 0 recognises none of its vertex links:
@@ -532,7 +511,7 @@ def _certify(k: Complex, dim: int, seen: Seen) -> Verdict:
         # closed: each facet of the least generator lies in another
         # generator, so dropping the generator leaves the closure of the rest
         first = len(table.facets) - len(top)
-        left = _collapses(table, [first] if closed else [])
+        left = _collapses(table.facets, list(map(len, table.levels)), [first] if closed else [])
         if not left:
             return target, COLLAPSE
         if closed_3 and left[-1] >= first:

@@ -163,12 +163,18 @@ def test_collapse_circle_has_no_free_face():
     assert_collapses_agree(circle)
 
 
+def greedy_left(facets, gone=()):
+    """The ranks of the cells that the greedy, `_collapse_ranks` with both
+    floors at 0, leaves, in order."""
+    return [c for c, n in enumerate(_collapse_ranks(facets, 0, 0, gone)) if n >= 0]
+
+
 def ranked_collapse(dim, facets_of):
     """`_collapse_ranks` on a cell poset with the cells ranked by (dimension,
     cell); returns the cells left."""
     cells = sorted(dim, key=lambda c: (dim[c], c))
     rank = {c: i for i, c in enumerate(cells)}
-    return {cells[c] for c in _collapse_ranks([[rank[f] for f in facets_of(c)] for c in cells])}
+    return {cells[c] for c in greedy_left([[rank[f] for f in facets_of(c)] for c in cells])}
 
 
 def reference_collapse(dim, facets_of):
@@ -374,10 +380,10 @@ def test_dropping_the_least_generator_collapses_the_closure_without_it(
         cells = list(itertools.chain.from_iterable(table.levels))
         least = len(cells) - len(k)
         assert cells[least] == min(k.generators)
-        left = {cells[c] for c in _collapse_ranks(table.facets, [least])}
+        left = {cells[c] for c in greedy_left(table.facets, [least])}
         rest = {f: len(f) - 1 for f in k.closure() - {min(k.generators)}}
         assert left == ranked_collapse(rest, _facets)
-        left = {cells[c] for c in _collapse_ranks(table.facets)}
+        left = {cells[c] for c in greedy_left(table.facets)}
         whole = {f: len(f) - 1 for f in k.closure()}
         assert left == ranked_collapse(whole, _facets)
 
@@ -403,11 +409,18 @@ def test_collapses_leave_what_the_greedy_leaves_above_the_edges(
                 zoo += [k, Complex(set(part) | {gens[0]})]
     for k in zoo:
         table = face_table(k)
-        edges = len(table.levels[0]) + len(table.levels[1])
-        least = len(table.facets) - len(table.levels[-1])
+        sizes = [len(level) for level in table.levels]
+        edges = sizes[0] + sizes[1]
+        least = len(table.facets) - sizes[-1]
+        cells = list(itertools.chain.from_iterable(table.levels))
         for gone in ([], [least]):
-            greedy = [c for c in _collapse_ranks(table.facets, gone) if c >= edges]
-            assert _collapses(table, gone) == greedy
+            greedy = [c for c in greedy_left(table.facets, gone) if c >= edges]
+            assert _collapses(table.facets, sizes, gone) == greedy
+            # phase 1 is the greedy's own heap, so the first-written greedy,
+            # which shares no code with it, checks the order as well
+            dim = {f: len(f) - 1 for r, f in enumerate(cells) if r not in gone}
+            reference = reference_collapse(dim, _facets)
+            assert {cells[c] for c in greedy} == {f for f in reference if len(f) > 2}
     # the link at the pinch is two disjoint boundaries of the 4-simplex, closed
     # with chi = 0: the corner pass accepts it, and the tetrahedra the collapse
     # leaves refuse it
@@ -415,7 +428,7 @@ def test_collapses_leave_what_the_greedy_leaves_above_the_edges(
     table = face_table(two)
     least = len(table.facets) - len(two)
     assert _closed_3_links(top_pairing(table), 10) and table.chi == 0
-    assert _collapses(table, [least])[-1] >= least
+    assert _collapses(table.facets, [len(level) for level in table.levels], [least])[-1] >= least
     assert _recognize(two, 3, {}) == (Recognition.NEITHER, "exact")
     assert check_manifold(pinched_pair()).bad_vertices == [6]
 
@@ -426,9 +439,9 @@ def test_recognition_drops_the_least_generator_of_a_closed_complex(
     dropped = []
     collapse = _collapses
 
-    def spy(table, gone):
+    def spy(facets, sizes, gone):
         dropped.append(list(gone))
-        return collapse(table, gone)
+        return collapse(facets, sizes, gone)
 
     monkeypatch.setattr("stellar.moves._collapses", spy)
     sphere = subdivided_3_spheres(random_subdivision)[-1]
