@@ -9,12 +9,12 @@ from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from typing import Dict, List, Optional, Tuple, Union
 
-from .complexes import Complex, Simplex, UnionFind, _components
+from .complexes import Complex, Simplex, UnionFind
 from .errors import StructureError
 from .group import _class_orders, _degree, _gamma, has_circuit, surface_quotient, GammaGraph
 from .homology import AbelianGroup, complex_h1
 from .manifold import check_manifold
-from .moves import _collapses
+from .moves import _collapse_ranks
 from .quotient import QuotientComplex, StellarStructure
 from .structure import _verify, build_structure
 
@@ -108,36 +108,17 @@ def classify_flat_quotient(q: QuotientComplex) -> SurfaceClass:
 
 
 def quotient_collapses_to_point(q: QuotientComplex) -> bool:
-    """Whether the quotient's cells, as `q.chains` gives them, collapse to
-    one 0-cell: exactly when chi(Q) = 1, Q is connected and, from dimension
-    2 up, the top-down phases of `_collapses` leave no cell above the edges.
-    A cell's rank is its level's offset plus its place in the level, which
-    is (dimension, face) order, and its facets are listed once each.
-
-    This is the greedy's answer, `_collapse_ranks(facets, 0, 0, ())`
-    leaving one 0-cell.  A regular equivalence puts each generator's
-    vertices in distinct classes, so an edge cell has two distinct ends and
-    a triangle cell three distinct edge cells, which join its ends in a
-    cycle.  So no pair removal changes chi, none disconnects the 1-skeleton
-    (an edge goes either with its free end or from a triangle whose other
-    two edges still join its ends), and both collapses leave a graph with
-    Q's chi and connectivity when they leave no cell above the edges, which
-    both then do or both do not (`_collapses`).  The greedy stops only
-    where no vertex is free, and a graph with no free vertex is one vertex
-    exactly when it is connected with chi = 1, a tree.
-    """
+    """Free-face collapse on the quotient's cells, as `q.chains` gives them;
+    True when one 0-cell remains.  A cell's rank is its level's offset plus
+    its place in the level, which is (dimension, face) order, and its facets
+    are listed once each.  This is the whole greedy, `_collapse_ranks` with
+    its floor at 0, since Q need not be connected or have chi = 1."""
     chains = q.chains
-    if q.euler_characteristic() != 1:
-        return False
-    edges = chains[1] if len(chains) > 1 else []
-    if _components(len(chains[0]), [e[0][0] for e in edges], [e[-1][0] for e in edges]) != 1:
-        return False
-    if len(chains) < 3:
-        return True
     starts = list(accumulate(map(len, chains), initial=0))
-    return not _collapses([tuple({starts[d - 1] + f for f, _ in cell})
-                           for d, level in enumerate(chains) for cell in level],
-                          list(map(len, chains)), ())
+    live = _collapse_ranks([tuple({starts[d - 1] + f for f, _ in cell})
+                            for d, level in enumerate(chains) for cell in level], 0, ())
+    left = [c for c, n in enumerate(live) if n >= 0]
+    return len(left) == 1 and left[0] < starts[1]
 
 
 def prism_cell_counts(q: QuotientComplex) -> Dict[int, int]:

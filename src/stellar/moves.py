@@ -137,11 +137,9 @@ def prism(k: Complex) -> Complex:
 # collapse
 
 
-def _collapse_ranks(
-    facets: Sequence[Sequence[int]], lo: int, hi: int, gone: Iterable[int]
-) -> List[int]:
-    """Greedy free-face collapse of the cells 0, 1, ..., n - 1 above two rank
-    floors; returns each cell's count of live cofaces, -1 for a dead cell.
+def _collapse_ranks(facets: Sequence[Sequence[int]], hi: int, gone: Iterable[int]) -> List[int]:
+    """Greedy free-face collapse of the cells 0, 1, ..., n - 1 above a rank
+    floor; returns each cell's count of live cofaces, -1 for a dead cell.
 
     facets[c] is the tuple of the codimension-one faces of cell c, each
     once.  The cells in `gone` are dropped up front; each must be maximal.
@@ -150,14 +148,13 @@ def _collapse_ranks(
     The least free cell goes first, together with its coface.  Cofaces count
     as distinct cells, not as incidences.
 
-    No cell below `lo` is ever pushed: the heap starts from the free cells
-    from `lo` up, and every cell pushed later is a facet of a cell from `hi`
-    up, which lies in the level below `hi`'s or higher.  The facets of a
-    cell below `hi` are not counted, so a cell below `hi` that becomes
-    maximal frees nothing.  At lo = hi = 0 this is the whole greedy.  With
-    `lo` the first triangle and `hi` the first tetrahedron it is phase 1 of
-    `_collapses`: the pairs whose free cell has dimension >= 2, with cofaces
-    counted from the cells of dimension >= 3 alone.
+    The floor `hi` is the first cell of a level.  The facets of a cell below
+    it are not counted, so a cell whose cofaces all lie below it never
+    becomes free, and a cell below it that goes takes none of its facets'
+    counts down.  At hi = 0 this is the whole greedy.  With `hi` the first
+    tetrahedron it is phase 1 of `_collapses`: the pairs whose free cell has
+    dimension >= 2, with cofaces counted from the cells of dimension >= 3
+    alone; no vertex or edge is ever free.
 
     Each cell keeps two numbers, not a coface list: how many live cofaces it
     has (-1 once it is dead) and the XOR of their ranks.  Both change as a
@@ -183,7 +180,7 @@ def _collapse_ranks(
     # another facet, which drops its count.  So an entry is stale exactly
     # when its count is no longer 1, and is skipped.  The cells in order
     # already form a heap
-    heap = [c for c in range(lo, len(facets)) if live[c] == 1 and not live[above[c]]]
+    heap = [c for c, n in enumerate(live) if n == 1 and not live[above[c]]]
     while heap:
         f = heapq.heappop(heap)
         if live[f] != 1:
@@ -208,7 +205,7 @@ def _collapse_ranks(
             if n == 1:
                 if not live[above[x]]:
                     heapq.heappush(heap, x)
-            elif not n and x >= hi:
+            elif not n:
                 for y in facets[x]:
                     if live[y] == 1 and y not in lost:
                         heapq.heappush(heap, y)
@@ -219,21 +216,20 @@ def _collapses(
     facets: Sequence[Sequence[int]], sizes: Sequence[int], gone: Iterable[int]
 ) -> List[int]:
     """The cells of dimension >= 2 that the greedy, `_collapse_ranks(facets,
-    0, 0, gone)`, leaves, in order, for cells ranked by (dimension, face)
-    with `sizes` cells in each level from the vertices up, through at least
-    the triangles; no vertex is read.
+    0, gone)`, leaves, in order, for cells ranked by (dimension, face) with
+    `sizes` cells in each level from the vertices up, through at least the
+    triangles; no vertex is read.
 
-    Phase 1 is `_collapse_ranks` with the floors at the first triangle and
-    the first tetrahedron; phase 2 removes (edge, triangle) pairs off a
-    plain list, counting the triangles phase 1 left.  A pair whose free cell
-    is a vertex or an edge takes it with a maximal edge or triangle, so it
-    never changes which cell of dimension >= 2 is free, and stays valid
-    after phase 1; and a triangle with a free edge stays removable until it
-    goes, so phase 2's order leaves the same triangles (proof in README
-    "Certificates").
+    Phase 1 is `_collapse_ranks` with its floor at the first tetrahedron;
+    phase 2 removes (edge, triangle) pairs off a plain list, counting the
+    triangles phase 1 left.  A pair whose free cell is a vertex or an edge
+    takes it with a maximal edge or triangle, so it never changes which cell
+    of dimension >= 2 is free, and stays valid after phase 1; and a triangle
+    with a free edge stays removable until it goes, so phase 2's order
+    leaves the same triangles (proof in README "Certificates").
     """
     tris = sizes[0] + sizes[1]
-    live = _collapse_ranks(facets, tris, tris + sizes[2], gone)
+    live = _collapse_ranks(facets, tris + sizes[2], gone)
 
     # phase 2: an edge is free when one triangle is left on it, a maximal one
     above = [0] * tris  # as in `_collapse_ranks`, for the edges
@@ -270,7 +266,7 @@ def collapse_greedy(k: Complex) -> Complex:
     """
     table = face_table(k)
     cells = list(itertools.chain.from_iterable(table.levels))
-    live = _collapse_ranks(table.facets, 0, 0, ())
+    live = _collapse_ranks(table.facets, 0, ())
     alive = {cells[c] for c, n in enumerate(live) if n >= 0}
     return Complex(alive - {h for g in alive for h in _facets(g)})
 
@@ -456,10 +452,10 @@ def _certify(k: Complex, dim: int, seen: Seen) -> Verdict:
     connected dual graph makes the 1-skeleton connected, so no other
     connectivity check is made; the collapse then certifies when it leaves
     no cell above the edges (`_collapses`: the greedy `_collapse_ranks` with
-    its floors at the first triangle and the first tetrahedron, then the
-    (edge, triangle) pairs off a list), since what is left has chi = 1 and
-    is a tree, which the greedy takes to a vertex.  The complex is
-    closed when every facet lies in two generators.
+    its floor at the first tetrahedron, then the (edge, triangle) pairs off
+    a list), since what is left has chi = 1 and is a tree, which the greedy
+    takes to a vertex.  The complex is closed when every facet lies in two
+    generators.
 
     A closed 3-complex with chi = 0 recognises none of its vertex links:
     one pass, `_closed_3_links`, decides whether they are all 2-spheres.

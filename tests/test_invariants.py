@@ -30,7 +30,7 @@ import stellar.quotient
 import stellar.structure
 from stellar.homology import AbelianGroup
 from stellar.invariants import prism_cell_counts, quotient_collapses_to_point
-from test_moves import RP2_6, SURFACE_ZOO, TORUS7, greedy_left
+from test_moves import RP2_6, SURFACE_ZOO, TORUS7
 
 
 def test_h1_accepts_complexes_quotients_and_structures():
@@ -148,49 +148,6 @@ def test_quotient_collapse():
     assert not quotient_collapses_to_point(circle)
     fold = QuotientComplex.from_structure(fold_structure(4))
     assert quotient_collapses_to_point(fold)
-
-
-def greedy_reaches_a_point(q):
-    """The greedy, `_collapse_ranks` with both floors at 0, on the quotient's
-    cells with their facets listed once each, leaves one 0-cell."""
-    chains = q.chains
-    starts = list(itertools.accumulate(map(len, chains), initial=0))
-    left = greedy_left([tuple({starts[d - 1] + f for f, _ in cell})
-                        for d, level in enumerate(chains) for cell in level])
-    return len(left) == 1 and left[0] < starts[1]
-
-
-def test_quotient_collapse_is_the_greedy(random_subdivision):
-    # the lens zoo, the folds, built structures of subdivided 3-spheres and
-    # of the boundary of the 5-simplex, whose quotient has 3-cells
-    structures = [
-        lens_structure(q, p)
-        for q in range(2, 14)
-        for p in range(1, q)
-        if math.gcd(p, q) == 1
-    ]
-    structures += [fold_structure(n) for n in range(3, 9)]
-    rng = random.Random(13)
-    spheres = [random_subdivision(rng, standard_sphere(3), moves) for moves in (0, 4, 8, 12)]
-    structures += [build_structure(m).structure for m in spheres + [standard_sphere(4)]]
-    quotients = [QuotientComplex.from_structure(s) for s in structures]
-    assert quotients[-1].cell_counts()[3] == 10
-    # seeded 2-complexes of triangles and edges on at most six vertices
-    faces = [*itertools.combinations(range(1, 7), 3), *itertools.combinations(range(1, 7), 2)]
-    for _ in range(300):
-        k = Complex(rng.sample(faces, rng.randint(1, 8)))
-        quotients.append(QuotientComplex.from_complex(k))
-    # a point, a path, a circle, and a triangle beside a circle: chi = 1,
-    # and only the connectivity test refuses it
-    beside = Complex([(1, 2, 3), (4, 5), (5, 6), (4, 6)])
-    for k in (Complex([(1,)]), Complex([(1, 2), (2, 3)]), standard_sphere(1), beside):
-        quotients.append(QuotientComplex.from_complex(k))
-    assert beside.euler_characteristic() == 1 and not quotient_collapses_to_point(quotients[-1])
-    verdicts = [quotient_collapses_to_point(q) for q in quotients]
-    assert verdicts == [greedy_reaches_a_point(q) for q in quotients]
-    random_ones = verdicts[-304:-4]
-    assert 0 < sum(random_ones) < len(random_ones)
-    assert verdicts[-4:] == [True, True, False, False]
 
 
 def test_prism_cell_counts_double_and_shift():

@@ -164,9 +164,9 @@ def test_collapse_circle_has_no_free_face():
 
 
 def greedy_left(facets, gone=()):
-    """The ranks of the cells that the greedy, `_collapse_ranks` with both
-    floors at 0, leaves, in order."""
-    return [c for c, n in enumerate(_collapse_ranks(facets, 0, 0, gone)) if n >= 0]
+    """The ranks of the cells that the greedy, `_collapse_ranks` with its
+    floor at 0, leaves, in order."""
+    return [c for c, n in enumerate(_collapse_ranks(facets, 0, gone)) if n >= 0]
 
 
 def ranked_collapse(dim, facets_of):
