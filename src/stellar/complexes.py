@@ -319,11 +319,15 @@ def _face_table(
 
 def face_table(k: Complex) -> _FaceTable:
     """The face table of the nonempty generators of `k`: those of the top
-    dimension, sorted, and the rest as lower cells."""
-    gens = [g for g in k.generators if g]
-    size = max(map(len, gens), default=0)
-    top = sorted(g for g in gens if len(g) == size)
-    return _face_table(top, _facet_list(top, size - 1), [g for g in gens if len(g) < size])
+    dimension, sorted, and the rest as lower cells, from one pass that
+    groups the generators by size."""
+    by_size: Dict[int, List[Simplex]] = {}
+    for g in k.generators:
+        by_size.setdefault(len(g), []).append(g)
+    by_size.pop(0, None)  # the empty face
+    size = max(by_size, default=0)
+    top = sorted(by_size.pop(size, ()))
+    return _face_table(top, _facet_list(top, size - 1), itertools.chain.from_iterable(by_size.values()))
 
 
 def _partners(facets: Sequence[Hashable]) -> Optional[List[int]]:

@@ -5,6 +5,7 @@ flatness, collapsible edges, orbit pairs, and the graph of high-order edges.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from math import lcm
 from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
@@ -15,7 +16,7 @@ from .quotient import QuotientComplex, StellarStructure, pair_matching
 
 Permutation = Tuple[int, ...]  # image array over the sorted generator list
 Swap = Dict[int, int]  # a class swap on its support: generator index -> image
-Sides = List[Tuple[Simplex, List[Sequence[int]]]]  # (class's cell, each member face's two generators)
+Members = List[Tuple[Simplex, List[int]]]  # (class's cell, its member faces' numbers)
 ClassOrders = List[Tuple[Simplex, int, int]]  # (class's cell, degree entry, full order)
 
 
@@ -53,15 +54,11 @@ def face_classes(structure: StellarStructure) -> List[FrozenSet[Simplex]]:
     return [frozenset(map(facets.__getitem__, m)) for m in uf.members().values()]
 
 
-def _sides(f: Simplex, hits: Sequence[int]) -> Sequence[int]:
-    """The two generators on either side of the face `f`, from those it
-    lies in."""
-    if len(hits) != 2:
-        raise StructureError(
-            f"facet {f} lies in {len(hits)} generators; "
-            "the sphere is not closed there"
-        )
-    return hits
+def _closed_at(f: Simplex, hits: int) -> None:
+    """Refuses the face `f`, which lies in `hits` generators, unless that
+    is two."""
+    if hits != 2:
+        raise StructureError(f"facet {f} lies in {hits} generators; the sphere is not closed there")
 
 
 def _swap(sides: Iterable[Tuple[Simplex, Sequence[int]]]) -> Swap:
@@ -69,7 +66,8 @@ def _swap(sides: Iterable[Tuple[Simplex, Sequence[int]]]) -> Swap:
     the generators it lies in."""
     swap: Swap = {}
     for f, hits in sides:
-        i, j = _sides(f, hits)
+        _closed_at(f, len(hits))
+        i, j = hits
         if i in swap or j in swap:
             raise StructureError(f"a generator contains two facets of the class of {f}")
         swap[i], swap[j] = j, i
@@ -113,30 +111,33 @@ def _order(step: Callable[[int], int], starts: Iterable[int]) -> int:
     return order
 
 
-def _classes(quotient: QuotientComplex) -> Sides:
-    """Each face class, by name, with the two generators on either side of
-    each member face, by their places in `_generators`: the quotient's cells
-    one dimension below the sphere's, since a matching carries
-    codimension-one faces to codimension-one faces, so `face_classes` in its
-    order.  The generators around each face come from the generators' facet
-    numbers, and `_sides` refuses a face that lies in any other number."""
+def _classes(quotient: QuotientComplex) -> Members:
+    """Each face class, by name, with its member faces' numbers: the
+    quotient's cells one dimension below the sphere's, since a matching
+    carries codimension-one faces to codimension-one faces, so
+    `face_classes` in its order.  Each such face is counted in one `hits`
+    array over the top generators' facet numbers, and `_closed_at` refuses,
+    in class order, the first that lies in a number other than two; so a
+    face class's size is its number of members."""
     q = quotient
     if not q._closed():
         raise StructureError("structure is not closed: the pairing is partial")
     dim = max(q._roots, default=-1)
+    if dim < 0:
+        return []
     if dim == 0:
         # a 0-sphere's one class is the empty face, which lies in every
-        # generator and which the face table leaves out
-        return [((), [_sides((), range(len(q._generators)))])]
-    around: Dict[int, List[int]] = {}
-    for i, r in enumerate(q._generators):
-        for f in q._facets[r]:
-            around.setdefault(f, []).append(i)
-    faces = q._faces
-    return [
-        (faces[root], [_sides(faces[f], around.get(f, ())) for f in q._classes[root]])
-        for root in q._roots.get(dim - 1, ())
-    ]
+        # generator, and which the face table leaves out: it is numbered -1
+        _closed_at((), len(q._generators))
+        return [((), [-1])]
+    # the top generators are the face table's last level, which starts at
+    # the first top root, and their facets are the (dim - 1)-faces
+    top, classes = q._roots[dim][0], [q._classes[r] for r in q._roots[dim - 1]]
+    hits = Counter(itertools.chain.from_iterable(q._facets[top:]))
+    if len(hits) != top - q._roots[dim - 1][0] or set(hits.values()) != {2}:
+        for f in itertools.chain.from_iterable(classes):
+            _closed_at(q._faces[f], hits[f])
+    return list(zip(map(q._faces.__getitem__, q._roots[dim - 1]), classes))
 
 
 def _class_orders(quotient: QuotientComplex) -> ClassOrders:
@@ -151,7 +152,7 @@ def _class_orders(quotient: QuotientComplex) -> ClassOrders:
     vertex, and the faces of one cell meet the same vertex classes, so two
     of the generator's vertices would share a class."""
     n = len(quotient._generators)
-    sizes = [(cell, len(sides)) for cell, sides in _classes(quotient)]
+    sizes = [(cell, len(members)) for cell, members in _classes(quotient)]
     return [(cell, max(m, 2), m if 2 * m == n else lcm(m, 2)) for cell, m in sizes]
 
 
@@ -228,8 +229,8 @@ def collapsible_edges(structure: StellarStructure) -> List[FrozenSet[Simplex]]:
     so swap(pair(F)) = F exactly when F's matching fixes that edge, and
     then no matching carries it to another."""
     quotient = surface_quotient(structure)
-    classes = _classes(quotient)
-    return [frozenset(quotient.members[c]) for c, sides in classes if len(sides) == 1]
+    faces = quotient._faces
+    return [frozenset(map(faces.__getitem__, m)) for _, m in _classes(quotient) if len(m) == 1]
 
 
 def internally_flat_complexes(
@@ -242,10 +243,11 @@ def internally_flat_complexes(
     quotient = surface_quotient(structure)
     gens = [quotient._faces[r] for r in quotient._generators]
     uf = UnionFind(len(gens))  # orbits under the generated group
-    for _, sides in _classes(quotient):
-        if len(sides) == 2:
-            for i, j in sides:
-                uf.union(i, j)
+    flat = {f for _, m in _classes(quotient) if len(m) == 2 for f in m}  # faces of those classes
+    first: Dict[int, int] = {}  # such a face -> the first generator met around it
+    for i, r in enumerate(quotient._generators):
+        for f in flat.intersection(quotient._facets[r]):
+            uf.union(first.setdefault(f, i), i)  # the second joins the first
     pair: Dict[int, int] = {}
     for i, j in quotient._pairs:
         pair[i], pair[j] = j, i

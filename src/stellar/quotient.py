@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, combinations, count, repeat
@@ -26,14 +27,9 @@ Diagnosis = Tuple[List[str], Dict[int, int]]  # (problems, vertex -> class id)
 
 
 def _sort_parity(seq: Sequence[int]) -> int:
-    """Parity (0 even, 1 odd) of the permutation sorting `seq`."""
-    seq = list(seq)
-    parity = 0
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                parity ^= 1
-    return parity
+    """Parity (0 even, 1 odd) of the permutation sorting `seq`: of its
+    number of inversions."""
+    return sum(a > b for a, b in combinations(seq, 2)) % 2
 
 
 @dataclass(frozen=True)
@@ -70,15 +66,8 @@ class RegularEquivalence:
 
     def _class_map(self, vertices: FrozenSet[int]) -> Dict[int, int]:
         """`class_of` for a sphere with the vertex set `vertices`."""
-        out: Dict[int, int] = {}
-        for i, c in enumerate(self.vertex_classes):
-            for v in c:
-                out[v] = i
-        nxt = len(self.vertex_classes)
-        for v in sorted(vertices):
-            if v not in out:
-                out[v] = nxt
-                nxt += 1
+        out = {v: i for i, c in enumerate(self.vertex_classes) for v in c}
+        out.update(zip(sorted(vertices - out.keys()), count(len(self.vertex_classes))))
         return out
 
     def problems(self, sphere: Complex) -> List[str]:
@@ -97,17 +86,13 @@ class RegularEquivalence:
         bad = {g for g in gens if len({cls[v] for v in g}) != len(g)}
         for g in sorted(bad, key=lambda g: (len(g), g)):
             out.append(f"generator {g} contains two equivalent vertices")
-        counts: Dict[Simplex, int] = {}
         for g, p in self.generator_pairs:
             if g == p:
                 out.append(f"generator {g} is paired with itself")
-            for h in (g, p):
-                if h not in gens:
-                    out.append(f"paired simplex {h} is not a generator of the sphere")
-                counts[h] = counts.get(h, 0) + 1
-        for h, n in counts.items():
-            if n > 1:
-                out.append(f"generator {h} occurs in {n} pairs")
+            out.extend(f"paired simplex {h} is not a generator of the sphere"
+                       for h in (g, p) if h not in gens)
+        counts = Counter(chain.from_iterable(self.generator_pairs))
+        out.extend(f"generator {h} occurs in {n} pairs" for h, n in counts.items() if n > 1)
         # a pair has a class-respecting matching when the sizes agree, p has
         # no two equivalent vertices (else the scan above listed it), and
         # every class of g is a class of p
@@ -166,11 +151,7 @@ class StellarStructure:
     @property
     def is_closed(self) -> bool:
         """True when every generator of the sphere belongs to a pair."""
-        paired: Set[Simplex] = set()
-        for g, p in self.equivalence.generator_pairs:
-            paired.add(g)
-            paired.add(p)
-        return paired == set(self.sphere.generators)
+        return set(chain.from_iterable(self.equivalence.generator_pairs)) == self.sphere.generators
 
 
 @lru_cache(maxsize=None)
@@ -200,11 +181,14 @@ def _face_plan(sigma: Tuple[int, ...]) -> Tuple[tuple, tuple]:
 class QuotientComplex:
     """CW quotient of a sphere by a regular equivalence.
 
-    Takes the sphere, a class map `cls` and pairs of generators, and needs
-    what `from_structure` and `from_complex` guarantee: the vertices of
-    each generator lie in distinct classes, and each pair's generators meet
-    the same classes.  Each pair's vertex matching is then the one that
-    respects the classes, read off `cls` as a map of positions.
+    Takes the sphere, a class map `cls` and pairs of generators, and
+    checks on the face numbers what validation asks of them: the pairs are
+    distinct generators, no edge of the sphere has both ends in one class
+    (so neither has any generator), and each pair's generators have one
+    size and meet the same classes.  Otherwise it raises EquivalenceError,
+    which `from_structure` words as `validate` does.  Each pair's vertex
+    matching is the one that respects the classes, read off `cls` as a map
+    of positions.
 
     Cells are classes of faces under the identifications those matchings
     induce, and no cell carries clashing orientations.  A chain of
@@ -247,11 +231,18 @@ class QuotientComplex:
                        for g in sphere.generators if 0 < len(g) < len(levels))
         generators = lower + list(range(starts[-2], starts[-1]))  # then the top level
         place = dict(zip(map(faces.__getitem__, generators), count()))  # in `generators`
-        heads, tails = [place[g] for g, _ in pairs], [place[p] for _, p in pairs]
+        heads, tails = [place.get(g) for g, _ in pairs], [place.get(p) for _, p in pairs]
+        # a generator has two equivalent vertices exactly when one of its edges does
+        if (None in heads or None in tails or len(set(heads + tails)) < 2 * len(pairs)
+                or any(cls[u] == cls[v] for u, v in chain.from_iterable(levels[1:2]))):
+            raise EquivalenceError("the pairs and classes are not a regular equivalence")
         shapes: Dict[Tuple[int, ...], List[int]] = {}  # sigma -> its pairs' places in `pairs`
         for j, (g, p) in enumerate(pairs):
             pos = {cls[v]: i for i, v in enumerate(p)}  # class -> its vertex's position in p
-            shapes.setdefault(tuple(pos[cls[v]] for v in g), []).append(j)
+            sigma = tuple(map(pos.get, map(cls.__getitem__, g)))
+            if len(g) != len(p) or None in sigma:
+                raise EquivalenceError("the pairs and classes are not a regular equivalence")
+            shapes.setdefault(sigma, []).append(j)
         uf = UnionFind(len(faces))
         for sigma, at in shapes.items():
             path, plan = _face_plan(sigma)
@@ -272,7 +263,12 @@ class QuotientComplex:
         roots = list(self._classes)  # increasing, so the d-cells' roots are one run
         runs = (roots[bisect_left(roots, a):bisect_left(roots, b)] for a, b in zip(starts, starts[1:]))
         self._roots = {d: run for d, run in enumerate(runs) if run}
-        self.cells = {d: list(map(faces.__getitem__, run)) for d, run in self._roots.items()}
+
+    @cached_property
+    def cells(self) -> Dict[int, List[Simplex]]:
+        """dimension -> its cells, each named by its least face; a report
+        and the Euler identity read the sizes of `_roots` instead."""
+        return {d: list(map(self._faces.__getitem__, run)) for d, run in self._roots.items()}
 
     @cached_property
     def _index(self) -> Dict[Simplex, int]:
@@ -287,10 +283,17 @@ class QuotientComplex:
 
     @staticmethod
     def from_structure(structure: StellarStructure) -> "QuotientComplex":
-        problems, cls = structure._diagnose()
-        if problems:
-            raise EquivalenceError("; ".join(problems))
-        return QuotientComplex(structure.sphere, cls, structure.equivalence.generator_pairs)
+        """The quotient of a structure, validated by the pass that builds
+        it: the apex and the classes' vertices are tested on the sphere's
+        vertex set, and the rest of `validate` on the face numbers.  Only
+        a refused structure is validated again, to name its problems."""
+        eq, vertices = structure.equivalence, structure.sphere.vertices()
+        if structure.apex not in vertices and vertices.issuperset(chain.from_iterable(eq.vertex_classes)):
+            try:
+                return QuotientComplex(structure.sphere, eq._class_map(vertices), eq.generator_pairs)
+            except EquivalenceError:
+                pass
+        raise EquivalenceError("; ".join(structure.validate()))
 
     @staticmethod
     def from_complex(k: Complex) -> "QuotientComplex":
@@ -313,10 +316,10 @@ class QuotientComplex:
         return 2 * len(self._pairs) == len(self._generators)
 
     def cell_counts(self) -> Dict[int, int]:
-        return {d: len(cells) for d, cells in self.cells.items()}
+        return {d: len(run) for d, run in self._roots.items()}
 
     def euler_characteristic(self) -> int:
-        return sum((-1) ** d * len(cells) for d, cells in self.cells.items())
+        return sum((-1) ** d * len(run) for d, run in self._roots.items())
 
     @cached_property
     def chains(self) -> List[Cells]:

@@ -160,9 +160,9 @@ def _verify(
     Euler identity was checked on (None when an earlier problem stopped the
     check).  The caller gives chi: `verify_structure` counts it, and
     `sphere_workflow` knows it from its manifold check.  The quotient's
-    construction validates the structure, so a valid structure is validated
-    once, and its quotient tells closedness; an invalid one is validated
-    again for the list."""
+    construction validates the structure on its face numbers, and its
+    quotient tells closedness; an invalid one is validated again for the
+    list."""
     structure = (
         result_or_structure.structure
         if isinstance(result_or_structure, BuildResult)

@@ -269,16 +269,22 @@ def test_one_report_counts_the_classes_once(monkeypatch):
 
 def test_face_classes_are_the_codimension_one_cells(cycle_join, non_sphere_controls):
     # the class pass reads each face class off the quotient by number and
-    # counts its faces: its name, members, sides, degree entry, full order,
-    # folds and flat orbits match the stand-alone references
+    # counts its faces: its name, member numbers, sides, degree entry, full
+    # order, folds and flat orbits match the stand-alone references
     structures = reference_structures(cycle_join) + [square_structure()]
     structures.append(lens_structure(17, 3))
     structures += [build_structure(m).structure for m in non_sphere_controls]
     for s in structures:
         q = QuotientComplex.from_structure(s)
         classes = face_classes(s)
-        sides = _classes(q)
-        assert [frozenset(q.members[c]) for c, _ in sides] == classes
+        members = _classes(q)
+        assert [frozenset(q.members[c]) for c, _ in members] == classes
+        assert [m for _, m in members] == [q._classes[q._index[c]] for c, _ in members]
+        around = {}  # face number -> the generators it lies in, by place
+        for i, r in enumerate(q._generators):
+            for f in q._facets[r]:
+                around.setdefault(f, []).append(i)
+        sides = [(c, [around[f] for f in m]) for c, m in members]
         orders = _class_orders(q)
         assert [c for c, _, _ in orders] == [c for c, _ in sides]
         pairing = p0(s)

@@ -180,6 +180,68 @@ def test_problems_name_the_pair_faults_in_order():
     ]
 
 
+def fault_mutants(s):
+    """One faulty copy of the structure `s` per fault kind that validation
+    names, each with the fault's words: the apex in the sphere, a stray
+    class vertex, two equivalent vertices in a generator, a self-pair, a
+    non-generator, a generator in two pairs, sizes that differ, and a
+    missing class."""
+    eq, sphere = s.equivalence, s.sphere
+    classes = [sorted(c) for c in eq.vertex_classes]
+    pairs = list(eq.generator_pairs)
+    (g, p), (_, p2) = pairs[:2]
+    fresh = sphere.max_label() + 1
+
+    def mutant(pairs=pairs, classes=classes, sphere=sphere, apex=s.apex):
+        return StellarStructure(apex, sphere, RegularEquivalence.build(classes, pairs))
+
+    cls = eq.class_of(sphere)
+    a, b = g[:2]  # merge the classes of two vertices of g
+    merged = [c for c in classes if cls[a] != cls[c[0]] != cls[b]]
+    merged.append(sorted(v for v in sphere.vertices() if cls[v] in (cls[a], cls[b])))
+    facet = g[:-1]  # added as a generator and paired with g
+    rest = [pair for pair in pairs if g not in pair]
+    h = tuple(sorted(p[1:] + (fresh,)))  # added as a generator: misses the class of p[0]
+    return [
+        ("occurs in the sphere", mutant(apex=g[0])),
+        ("not in the sphere", mutant(classes=classes + [[fresh]])),
+        ("two equivalent vertices", mutant(classes=merged)),
+        ("paired with itself", mutant(pairs=[(g, g)] + pairs[1:])),
+        ("not a generator", mutant(pairs=[(g, g[:-1] + (fresh,))] + pairs[1:])),
+        ("occurs in 2 pairs", mutant(pairs=pairs + [(g, p2)])),
+        ("different sizes", mutant(pairs=rest + [(facet, g)], sphere=sphere + Complex([facet]))),
+        ("is equivalent to vertex", mutant(pairs=rest + [(g, h)], sphere=sphere + Complex([h]))),
+    ]
+
+
+def test_the_quotient_refuses_what_validation_refuses(cycle_join):
+    # the quotient's construction checks a structure on its face numbers and
+    # builds on a structure exactly when `validate` finds no problem; a
+    # refusal names the problems `validate` lists, in its order
+    structures = [
+        lens_structure(q, p) for q in range(2, 14) for p in range(1, q) if gcd(p, q) == 1
+    ]
+    structures += [fold_structure(n) for n in range(3, 9)]
+    for m in (standard_sphere(2), standard_sphere(4), cycle_join(3, 4), cycle_join(5, 5)):
+        structures.append(build_structure(m).structure)
+    mutants = []
+    for s in structures[::6]:
+        for words, mutant in fault_mutants(s):
+            assert any(words in x for x in mutant.validate()), (words, mutant)
+            mutants.append(mutant)
+    refused = 0
+    for s in structures + mutants:
+        problems = s.validate()
+        if not problems:
+            QuotientComplex.from_structure(s)
+            continue
+        with pytest.raises(EquivalenceError) as e:
+            QuotientComplex.from_structure(s)
+        assert str(e.value) == "; ".join(problems)
+        refused += 1
+    assert refused == len(mutants)
+
+
 def test_pair_matching_respects_classes():
     cls = {1: 0, 2: 1, 3: 2, 4: 1, 5: 2}
     assert pair_matching((1, 2, 3), (1, 4, 5), cls) == {1: 1, 2: 4, 3: 5}
