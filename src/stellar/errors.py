@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+from typing import Sequence
+
 
 class StellarError(Exception):
     """Base class for all domain errors raised by this package."""
@@ -22,7 +24,14 @@ class WeldError(MoveError):
 
 
 class EquivalenceError(StellarError):
-    """A vertex partition / generator pairing violates the regularity rules."""
+    """A vertex partition / generator pairing violates the regularity rules.
+
+    `reasons` lists the rules broken, one text each, when the refusal
+    names them: the message is those texts joined by "; "."""
+
+    def __init__(self, message: str = "", reasons: Sequence[str] = ()) -> None:
+        super().__init__(message)
+        self.reasons = list(reasons)
 
 
 class StructureError(StellarError):

@@ -17,7 +17,7 @@ from .quotient import QuotientComplex, StellarStructure, pair_matching
 Permutation = Tuple[int, ...]  # image array over the sorted generator list
 Swap = Dict[int, int]  # a class swap on its support: generator index -> image
 Members = List[Tuple[Simplex, List[int]]]  # (class's cell, its member faces' numbers)
-ClassOrders = List[Tuple[Simplex, int, int]]  # (class's cell, degree entry, full order)
+ClassOrders = List[Tuple[Simplex, int, int]]  # (class's cell, its number of members, full order)
 
 
 def p0(structure: StellarStructure) -> Permutation:
@@ -141,10 +141,11 @@ def _classes(quotient: QuotientComplex) -> Members:
 
 
 def _class_orders(quotient: QuotientComplex) -> ClassOrders:
-    """Each face class, by name, with its degree entry and full order: what
-    `degree`, `gamma_graph` and a report share.  By `degree_entry` and
-    `order_of`, a class of m faces among n generators has entry max(m, 2)
-    and full order m if 2m = n, else lcm(m, 2).
+    """Each face class, by name, with its number of members m and its full
+    order: what `degree`, `gamma_graph` and a report share.  By
+    `degree_entry` and `order_of`, a class of m faces among n generators
+    has entry max(m, 2) and full order m if 2m = n, else lcm(m, 2); a
+    class of one face is a fold (`collapsible_edges`).
 
     Those proofs need the 2m generators around a class to be distinct, so
     no generator has two facets in one class (`_swap`'s refusal), which a
@@ -153,7 +154,7 @@ def _class_orders(quotient: QuotientComplex) -> ClassOrders:
     of the generator's vertices would share a class."""
     n = len(quotient._generators)
     sizes = [(cell, len(members)) for cell, members in _classes(quotient)]
-    return [(cell, max(m, 2), m if 2 * m == n else lcm(m, 2)) for cell, m in sizes]
+    return [(cell, m, m if 2 * m == n else lcm(m, 2)) for cell, m in sizes]
 
 
 def order_of(structure: StellarStructure, alpha: FrozenSet[Simplex]) -> int:
@@ -200,7 +201,7 @@ def degree(structure: StellarStructure) -> Tuple[int, ...]:
 
 
 def _degree(orders: ClassOrders) -> Tuple[int, ...]:
-    return tuple(sorted({entry for _, entry, _ in orders}, reverse=True))
+    return tuple(sorted({max(m, 2) for _, m, _ in orders}, reverse=True))
 
 
 def is_flat(structure: StellarStructure) -> bool:

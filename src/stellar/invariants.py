@@ -9,12 +9,12 @@ from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from typing import Dict, List, Optional, Tuple, Union
 
-from .complexes import Complex, Simplex, UnionFind
+from .complexes import Complex, Simplex, UnionFind, _components
 from .errors import StructureError
 from .group import _class_orders, _degree, _gamma, has_circuit, surface_quotient, GammaGraph
 from .homology import AbelianGroup, complex_h1
 from .manifold import check_manifold
-from .moves import _collapse_ranks
+from .moves import _collapses
 from .quotient import QuotientComplex, StellarStructure
 from .structure import _verify, build_structure
 
@@ -108,17 +108,39 @@ def classify_flat_quotient(q: QuotientComplex) -> SurfaceClass:
 
 
 def quotient_collapses_to_point(q: QuotientComplex) -> bool:
-    """Free-face collapse on the quotient's cells, as `q.chains` gives them;
-    True when one 0-cell remains.  A cell's rank is its level's offset plus
-    its place in the level, which is (dimension, face) order, and its facets
-    are listed once each.  This is the whole greedy, `_collapse_ranks` with
-    its floor at 0, since Q need not be connected or have chi = 1."""
+    """Whether the quotient's cells, as `q.chains` gives them, collapse to
+    one 0-cell: exactly when chi(Q) = 1, Q is connected and, from dimension
+    2 up, the top-down phases of `_collapses` leave no cell above the edges.
+    A cell's rank is its level's offset plus its place in the level, which
+    is (dimension, face) order.  The phases read the facets of the cells of
+    dimension >= 2 only, and those are listed once each, since no cell
+    meets one face cell twice.
+
+    This is the greedy's answer, `_collapse_ranks(facets, 0, ())` leaving
+    one 0-cell.  A regular equivalence puts each generator's vertices in
+    distinct classes, so an edge cell has two distinct ends and a triangle
+    cell three distinct edge cells, which join its ends in a cycle.  So no
+    pair removal changes chi, none disconnects the 1-skeleton (an edge goes
+    either with its free end or from a triangle whose other two edges still
+    join its ends), and both collapses leave a graph with Q's chi and
+    connectivity when they leave no cell above the edges, which both then
+    do or both do not (`_collapses`).  The greedy stops only where no
+    vertex is free, and a graph with no free vertex is one vertex exactly
+    when it is connected with chi = 1, a tree.
+    """
+    if q.euler_characteristic() != 1:
+        return False
     chains = q.chains
-    starts = list(accumulate(map(len, chains), initial=0))
-    live = _collapse_ranks([tuple({starts[d - 1] + f for f, _ in cell})
-                            for d, level in enumerate(chains) for cell in level], 0, ())
-    left = [c for c, n in enumerate(live) if n >= 0]
-    return len(left) == 1 and left[0] < starts[1]
+    edges = chains[1] if len(chains) > 1 else []
+    if _components(len(chains[0]), [e[0][0] for e in edges], [e[1][0] for e in edges]) != 1:
+        return False
+    if len(chains) < 3:
+        return True
+    sizes = list(map(len, chains))
+    facets: List[Tuple[int, ...]] = [()] * (sizes[0] + sizes[1])  # never read
+    for start, level in zip(accumulate(sizes), chains[2:]):
+        facets += [tuple([start + f for f, _ in cell]) for cell in level]
+    return not _collapses(facets, sizes, ())
 
 
 def prism_cell_counts(q: QuotientComplex) -> Dict[int, int]:
@@ -155,11 +177,18 @@ def _report(quotient: QuotientComplex) -> WorkflowReport:
     """`structure_report` on the structure's quotient, already built: every
     stage reads the quotient's face numbers.
 
-    Nontrivial H1 refutes a sphere; with H1 trivial, a quotient that
-    collapses to a point certifies one (README, "Certificates").  Flatness,
+    Nontrivial H1 refutes a sphere; a quotient that collapses to a point
+    certifies one (README, "Certificates"), and is contractible, so its H1
+    is trivial.  The two exclude each other, so either may be tried first.
+    An edge class of m faces lies in m 2-cells of Q, so Q's free cells are
+    the folds, the classes of one face: a quotient with a fold is collapsed
+    first, and H1 is computed only when it does not reach a point, while
+    one with no fold, which removes nothing, has its H1 first.  Flatness,
     the surface class and the Γ graph are evidence only."""
-    group = quotient.h1()
     orders = _class_orders(quotient)
+    fold = any(m == 1 for _, m, _ in orders)
+    collapsed = quotient_collapses_to_point(quotient) if fold else None
+    group = AbelianGroup(0) if collapsed else quotient.h1()
     deg = _degree(orders)
     report = WorkflowReport(flat=deg == (2,), degree=deg, h1=group)
     if report.flat:
@@ -177,7 +206,7 @@ def _report(quotient: QuotientComplex) -> WorkflowReport:
     if not group.is_trivial():
         report.conclusion = f"not a sphere: H1 = {group.describe()}"
         return report
-    report.collapsed_to_point = quotient_collapses_to_point(quotient)
+    report.collapsed_to_point = quotient_collapses_to_point(quotient) if collapsed is None else collapsed
     if not report.collapsed_to_point:
         report.conclusion = "undecided: H1 = 0 and the quotient does not collapse"
         return report

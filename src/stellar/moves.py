@@ -218,7 +218,7 @@ def _collapses(
     """The cells of dimension >= 2 that the greedy, `_collapse_ranks(facets,
     0, gone)`, leaves, in order, for cells ranked by (dimension, face) with
     `sizes` cells in each level from the vertices up, through at least the
-    triangles; no vertex is read.
+    triangles; no vertex is read, nor the facets of a vertex or an edge.
 
     Phase 1 is `_collapse_ranks` with its floor at the first tetrahedron;
     phase 2 removes (edge, triangle) pairs off a plain list, counting the

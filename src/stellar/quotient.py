@@ -286,14 +286,16 @@ class QuotientComplex:
         """The quotient of a structure, validated by the pass that builds
         it: the apex and the classes' vertices are tested on the sphere's
         vertex set, and the rest of `validate` on the face numbers.  Only
-        a refused structure is validated again, to name its problems."""
+        a refused structure is validated again, to name its problems, which
+        the error carries."""
         eq, vertices = structure.equivalence, structure.sphere.vertices()
         if structure.apex not in vertices and vertices.issuperset(chain.from_iterable(eq.vertex_classes)):
             try:
                 return QuotientComplex(structure.sphere, eq._class_map(vertices), eq.generator_pairs)
             except EquivalenceError:
                 pass
-        raise EquivalenceError("; ".join(structure.validate()))
+        problems = structure.validate()
+        raise EquivalenceError("; ".join(problems), problems)
 
     @staticmethod
     def from_complex(k: Complex) -> "QuotientComplex":

@@ -161,8 +161,8 @@ def _verify(
     check).  The caller gives chi: `verify_structure` counts it, and
     `sphere_workflow` knows it from its manifold check.  The quotient's
     construction validates the structure on its face numbers, and its
-    quotient tells closedness; an invalid one is validated again for the
-    list."""
+    quotient tells closedness; an invalid one is validated once, and the
+    refusal carries the list."""
     structure = (
         result_or_structure.structure
         if isinstance(result_or_structure, BuildResult)
@@ -172,8 +172,8 @@ def _verify(
     quotient: Optional[QuotientComplex] = None
     try:
         quotient = QuotientComplex.from_structure(structure)
-    except EquivalenceError:
-        out = structure.validate()
+    except EquivalenceError as refusal:
+        out = refusal.reasons
     if not (quotient._closed() if quotient is not None else structure.is_closed):
         out.append("pairing does not cover every sphere generator")
     if structure.sphere.dimension() != dim - 1:

@@ -289,12 +289,12 @@ def test_face_classes_are_the_codimension_one_cells(cycle_join, non_sphere_contr
         assert [c for c, _, _ in orders] == [c for c, _ in sides]
         pairing = p0(s)
         folds, flat_swaps = [], []
-        for (cell, hits), (_, entry, order), alpha in zip(sides, orders, classes):
+        for (cell, hits), (_, m, order), alpha in zip(sides, orders, classes):
             assert cell == min(alpha)
             swap = p_alpha(s, alpha)
             moved = {frozenset((i, j)) for i, j in enumerate(swap) if i != j}
-            assert set(map(frozenset, hits)) == moved and len(hits) == len(alpha)
-            assert entry == degree_entry(s, alpha), sorted(alpha)
+            assert set(map(frozenset, hits)) == moved and len(hits) == len(alpha) == m
+            assert max(m, 2) == degree_entry(s, alpha), sorted(alpha)
             assert order == order_of(s, alpha), sorted(alpha)
             if any(swap[j] == i for i, j in enumerate(pairing)):
                 folds.append(alpha)

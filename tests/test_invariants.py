@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -25,12 +26,15 @@ from stellar import (
 )
 import stellar.complexes
 import stellar.group
+import stellar.homology
+import stellar.invariants
 import stellar.lens
 import stellar.quotient
 import stellar.structure
 from stellar.homology import AbelianGroup
+from stellar.group import _classes
 from stellar.invariants import prism_cell_counts, quotient_collapses_to_point
-from test_moves import RP2_6, SURFACE_ZOO, TORUS7
+from test_moves import RP2_6, SURFACE_ZOO, TORUS7, greedy_left
 
 
 def test_h1_accepts_complexes_quotients_and_structures():
@@ -148,6 +152,100 @@ def test_quotient_collapse():
     assert not quotient_collapses_to_point(circle)
     fold = QuotientComplex.from_structure(fold_structure(4))
     assert quotient_collapses_to_point(fold)
+
+
+def greedy_left_on(q):
+    """The ranks of the cells that the greedy, `_collapse_ranks` with its
+    floor at 0, leaves of the quotient's cells, with their facets listed
+    once each, and the rank of the first edge cell."""
+    chains = q.chains
+    starts = list(itertools.accumulate(map(len, chains), initial=0))
+    facets = [tuple({starts[d - 1] + f for f, _ in cell}) for d, level in enumerate(chains) for cell in level]
+    return greedy_left(facets), starts[1]
+
+
+def greedy_reaches_a_point(q):
+    left, edges = greedy_left_on(q)
+    return len(left) == 1 and left[0] < edges
+
+
+def lens_zoo(top=13):
+    return [lens_structure(q, p) for q in range(2, top + 1) for p in range(1, q) if math.gcd(p, q) == 1]
+
+
+def test_quotient_collapse_is_the_greedy(random_subdivision):
+    # the lens zoo, the folds, built structures of subdivided 3-spheres and
+    # of the boundary of the 5-simplex, whose quotient has 3-cells
+    structures = lens_zoo() + [fold_structure(n) for n in range(3, 9)]
+    rng = random.Random(13)
+    spheres = [random_subdivision(rng, standard_sphere(3), moves) for moves in (0, 4, 8, 12)]
+    structures += [build_structure(m).structure for m in spheres + [standard_sphere(4)]]
+    quotients = [QuotientComplex.from_structure(s) for s in structures]
+    assert quotients[-1].cell_counts()[3] == 10
+    # seeded 2-complexes of triangles and edges on at most six vertices
+    faces = [*itertools.combinations(range(1, 7), 3), *itertools.combinations(range(1, 7), 2)]
+    for _ in range(300):
+        k = Complex(rng.sample(faces, rng.randint(1, 8)))
+        quotients.append(QuotientComplex.from_complex(k))
+    # a point, a path, a circle, and a triangle beside a circle: chi = 1,
+    # and only the connectivity test refuses it
+    beside = Complex([(1, 2, 3), (4, 5), (5, 6), (4, 6)])
+    for k in (Complex([(1,)]), Complex([(1, 2), (2, 3)]), standard_sphere(1), beside):
+        quotients.append(QuotientComplex.from_complex(k))
+    assert beside.euler_characteristic() == 1 and not quotient_collapses_to_point(quotients[-1])
+    verdicts = [quotient_collapses_to_point(q) for q in quotients]
+    assert verdicts == [greedy_reaches_a_point(q) for q in quotients]
+    random_ones = verdicts[-304:-4]
+    assert 0 < sum(random_ones) < len(random_ones)
+    assert verdicts[-4:] == [True, True, False, False]
+
+
+def test_reports_read_as_with_h1_first(random_subdivision, cycle_join, non_sphere_controls):
+    # a report collapses a quotient with a fold before its H1, and one with
+    # none after: the free cells of Q are its folds, so every report reads
+    # as if H1 ran first, with no collapse where H1 refutes
+    structures = lens_zoo() + [fold_structure(n) for n in range(3, 9)]
+    rng = random.Random(17)
+    manifolds = [random_subdivision(rng, standard_sphere(3), moves) for moves in (0, 5, 10)]
+    manifolds += [cycle_join(4, 5), *non_sphere_controls]
+    structures += [build_structure(m).structure for m in manifolds]
+    branches = set()
+    for s in structures:
+        q = QuotientComplex.from_structure(s)
+        sizes = [len(m) for _, m in _classes(q)]  # in the order of the edge cells
+        chains = q.chains
+        around = collections.Counter(e for cell in chains[2] for e, _ in cell)
+        assert [around[e] for e in range(len(chains[1]))] == sizes  # m members, m 2-cells
+        fold = 1 in sizes
+        left, _ = greedy_left_on(q)
+        if not fold:
+            assert len(left) == sum(map(len, chains))  # no free cell: nothing goes
+        group = q.h1()
+        report = structure_report(s)
+        assert report.h1 == group
+        assert report.collapsed_to_point == (greedy_reaches_a_point(q) if group.is_trivial() else None)
+        branches.add((fold, report.conclusion.split(":")[0]))
+    assert branches == {(False, "not a sphere"), (True, "not a sphere"), (True, "sphere")}
+
+
+def test_reports_run_only_the_certificate_they_need(monkeypatch, cycle_join):
+    # a lens shell has no fold, so its H1 refutes before any collapse; the
+    # quotient of C4*C5 has one, and collapses, so its H1 is never computed
+    collapses, groups = [], []
+    real_collapse = stellar.invariants.quotient_collapses_to_point
+    real_h1 = stellar.homology.homology_from_boundaries
+    monkeypatch.setattr(stellar.invariants, "quotient_collapses_to_point",
+                        lambda q: collapses.append(q) or real_collapse(q))
+    for module in (stellar.homology, stellar.quotient):
+        monkeypatch.setattr(module, "homology_from_boundaries",
+                            lambda chains: groups.append(chains) or real_h1(chains))
+    report = structure_report(lens_structure(17, 3))
+    assert report.conclusion == "not a sphere: H1 = Z/17"
+    assert (len(collapses), len(groups)) == (0, 1)
+    groups.clear()
+    report = sphere_workflow(cycle_join(4, 5))
+    assert (report.conclusion, report.h1, report.collapsed_to_point) == ("sphere", AbelianGroup(0), True)
+    assert (len(collapses), len(groups)) == (1, 0)
 
 
 def test_prism_cell_counts_double_and_shift():
@@ -354,9 +452,12 @@ def test_workflow_counts_no_euler_characteristic_of_the_manifold(monkeypatch, cy
 def test_sphere_workflow_at_nine_hundred_facets(cycle_join):
     # C30*C30: the dense loop alone takes tens of seconds on its quotient's
     # boundary matrix, so this also keeps the unit elimination in place
-    report = sphere_workflow(cycle_join(30, 30))
+    m = cycle_join(30, 30)
+    report = sphere_workflow(m)
     assert report.conclusion == "sphere"
     assert report.h1 == AbelianGroup(0)
+    # the workflow takes H1 from the collapse, so compute it here
+    assert QuotientComplex.from_structure(build_structure(m).structure).h1() == AbelianGroup(0)
 
 
 def test_quotient_cells_have_distinct_facets(random_subdivision):

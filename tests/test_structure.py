@@ -10,6 +10,7 @@ from stellar import (
     LabelAllocator,
     QuotientComplex,
     RegularEquivalence,
+    StellarStructure,
     StructureError,
     build_structure,
     standard_sphere,
@@ -88,6 +89,22 @@ def test_verify_structure_names_each_fault():
         "pairing does not cover every sphere generator"
     ]
     assert verify_structure(s, standard_sphere(4)) == ["sphere has the wrong dimension"]
+
+
+def test_verify_diagnoses_a_refused_structure_once(monkeypatch):
+    # the quotient's refusal carries the problems it was worded from, so
+    # verification does not diagnose the structure a second time
+    calls = []
+    real = StellarStructure._diagnose
+    monkeypatch.setattr(StellarStructure, "_diagnose", lambda self: calls.append(self) or real(self))
+    pairs = [((1, 2, 3), (2, 3, 4)), ((1, 2, 4), (1, 3, 4))]
+    s = StellarStructure(1, standard_sphere(2), RegularEquivalence.build([], pairs))
+    assert verify_structure(s, standard_sphere(3)) == [
+        "apex 1 occurs in the sphere",
+        "no vertex of (2, 3, 4) is equivalent to vertex 1 of (1, 2, 3)",
+        "no vertex of (1, 3, 4) is equivalent to vertex 2 of (1, 2, 4)",
+    ]
+    assert calls == [s]
 
 
 def test_steps_shrink_residual_one_generator_at_a_time():
