@@ -24,6 +24,23 @@ def _tri(*vs: int) -> Simplex:
     return tuple(sorted(vs))
 
 
+def _bipyramid(q: int) -> Tuple[List[Simplex], List[Simplex]]:
+    """The northern and southern fans of the q-gon bipyramid: poles 1 and 2,
+    equator 3..q+2, and triangle k of each fan on the equator edge k, from
+    3 + k to 3 + (k + 1) % q."""
+    rim = [(3 + k, 3 + (k + 1) % q) for k in range(q)]
+    return [_tri(1, *e) for e in rim], [_tri(2, *e) for e in rim]
+
+
+def _structure(
+    tris: List[Simplex], classes: List[List[int]], pairs: List[Tuple[Simplex, Simplex]]
+) -> StellarStructure:
+    """The structure on the sphere of `tris`, about the least fresh label."""
+    sphere = Complex(tris)
+    equivalence = RegularEquivalence.build(classes, pairs)
+    return StellarStructure(LabelAllocator(sphere).fresh(), sphere, equivalence)
+
+
 def coarse_lens(q: int, p: int) -> Tuple[StellarStructure, MatchingTable]:
     """The q-gon bipyramid with the shift-p fan pairing.
 
@@ -31,37 +48,18 @@ def coarse_lens(q: int, p: int) -> Tuple[StellarStructure, MatchingTable]:
     equivalent) vertices.  The explicit per-pair vertex matchings are
     returned alongside, since the classes alone do not determine them.
     """
-    north, south = 1, 2
-    eq = [3 + k for k in range(q)]
-    tris = []
-    for k in range(q):
-        tris.append(_tri(north, eq[k], eq[(k + 1) % q]))
-        tris.append(_tri(south, eq[k], eq[(k + 1) % q]))
-    sphere = Complex(tris)
-    pairs: List[Tuple[Simplex, Simplex]] = []
-    table: MatchingTable = {}
-    for k in range(q):
-        g = _tri(north, eq[k], eq[(k + 1) % q])
-        h = _tri(south, eq[(k + p) % q], eq[(k + p + 1) % q])
-        pairs.append((g, h))
-        table[(g, h)] = {
-            north: south,
-            eq[k]: eq[(k + p) % q],
-            eq[(k + 1) % q]: eq[(k + p + 1) % q],
-        }
-    classes = [[north, south], eq]
-    equivalence = RegularEquivalence.build(classes, pairs)
-    apex = LabelAllocator(sphere).fresh()
-    return StellarStructure(apex, sphere, equivalence), table
+    north, south = _bipyramid(q)
+    eq = [3 + k % q for k in range(q + p + 1)]  # equator vertex k mod q
+    table: MatchingTable = {
+        (g, south[(k + p) % q]): {1: 2, eq[k]: eq[k + p], eq[k + 1]: eq[k + p + 1]}
+        for k, g in enumerate(north)
+    }
+    return _structure(north + south, [[1, 2], eq[:q]], list(table)), table
 
 
 def _violating_edges(structure: StellarStructure) -> List[Simplex]:
     cls = structure.equivalence.class_of(structure.sphere)
-    out: Set[Simplex] = set()
-    for e in structure.sphere.faces_of_dim(1):
-        if cls[e[0]] == cls[e[1]]:
-            out.add(e)
-    return sorted(out)
+    return sorted(e for e in structure.sphere.faces_of_dim(1) if cls[e[0]] == cls[e[1]])
 
 
 def make_regular(
@@ -165,19 +163,8 @@ def fold_structure(q: int = 4) -> StellarStructure:
     3-sphere."""
     if q < 3:
         raise StructureError("fold needs a q-gon equator with q >= 3")
-    north, south = 1, 2
-    eq = [3 + k for k in range(q)]
-    tris = []
-    pairs = []
-    for k in range(q):
-        up = _tri(north, eq[k], eq[(k + 1) % q])
-        down = _tri(south, eq[k], eq[(k + 1) % q])
-        tris.append(up)
-        tris.append(down)
-        pairs.append((up, down))
-    equivalence = RegularEquivalence.build([[north, south]], pairs)
-    sphere = Complex(tris)
-    return StellarStructure(LabelAllocator(sphere).fresh(), sphere, equivalence)
+    north, south = _bipyramid(q)
+    return _structure(north + south, [[1, 2]], list(zip(north, south)))
 
 
 def lens_structure(q: int, p: int) -> StellarStructure:
@@ -189,24 +176,9 @@ def lens_structure(q: int, p: int) -> StellarStructure:
     if q == 2:
         # the coarse 2-gon is degenerate, so build the repaired form directly:
         # a square bipyramid with the antipodal pairing
-        north, south = 1, 2
-        eq = [3, 4, 5, 6]
-        tris = []
-        pairs = []
-        for k in range(4):
-            tris.append(_tri(north, eq[k], eq[(k + 1) % 4]))
-            tris.append(_tri(south, eq[k], eq[(k + 1) % 4]))
-        for k in range(4):
-            pairs.append(
-                (
-                    _tri(north, eq[k], eq[(k + 1) % 4]),
-                    _tri(south, eq[(k + 2) % 4], eq[(k + 3) % 4]),
-                )
-            )
-        classes = [[north, south], [eq[0], eq[2]], [eq[1], eq[3]]]
-        equivalence = RegularEquivalence.build(classes, pairs)
-        sphere = Complex(tris)
-        return StellarStructure(LabelAllocator(sphere).fresh(), sphere, equivalence)
+        north, south = _bipyramid(4)
+        pairs = [(g, south[(k + 2) % 4]) for k, g in enumerate(north)]
+        return _structure(north + south, [[1, 2], [3, 5], [4, 6]], pairs)
     coarse, table = coarse_lens(q, p)
     repaired, _ = make_regular(coarse, table)
     return repaired

@@ -7,7 +7,7 @@ from typing import Dict, List, Optional
 
 from .complexes import Complex, _facet_list, _partners
 from .errors import ComplexError
-from .moves import EXACT, Recognition, Seen, _closed_3_links, _recognize
+from .moves import EXACT, Recognition, _closed_3_links, _link_verdicts
 
 
 @dataclass
@@ -73,46 +73,20 @@ def check_manifold(k: Complex, budget: Optional[int] = None) -> ManifoldReport:
     if dim == 0:
         return ManifoldReport(True, True, 0)
     if dim == 3 and _closed_3_manifold(k):
-        vertices = sorted(k.vertices())
-        return ManifoldReport(
-            True, True, 3,
-            link_results=dict.fromkeys(vertices, Recognition.SPHERE),
-            link_certificates=dict.fromkeys(vertices, EXACT),
-        )
-    results: Dict[int, Recognition] = {}
-    certificates: Dict[int, Optional[str]] = {}
-    bad: List[int] = []
-    unknown: List[int] = []
-    # one call recognises each distinct link once, vertex links and the
-    # links inside them alike
-    seen: Seen = {}
-    links = k.vertex_links()
-    for v in sorted(links):
-        res, certificates[v] = _recognize(links[v], dim - 1, seen)
-        results[v] = res
-        if res is Recognition.NEITHER:
-            bad.append(v)
-        elif res is Recognition.UNKNOWN:
-            unknown.append(v)
-    verdict: Optional[bool]
-    if bad:
-        verdict = False
-    elif unknown:
-        verdict = None
+        verdicts = dict.fromkeys(sorted(k.vertices()), (Recognition.SPHERE, EXACT))
     else:
-        verdict = True
+        # one call recognises each distinct link once, vertex links and the
+        # links inside them alike
+        verdicts = dict(_link_verdicts(k, dim - 1, {}))
+    results = {v: shape for v, (shape, _) in verdicts.items()}
+    bad = [v for v, shape in results.items() if shape is Recognition.NEITHER]
+    unknown = [v for v, shape in results.items() if shape is Recognition.UNKNOWN]
+    verdict = False if bad else None if unknown else True
     # k is closed exactly when every vertex link is: a sphere link is and a
     # ball link is not; a NEITHER or UNKNOWN link leaves it to a boundary pass
     closed = Recognition.BALL not in results.values() and (verdict is True or k.is_closed())
-    return ManifoldReport(
-        is_manifold=verdict,
-        closed=closed,
-        dimension=dim,
-        link_results=results,
-        link_certificates=certificates,
-        bad_vertices=bad,
-        unknown_vertices=unknown,
-    )
+    certificates = {v: cert for v, (_, cert) in verdicts.items()}
+    return ManifoldReport(verdict, closed, dim, results, certificates, bad, unknown)
 
 
 def _closed_3_manifold(k: Complex) -> bool:

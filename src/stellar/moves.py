@@ -7,7 +7,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from enum import Enum
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .complexes import (
     EMPTY,
@@ -334,14 +334,11 @@ COLLAPSE = "collapse"
 
 
 Verdict = Tuple[Recognition, Optional[str]]
-# key -> the finished recognition of a complex with that key, shared by the
-# recursion of one top-level call and dropped when the call returns.  From
-# dimension 3 up the key is the order type (`_order_type`): an
-# order-preserving renaming keeps every face's rank, and so the collapse and
-# the certificate, which a general isomorphism need not.  Below dimension 3
-# the key is the generator set, since renumbering there costs about what
-# the dual-graph pass it saves does (see `recognize`).  The two kinds of key
-# have generators of different lengths, so they never meet
+# order type (`_order_type`) -> the finished recognition of a complex of
+# that order type, shared by the recursion of one top-level call and dropped
+# when the call returns.  An order-preserving renaming keeps every face's
+# rank, and so the collapse and the certificate, which a general isomorphism
+# need not
 Seen = Dict[FrozenSet[Simplex], Verdict]
 
 
@@ -377,22 +374,20 @@ def recognize(k: Complex) -> Recognition:
     complex was silently accepted.
 
     One call recognises each link once up to an order-preserving renaming
-    of its vertices.  From dimension 3 up a link is looked up by its order
-    type: its vertices renumbered 1..n in increasing order.  Such a renaming
-    keeps the (dimension, lexicographic) rank of every face, so the face
-    table, chi, closedness, the order of the vertex links and the greedy
-    collapse are the same, and so are the verdict and the certificate.  Every
-    vertex link of the boundary of the 5-simplex is the boundary of the
-    4-simplex on other labels, so it is certified once.  A general
-    isomorphism is not used: it can reorder the collapse, whose greedy
-    choice may then stop short elsewhere.  Below dimension 3 a link is looked
-    up by its generator set, since renumbering costs about as much as the
-    dual-graph pass it would save: with the order type at every dimension,
-    the link4 benchmark took 0.60 s instead of 0.55 s, before closed 3-links
-    were certified without their links, and subdiv_mix about 4% longer.
-    Inside bounded 3-links the edge link lk(vw) is met twice, as the link of
-    w in lk(v) and of v in lk(w), and is recognised once.  The table lives
-    for one top-level call; nothing is kept between calls.
+    of its vertices: a link is looked up by its order type, its vertices
+    renumbered 1..n in increasing order.  Such a renaming keeps the
+    (dimension, lexicographic) rank of every face, so the face table, chi,
+    closedness, the order of the vertex links and the greedy collapse are
+    the same, and so are the verdict and the certificate.  Every vertex link
+    of the boundary of the 5-simplex is the boundary of the 4-simplex on
+    other labels, so it is certified once.  A general isomorphism is not
+    used: it can reorder the collapse, whose greedy choice may then stop
+    short elsewhere.  Below dimension 3 the verdict is a combinatorial
+    invariant with an exact certificate, and equal generator sets have equal
+    order types, so the order type finds every repeat a generator-set key
+    would.  Inside bounded 3-links the edge link lk(vw) is met twice, as the
+    link of w in lk(v) and of v in lk(w), and is recognised once.  The table
+    lives for one top-level call; nothing is kept between calls.
     """
     if not k.is_uniform():
         raise ComplexError("recognition requires a uniform complex")
@@ -412,7 +407,7 @@ def _recognize(k: Complex, dim: int, seen: Seen) -> Verdict:
     whose verdict is in `seen` is not recognised again; a finished
     recognition goes into it.  The vertex links of `k` are uniform of
     dimension `dim` - 1, so neither is checked again."""
-    key = k.generators if dim < 3 else _order_type(k.generators)
+    key = _order_type(k.generators)
     verdict = seen.get(key)
     if verdict is None:
         verdict = seen[key] = _certify(k, dim, seen)
@@ -471,8 +466,8 @@ def _certify(k: Complex, dim: int, seen: Seen) -> Verdict:
     connected is NEITHER.  The verdict is the one the recursion gives: a
     closed 3-pseudomanifold with chi = 0 and connected links is a
     3-manifold (Seifert & Threlfall, 1934).  Every other complex from
-    dimension 3 up recognises its vertex links (`_link_test`), read off the
-    generators' facets, which are the star index.
+    dimension 3 up recognises its vertex links (`_link_verdicts`) and stops
+    at the first NEITHER.
     """
     if dim <= 2:
         return _recognize_low(k, dim), EXACT
@@ -495,12 +490,13 @@ def _certify(k: Complex, dim: int, seen: Seen) -> Verdict:
     if closed_3:
         links = target if _closed_3_links(partner, len(table.levels[0])) else Recognition.NEITHER
     else:
-        # the generators' facets are the star index: the facet that drops v
-        # is a generator of lk(v)
-        star: Dict[int, List[Simplex]] = {}
-        for f, v in zip(below, itertools.chain.from_iterable(map(reversed, top))):
-            star.setdefault(v, []).append(f)
-        links = _link_test(star, dim - 1, target, seen)
+        shapes = set()
+        for _, (shape, _) in _link_verdicts(k, dim - 1, seen):
+            if shape is Recognition.NEITHER:
+                return shape, EXACT
+            shapes.add(shape)
+        # every link a sphere or, for a ball target, a sphere or a ball
+        links = target if shapes <= {Recognition.SPHERE, target} else Recognition.UNKNOWN
     if links is Recognition.NEITHER:
         return Recognition.NEITHER, EXACT
     if links is target:
@@ -546,19 +542,9 @@ def _closed_3_links(partner: List[int], n0: int) -> bool:
     return _components(len(partner), firsts, seconds) == n0
 
 
-def _link_test(
-    star: Mapping[int, List[Simplex]], dim: int, target: Recognition, seen: Seen
-) -> Recognition:
-    """NEITHER when some vertex link in the star index `star` is NEITHER;
-    else `target` when every link is a sphere, or, for a ball `target`, a
-    sphere or a ball; else UNKNOWN.  Each link, of dimension `dim`, is
-    recognised by `_recognize` in full."""
-    allowed = {Recognition.SPHERE, target}
-    verdict = target
-    for gens in star.values():
-        shape = _recognize(Complex._of(gens), dim, seen)[0]
-        if shape is Recognition.NEITHER:
-            return shape
-        if shape not in allowed:
-            verdict = Recognition.UNKNOWN
-    return verdict
+def _link_verdicts(k: Complex, dim: int, seen: Seen) -> Iterator[Tuple[int, Verdict]]:
+    """Each vertex of `k` in increasing order, with the verdict and the
+    certificate of its link, of dimension `dim`, from `_recognize`."""
+    links = k.vertex_links()
+    for v in sorted(links):
+        yield v, _recognize(links[v], dim, seen)

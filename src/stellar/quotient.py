@@ -93,19 +93,14 @@ class RegularEquivalence:
                        for h in (g, p) if h not in gens)
         counts = Counter(chain.from_iterable(self.generator_pairs))
         out.extend(f"generator {h} occurs in {n} pairs" for h, n in counts.items() if n > 1)
-        # a pair has a class-respecting matching when the sizes agree, p has
-        # no two equivalent vertices (else the scan above listed it), and
-        # every class of g is a class of p
         for g, p in self.generator_pairs:
             if g in gens and p in gens:
-                if len(g) != len(p):
-                    out.append(f"paired generators {g} and {p} have different sizes")
-                elif p not in bad:
-                    classes = {cls[v] for v in p}
-                    v = next((v for v in g if cls[v] not in classes), None)
-                    if v is not None:
-                        out.append(f"no vertex of {p} is equivalent to vertex {v} of {g}")
-        # each fault once: a generator in two pairs can be faulted twice
+                try:
+                    pair_matching(g, p, cls)
+                except EquivalenceError as refusal:
+                    out.append(str(refusal))
+        # each fault once: a generator in two pairs can be faulted twice, and
+        # one with two equivalent vertices is faulted by the scan above too
         return list(dict.fromkeys(out)), cls
 
 

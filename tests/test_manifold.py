@@ -8,6 +8,7 @@ from stellar import (
     ManifoldReport,
     Recognition,
     check_manifold,
+    cone,
     recognize,
     standard_simplex,
     standard_sphere,
@@ -15,7 +16,6 @@ from stellar import (
     subdivide,
 )
 from stellar import moves
-import stellar.manifold
 from test_moves import DOUBLE_OCTAHEDRON, TORUS7
 
 
@@ -163,13 +163,13 @@ def test_one_check_recognises_no_edge_link_twice(monkeypatch, random_subdivision
         assert (runs[0] == []) is closed
 
 
-def certified_3_complexes(monkeypatch):
-    """The generator sets that `moves._certify` sees at dimension 3, in order."""
+def certified_complexes(monkeypatch, at=3):
+    """The generator sets that `moves._certify` sees at dimension `at`, in order."""
     certified = []
     certify = moves._certify
 
     def spy(k, dim, seen):
-        if dim == 3:
+        if dim == at:
             certified.append(k.generators)
         return certify(k, dim, seen)
 
@@ -180,18 +180,34 @@ def certified_3_complexes(monkeypatch):
 def test_order_isomorphic_links_are_certified_once(monkeypatch):
     # every vertex link of the boundary of the 5-simplex is the boundary of
     # the 4-simplex on other labels, in the same order
-    certified = certified_3_complexes(monkeypatch)
+    certified = certified_complexes(monkeypatch)
     report = check_manifold(standard_sphere(4))
     assert len(certified) == 1
     assert report.is_manifold is True
     assert report.link_certificates == {v: "collapse" for v in range(1, 7)}
 
 
+def test_order_isomorphic_links_below_dimension_3_are_certified_once(monkeypatch):
+    # the links at 1..4 of the cone from 9 over the boundary of the 3-simplex
+    # are four disks on other labels, in the same order, so the recursion
+    # certifies one disk and the sphere at 9; so does each 3-ball link of the
+    # cone from 9 over the boundary of the 4-simplex, which share an order type
+    certified = certified_complexes(monkeypatch, at=2)
+    assert recognize(cone(9).join(standard_sphere(2))) is Recognition.BALL
+    assert len(certified) == 2
+    certified.clear()
+    report = check_manifold(cone(9).join(standard_sphere(3)))
+    assert len(certified) == 2
+    assert (report.is_manifold, report.closed) == (True, False)
+    assert report.link_results == {**dict.fromkeys(range(1, 6), Recognition.BALL), 9: Recognition.SPHERE}
+    assert report.link_certificates == dict.fromkeys([1, 2, 3, 4, 5, 9], "collapse")
+
+
 def test_isomorphic_links_of_another_order_type_are_certified_apart(monkeypatch):
     # the boundary of the 4-simplex on 2..6, subdivided at the facet
     # (2, 3, 4, 5) by the vertex 7 and by the vertex 1: isomorphic 3-spheres
     # whose least vertex is the new one in one and not in the other
-    certified = certified_3_complexes(monkeypatch)
+    certified = certified_complexes(monkeypatch)
     base = Complex([(2, 3, 4, 5, 6)]).boundary()
     first, second = (subdivide(base, (2, 3, 4, 5), v) for v in (7, 1))
     assert moves._order_type(first.generators) != moves._order_type(second.generators)
@@ -359,7 +375,6 @@ def test_an_accepted_closed_3_manifold_recognises_no_link(monkeypatch, cycle_joi
         return links(k)
 
     monkeypatch.setattr(moves, "_recognize", recognise_spy)
-    monkeypatch.setattr(stellar.manifold, "_recognize", recognise_spy)
     monkeypatch.setattr(Complex, "vertex_links", links_spy)
     for k in (standard_sphere(3), cycle_join(4, 5)):
         report = check_manifold(k)

@@ -33,7 +33,7 @@ from stellar.moves import (
     _collapses,
     _dual_connected,
     _facets,
-    _link_test,
+    _link_verdicts,
     _recognize,
     _recognize_low,
     prism_offset,
@@ -757,15 +757,15 @@ def test_closed_3_links_agree_with_the_link_recursion(
         table = face_table(k)
         partner = top_pairing(table)
         assert -1 not in partner and table.chi == 0
-        verdict = _link_test(star_index(k.generators), 2, Recognition.SPHERE, {})
-        assert _closed_3_links(partner, len(k.vertices())) is (verdict is Recognition.SPHERE)
+        links = {verdict for _, (verdict, _) in _link_verdicts(k, 2, {})}
+        assert _closed_3_links(partner, len(k.vertices())) is (links == {Recognition.SPHERE})
         assert recognize(k) is shape
     for k in non_sphere_controls:  # every link passes, and H1 refutes
         assert _closed_3_links(top_pairing(face_table(k)), len(k.vertices()))
     # every link of `two` is a 2-sphere, and `_certify` refutes it by connectivity
     assert _closed_3_links(top_pairing(face_table(two)), 10) and not connected(two.generators)
     assert connected(x.generators)
-    assert _link_test(star_index(x.generators), 2, Recognition.SPHERE, {}) is Recognition.NEITHER
+    assert Recognition.NEITHER in {verdict for _, (verdict, _) in _link_verdicts(x, 2, {})}
 
 
 def test_closed_3_links_refuse_a_triangle_in_four_tetrahedra():

@@ -1,7 +1,9 @@
 import hashlib
+import json
 import random
 import re
 from dataclasses import replace
+from math import gcd
 
 import pytest
 
@@ -13,11 +15,14 @@ from stellar import (
     StellarStructure,
     StructureError,
     build_structure,
+    fold_structure,
+    lens_structure,
     standard_sphere,
     subdivide,
     verify_structure,
     weld,
 )
+from stellar.io import structure_to_json
 
 
 def circle(n, start=1):
@@ -200,6 +205,44 @@ def test_build_matches_its_golden_digest(random_subdivision, cycle_join, non_sph
         ))
     digest = hashlib.sha256(repr(records).encode()).hexdigest()
     assert digest == "7cfc5544d4f683b67ea3046cf08f389bdbe1a9464e568f1782c85e271d6526da"
+
+
+def test_lens_shells_match_their_golden_digest():
+    # the JSON of every lens shell L(q, p) with q <= 13 and of the folds of
+    # the 3- to 8-gon bipyramids, pinned by their digest
+    shells = [lens_structure(q, p) for q in range(2, 14) for p in range(1, q) if gcd(q, p) == 1]
+    shells += [fold_structure(q) for q in range(3, 9)]
+    records = json.dumps([structure_to_json(s) for s in shells])
+    digest = hashlib.sha256(records.encode()).hexdigest()
+    assert digest == "8014f45b60d0f962b2945988fff6a3a229972bb12cef73277eca8da7a14defc3"
+
+
+def test_the_quotient_of_a_build_is_the_spine_of_the_manifold(random_subdivision, cycle_join):
+    # each vertex class holds one label of M, and under that map the cells of
+    # Q are the faces of M of dimension <= n - 2 and the (n - 1)-faces that
+    # no step crossed, each once (README "Certificates")
+    rng = random.Random(31)
+    bases = [standard_sphere(2), standard_sphere(3), standard_sphere(4), cycle_join(4, 4), cycle_join(3, 5)]
+    for m in [random_subdivision(rng, base, moves) for base in bases for moves in (0, 6, 12)]:
+        result = build_structure(m)
+        s, n = result.structure, m.dimension()
+        cls = s.equivalence.class_of(s.sphere)
+        original = {}  # class -> its one label of M
+        for v in s.sphere.vertices():
+            if v <= m.max_label():
+                assert original.setdefault(cls[v], v) == v
+        assert set(original) == set(cls.values())
+
+        def image(face):
+            return tuple(sorted(original[cls[v]] for v in face))
+
+        cells = [{image(f) for f in faces} for faces in QuotientComplex.from_structure(s).members.values()]
+        assert all(len(c) == 1 for c in cells)
+        crossed = {image(step.shared_face) for step in result.steps}
+        assert len(crossed) == len(result.steps) == len(m) - 1
+        spine = set().union(*map(m.faces_of_dim, range(n - 1))) | (m.faces_of_dim(n - 1) - crossed)
+        faces = [face for c in cells for face in c]
+        assert len(set(faces)) == len(faces) and set(faces) == spine
 
 
 @pytest.mark.parametrize(
