@@ -49,7 +49,7 @@ from .group import (
     is_flat,
     order_of,
 )
-from .lens import coarse_lens, fold_structure, lens_structure, make_regular
+from .lens import fold_structure, lens_structure
 from .invariants import (
     SurfaceClass,
     WorkflowReport,

@@ -24,12 +24,12 @@ from .structure import build_structure
 
 
 def _read(path: str) -> Any:
-    if path == "-":
-        return io.loads(sys.stdin.read())
     try:
+        if path == "-":
+            return io.loads(sys.stdin.read())
         with open(path, "r", encoding="utf-8") as handle:
             return io.loads(handle.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 

@@ -477,10 +477,6 @@ class LabelAllocator:
     def __init__(self, k: Complex):
         self._next = k.max_label() + 1
 
-    def note(self, label: int) -> None:
-        if label >= self._next:
-            self._next = label + 1
-
     def fresh(self) -> int:
         v = self._next
         self._next += 1

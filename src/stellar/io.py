@@ -107,7 +107,7 @@ def structure_to_json(structure: StellarStructure) -> Dict[str, Any]:
 def loads(text: str) -> Any:
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nesting too deep for the decoder
         raise ParseError(f"invalid JSON: {exc}") from exc
 
 

@@ -23,7 +23,6 @@ from .homology import (
 )
 
 Matching = Dict[int, int]  # vertex of a generator -> vertex of its partner
-Diagnosis = Tuple[List[str], Dict[int, int]]  # (problems, vertex -> class id)
 
 
 def _sort_parity(seq: Sequence[int]) -> int:
@@ -72,11 +71,10 @@ class RegularEquivalence:
 
     def problems(self, sphere: Complex) -> List[str]:
         """Diagnostics; empty list means the equivalence is regular."""
-        return self._diagnose(sphere, sphere.vertices())[0]
+        return self._diagnose(sphere, sphere.vertices())
 
-    def _diagnose(self, sphere: Complex, vertices: FrozenSet[int]) -> Diagnosis:
-        """`problems` for a sphere with the vertex set `vertices`, with the
-        class map."""
+    def _diagnose(self, sphere: Complex, vertices: FrozenSet[int]) -> List[str]:
+        """`problems` for a sphere with the vertex set `vertices`."""
         out: List[str] = []
         cls = self._class_map(vertices)
         stray = {v for c in self.vertex_classes for v in c} - vertices
@@ -101,7 +99,7 @@ class RegularEquivalence:
                     out.append(str(refusal))
         # each fault once: a generator in two pairs can be faulted twice, and
         # one with two equivalent vertices is faulted by the scan above too
-        return list(dict.fromkeys(out)), cls
+        return list(dict.fromkeys(out))
 
 
 def pair_matching(g: Simplex, p: Simplex, cls: Dict[int, int]) -> Matching:
@@ -131,17 +129,11 @@ class StellarStructure:
     equivalence: RegularEquivalence
 
     def validate(self) -> List[str]:
-        return self._diagnose()[0]
-
-    def _diagnose(self) -> Diagnosis:
-        """`validate`, with the class map, as `RegularEquivalence._diagnose`
-        gives it."""
         out = []
         vertices = self.sphere.vertices()  # read once for all three checks
         if self.apex in vertices:
             out.append(f"apex {self.apex} occurs in the sphere")
-        problems, cls = self.equivalence._diagnose(self.sphere, vertices)
-        return out + problems, cls
+        return out + self.equivalence._diagnose(self.sphere, vertices)
 
     @property
     def is_closed(self) -> bool:

@@ -204,10 +204,18 @@ def test_prism_verb():
     assert json.loads(out) == {"generators": [[1, 2, 12], [1, 11, 12]]}
 
 
-def test_parse_error_exit_code_two():
-    code, out, err = run(["chi", "-"], "{not json")
-    assert code == 2 and out == ""
-    assert json.loads(err)["kind"] == "parse"
+def test_parse_error_exit_code_two(tmp_path):
+    # malformed JSON, a file that is not UTF-8, and nesting too deep to decode
+    undecodable = tmp_path / "undecodable.json"
+    undecodable.write_bytes(b"\xff{")
+    for argv, stdin in [
+        (["chi", "-"], "{not json"),
+        (["chi", str(undecodable)], ""),
+        (["chi", "-"], "[" * 100_000),
+    ]:
+        code, out, err = run(argv, stdin)
+        assert code == 2 and out == ""
+        assert json.loads(err)["kind"] == "parse"
 
 
 def test_domain_error_exit_code_one():

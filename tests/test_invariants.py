@@ -28,7 +28,6 @@ import stellar.complexes
 import stellar.group
 import stellar.homology
 import stellar.invariants
-import stellar.lens
 import stellar.quotient
 import stellar.structure
 from stellar.homology import AbelianGroup
@@ -394,7 +393,7 @@ def count_pair_matchings(monkeypatch):
         calls.append((g, p))
         return real(g, p, cls)
 
-    for module in (stellar.quotient, stellar.group, stellar.lens):
+    for module in (stellar.quotient, stellar.group):
         monkeypatch.setattr(module, "pair_matching", counted)
     return calls
 

@@ -100,8 +100,8 @@ def test_verify_diagnoses_a_refused_structure_once(monkeypatch):
     # the quotient's refusal carries the problems it was worded from, so
     # verification does not diagnose the structure a second time
     calls = []
-    real = StellarStructure._diagnose
-    monkeypatch.setattr(StellarStructure, "_diagnose", lambda self: calls.append(self) or real(self))
+    real = StellarStructure.validate
+    monkeypatch.setattr(StellarStructure, "validate", lambda self: calls.append(self) or real(self))
     pairs = [((1, 2, 3), (2, 3, 4)), ((1, 2, 4), (1, 3, 4))]
     s = StellarStructure(1, standard_sphere(2), RegularEquivalence.build([], pairs))
     assert verify_structure(s, standard_sphere(3)) == [
