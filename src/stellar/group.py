@@ -140,7 +140,7 @@ def _classes(quotient: QuotientComplex) -> Members:
     return list(zip(map(q._faces.__getitem__, q._roots[dim - 1]), classes))
 
 
-def _class_orders(quotient: QuotientComplex) -> ClassOrders:
+def _class_orders(q: QuotientComplex) -> ClassOrders:
     """Each face class, by name, with its number of members m and its full
     order: what `degree`, `gamma_graph` and a report share.  By
     `degree_entry` and `order_of`, a class of m faces among n generators
@@ -151,9 +151,17 @@ def _class_orders(quotient: QuotientComplex) -> ClassOrders:
     no generator has two facets in one class (`_swap`'s refusal), which a
     validated structure ensures: two facets of a generator differ in one
     vertex, and the faces of one cell meet the same vertex classes, so two
-    of the generator's vertices would share a class."""
-    n = len(quotient._generators)
-    sizes = [(cell, len(members)) for cell, members in _classes(quotient)]
+    of the generator's vertices would share a class.
+
+    On a spine (`QuotientComplex._spine`), a class with m uncrossed facets
+    on it has m faces, and each uncrossed facet is the cell of one pair, so
+    n is twice their number (README "The spine of a build")."""
+    if q.sphere is None:
+        *_, classes, top = q._roots.values()  # the last two levels
+        hits = Counter(itertools.chain.from_iterable(map(q._facets.__getitem__, top)))
+        n, sizes = 2 * len(top), [(q._faces[r], hits[r]) for r in classes]
+    else:
+        n, sizes = len(q._generators), [(cell, len(members)) for cell, members in _classes(q)]
     return [(cell, m, m if 2 * m == n else lcm(m, 2)) for cell, m in sizes]
 
 

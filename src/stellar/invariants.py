@@ -9,14 +9,14 @@ from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from typing import Dict, List, Optional, Tuple, Union
 
-from .complexes import Complex, Simplex, UnionFind, _components
+from .complexes import Complex, Simplex, UnionFind, _components, _face_table
 from .errors import StructureError
 from .group import _class_orders, _degree, _gamma, has_circuit, surface_quotient, GammaGraph
 from .homology import AbelianGroup, complex_h1
-from .manifold import check_manifold
+from .manifold import _closed_3_manifold, check_manifold
 from .moves import _collapses
 from .quotient import QuotientComplex, StellarStructure
-from .structure import _verify, build_structure
+from .structure import _crossings
 
 
 def _quotient(x: Union[Complex, QuotientComplex, StellarStructure]) -> QuotientComplex:
@@ -220,23 +220,22 @@ def _report(quotient: QuotientComplex) -> WorkflowReport:
 def sphere_workflow(m: Complex, budget: int = 100_000) -> WorkflowReport:
     """Decide whether a closed 3-manifold is a sphere via the structure chain.
 
-    chi(M) = 0 is not counted again for the Euler identity: `check_manifold`
-    accepted M as a closed 3-manifold only if every vertex link is a
-    2-sphere, and then its corner pass counted V - E + T = 0.  The identity
-    stays a real check on chi of the quotient."""
+    The corner pass of `check_manifold` (`_closed_3_manifold`) certifies M
+    and pairs its facets; `check_manifold` only words a refusal.  The
+    build's steps run on that pairing (`structure._crossings`), and the
+    report reads Q as M's spine (`QuotientComplex._spine`): no structure is
+    built or validated, and the spine lemma (README "The spine of a build")
+    stands in for that check."""
     if m.dimension() != 3 or not m.is_uniform():
         raise StructureError("sphere workflow expects a uniform 3-complex")
-    manifold = check_manifold(m)
-    if not manifold.closed:
-        raise StructureError("sphere workflow expects a closed complex")
-    if manifold.is_manifold is False:
-        raise StructureError(manifold.describe())
-    result = build_structure(m, budget=budget)
-    problems, quotient = _verify(result, 3, 0)  # the one quotient of this run
-    if problems:
-        raise StructureError("; ".join(problems))
-    report = _report(quotient)
-    report.evidence.insert(
-        0, f"structure built in {len(result.steps)} absorption steps"
-    )
+    pairing = _closed_3_manifold(m)
+    if pairing is None:
+        manifold = check_manifold(m)
+        raise StructureError(
+            manifold.describe() if manifold.closed else "sphere workflow expects a closed complex"
+        )
+    top, below, partner = pairing
+    steps = list(_crossings(m, top, partner, budget))
+    report = _report(QuotientComplex._spine(_face_table(top, below), steps))
+    report.evidence.insert(0, f"structure built in {len(steps)} absorption steps")
     return report

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from .complexes import Complex, _facet_list, _partners
+from .complexes import Complex, Simplex, _facet_list, _partners
 from .errors import ComplexError
 from .moves import EXACT, Recognition, _closed_3_links, _link_verdicts
 
@@ -58,8 +58,9 @@ def check_manifold(k: Complex, budget: Optional[int] = None) -> ManifoldReport:
     link is a 2-sphere, which `_recognize_low` would decide exactly, so each
     vertex gets SPHERE with an exact certificate and no link is built.  When
     it refuses, the links are recognised one by one, which names the bad
-    vertices.  A closed 3-manifold accepted here has chi = 0, which the
-    corner pass counted; `sphere_workflow` takes chi(M) from that.
+    vertices.  `sphere_workflow` runs that corner pass itself, and keeps the
+    facet pairing it makes for the build's steps; it comes here only to word
+    a refusal.
     """
     if not k:
         raise ComplexError("cannot check the empty complex")
@@ -89,20 +90,21 @@ def check_manifold(k: Complex, budget: Optional[int] = None) -> ManifoldReport:
     return ManifoldReport(verdict, closed, dim, results, certificates, bad, unknown)
 
 
-def _closed_3_manifold(k: Complex) -> bool:
+def _closed_3_manifold(k: Complex) -> Optional[Tuple[List[Simplex], List[Simplex], List[int]]]:
     """Whether every vertex link of the uniform 3-complex `k` is a 2-sphere,
     by the closed-3 rule of `moves._certify` applied to k itself: every
     triangle lies in exactly two tetrahedra, chi = 0, and every link's dual
     graph is connected (`_closed_3_links`).  When every link is a 2-sphere,
     each triangle lies in two tetrahedra and sum over v of (2 - chi(lk v))
     = 2 chi = 0, so the rule accepts; when it accepts, every link is a
-    2-sphere.  False says only that some link is not."""
+    2-sphere.  On acceptance gives the facet pairing the rule read: the
+    sorted tetrahedra, their facets as `_facet_list` lists them, and
+    `_partners` of those; None says only that some link is not a 2-sphere."""
     top = sorted(k.generators)
-    partner = _partners(_facet_list(top, 3))
-    if partner is None or -1 in partner:
-        return False
+    below = _facet_list(top, 3)
+    partner = _partners(below)
     n0 = len(k.vertices())
     # closed, so F = 2T and chi = V - E + F - T = V - E + T
-    if n0 - len(set(_facet_list(top, 2))) + len(top):
-        return False
-    return _closed_3_links(partner, n0)
+    if partner is None or -1 in partner or n0 - len(set(_facet_list(top, 2))) + len(top):
+        return None
+    return (top, below, partner) if _closed_3_links(partner, n0) else None

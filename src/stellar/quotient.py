@@ -10,7 +10,7 @@ from itertools import accumulate, chain, combinations, count, repeat
 from operator import itemgetter
 from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
-from .complexes import Complex, Simplex, UnionFind, face_table, simplex
+from .complexes import Complex, Simplex, UnionFind, _FaceTable, face_table, simplex
 from .errors import EquivalenceError
 from .homology import (
     AbelianGroup,
@@ -199,7 +199,8 @@ class QuotientComplex:
     generators' places in that list.  `chains` reads every level's cells
     with their facet cells once, in every dimension, and H1,
     `boundary_matrices`, the GF(2) oracle `z2_b1` and the quotient collapse
-    all read it.
+    all read it.  `_spine` reads the quotient of a build off the manifold's
+    face table instead: no sphere (None), no pairs, each cell one face.
     """
 
     def __init__(
@@ -250,6 +251,31 @@ class QuotientComplex:
         roots = list(self._classes)  # increasing, so the d-cells' roots are one run
         runs = (roots[bisect_left(roots, a):bisect_left(roots, b)] for a, b in zip(starts, starts[1:]))
         self._roots = {d: run for d, run in enumerate(runs) if run}
+
+    @staticmethod
+    def _spine(table: _FaceTable, steps: List[Tuple[int, int, bool]]) -> "QuotientComplex":
+        """The quotient of a build on the closed manifold M with the face
+        table `table`, by the `structure._crossings` steps `steps`, read as
+        M's spine (README "The spine of a build"): M's faces but the top
+        simplices and the crossed facets.  The vertices that get copies are
+        numbered first, then the rest, each in label order, as `class_of`
+        numbers the built structure's classes."""
+        levels, facets = table
+        n, starts = len(levels) - 1, list(accumulate(map(len, levels), initial=0))
+        crossed = {facets[starts[n] + i][k] for i, k, _ in steps}  # facet k of top simplex i
+        copied = sorted({levels[n][i][n - k] for i, k, copy in steps if copy})
+        order = copied + sorted({v for (v,) in levels[0]}.difference(copied))
+        q = object.__new__(QuotientComplex)
+        q.sphere, q._generators, q._pairs, q.vertex_class = None, [], [], dict(zip(order, count()))
+        # no union: each face is its own cell, of parity 0
+        q._faces, q._facets, q._uf = list(chain.from_iterable(levels)), facets, UnionFind(len(facets))
+        q._roots = {d: [r for r in range(starts[d], starts[d + 1]) if r not in crossed] for d in range(n)}
+        return q
+
+    @cached_property
+    def _classes(self) -> Dict[int, List[int]]:
+        """Each cell's faces by number: set by `__init__`, one each on a spine."""
+        return {r: [r] for run in self._roots.values() for r in run}
 
     @cached_property
     def cells(self) -> Dict[int, List[Simplex]]:
@@ -334,12 +360,10 @@ class QuotientComplex:
 
 def euler_identity_check(structure: StellarStructure, m: Complex) -> bool:
     """chi of the quotient equals chi of the manifold plus (-1)^(n+1)."""
-    q = QuotientComplex.from_structure(structure)
-    return _euler_identity(q, m.dimension(), m.euler_characteristic())
+    return _euler_identity(QuotientComplex.from_structure(structure), m)
 
 
-def _euler_identity(q: QuotientComplex, n: int, chi: int) -> bool:
-    """`euler_identity_check` on the quotient `q` over a manifold of
-    dimension `n` and Euler characteristic `chi`, which the caller counts
-    or already knows."""
-    return q.euler_characteristic() == chi + (-1) ** (n + 1)
+def _euler_identity(q: QuotientComplex, m: Complex) -> bool:
+    """`euler_identity_check` on the quotient `q` of a structure over `m`,
+    already built."""
+    return q.euler_characteristic() == m.euler_characteristic() + (-1) ** (m.dimension() + 1)

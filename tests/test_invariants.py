@@ -2,10 +2,12 @@ import collections
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
 from stellar import (
+    BudgetExceeded,
     Complex,
     QuotientComplex,
     RegularEquivalence,
@@ -32,7 +34,7 @@ import stellar.quotient
 import stellar.structure
 from stellar.homology import AbelianGroup
 from stellar.group import _classes
-from stellar.invariants import prism_cell_counts, quotient_collapses_to_point
+from stellar.invariants import _report, prism_cell_counts, quotient_collapses_to_point
 from test_moves import RP2_6, SURFACE_ZOO, TORUS7, greedy_left
 
 
@@ -354,15 +356,50 @@ def test_sphere_workflow_rejects_non_closed_input():
         sphere_workflow(standard_sphere(2))  # wrong dimension
 
 
-def test_one_workflow_builds_one_quotient(monkeypatch):
-    # the quotient the Euler identity is checked on is the one reported on
+def test_one_workflow_builds_no_structure(monkeypatch, cycle_join):
+    # the workflow reads its quotient off M as the spine: it builds no
+    # structure and no quotient of one, under any module's name
     calls = []
-    real = QuotientComplex.from_structure
-    monkeypatch.setattr(
-        QuotientComplex, "from_structure", staticmethod(lambda s: calls.append(s) or real(s))
+    real_build, real_from, real_init = (
+        build_structure, QuotientComplex.from_structure, QuotientComplex.__init__
     )
-    assert sphere_workflow(standard_sphere(3)).conclusion == "sphere"
-    assert len(calls) == 1
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "stellar" and getattr(module, "build_structure", None) is real_build:
+            monkeypatch.setattr(module, "build_structure",
+                                lambda *a, **k: calls.append("build") or real_build(*a, **k))
+    monkeypatch.setattr(QuotientComplex, "from_structure",
+                        staticmethod(lambda s: calls.append("from_structure") or real_from(s)))
+    monkeypatch.setattr(QuotientComplex, "__init__",
+                        lambda self, *a: calls.append("init") or real_init(self, *a))
+    for m in (standard_sphere(3), cycle_join(4, 5)):
+        assert sphere_workflow(m).conclusion == "sphere"
+    assert calls == []
+    # the spies see the construction where it runs
+    structure_report(stellar.structure.build_structure(standard_sphere(3)).structure)
+    assert calls == ["build", "from_structure", "init"]
+
+
+def test_the_workflow_reports_on_the_spine_as_on_the_built_structure(
+    random_subdivision, cycle_join, non_sphere_controls
+):
+    # the paper's construction against the shortcut: the report on the spine
+    # of M is the report on the quotient of the structure built over M, with
+    # the build's step count, field for field
+    corpus = [cycle_join(a, b) for a in range(3, 7) for b in range(3, 7)]
+    rng = random.Random(41)
+    for base in (standard_sphere(3), cycle_join(3, 4), cycle_join(5, 5)):
+        corpus += [random_subdivision(rng, base, moves) for moves in range(13)]
+    corpus += non_sphere_controls
+    conclusions = collections.Counter()
+    for m in corpus:
+        result = build_structure(m)
+        built = _report(QuotientComplex.from_structure(result.structure))
+        built.evidence.insert(0, f"structure built in {len(result.steps)} absorption steps")
+        report = sphere_workflow(m)
+        assert repr(report) == repr(built), sorted(m.generators)
+        conclusions[report.conclusion] += 1
+    assert conclusions == {"sphere": 55, "not a sphere: H1 = Z": 1,
+                           "not a sphere: H1 = Z + Z + Z": 1, "not a sphere: H1 = Z + Z/2": 1}
 
 
 def test_one_workflow_searches_no_connectivity(monkeypatch, cycle_join):
@@ -375,6 +412,12 @@ def test_one_workflow_searches_no_connectivity(monkeypatch, cycle_join):
         calls.clear()
         assert sphere_workflow(m).conclusion == "sphere"
         assert calls == []
+
+
+def test_sphere_workflow_keeps_the_build_budget():
+    with pytest.raises(BudgetExceeded, match="^structure build exceeded 1 steps$"):
+        sphere_workflow(standard_sphere(3), budget=1)
+    assert sphere_workflow(standard_sphere(3), budget=4).conclusion == "sphere"
 
 
 def test_sphere_workflow_refuses_disjoint_spheres():
@@ -413,21 +456,6 @@ def test_one_workflow_derives_no_pair_matching(monkeypatch, cycle_join):
     calls = count_pair_matchings(monkeypatch)
     assert sphere_workflow(m).conclusion == "sphere"
     assert calls == []
-
-
-def test_workflow_still_checks_the_euler_identity(monkeypatch):
-    # the workflow gives chi(M) = 0 from its manifold check, and a false
-    # identity still refuses
-    seen = []
-
-    def false_identity(q, dim, chi):
-        seen.append((dim, chi))
-        return False
-
-    monkeypatch.setattr(stellar.structure, "_euler_identity", false_identity)
-    with pytest.raises(StructureError, match="Euler identity"):
-        sphere_workflow(standard_sphere(3))
-    assert seen == [(3, 0)]
 
 
 def test_workflow_counts_no_euler_characteristic_of_the_manifold(monkeypatch, cycle_join):

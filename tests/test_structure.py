@@ -22,7 +22,10 @@ from stellar import (
     verify_structure,
     weld,
 )
+from stellar.complexes import _face_table, _facet_list, _partners
 from stellar.io import structure_to_json
+from stellar.structure import _crossings
+import stellar.structure
 
 
 def circle(n, start=1):
@@ -94,6 +97,21 @@ def test_verify_structure_names_each_fault():
         "pairing does not cover every sphere generator"
     ]
     assert verify_structure(s, standard_sphere(4)) == ["sphere has the wrong dimension"]
+
+
+def test_verify_structure_still_checks_the_euler_identity(monkeypatch):
+    # verification counts chi(M) and checks chi(Q) = chi(M) + 1 on the
+    # built quotient, so a false identity is named
+    seen = []
+
+    def false_identity(q, m):
+        seen.append((q.euler_characteristic(), m.euler_characteristic()))
+        return False
+
+    monkeypatch.setattr(stellar.structure, "_euler_identity", false_identity)
+    m = standard_sphere(3)
+    assert verify_structure(build_structure(m), m) == ["cell count of the quotient fails the Euler identity"]
+    assert seen == [(1, 0)]
 
 
 def test_verify_diagnoses_a_refused_structure_once(monkeypatch):
@@ -243,6 +261,18 @@ def test_the_quotient_of_a_build_is_the_spine_of_the_manifold(random_subdivision
         spine = set().union(*map(m.faces_of_dim, range(n - 1))) | (m.faces_of_dim(n - 1) - crossed)
         faces = [face for c in cells for face in c]
         assert len(set(faces)) == len(faces) and set(faces) == spine
+        # the spine read off M's face table has those cells, each its own
+        # face, and numbers each vertex as the built classes do
+        top = sorted(m.generators)
+        below = _facet_list(top, n)
+        steps = list(_crossings(m, top, _partners(below), len(m)))
+        assert [(top[i], top[i][:n - k] + top[i][n - k + 1:]) for i, k, _ in steps] == [
+            (step.generator, image(step.shared_face)) for step in result.steps
+        ]
+        read = QuotientComplex._spine(_face_table(top, below), steps)
+        assert {f for c in read.cells.values() for f in c} == spine
+        assert all(read.members[c] == [c] for c in spine)
+        assert read.vertex_class == {v: cls[v] for v in original.values()}
 
 
 @pytest.mark.parametrize(
