@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -69,12 +70,38 @@ def projective_plane():
     return RP2
 
 
-@pytest.fixture
-def non_sphere_controls():
-    """S^2 x S^1, T^3 and RP^2 x S^1, in that order: closed 3-manifolds whose
-    vertex links are all 2-spheres."""
+def _non_sphere_controls():
     return [
         _staircase_product(standard_sphere(2), _cycle(4)),
         _staircase_product(_staircase_product(_cycle(3), _cycle(3)), _cycle(3)),
         _staircase_product(RP2, _cycle(3)),
     ]
+
+
+@pytest.fixture
+def non_sphere_controls():
+    """S^2 x S^1, T^3 and RP^2 x S^1, in that order: closed 3-manifolds whose
+    vertex links are all 2-spheres."""
+    return _non_sphere_controls()
+
+
+@pytest.fixture(scope="session")
+def ledger_zoo():
+    """The closed 3-complexes and the manifolds of the verdict ledger.
+
+    The closed 3-complexes are seeded subdivided 3-spheres with 0 to 40
+    moves, C_a * C_b for 3 <= a, b <= 8, the staircase controls, the link at
+    6 of two boundaries of the 5-simplex sharing the vertex 6 (two disjoint
+    boundaries of the 4-simplex), and every vertex link of the manifolds'
+    seeded subdivided 4-spheres.  The manifolds are those 4-spheres, with 0
+    to 15 moves, and seeded subdivided 5-spheres with 0 to 14.
+    """
+    rng = random.Random(37)
+    closed = [_random_subdivision(rng, standard_sphere(3), n) for n in range(0, 41, 2)]
+    closed += [_cycle(a, 1).join(_cycle(b, a + 1)) for a in range(3, 9) for b in range(3, 9)]
+    closed += _non_sphere_controls()
+    closed.append(Complex([(1, 2, 3, 4, 5, 6), (6, 7, 8, 9, 10, 11)]).boundary().link((6,)))
+    spheres4 = [_random_subdivision(rng, standard_sphere(4), n) for n in range(16)]
+    closed += [lk for k in spheres4 for _, lk in sorted(k.vertex_links().items())]
+    spheres5 = [_random_subdivision(rng, standard_sphere(5), n) for n in range(0, 16, 2)]
+    return closed, spheres4 + spheres5

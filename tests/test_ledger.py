@@ -1,4 +1,4 @@
-"""The verdict ledger: one SHA-256 digest over the reports of seeded corpora.
+"""The verdict ledger: SHA-256 digests over the reports of seeded corpora.
 
 A digest here changes only for a mathematical reason, and that reason is
 recorded in `CHANGES.md`.  A change that should not move any verdict, H1,
@@ -10,7 +10,9 @@ import hashlib
 import random
 from math import gcd
 
-from stellar import fold_structure, lens_structure, sphere_workflow, standard_sphere, structure_report
+from stellar.moves import _recognize
+
+from stellar import check_manifold, fold_structure, lens_structure, sphere_workflow, standard_sphere, structure_report
 
 
 def test_reports_match_their_ledger_digest(random_subdivision, cycle_join, non_sphere_controls):
@@ -26,3 +28,13 @@ def test_reports_match_their_ledger_digest(random_subdivision, cycle_join, non_s
     records += [repr(sphere_workflow(m)) for m in manifolds]
     digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
     assert digest == "71109d07bc0be29dc7128d6a8ecea85baa00c8977c11f1c705e30650311362b9"
+
+
+def test_recognitions_and_manifold_reports_match_their_ledger_digest(ledger_zoo):
+    # the verdict and certificate of every closed 3-complex of the zoo, and
+    # the full `check_manifold` report of every manifold
+    closed, manifolds = ledger_zoo
+    records = [repr(_recognize(k, 3, {})) for k in closed]
+    records += [repr(check_manifold(m)) for m in manifolds]
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest == "1748b7ed9f8378fc0cba0f92341b5577f57936ce8e899882b975bae2bb8984fd"
