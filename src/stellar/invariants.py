@@ -9,12 +9,12 @@ from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from typing import Dict, List, Optional, Tuple, Union
 
-from .complexes import Complex, Simplex, UnionFind, _components, _face_table
+from .complexes import Complex, Simplex, UnionFind, _components, _face_table, _facet_list, _partners
 from .errors import StructureError
 from .group import _class_orders, _degree, _gamma, has_circuit, surface_quotient, GammaGraph
 from .homology import AbelianGroup, complex_h1
-from .manifold import _closed_3_manifold, check_manifold
-from .moves import _collapses
+from .manifold import check_manifold
+from .moves import _closed_3_manifold, _collapses
 from .quotient import QuotientComplex, StellarStructure
 from .structure import _crossings
 
@@ -220,21 +220,23 @@ def _report(quotient: QuotientComplex) -> WorkflowReport:
 def sphere_workflow(m: Complex, budget: int = 100_000) -> WorkflowReport:
     """Decide whether a closed 3-manifold is a sphere via the structure chain.
 
-    The corner pass of `check_manifold` (`_closed_3_manifold`) certifies M
-    and pairs its facets; `check_manifold` only words a refusal.  The
-    build's steps run on that pairing (`structure._crossings`), and the
-    report reads Q as M's spine (`QuotientComplex._spine`): no structure is
-    built or validated, and the spine lemma (README "The spine of a build")
-    stands in for that check."""
+    The closed-3 rule of recognition and `check_manifold`
+    (`moves._closed_3_manifold`) certifies M on its facet pairing, which is
+    made here on M's sorted tetrahedra; `check_manifold` only words a
+    refusal.  The build's steps run on that pairing (`structure._crossings`),
+    and the report reads Q as M's spine (`QuotientComplex._spine`): no
+    structure is built or validated, and the spine lemma (README "The spine
+    of a build") stands in for that check."""
     if m.dimension() != 3 or not m.is_uniform():
         raise StructureError("sphere workflow expects a uniform 3-complex")
-    pairing = _closed_3_manifold(m)
-    if pairing is None:
+    top = sorted(m.generators)
+    below = _facet_list(top, 3)
+    partner = _partners(below)
+    if not _closed_3_manifold(top, partner):
         manifold = check_manifold(m)
         raise StructureError(
             manifold.describe() if manifold.closed else "sphere workflow expects a closed complex"
         )
-    top, below, partner = pairing
     steps = list(_crossings(m, top, partner, budget))
     report = _report(QuotientComplex._spine(_face_table(top, below), steps))
     report.evidence.insert(0, f"structure built in {len(steps)} absorption steps")

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from .complexes import Complex, Simplex, _facet_list, _partners
+from .complexes import Complex, _facet_list, _partners
 from .errors import ComplexError
-from .moves import EXACT, Recognition, _closed_3_links, _link_verdicts
+from .moves import EXACT, Recognition, _closed_3_manifold, _link_verdicts
 
 
 @dataclass
@@ -52,15 +52,15 @@ def check_manifold(k: Complex, budget: Optional[int] = None) -> ManifoldReport:
     has no effect: recognition runs no search.  The keyword is kept for
     callers that still pass it.
 
-    A uniform 3-complex first goes through the closed-3 rule of `recognize`
-    on its own tetrahedra (README, "Certificates": closed 3-complexes
-    recognise no link), `_closed_3_manifold`.  When it accepts, every vertex
+    A uniform 3-complex first goes through the closed-3 rule of `recognize`,
+    `moves._closed_3_manifold`, on its own tetrahedra and their facet
+    pairing (README, "Certificates": closed 3-complexes recognise no link),
+    the one function `_certify` calls too.  When it accepts, every vertex
     link is a 2-sphere, which `_recognize_low` would decide exactly, so each
     vertex gets SPHERE with an exact certificate and no link is built.  When
     it refuses, the links are recognised one by one, which names the bad
-    vertices.  `sphere_workflow` runs that corner pass itself, and keeps the
-    facet pairing it makes for the build's steps; it comes here only to word
-    a refusal.
+    vertices.  `sphere_workflow` runs that rule itself, on the facet pairing
+    it keeps for the build's steps; it comes here only to word a refusal.
     """
     if not k:
         raise ComplexError("cannot check the empty complex")
@@ -73,7 +73,8 @@ def check_manifold(k: Complex, budget: Optional[int] = None) -> ManifoldReport:
         )
     if dim == 0:
         return ManifoldReport(True, True, 0)
-    if dim == 3 and _closed_3_manifold(k):
+    top = sorted(k.generators) if dim == 3 else []
+    if top and _closed_3_manifold(top, _partners(_facet_list(top, 3))):
         verdicts = dict.fromkeys(sorted(k.vertices()), (Recognition.SPHERE, EXACT))
     else:
         # one call recognises each distinct link once, vertex links and the
@@ -89,22 +90,3 @@ def check_manifold(k: Complex, budget: Optional[int] = None) -> ManifoldReport:
     certificates = {v: cert for v, (_, cert) in verdicts.items()}
     return ManifoldReport(verdict, closed, dim, results, certificates, bad, unknown)
 
-
-def _closed_3_manifold(k: Complex) -> Optional[Tuple[List[Simplex], List[Simplex], List[int]]]:
-    """Whether every vertex link of the uniform 3-complex `k` is a 2-sphere,
-    by the closed-3 rule of `moves._certify` applied to k itself: every
-    triangle lies in exactly two tetrahedra, chi = 0, and every link's dual
-    graph is connected (`_closed_3_links`).  When every link is a 2-sphere,
-    each triangle lies in two tetrahedra and sum over v of (2 - chi(lk v))
-    = 2 chi = 0, so the rule accepts; when it accepts, every link is a
-    2-sphere.  On acceptance gives the facet pairing the rule read: the
-    sorted tetrahedra, their facets as `_facet_list` lists them, and
-    `_partners` of those; None says only that some link is not a 2-sphere."""
-    top = sorted(k.generators)
-    below = _facet_list(top, 3)
-    partner = _partners(below)
-    n0 = len(k.vertices())
-    # closed, so F = 2T and chi = V - E + F - T = V - E + T
-    if partner is None or -1 in partner or n0 - len(set(_facet_list(top, 2))) + len(top):
-        return None
-    return (top, below, partner) if _closed_3_links(partner, n0) else None

@@ -221,24 +221,37 @@ def _collapses(
     triangles; no vertex is read, nor the facets of a vertex or an edge.
 
     Phase 1 is `_collapse_ranks` with its floor at the first tetrahedron;
-    phase 2 removes (edge, triangle) pairs off a plain list, counting the
-    triangles phase 1 left.  A pair whose free cell is a vertex or an edge
-    takes it with a maximal edge or triangle, so it never changes which cell
-    of dimension >= 2 is free, and stays valid after phase 1; and a triangle
-    with a free edge stays removable until it goes, so phase 2's order
-    leaves the same triangles (proof in README "Certificates").
+    phase 2, `_peel`, removes (edge, triangle) pairs off a plain list,
+    counting the triangles phase 1 left.  A pair whose free cell is a
+    vertex or an edge takes it with a maximal edge or triangle, so it never
+    changes which cell of dimension >= 2 is free, and stays valid after
+    phase 1; and a triangle with a free edge stays removable until it goes,
+    so phase 2's order leaves the same triangles (proof in README
+    "Certificates").
     """
     tris = sizes[0] + sizes[1]
     live = _collapse_ranks(facets, tris + sizes[2], gone)
+    _peel(facets, live, range(tris, tris + sizes[2]), range(sizes[0], tris))
+    return [c for c in range(tris, len(facets)) if live[c] >= 0]
 
-    # phase 2: an edge is free when one triangle is left on it, a maximal one
-    above = [0] * tris  # as in `_collapse_ranks`, for the edges
-    for c in range(tris, tris + sizes[2]):
-        if live[c] >= 0:
-            for f in facets[c]:
+
+def _peel(
+    facets: Sequence[Sequence[int]], live: List[int], tris: Iterable[int], edges: Iterable[int]
+) -> None:
+    """Phase 2 of the collapse: remove (edge, triangle) pairs off a plain
+    list until no edge is free, that is, lies in one live triangle, a
+    maximal one.  Cells are numbered so that `facets[t]` lists the edges of
+    the triangle t; `live[t]` counts t's live cofaces (0 when t is maximal,
+    -1 once it is dead), and `live[e]` is 0 for each edge e of `edges`.
+    Each triangle of `tris` that goes gets -1; an edge's entry becomes its
+    count of live triangles."""
+    above = [0] * len(live)  # as in `_collapse_ranks`, for the edges
+    for t in tris:
+        if live[t] >= 0:
+            for f in facets[t]:
                 live[f] += 1
-                above[f] ^= c
-    free = [e for e in range(sizes[0], tris) if live[e] == 1 and not live[above[e]]]
+                above[f] ^= t
+    free = [e for e in edges if live[e] == 1 and not live[above[e]]]
     while free:
         e = free.pop()
         if live[e] != 1:
@@ -250,7 +263,6 @@ def _collapses(
             above[x] ^= t
             if live[x] == 1 and not live[above[x]]:
                 free.append(x)
-    return [c for c in range(tris, len(facets)) if live[c] >= 0]
 
 
 def _facets(s: Simplex) -> Iterable[Simplex]:
@@ -362,12 +374,14 @@ def recognize(k: Complex) -> Recognition:
     3. Nontrivial H1 refutes.
 
     A closed 3-complex with chi = 0 recognises no link: one pass over its
-    tetrahedra's corners decides whether every link is a 2-sphere.  Every
+    tetrahedra's corners decides whether every link is a 2-sphere, and the
+    collapse then runs on its facet pairing, with no face table unless H1
+    is needed.  Every
     triangle lies in exactly two tetrahedra, so
     sum over v of (2 - chi(lk v)) = 2 chi = 0.  A closed pseudo-surface with
     a connected dual graph has chi <= 2, with equality only for the sphere,
     so the links are spheres exactly when their dual graphs are connected
-    (`_certify`, `_closed_3_links`).  The verdict is the recursion's.
+    (`_certify`, `_closed_3_manifold`).  The verdict is the recursion's.
 
     Unknown means no certificate was found: a vertex link was undecided, or
     the collapse stopped short while H1 is trivial.  It never means that the
@@ -426,10 +440,10 @@ def _certify(k: Complex, dim: int, seen: Seen) -> Verdict:
     """`recognize`'s certificates for `k`, which `_recognize` has not seen.
 
     Every dimension opens with the facet pairing of the generators
-    (`_partners`).  From dimension 3 up it is read on the face table's
-    facet ranks, and a facet in a third generator is refused before chi or
-    any vertex link is looked at; so is a dual graph that is not connected,
-    except in a closed 3-complex, where the collapse finds it.  The
+    (`_partners`), read on the facets themselves before any face table; a
+    facet in a third generator is refused before chi or any vertex link is
+    looked at, and so is a dual graph that is not connected, except in a
+    closed 3-complex, where the collapse finds it.  The
     recursion would give the same verdict, NEITHER with an exact
     certificate:
     - a facet f in a third generator puts the facet f - u of lk(u) in a
@@ -448,12 +462,16 @@ def _certify(k: Complex, dim: int, seen: Seen) -> Verdict:
     connectivity check is made; the collapse then certifies when it leaves
     no cell above the edges (`_collapses`: the greedy `_collapse_ranks` with
     its floor at the first tetrahedron, then the (edge, triangle) pairs off
-    a list), since what is left has chi = 1 and is a tree, which the greedy
-    takes to a vertex.  The complex is closed when every facet lies in two
-    generators.
+    a list, `_peel`), since what is left has chi = 1 and is a tree, which
+    the greedy takes to a vertex.  The complex is closed when every facet
+    lies in two generators.  A closed 3-complex runs that collapse on its
+    facet pairing (`_closed_3_collapses`), and builds the face table only
+    when triangles are left, for H1; every other complex builds it once
+    the pairing has passed, for chi, the collapse and H1.
 
-    A closed 3-complex with chi = 0 recognises none of its vertex links:
-    one pass, `_closed_3_links`, decides whether they are all 2-spheres.
+    A closed 3-complex recognises none of its vertex links: the closed-3
+    rule, `_closed_3_manifold`, checks chi = 0 and makes one pass,
+    `_closed_3_links`, which decides whether they are all 2-spheres.
     Every triangle lies in exactly two tetrahedra (F = 2T), so each vertex
     link is a closed pseudo-surface, and counting each vertex, edge and
     triangle of a link as the edge, triangle and tetrahedron at v it comes
@@ -472,46 +490,111 @@ def _certify(k: Complex, dim: int, seen: Seen) -> Verdict:
     if dim <= 2:
         return _recognize_low(k, dim), EXACT
 
-    # one top-down face pass, from the generators and their facets
+    # the facet pairing, on the facets themselves, before any face table
     top = sorted(k.generators)
     below = _facet_list(top, dim)
-    table = _face_table(top, below)
-    partner = _partners(list(itertools.chain.from_iterable(table.facets[-len(top):])))
+    partner = _partners(below)
     if partner is None:
         return Recognition.NEITHER, EXACT
     closed = -1 not in partner
-    closed_3 = dim == 3 and closed
-    if not closed_3 and not _dual_connected(partner, dim + 1):
-        return Recognition.NEITHER, EXACT
-    if table.chi != (1 if not closed else 0 if dim % 2 else 2):
-        return Recognition.NEITHER, EXACT
-    target = Recognition.SPHERE if closed else Recognition.BALL
-
-    if closed_3:
-        links = target if _closed_3_links(partner, len(table.levels[0])) else Recognition.NEITHER
+    if dim == 3 and closed:
+        if not _closed_3_manifold(top, partner):
+            return Recognition.NEITHER, EXACT
+        left = _closed_3_collapses(top, below, partner)
+        if not left:
+            return Recognition.SPHERE, COLLAPSE
+        if len(left[0]) == 4:
+            return Recognition.NEITHER, EXACT  # the dual graph is not connected
+        table = _face_table(top, below)
     else:
+        if not _dual_connected(partner, dim + 1):
+            return Recognition.NEITHER, EXACT
+        table = _face_table(top, below)
+        if table.chi != (1 if not closed else 0 if dim % 2 else 2):
+            return Recognition.NEITHER, EXACT
+        target = Recognition.SPHERE if closed else Recognition.BALL
         shapes = set()
         for _, (shape, _) in _link_verdicts(k, dim - 1, seen):
             if shape is Recognition.NEITHER:
                 return shape, EXACT
             shapes.add(shape)
         # every link a sphere or, for a ball target, a sphere or a ball
-        links = target if shapes <= {Recognition.SPHERE, target} else Recognition.UNKNOWN
-    if links is Recognition.NEITHER:
-        return Recognition.NEITHER, EXACT
-    if links is target:
-        # closed: each facet of the least generator lies in another
-        # generator, so dropping the generator leaves the closure of the rest
-        first = len(table.facets) - len(top)
-        left = _collapses(table.facets, list(map(len, table.levels)), [first] if closed else [])
-        if not left:
-            return target, COLLAPSE
-        if closed_3 and left[-1] >= first:
-            return Recognition.NEITHER, EXACT  # the dual graph is not connected
+        if shapes <= {Recognition.SPHERE, target}:
+            # closed: each facet of the least generator lies in another
+            # generator, so dropping the generator leaves the closure of the rest
+            first = len(table.facets) - len(top)
+            sizes = list(map(len, table.levels))
+            if not _collapses(table.facets, sizes, [first] if closed else []):
+                return target, COLLAPSE
 
     if not table_h1(*table).is_trivial():
         return Recognition.NEITHER, EXACT
     return Recognition.UNKNOWN, None
+
+
+def _closed_3_manifold(top: List[Simplex], partner: Optional[List[int]]) -> bool:
+    """The closed-3 rule: whether the 3-complex of the sorted tetrahedra
+    `top`, whose facets `_facet_list` lists with the facet pairing `partner`
+    (`_partners`), is closed with every vertex link a 2-sphere.  Every
+    triangle lies in exactly two tetrahedra, chi = 0, and every link's dual
+    graph is connected (`_closed_3_links`).  When every link is a 2-sphere,
+    each triangle lies in two tetrahedra and sum over v of (2 - chi(lk v))
+    = 2 chi = 0, so the rule accepts; when it accepts, every link is a
+    2-sphere (`_certify`).  `_certify`, `check_manifold` and
+    `sphere_workflow` all decide closed 3-complexes by it."""
+    if partner is None or -1 in partner:
+        return False
+    n0 = len(set().union(*top))
+    # closed, so F = 2T and chi = V - E + F - T = V - E + T
+    if n0 - len(set(_facet_list(top, 2))) + len(top):
+        return False
+    return _closed_3_links(partner, n0)
+
+
+def _closed_3_collapses(top: List[Simplex], below: List[Simplex], partner: List[int]) -> List[Simplex]:
+    """`_collapses` on a closed 3-pseudomanifold with its least tetrahedron
+    dropped, read on the facet pairing with no face table: the tetrahedra
+    that phase 1 leaves, if any, and otherwise the triangles that phase 2
+    leaves, in order.  `top` are the sorted tetrahedra, `below` their
+    facets as `_facet_list` lists them, and `partner` their pairing, with
+    no -1.
+
+    Every triangle lies in two tetrahedra and triangles are ranked
+    lexicographically, so phase 1 is a walk of the dual graph: from a heap
+    of (triangle, place) over the places of the tetrahedra left, the least
+    triangle whose far tetrahedron is still in takes that tetrahedron out,
+    whose facets with their far side still in go on the heap.  That is
+    `_collapse_ranks` step for step (proof in README "Certificates").
+    Phase 2 peels the triangles no step crossed (`_peel`), on edges
+    numbered by one dict."""
+    alive = [True] * len(top)
+    alive[0] = False
+    crossed = [False] * len(partner)
+    heap = [(below[p], p) for p in range(4)]
+    heapq.heapify(heap)
+    while heap:
+        _, p = heapq.heappop(heap)
+        q = partner[p]
+        u = q >> 2
+        if not alive[u]:
+            continue  # stale: both sides of the triangle are out
+        alive[u] = False
+        crossed[p] = crossed[q] = True
+        for r in range(u << 2, (u << 2) + 4):
+            if alive[partner[r] >> 2]:
+                heapq.heappush(heap, (below[r], r))
+    if any(alive):
+        return list(itertools.compress(top, alive))
+
+    # phase 2 on the triangles left, numbered 0..m-1, and their edges after them
+    tris = [below[p] for p, q in enumerate(partner) if p < q and not crossed[p]]
+    m = len(tris)
+    number: Dict[Simplex, int] = {}  # edge -> its number
+    facets = [[number.setdefault(e, m + len(number)) for e in itertools.combinations(t, 2)]
+              for t in tris]
+    live = [0] * (m + len(number))
+    _peel(facets, live, range(m), range(m, len(live)))
+    return sorted(t for t, n in zip(tris, live) if n >= 0)
 
 
 # A tetrahedron t's corner at its vertex in place p is numbered 4t + 3 - p,

@@ -25,9 +25,10 @@ from stellar import (
     subdivide,
     weld,
 )
-from stellar.complexes import LabelAllocator, _partners, cofaces, connected, face_table, star_index
+from stellar.complexes import LabelAllocator, _facet_list, _partners, cofaces, connected, face_table, star_index
 from stellar.invariants import quotient_collapses_to_point
 from stellar.moves import (
+    _closed_3_collapses,
     _closed_3_links,
     _collapse_ranks,
     _collapses,
@@ -338,7 +339,7 @@ def face_table_zoo(random_subdivision, non_sphere_controls):
 
 def top_pairing(table):
     """The facet pairing of a face table's top cells, read on their facets'
-    ranks, as `_certify` reads it."""
+    ranks: the pairing `_certify` reads on the facets themselves."""
     return _partners(list(itertools.chain.from_iterable(table.facets[-len(table.levels[-1]):])))
 
 
@@ -433,25 +434,51 @@ def test_collapses_leave_what_the_greedy_leaves_above_the_edges(
     assert check_manifold(pinched_pair()).bad_vertices == [6]
 
 
+def test_the_closed_3_collapse_leaves_what_the_face_table_collapse_leaves(ledger_zoo):
+    # on the facet pairing alone, with the least tetrahedron dropped, the
+    # kernel leaves what `_collapses` leaves on the face table: nothing on
+    # the spheres, tetrahedra on the link of the pinch, and triangles alone
+    # on the staircase controls, where H1 then refutes
+    exits = []
+    for k in ledger_zoo[0]:
+        top = sorted(k.generators)
+        below = _facet_list(top, 3)
+        table = face_table(k)
+        cells = list(itertools.chain.from_iterable(table.levels))
+        first = len(cells) - len(top)
+        left = [cells[c] for c in _collapses(table.facets, [len(level) for level in table.levels], [first])]
+        tetrahedra = [c for c in left if len(c) == 4]
+        assert _closed_3_collapses(top, below, _partners(below)) == (tetrahedra or left), k
+        exits.append("tetrahedra" if tetrahedra else "triangles" if left else "none")
+    assert exits.count("tetrahedra") == 1 and exits.count("triangles") == 3
+    assert exits.count("none") == len(exits) - 4
+
+
 def test_recognition_drops_the_least_generator_of_a_closed_complex(
     monkeypatch, random_subdivision
 ):
+    # a closed 3-complex collapses on its facet pairing, from the least
+    # generator dropped (`_closed_3_collapses` drops the first of its sorted
+    # tetrahedra); a bounded one collapses on its face table, dropping none
     dropped = []
-    collapse = _collapses
+    closed_collapse, collapse = _closed_3_collapses, _collapses
+
+    def closed_spy(top, below, partner):
+        dropped.append([top[0]])
+        return closed_collapse(top, below, partner)
 
     def spy(facets, sizes, gone):
-        dropped.append(list(gone))
+        cells = list(itertools.chain.from_iterable(face_table(ball).levels))
+        dropped.append([cells[c] for c in gone])
         return collapse(facets, sizes, gone)
 
+    monkeypatch.setattr("stellar.moves._closed_3_collapses", closed_spy)
     monkeypatch.setattr("stellar.moves._collapses", spy)
-    sphere = subdivided_3_spheres(random_subdivision)[-1]
-    for k, shape in ((sphere, Recognition.SPHERE), (subdivided_ball(), Recognition.BALL)):
+    sphere, ball = subdivided_3_spheres(random_subdivision)[-1], subdivided_ball()
+    for k, shape in ((sphere, Recognition.SPHERE), (ball, Recognition.BALL)):
         dropped.clear()
         assert recognize(k) is shape
-        cells = list(itertools.chain.from_iterable(face_table(k).levels))
-        assert [[cells[c] for c in gone] for gone in dropped] == (
-            [[min(k.generators)]] if k.is_closed() else [[]]
-        )
+        assert dropped == ([[min(k.generators)]] if k.is_closed() else [[]])
 
 
 def test_recognize_refuses_the_minus_one_dimensional_complex():
