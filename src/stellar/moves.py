@@ -374,14 +374,14 @@ def recognize(k: Complex) -> Recognition:
     3. Nontrivial H1 refutes.
 
     A closed 3-complex with chi = 0 recognises no link: one pass over its
-    tetrahedra's corners decides whether every link is a 2-sphere, and the
-    collapse then runs on its facet pairing, with no face table unless H1
-    is needed.  Every
+    tetrahedra's corners decides whether every link is a 2-sphere.  Every
     triangle lies in exactly two tetrahedra, so
     sum over v of (2 - chi(lk v)) = 2 chi = 0.  A closed pseudo-surface with
     a connected dual graph has chi <= 2, with equality only for the sphere,
     so the links are spheres exactly when their dual graphs are connected
     (`_certify`, `_closed_3_manifold`).  The verdict is the recursion's.
+    The collapse then runs on the facet pairing, and no face table is built
+    unless H1 is needed.
 
     Unknown means no certificate was found: a vertex link was undecided, or
     the collapse stopped short while H1 is trivial.  It never means that the

@@ -25,7 +25,15 @@ from stellar import (
     subdivide,
     weld,
 )
-from stellar.complexes import LabelAllocator, _facet_list, _partners, cofaces, connected, face_table, star_index
+from stellar.complexes import (
+    LabelAllocator,
+    _facet_list,
+    _partners,
+    cofaces,
+    connected,
+    face_table,
+    star_index,
+)
 from stellar.invariants import quotient_collapses_to_point
 from stellar.moves import (
     _closed_3_collapses,
@@ -445,8 +453,8 @@ def test_the_closed_3_collapse_leaves_what_the_face_table_collapse_leaves(ledger
         below = _facet_list(top, 3)
         table = face_table(k)
         cells = list(itertools.chain.from_iterable(table.levels))
-        first = len(cells) - len(top)
-        left = [cells[c] for c in _collapses(table.facets, [len(level) for level in table.levels], [first])]
+        sizes = [len(level) for level in table.levels]
+        left = [cells[c] for c in _collapses(table.facets, sizes, [len(cells) - len(top)])]
         tetrahedra = [c for c in left if len(c) == 4]
         assert _closed_3_collapses(top, below, _partners(below)) == (tetrahedra or left), k
         exits.append("tetrahedra" if tetrahedra else "triangles" if left else "none")
