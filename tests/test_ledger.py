@@ -13,6 +13,7 @@ from math import gcd
 from stellar.moves import _recognize
 
 from stellar import check_manifold, fold_structure, lens_structure, sphere_workflow, standard_sphere, structure_report
+from stellar.errors import StellarError
 
 
 def test_reports_match_their_ledger_digest(random_subdivision, cycle_join, non_sphere_controls):
@@ -38,3 +39,19 @@ def test_recognitions_and_manifold_reports_match_their_ledger_digest(ledger_zoo)
     records += [repr(check_manifold(m)) for m in manifolds]
     digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
     assert digest == "1748b7ed9f8378fc0cba0f92341b5577f57936ce8e899882b975bae2bb8984fd"
+
+
+def test_workflow_reports_match_their_ledger_digest(ledger_zoo):
+    # the workflow report, or the refusal, of every closed 3-complex of the
+    # zoo, the staircase controls among them: the link at the pinch of two
+    # boundaries of the 5-simplex is two disjoint 3-spheres, which it refuses
+    closed, _ = ledger_zoo
+    records = []
+    for k in closed:
+        try:
+            records.append(repr(sphere_workflow(k)))
+        except StellarError as refusal:
+            records.append(f"{type(refusal).__name__}: {refusal}")
+    assert records.count("StructureError: input must be connected") == 1
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest == "3135cc18541d8655f9229a40cd522851db180a849b2c90e7e86c6b4d0d2841cd"
