@@ -6,10 +6,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import chain
 from typing import Dict, List, Optional, Tuple, Union
 
-from .complexes import Complex, Simplex, UnionFind, _components, _face_table, _facet_list, _partners
+from .complexes import Complex, Simplex, UnionFind, _components, _facet_list, _partners
 from .errors import StructureError
 from .group import _class_orders, _degree, _gamma, has_circuit, surface_quotient, GammaGraph
 from .homology import AbelianGroup, complex_h1
@@ -108,13 +108,13 @@ def classify_flat_quotient(q: QuotientComplex) -> SurfaceClass:
 
 
 def quotient_collapses_to_point(q: QuotientComplex) -> bool:
-    """Whether the quotient's cells, as `q.chains` gives them, collapse to
-    one 0-cell: exactly when chi(Q) = 1, Q is connected and, from dimension
-    2 up, the top-down phases of `_collapses` leave no cell above the edges.
-    A cell's rank is its level's offset plus its place in the level, which
-    is (dimension, face) order.  The phases read the facets of the cells of
-    dimension >= 2 only, and those are listed once each, since no cell
-    meets one face cell twice.
+    """Whether the quotient's cells collapse to one 0-cell: exactly when
+    chi(Q) = 1, Q is connected and, from dimension 2 up, the top-down phases
+    of `_collapses` leave no cell above the edges.  All three read the pair
+    `q._ranked`, each cell's facet cells by rank and the level sizes: a
+    built quotient reads it off its `chains`, and a spine's face table is
+    that pair already, so the workflow builds no chains for its collapse.
+    The phases read the facets of the cells of dimension >= 2 only.
 
     This is the greedy's answer, `_collapse_ranks(facets, 0, ())` leaving
     one 0-cell.  A regular equivalence puts each generator's vertices in
@@ -130,17 +130,11 @@ def quotient_collapses_to_point(q: QuotientComplex) -> bool:
     """
     if q.euler_characteristic() != 1:
         return False
-    chains = q.chains
-    edges = chains[1] if len(chains) > 1 else []
-    if _components(len(chains[0]), [e[0][0] for e in edges], [e[1][0] for e in edges]) != 1:
+    facets, sizes = q._ranked
+    edges = facets[sizes[0]:sum(sizes[:2])]
+    if _components(sizes[0], [e[0] for e in edges], [e[1] for e in edges]) != 1:
         return False
-    if len(chains) < 3:
-        return True
-    sizes = list(map(len, chains))
-    facets: List[Tuple[int, ...]] = [()] * (sizes[0] + sizes[1])  # never read
-    for start, level in zip(accumulate(sizes), chains[2:]):
-        facets += [tuple([start + f for f, _ in cell]) for cell in level]
-    return not _collapses(facets, sizes, ())
+    return len(sizes) < 3 or not _collapses(facets, sizes, ())
 
 
 def prism_cell_counts(q: QuotientComplex) -> Dict[int, int]:
@@ -224,9 +218,11 @@ def sphere_workflow(m: Complex, budget: int = 100_000) -> WorkflowReport:
     (`moves._closed_3_manifold`) certifies M on its facet pairing, which is
     made here on M's sorted tetrahedra; `check_manifold` only words a
     refusal.  The build's steps run on that pairing (`structure._crossings`),
-    and the report reads Q as M's spine (`QuotientComplex._spine`): no
-    structure is built or validated, and the spine lemma (README "The spine
-    of a build") stands in for that check."""
+    and the report reads Q as M's spine (`QuotientComplex._spine`), the
+    simplicial complex of the N + 1 triangles that no step crossed: no
+    structure is built or validated, no face table of the tetrahedra is
+    built, and the spine lemma (README "The spine of a build") stands in
+    for that check."""
     if m.dimension() != 3 or not m.is_uniform():
         raise StructureError("sphere workflow expects a uniform 3-complex")
     top = sorted(m.generators)
@@ -238,6 +234,6 @@ def sphere_workflow(m: Complex, budget: int = 100_000) -> WorkflowReport:
             manifold.describe() if manifold.closed else "sphere workflow expects a closed complex"
         )
     steps = list(_crossings(m, top, partner, budget))
-    report = _report(QuotientComplex._spine(_face_table(top, below), steps))
+    report = _report(QuotientComplex._spine(top, below, partner, steps))
     report.evidence.insert(0, f"structure built in {len(steps)} absorption steps")
     return report

@@ -10,7 +10,7 @@ from itertools import accumulate, chain, combinations, count, repeat
 from operator import itemgetter
 from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
-from .complexes import Complex, Simplex, UnionFind, _FaceTable, face_table, simplex
+from .complexes import Complex, Simplex, UnionFind, _face_table, _facet_list, face_table, simplex
 from .errors import EquivalenceError
 from .homology import (
     AbelianGroup,
@@ -198,9 +198,11 @@ class QuotientComplex:
     generators in sorted order, and `_pairs` gives each pair by its
     generators' places in that list.  `chains` reads every level's cells
     with their facet cells once, in every dimension, and H1,
-    `boundary_matrices`, the GF(2) oracle `z2_b1` and the quotient collapse
-    all read it.  `_spine` reads the quotient of a build off the manifold's
-    face table instead: no sphere (None), no pairs, each cell one face.
+    `boundary_matrices` and the GF(2) oracle `z2_b1` read it, and the
+    quotient collapse reads the ranks derived from it (`_ranked`).
+    `_spine` reads the quotient of a build off the manifold instead, as the
+    face table of its uncrossed facets: no sphere (None), no pairs, each
+    cell one face.
     """
 
     def __init__(
@@ -253,23 +255,34 @@ class QuotientComplex:
         self._roots = {d: run for d, run in enumerate(runs) if run}
 
     @staticmethod
-    def _spine(table: _FaceTable, steps: List[Tuple[int, int, bool]]) -> "QuotientComplex":
-        """The quotient of a build on the closed manifold M with the face
-        table `table`, by the `structure._crossings` steps `steps`, read as
-        M's spine (README "The spine of a build"): M's faces but the top
-        simplices and the crossed facets.  The vertices that get copies are
-        numbered first, then the rest, each in label order, as `class_of`
-        numbers the built structure's classes."""
-        levels, facets = table
-        n, starts = len(levels) - 1, list(accumulate(map(len, levels), initial=0))
-        crossed = {facets[starts[n] + i][k] for i, k, _ in steps}  # facet k of top simplex i
-        copied = sorted({levels[n][i][n - k] for i, k, copy in steps if copy})
+    def _spine(top: List[Simplex], below: List[Simplex], partner: List[int],
+               steps: List[Tuple[int, int, bool]]) -> "QuotientComplex":
+        """The quotient of a build on the closed n-manifold M, read as M's
+        spine (README "The spine of a build"): the simplicial complex of the
+        facets that no step crossed, which holds every face of M of
+        dimension <= n - 2 too.  `top` are M's sorted n-simplices, `below`
+        their facets as `_facet_list` lists them, `partner` their pairing
+        (`_partners`) and `steps` the build's `structure._crossings` steps;
+        step (i, k) crosses place (n + 1) i + k and its partner.  Each face
+        of the uncrossed facets' face table is its own cell, in rank order,
+        so that table is also the pair the collapse reads (`_ranked`).  The
+        vertices that get copies are numbered first, then the rest, each in
+        label order, as `class_of` numbers the built structure's classes."""
+        n = len(top[0]) - 1
+        crossed = bytearray(len(below))
+        for at in ((n + 1) * i + k for i, k, _ in steps):
+            crossed[at] = crossed[partner[at]] = 1
+        kept = sorted(below[at] for at, other in enumerate(partner) if at < other and not crossed[at])
+        levels, facets = _face_table(kept, _facet_list(kept, n - 1))
+        starts = list(accumulate(map(len, levels), initial=0))
+        copied = sorted({top[i][n - k] for i, k, copy in steps if copy})
         order = copied + sorted({v for (v,) in levels[0]}.difference(copied))
         q = object.__new__(QuotientComplex)
         q.sphere, q._generators, q._pairs, q.vertex_class = None, [], [], dict(zip(order, count()))
         # no union: each face is its own cell, of parity 0
         q._faces, q._facets, q._uf = list(chain.from_iterable(levels)), facets, UnionFind(len(facets))
-        q._roots = {d: [r for r in range(starts[d], starts[d + 1]) if r not in crossed] for d in range(n)}
+        q._roots = dict(enumerate(map(range, starts, starts[1:])))
+        q._ranked = facets, list(map(len, levels))
         return q
 
     @cached_property
@@ -340,8 +353,22 @@ class QuotientComplex:
     def chains(self) -> List[Cells]:
         """Each level's cells with their (facet cell, parity) lists, in every
         dimension, read once off the union-find's flat root and parity
-        lists: what H1, the boundary maps and the collapse share."""
+        lists: what H1 and the boundary maps share, and what a built
+        quotient's collapse reads through `_ranked`."""
         return cell_chains(self._roots.values(), self._facets, *self._uf.flat)
+
+    @cached_property
+    def _ranked(self) -> Tuple[List[Sequence[int]], List[int]]:
+        """Each cell's facet cells by rank, and the level sizes: what the
+        collapse reads.  A cell's rank is its level's offset plus its place
+        in the level, which is (dimension, face) order, and its facet cells
+        are listed once each, since no cell meets one face cell twice.  Read
+        off `chains` here; a spine's face table is this pair already, and
+        `_spine` sets it."""
+        chains = self.chains
+        offsets = chain((0,), accumulate(map(len, chains), initial=0))  # level d's facets lie in level d - 1
+        facets = [tuple([at + f for f, _ in cell]) for at, level in zip(offsets, chains) for cell in level]
+        return facets, list(map(len, chains))
 
     def boundary_matrices(self) -> List[SparseRows]:
         """d_1, ..., d_n of the quotient CW complex as sparse rows: d_k has

@@ -66,7 +66,9 @@ def _crossings(
     such facet k, and gives (i, k, copied): copied when the far vertex that
     facet drops has been on the sphere, which it has not left, since a step
     keeps the vertices of the face it crosses when n >= 2 and a circle's
-    vertex leaves with its second edge.  Steps cross shared facets only, so
+    vertex leaves with its second edge.  The heap takes the residual
+    generators across an absorbed one's facets; one absorbed after it was
+    pushed is dropped when it comes up.  Steps cross shared facets only, so
     a disconnected input ends on a refusal, the one place connectivity is
     searched, and is refused as such."""
     n = len(gens[0]) - 1
@@ -84,12 +86,15 @@ def _crossings(
             ))
         i = heapq.heappop(frontier)
         base = (n + 1) * i
-        k = next(k for k in range(n + 1) if not residual[partner[base + k] // (n + 1)])
+        for k, at in enumerate(partner[base:base + n + 1]):
+            if not residual[at // (n + 1)]:
+                break
         yield i, k, gens[i][n - k] in seen
         residual[i] = False
         seen.add(gens[i][n - k])
-        for at in range(base, base + n + 1):  # the absorbed are dropped as they come up
-            heapq.heappush(frontier, partner[at] // (n + 1))
+        for at in partner[base:base + n + 1]:
+            if residual[at // (n + 1)]:
+                heapq.heappush(frontier, at // (n + 1))
 
 
 def build_structure(m: Complex, budget: int = 100_000) -> BuildResult:

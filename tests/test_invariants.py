@@ -30,6 +30,7 @@ import stellar.complexes
 import stellar.group
 import stellar.homology
 import stellar.invariants
+import stellar.moves
 import stellar.quotient
 import stellar.structure
 from stellar.homology import AbelianGroup
@@ -247,6 +248,28 @@ def test_reports_run_only_the_certificate_they_need(monkeypatch, cycle_join):
     report = sphere_workflow(cycle_join(4, 5))
     assert (report.conclusion, report.h1, report.collapsed_to_point) == ("sphere", AbelianGroup(0), True)
     assert (len(collapses), len(groups)) == (1, 0)
+
+
+def test_a_sphere_report_on_the_spine_reads_its_face_table_alone(monkeypatch, cycle_join):
+    # the workflow's collapse reads the spine's own face table: it builds no
+    # chains and no face table of M's tetrahedra; a lens shell's report still
+    # reads its chains, for H1
+    reads, tops = [], []
+    real_chains = QuotientComplex.chains
+    monkeypatch.setattr(QuotientComplex, "chains", property(lambda q: reads.append(q) or real_chains.func(q)))
+    real_table = stellar.complexes._face_table
+
+    def spied(top, below, lower=()):
+        tops.append(len(top[0]) - 1 if top else -1)
+        return real_table(top, below, lower)
+
+    for module in (stellar.complexes, stellar.quotient, stellar.moves):
+        monkeypatch.setattr(module, "_face_table", spied)
+    for a, b in ((3, 3), (4, 5), (6, 9), (12, 12)):
+        assert sphere_workflow(cycle_join(a, b)).conclusion == "sphere"
+    assert reads == [] and set(tops) == {2}
+    assert structure_report(lens_structure(17, 3)).conclusion == "not a sphere: H1 = Z/17"
+    assert reads
 
 
 def test_prism_cell_counts_double_and_shift():

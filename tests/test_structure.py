@@ -22,7 +22,7 @@ from stellar import (
     verify_structure,
     weld,
 )
-from stellar.complexes import _face_table, _facet_list, _partners
+from stellar.complexes import _facet_list, _partners
 from stellar.io import structure_to_json
 from stellar.structure import _crossings
 import stellar.structure
@@ -235,13 +235,17 @@ def test_lens_shells_match_their_golden_digest():
     assert digest == "8014f45b60d0f962b2945988fff6a3a229972bb12cef73277eca8da7a14defc3"
 
 
-def test_the_quotient_of_a_build_is_the_spine_of_the_manifold(random_subdivision, cycle_join):
+def test_the_quotient_of_a_build_is_the_spine_of_the_manifold(
+    random_subdivision, cycle_join, non_sphere_controls
+):
     # each vertex class holds one label of M, and under that map the cells of
     # Q are the faces of M of dimension <= n - 2 and the (n - 1)-faces that
-    # no step crossed, each once (README "Certificates")
+    # no step crossed, each once (README "Certificates"); subdivided spheres
+    # of dimensions 2 to 4, and the staircase controls S2 x S1, T3 and RP2 x S1
     rng = random.Random(31)
     bases = [standard_sphere(2), standard_sphere(3), standard_sphere(4), cycle_join(4, 4), cycle_join(3, 5)]
-    for m in [random_subdivision(rng, base, moves) for base in bases for moves in (0, 6, 12)]:
+    corpus = [random_subdivision(rng, base, moves) for base in bases for moves in (0, 6, 12)]
+    for m in corpus + non_sphere_controls:
         result = build_structure(m)
         s, n = result.structure, m.dimension()
         cls = s.equivalence.class_of(s.sphere)
@@ -258,19 +262,24 @@ def test_the_quotient_of_a_build_is_the_spine_of_the_manifold(random_subdivision
         assert all(len(c) == 1 for c in cells)
         crossed = {image(step.shared_face) for step in result.steps}
         assert len(crossed) == len(result.steps) == len(m) - 1
-        spine = set().union(*map(m.faces_of_dim, range(n - 1))) | (m.faces_of_dim(n - 1) - crossed)
+        uncrossed = m.faces_of_dim(n - 1) - crossed
+        spine = set().union(*map(m.faces_of_dim, range(n - 1))) | uncrossed
         faces = [face for c in cells for face in c]
         assert len(set(faces)) == len(faces) and set(faces) == spine
-        # the spine read off M's face table has those cells, each its own
+        # every face of dimension <= n - 2 lies on an uncrossed facet, so the
+        # spine is the simplicial complex of the uncrossed facets
+        assert Complex(uncrossed).closure() == spine
+        # the spine read off M's facet pairing has those cells, each its own
         # face, and numbers each vertex as the built classes do
         top = sorted(m.generators)
         below = _facet_list(top, n)
-        steps = list(_crossings(m, top, _partners(below), len(m)))
+        partner = _partners(below)
+        steps = list(_crossings(m, top, partner, len(m)))
         assert [(top[i], top[i][:n - k] + top[i][n - k + 1:]) for i, k, _ in steps] == [
             (step.generator, image(step.shared_face)) for step in result.steps
         ]
-        read = QuotientComplex._spine(_face_table(top, below), steps)
-        assert {f for c in read.cells.values() for f in c} == spine
+        read = QuotientComplex._spine(top, below, partner, steps)
+        assert [f for c in read.cells.values() for f in c] == sorted(spine, key=lambda f: (len(f), f))
         assert all(read.members[c] == [c] for c in spine)
         assert read.vertex_class == {v: cls[v] for v in original.values()}
 
