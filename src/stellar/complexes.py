@@ -9,6 +9,7 @@ link of a generator inside itself.  Public parsers never accept it.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from typing import (
     Dict,
@@ -344,6 +345,48 @@ def _partners(facets: Sequence[Hashable]) -> Optional[List[int]]:
                 return None
             partner[s], partner[at] = at, s
     return partner
+
+
+def _dual_tree(top: Sequence[Simplex], partner: Sequence[int]) -> Iterator[Tuple[int, int]]:
+    """The steps of a spanning tree of the dual graph of a closed
+    pseudomanifold, whose sorted top cells `top` have the facet pairing
+    `partner` (`_partners`, with no -1): facet k of cell i is place
+    (n + 1) i + k, and drops vertex n - k.  From cell 0, each step takes the
+    least cell not yet taken with a facet on a taken one, across its least
+    such facet k, and gives (i, k).  The heap holds the cells across a taken
+    cell's facets; one taken after it was pushed is dropped when it comes
+    up.  The walk returns when the heap empties: after N - 1 steps exactly
+    when the dual graph is connected."""
+    w = len(top[0])
+    residual = [False] + [True] * (len(top) - 1)
+    frontier = sorted(partner[at] // w for at in range(w))  # a heap of cells next to taken ones
+    while frontier:
+        i = heapq.heappop(frontier)
+        if not residual[i]:
+            continue
+        base = w * i
+        for k, at in enumerate(partner[base:base + w]):
+            if not residual[at // w]:
+                break
+        yield i, k
+        residual[i] = False
+        for at in partner[base:base + w]:
+            if residual[at // w]:
+                heapq.heappush(frontier, at // w)
+
+
+def _uncrossed(below: Sequence[Simplex], partner: Sequence[int],
+               steps: Iterable[Tuple[int, int]]) -> List[Simplex]:
+    """The facets that no step (i, k) of `_dual_tree` crossed, each once, in
+    the order of their lower place, of the cells whose facets `below` lists
+    as `_facet_list` does, paired by `partner`: step (i, k) crosses place
+    (n + 1) i + k and its partner."""
+    w = len(below[0]) + 1
+    crossed = bytearray(len(below))
+    for i, k in steps:
+        at = w * i + k
+        crossed[at] = crossed[partner[at]] = 1
+    return [below[at] for at, other in enumerate(partner) if at < other and not crossed[at]]
 
 
 def connected(gens: Iterable[Simplex]) -> bool:

@@ -14,9 +14,11 @@ from .complexes import (
     Complex,
     Simplex,
     _components,
+    _dual_tree,
     _face_table,
     _facet_list,
     _partners,
+    _uncrossed,
     cone,
     face_table,
     simplex,
@@ -380,8 +382,10 @@ def recognize(k: Complex) -> Recognition:
     a connected dual graph has chi <= 2, with equality only for the sphere,
     so the links are spheres exactly when their dual graphs are connected
     (`_certify`, `_closed_3_manifold`).  The verdict is the recursion's.
-    The collapse then runs on the facet pairing, and no face table is built
-    unless H1 is needed.
+    The collapse then runs along the dual tree that the workflow's build
+    crosses, and peels the triangles it leaves uncrossed, M's spine; no
+    face table of the tetrahedra is built, and one of the spine only when
+    H1 is needed.
 
     Unknown means no certificate was found: a vertex link was undecided, or
     the collapse stopped short while H1 is trivial.  It never means that the
@@ -391,8 +395,8 @@ def recognize(k: Complex) -> Recognition:
     of its vertices: a link is looked up by its order type, its vertices
     renumbered 1..n in increasing order.  Such a renaming keeps the
     (dimension, lexicographic) rank of every face, so the face table, chi,
-    closedness, the order of the vertex links and the greedy collapse are
-    the same, and so are the verdict and the certificate.  Every vertex link
+    closedness, the order of the vertex links, the dual tree and the greedy
+    collapse are the same, and so are the verdict and the certificate.  Every vertex link
     of the boundary of the 5-simplex is the boundary of the 4-simplex on
     other labels, so it is certified once.  A general isomorphism is not
     used: it can reorder the collapse, whose greedy choice may then stop
@@ -443,9 +447,8 @@ def _certify(k: Complex, dim: int, seen: Seen) -> Verdict:
     (`_partners`), read on the facets themselves before any face table; a
     facet in a third generator is refused before chi or any vertex link is
     looked at, and so is a dual graph that is not connected, except in a
-    closed 3-complex, where the collapse finds it.  The
-    recursion would give the same verdict, NEITHER with an exact
-    certificate:
+    closed 3-complex, where the dual tree's walk finds it.  The recursion
+    would give the same verdict, NEITHER with an exact certificate:
     - a facet f in a third generator puts the facet f - u of lk(u) in a
       third generator of lk(u), for every vertex u of f, and so on down to
       `_recognize_low`, which refuses it;
@@ -455,19 +458,26 @@ def _certify(k: Complex, dim: int, seen: Seen) -> Verdict:
       exactly when the generators of k they come from share a facet at u,
       so the dual graph of lk(u) is not connected either, and lk(u) is
       refused the same way, down to `_recognize_low`.
-    In a closed pseudomanifold the collapse removes every generator exactly
-    when the dual graph is connected, and the corner pass never answers
-    UNKNOWN, so a tetrahedron the collapse leaves is the same refusal.  A
-    connected dual graph makes the 1-skeleton connected, so no other
-    connectivity check is made; the collapse then certifies when it leaves
-    no cell above the edges (`_collapses`: the greedy `_collapse_ranks` with
-    its floor at the first tetrahedron, then the (edge, triangle) pairs off
-    a list, `_peel`), since what is left has chi = 1 and is a tree, which
-    the greedy takes to a vertex.  The complex is closed when every facet
-    lies in two generators.  A closed 3-complex runs that collapse on its
-    facet pairing (`_closed_3_collapses`), and builds the face table only
-    when triangles are left, for H1; every other complex builds it once
-    the pairing has passed, for chi, the collapse and H1.
+    In a closed 3-complex the walk `_dual_tree` spans the dual graph exactly
+    when it is connected, and the corner pass never answers UNKNOWN, so a
+    walk that stops short is the same refusal.  A connected dual graph makes
+    the 1-skeleton connected, so no other connectivity check is made; the
+    collapse then certifies when it leaves no cell above the edges, since
+    what is left has chi = 1 and is a tree, which collapses to a vertex.
+    The complex is closed when every facet lies in two generators.
+
+    A closed 3-complex M, with its least tetrahedron dropped, collapses
+    along the walk: each step's tetrahedron goes through the triangle it is
+    crossed at, whose other tetrahedron is gone.  What is left is M's
+    spine Q, the complex of the uncrossed triangles (`_uncrossed`, README
+    "The spine of a build"), which `sphere_workflow` reports on too, and
+    phase 2, `_peel`, takes its (edge, triangle) pairs on edges numbered by
+    one dict.  A face table is built only when triangles are left, of Q,
+    for H1: Q is M less an open ball, so H1(Q) = H1(M).  Every other complex
+    builds the face table of its generators once the pairing has passed,
+    for chi and H1, and collapses on it (`_collapses`: the greedy
+    `_collapse_ranks` with its floor at the first tetrahedron, then
+    `_peel`).
 
     A closed 3-complex recognises none of its vertex links: the closed-3
     rule, `_closed_3_manifold`, checks chi = 0 and makes one pass,
@@ -500,12 +510,21 @@ def _certify(k: Complex, dim: int, seen: Seen) -> Verdict:
     if dim == 3 and closed:
         if not _closed_3_manifold(top, partner):
             return Recognition.NEITHER, EXACT
-        left = _closed_3_collapses(top, below, partner)
-        if not left:
-            return Recognition.SPHERE, COLLAPSE
-        if len(left[0]) == 4:
+        steps = list(_dual_tree(top, partner))
+        if len(steps) < len(top) - 1:
             return Recognition.NEITHER, EXACT  # the dual graph is not connected
-        table = _face_table(top, below)
+        # peel the spine: a triangle's entry is 0 while it is in
+        spine = _uncrossed(below, partner, steps)
+        m = len(spine)
+        number: Dict[Simplex, int] = {}  # edge -> its number
+        facets = [[number.setdefault(e, m + len(number)) for e in itertools.combinations(t, 2)]
+                  for t in spine]
+        live = [0] * (m + len(number))
+        _peel(facets, live, range(m), range(m, len(live)))
+        if 0 not in live[:m]:
+            return Recognition.SPHERE, COLLAPSE
+        spine.sort()
+        table = _face_table(spine, _facet_list(spine, 2))  # H1(Q) = H1(M)
     else:
         if not _dual_connected(partner, dim + 1):
             return Recognition.NEITHER, EXACT
@@ -541,7 +560,9 @@ def _closed_3_manifold(top: List[Simplex], partner: Optional[List[int]]) -> bool
     each triangle lies in two tetrahedra and sum over v of (2 - chi(lk v))
     = 2 chi = 0, so the rule accepts; when it accepts, every link is a
     2-sphere (`_certify`).  `_certify`, `check_manifold` and
-    `sphere_workflow` all decide closed 3-complexes by it."""
+    `sphere_workflow` all decide closed 3-complexes by it, and `_certify`
+    and `sphere_workflow` then walk one dual tree on the same pairing
+    (`complexes._dual_tree`) and read the spine it leaves."""
     if partner is None or -1 in partner:
         return False
     n0 = len(set().union(*top))
@@ -549,52 +570,6 @@ def _closed_3_manifold(top: List[Simplex], partner: Optional[List[int]]) -> bool
     if n0 - len(set(_facet_list(top, 2))) + len(top):
         return False
     return _closed_3_links(partner, n0)
-
-
-def _closed_3_collapses(top: List[Simplex], below: List[Simplex], partner: List[int]) -> List[Simplex]:
-    """`_collapses` on a closed 3-pseudomanifold with its least tetrahedron
-    dropped, read on the facet pairing with no face table: the tetrahedra
-    that phase 1 leaves, if any, and otherwise the triangles that phase 2
-    leaves, in order.  `top` are the sorted tetrahedra, `below` their
-    facets as `_facet_list` lists them, and `partner` their pairing, with
-    no -1.
-
-    Every triangle lies in two tetrahedra and triangles are ranked
-    lexicographically, so phase 1 is a walk of the dual graph: from a heap
-    of (triangle, place) over the places of the tetrahedra left, the least
-    triangle whose far tetrahedron is still in takes that tetrahedron out,
-    whose facets with their far side still in go on the heap.  That is
-    `_collapse_ranks` step for step (proof in README "Certificates").
-    Phase 2 peels the triangles no step crossed (`_peel`), on edges
-    numbered by one dict."""
-    alive = [True] * len(top)
-    alive[0] = False
-    crossed = [False] * len(partner)
-    heap = [(below[p], p) for p in range(4)]
-    heapq.heapify(heap)
-    while heap:
-        _, p = heapq.heappop(heap)
-        q = partner[p]
-        u = q >> 2
-        if not alive[u]:
-            continue  # stale: both sides of the triangle are out
-        alive[u] = False
-        crossed[p] = crossed[q] = True
-        for r in range(u << 2, (u << 2) + 4):
-            if alive[partner[r] >> 2]:
-                heapq.heappush(heap, (below[r], r))
-    if any(alive):
-        return list(itertools.compress(top, alive))
-
-    # phase 2 on the triangles left, numbered 0..m-1, and their edges after them
-    tris = [below[p] for p, q in enumerate(partner) if p < q and not crossed[p]]
-    m = len(tris)
-    number: Dict[Simplex, int] = {}  # edge -> its number
-    facets = [[number.setdefault(e, m + len(number)) for e in itertools.combinations(t, 2)]
-              for t in tris]
-    live = [0] * (m + len(number))
-    _peel(facets, live, range(m), range(m, len(live)))
-    return sorted(t for t, n in zip(tris, live) if n >= 0)
 
 
 # A tetrahedron t's corner at its vertex in place p is numbered 4t + 3 - p,

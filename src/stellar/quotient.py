@@ -10,7 +10,7 @@ from itertools import accumulate, chain, combinations, count, repeat
 from operator import itemgetter
 from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
-from .complexes import Complex, Simplex, UnionFind, _face_table, _facet_list, face_table, simplex
+from .complexes import Complex, Simplex, UnionFind, _face_table, _facet_list, _uncrossed, face_table, simplex
 from .errors import EquivalenceError
 from .homology import (
     AbelianGroup,
@@ -262,17 +262,15 @@ class QuotientComplex:
         facets that no step crossed, which holds every face of M of
         dimension <= n - 2 too.  `top` are M's sorted n-simplices, `below`
         their facets as `_facet_list` lists them, `partner` their pairing
-        (`_partners`) and `steps` the build's `structure._crossings` steps;
-        step (i, k) crosses place (n + 1) i + k and its partner.  Each face
+        (`_partners`) and `steps` the build's `structure._crossings` steps,
+        whose (i, k) give the uncrossed facets (`_uncrossed`), the ones
+        recognition peels too.  Each face
         of the uncrossed facets' face table is its own cell, in rank order,
         so that table is also the pair the collapse reads (`_ranked`).  The
         vertices that get copies are numbered first, then the rest, each in
         label order, as `class_of` numbers the built structure's classes."""
         n = len(top[0]) - 1
-        crossed = bytearray(len(below))
-        for at in ((n + 1) * i + k for i, k, _ in steps):
-            crossed[at] = crossed[partner[at]] = 1
-        kept = sorted(below[at] for at, other in enumerate(partner) if at < other and not crossed[at])
+        kept = sorted(_uncrossed(below, partner, ((i, k) for i, k, _ in steps)))
         levels, facets = _face_table(kept, _facet_list(kept, n - 1))
         starts = list(accumulate(map(len, levels), initial=0))
         copied = sorted({top[i][n - k] for i, k, copy in steps if copy})

@@ -13,23 +13,25 @@ on the final sphere.
 
 The input must be a closed pseudomanifold: every codimension-one face lies
 in exactly two generators.  The order of the steps is decided on numbers
-alone, by `_crossings`: generators in sorted order, and each
-codimension-one face by its two positions among the generators' facets,
-which the facet pairing of `complexes` matches.  `build_structure` follows
-that order with the link's faces; `sphere_workflow` follows it on the
-manifold's own face table.  The two link copies of each face that no step
-crossed are the pairs of the equivalence.
+alone, by the one walk of the dual graph, `complexes._dual_tree`:
+generators in sorted order, and each codimension-one face by its two
+positions among the generators' facets, which the facet pairing of
+`complexes` matches.  `_crossings` adds what a build needs to each step:
+whether its far vertex gets a copy, the budget, and the refusal of an
+input the walk does not span.  `build_structure` follows that order with
+the link's faces, and `sphere_workflow` on the manifold's facet pairing;
+recognition walks the same tree with none of these.  The two link copies
+of each face that no step crossed are the pairs of the equivalence.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .complexes import Complex, LabelAllocator, Simplex, _facet_list, _partners
+from .complexes import Complex, LabelAllocator, Simplex, _dual_tree, _facet_list, _partners
 from .errors import BudgetExceeded, EquivalenceError, StructureError
 from .quotient import QuotientComplex, RegularEquivalence, StellarStructure, _euler_identity
 
@@ -60,41 +62,27 @@ def _crossings(
 ) -> Iterator[Tuple[int, int, bool]]:
     """The build's steps on the sorted generators `gens` of the closed
     pseudomanifold `m`, whose facet places `partner` pairs as `_partners`
-    does (facet k of generator i is place (n + 1) i + k, and drops vertex
-    n - k).  From the seed, generator 0, each step absorbs the least
-    residual generator with a facet on the apex sphere, across its least
-    such facet k, and gives (i, k, copied): copied when the far vertex that
-    facet drops has been on the sphere, which it has not left, since a step
-    keeps the vertices of the face it crosses when n >= 2 and a circle's
-    vertex leaves with its second edge.  The heap takes the residual
-    generators across an absorbed one's facets; one absorbed after it was
-    pushed is dropped when it comes up.  Steps cross shared facets only, so
-    a disconnected input ends on a refusal, the one place connectivity is
-    searched, and is refused as such."""
+    does: the steps (i, k) of `_dual_tree`, each with copied, which holds
+    when the far vertex that facet k of generator i drops has been on the
+    sphere, which it has not left, since a step keeps the vertices of the
+    face it crosses when n >= 2 and a circle's vertex leaves with its second
+    edge.  A walk that stops short, or runs past `budget` steps, ends on a
+    refusal, the one place connectivity is searched, and a disconnected
+    input is refused as such."""
     n = len(gens[0]) - 1
-    residual = [False] + [True] * (len(gens) - 1)
     seen = set(gens[0])  # the vertices that have been on the sphere
-    frontier = sorted(partner[at] // (n + 1) for at in range(n + 1))  # a heap of generators on the sphere
+    walk = _dual_tree(gens, partner)
     for step in range(len(gens) - 1):
         if step >= budget:
             raise _refusal(m, BudgetExceeded(f"structure build exceeded {budget} steps"))
-        while frontier and not residual[frontier[0]]:
-            heapq.heappop(frontier)
-        if not frontier:
+        ik = next(walk, None)
+        if ik is None:
             raise _refusal(m, StructureError(
                 "no residual generator touches the apex sphere along a facet"
             ))
-        i = heapq.heappop(frontier)
-        base = (n + 1) * i
-        for k, at in enumerate(partner[base:base + n + 1]):
-            if not residual[at // (n + 1)]:
-                break
+        i, k = ik
         yield i, k, gens[i][n - k] in seen
-        residual[i] = False
         seen.add(gens[i][n - k])
-        for at in partner[base:base + n + 1]:
-            if residual[at // (n + 1)]:
-                heapq.heappush(frontier, at // (n + 1))
 
 
 def build_structure(m: Complex, budget: int = 100_000) -> BuildResult:

@@ -212,7 +212,7 @@ PUBLIC_ONLY = {
     "quotient.euler_identity_check": "the cross-check χ(Q) = χ(M) + 1 on a "
         "built structure; the benchmark runs it",
     "structure.verify_structure": "the public check of a built structure, "
-        "which the library runs through `_verify`; the benchmark probes it",
+        "which no library path runs; the benchmark probes it",
     "lens.fold_structure": "the fold structure, a known flat quotient in the "
         "tests' zoo",
     "invariants.h1_mod2_concordant": "the cross-check of integer H1 against "

@@ -11,6 +11,7 @@ from stellar import (
     MoveError,
     QuotientComplex,
     Recognition,
+    StructureError,
     WeldError,
     check_manifold,
     collapse_greedy,
@@ -35,8 +36,8 @@ from stellar.complexes import (
     star_index,
 )
 from stellar.invariants import quotient_collapses_to_point
+from stellar.structure import _crossings
 from stellar.moves import (
-    _closed_3_collapses,
     _closed_3_links,
     _collapse_ranks,
     _collapses,
@@ -442,51 +443,86 @@ def test_collapses_leave_what_the_greedy_leaves_above_the_edges(
     assert check_manifold(pinched_pair()).bad_vertices == [6]
 
 
-def test_the_closed_3_collapse_leaves_what_the_face_table_collapse_leaves(ledger_zoo):
-    # on the facet pairing alone, with the least tetrahedron dropped, the
-    # kernel leaves what `_collapses` leaves on the face table: nothing on
-    # the spheres, tetrahedra on the link of the pinch, and triangles alone
-    # on the staircase controls, where H1 then refutes
+def test_recognition_peels_the_workflows_spine(monkeypatch, ledger_zoo):
+    # a closed 3-complex that passes the closed-3 rule is recognised on the
+    # workflow's dual tree: the triangles that recognition peels are the top
+    # cells of the spine that the workflow reports on, from the same steps,
+    # and recognition certifies exactly when that spine collapses to a
+    # point.  The exits: nothing left (the spheres), a dual graph that is not
+    # connected (the link at the pinch of two boundaries of the 5-simplex,
+    # which the build refuses) and triangles left (the staircase controls,
+    # which H1 then refutes)
+    peeled = []
+    uncrossed = stellar.moves._uncrossed
+    monkeypatch.setattr(stellar.moves, "_uncrossed", lambda *a: peeled.append(uncrossed(*a)) or peeled[-1])
     exits = []
     for k in ledger_zoo[0]:
+        peeled.clear()
+        shape, _ = _recognize(k, 3, {})
         top = sorted(k.generators)
         below = _facet_list(top, 3)
-        table = face_table(k)
-        cells = list(itertools.chain.from_iterable(table.levels))
-        sizes = [len(level) for level in table.levels]
-        left = [cells[c] for c in _collapses(table.facets, sizes, [len(cells) - len(top)])]
-        tetrahedra = [c for c in left if len(c) == 4]
-        assert _closed_3_collapses(top, below, _partners(below)) == (tetrahedra or left), k
-        exits.append("tetrahedra" if tetrahedra else "triangles" if left else "none")
-    assert exits.count("tetrahedra") == 1 and exits.count("triangles") == 3
-    assert exits.count("none") == len(exits) - 4
+        partner = _partners(below)
+        if not peeled:
+            assert shape is Recognition.NEITHER
+            with pytest.raises(StructureError, match="input must be connected"):
+                list(_crossings(k, top, partner, len(k)))
+            exits.append("disconnected")
+            continue
+        spine = QuotientComplex._spine(top, below, partner, list(_crossings(k, top, partner, len(k))))
+        assert len(peeled) == 1 and sorted(peeled[0]) == spine.cells[2], k
+        collapsed = quotient_collapses_to_point(spine)
+        assert (shape is Recognition.SPHERE) == collapsed, k
+        exits.append("none" if collapsed else "triangles")
+    assert exits.count("disconnected") == 1 and exits.count("triangles") == 3
+    assert exits.count("none") == len(exits) - 4 == 248
 
 
 def test_recognition_drops_the_least_generator_of_a_closed_complex(
     monkeypatch, random_subdivision
 ):
-    # a closed 3-complex collapses on its facet pairing, from the least
-    # generator dropped (`_closed_3_collapses` drops the first of its sorted
+    # a closed 3-complex collapses along the dual tree from its least
+    # generator (`_dual_tree` seeds its walk with the first of its sorted
     # tetrahedra); a bounded one collapses on its face table, dropping none
     dropped = []
-    closed_collapse, collapse = _closed_3_collapses, _collapses
+    walk, collapse = stellar.moves._dual_tree, _collapses
 
-    def closed_spy(top, below, partner):
+    def walk_spy(top, partner):
         dropped.append([top[0]])
-        return closed_collapse(top, below, partner)
+        return walk(top, partner)
 
     def spy(facets, sizes, gone):
         cells = list(itertools.chain.from_iterable(face_table(ball).levels))
         dropped.append([cells[c] for c in gone])
         return collapse(facets, sizes, gone)
 
-    monkeypatch.setattr("stellar.moves._closed_3_collapses", closed_spy)
+    monkeypatch.setattr("stellar.moves._dual_tree", walk_spy)
     monkeypatch.setattr("stellar.moves._collapses", spy)
     sphere, ball = subdivided_3_spheres(random_subdivision)[-1], subdivided_ball()
     for k, shape in ((sphere, Recognition.SPHERE), (ball, Recognition.BALL)):
         dropped.clear()
         assert recognize(k) is shape
         assert dropped == ([[min(k.generators)]] if k.is_closed() else [[]])
+
+
+def test_closed_3_recognition_builds_no_face_table_of_tetrahedra(
+    monkeypatch, random_subdivision, non_sphere_controls
+):
+    # a 3-sphere is certified on its facet pairing and its spine with no face
+    # table at all; S^2 x S^1 reads H1 off one, of the spine's triangles alone
+    sizes = []
+    real = stellar.complexes._face_table
+
+    def spied(top, below, lower=()):
+        sizes.append({len(t) for t in top})
+        return real(top, below, lower)
+
+    for module in (stellar.complexes, stellar.quotient, stellar.moves):
+        monkeypatch.setattr(module, "_face_table", spied)
+    for sphere in subdivided_3_spheres(random_subdivision):
+        assert recognize(sphere) is Recognition.SPHERE
+    assert sizes == []
+    assert recognize(non_sphere_controls[0]) is Recognition.NEITHER
+    assert sizes == [{3}]
 
 
 def test_recognize_refuses_the_minus_one_dimensional_complex():
