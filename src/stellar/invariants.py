@@ -218,11 +218,11 @@ def sphere_workflow(m: Complex, budget: int = 100_000) -> WorkflowReport:
     (`moves._closed_3_manifold`) certifies M on its facet pairing, which is
     made here on M's sorted tetrahedra; `check_manifold` only words a
     refusal.  The build's steps run on that pairing (`structure._crossings`,
-    on the dual tree that recognition walks too), and the report reads Q as M's spine (`QuotientComplex._spine`), the
-    simplicial complex of the N + 1 triangles that no step crossed: no
-    structure is built or validated, no face table of the tetrahedra is
-    built, and the spine lemma (README "The spine of a build") stands in
-    for that check."""
+    on the dual tree that recognition walks too), and the report reads Q
+    as M's spine (`QuotientComplex._spine`), the simplicial complex of the
+    N + 1 triangles that no step crossed: no structure is built or
+    validated, no face table of the tetrahedra is built, and the spine
+    lemma (README "The spine of a build") stands in for that check."""
     if m.dimension() != 3 or not m.is_uniform():
         raise StructureError("sphere workflow expects a uniform 3-complex")
     top = sorted(m.generators)

@@ -396,11 +396,11 @@ def recognize(k: Complex) -> Recognition:
     renumbered 1..n in increasing order.  Such a renaming keeps the
     (dimension, lexicographic) rank of every face, so the face table, chi,
     closedness, the order of the vertex links, the dual tree and the greedy
-    collapse are the same, and so are the verdict and the certificate.  Every vertex link
-    of the boundary of the 5-simplex is the boundary of the 4-simplex on
-    other labels, so it is certified once.  A general isomorphism is not
-    used: it can reorder the collapse, whose greedy choice may then stop
-    short elsewhere.  Below dimension 3 the verdict is a combinatorial
+    collapse are the same, and so are the verdict and the certificate.
+    Every vertex link of the boundary of the 5-simplex is the boundary of
+    the 4-simplex on other labels, so it is certified once.  A general
+    isomorphism is not used: it can reorder the collapse, whose greedy
+    choice may then stop short elsewhere.  Below dimension 3 the verdict is a combinatorial
     invariant with an exact certificate, and equal generator sets have equal
     order types, so the order type finds every repeat a generator-set key
     would.  Inside bounded 3-links the edge link lk(vw) is met twice, as the

@@ -264,11 +264,11 @@ class QuotientComplex:
         their facets as `_facet_list` lists them, `partner` their pairing
         (`_partners`) and `steps` the build's `structure._crossings` steps,
         whose (i, k) give the uncrossed facets (`_uncrossed`), the ones
-        recognition peels too.  Each face
-        of the uncrossed facets' face table is its own cell, in rank order,
-        so that table is also the pair the collapse reads (`_ranked`).  The
-        vertices that get copies are numbered first, then the rest, each in
-        label order, as `class_of` numbers the built structure's classes."""
+        recognition peels too.  Each face of the uncrossed facets' face
+        table is its own cell, in rank order, so that table is also the pair
+        the collapse reads (`_ranked`).  The vertices that get copies are
+        numbered first, then the rest, each in label order, as `class_of`
+        numbers the built structure's classes."""
         n = len(top[0]) - 1
         kept = sorted(_uncrossed(below, partner, ((i, k) for i, k, _ in steps)))
         levels, facets = _face_table(kept, _facet_list(kept, n - 1))
