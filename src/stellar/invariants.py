@@ -10,7 +10,7 @@ from itertools import chain
 from typing import Dict, List, Optional, Tuple, Union
 
 from .complexes import Complex, Simplex, UnionFind, _components, _facet_list, _partners
-from .errors import StructureError
+from .errors import BudgetExceeded, StructureError
 from .group import _class_orders, _degree, _gamma, has_circuit, surface_quotient, GammaGraph
 from .homology import AbelianGroup, complex_h1
 from .manifold import check_manifold
@@ -214,26 +214,39 @@ def _report(quotient: QuotientComplex) -> WorkflowReport:
 def sphere_workflow(m: Complex, budget: int = 100_000) -> WorkflowReport:
     """Decide whether a closed 3-manifold is a sphere via the structure chain.
 
-    The closed-3 rule of recognition and `check_manifold`
-    (`moves._closed_3_manifold`) certifies M on its facet pairing, which is
-    made here on M's sorted tetrahedra; `check_manifold` only words a
-    refusal.  The build's steps run on that pairing (`structure._crossings`,
-    on the dual tree that recognition walks too), and the report reads Q
-    as M's spine (`QuotientComplex._spine`), the simplicial complex of the
-    N + 1 triangles that no step crossed: no structure is built or
-    validated, no face table of the tetrahedra is built, and the spine
-    lemma (README "The spine of a build") stands in for that check."""
+    The build's steps run on the facet pairing of M's sorted tetrahedra
+    (`structure._crossings`, on the dual tree that recognition walks too),
+    and the report reads Q as M's spine (`QuotientComplex._spine`), the
+    complex of the N + 1 triangles that no step crossed: no structure is
+    built or validated, no face table of the tetrahedra is built, and the
+    spine lemma (README "The spine of a build") stands in for that check.
+    The spine's edge count is M's E for the closed-3 rule
+    (`moves._closed_3_manifold`); a walk that refuses takes E from a set of
+    M's edges, so a non-manifold is named as such at every budget."""
     if m.dimension() != 3 or not m.is_uniform():
         raise StructureError("sphere workflow expects a uniform 3-complex")
     top = sorted(m.generators)
     below = _facet_list(top, 3)
     partner = _partners(below)
-    if not _closed_3_manifold(top, partner):
-        manifold = check_manifold(m)
-        raise StructureError(
-            manifold.describe() if manifold.closed else "sphere workflow expects a closed complex"
-        )
-    steps = list(_crossings(m, top, partner, budget))
-    report = _report(QuotientComplex._spine(top, below, partner, steps))
+    if partner is None or -1 in partner:
+        raise _manifold_refusal(m)
+    try:
+        steps = list(_crossings(m, top, partner, budget))
+    except (StructureError, BudgetExceeded):
+        if not _closed_3_manifold(top, partner, len(set(_facet_list(top, 2)))):
+            raise _manifold_refusal(m) from None
+        raise
+    spine = QuotientComplex._spine(top, below, partner, steps)
+    if not _closed_3_manifold(top, partner, spine.cell_counts()[1]):
+        raise _manifold_refusal(m)
+    report = _report(spine)
     report.evidence.insert(0, f"structure built in {len(steps)} absorption steps")
     return report
+
+
+def _manifold_refusal(m: Complex) -> StructureError:
+    """The refusal of `m` that the closed-3 rule refused, in `check_manifold`'s words."""
+    manifold = check_manifold(m)
+    return StructureError(
+        manifold.describe() if manifold.closed else "sphere workflow expects a closed complex"
+    )

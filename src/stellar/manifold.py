@@ -53,14 +53,14 @@ def check_manifold(k: Complex, budget: Optional[int] = None) -> ManifoldReport:
     callers that still pass it.
 
     A uniform 3-complex first goes through the closed-3 rule of `recognize`,
-    `moves._closed_3_manifold`, on its own tetrahedra and their facet
-    pairing (README, "Certificates": closed 3-complexes recognise no link),
-    the one function `_certify` calls too.  When it accepts, every vertex
-    link is a 2-sphere, which `_recognize_low` would decide exactly, so each
-    vertex gets SPHERE with an exact certificate and no link is built.  When
-    it refuses, the links are recognised one by one, which names the bad
-    vertices.  `sphere_workflow` runs that rule itself, on the facet pairing
-    it keeps for the build's steps; it comes here only to word a refusal.
+    `moves._closed_3_manifold`, on its own tetrahedra, their facet pairing
+    and the size of the set of their edges, with no walk (README,
+    "Certificates": closed 3-complexes recognise no link).  When it accepts,
+    every vertex link is a 2-sphere, which `_recognize_low` would decide
+    exactly, so each vertex gets SPHERE with an exact certificate and no
+    link is built.  When it refuses, the links are recognised one by one,
+    which names the bad vertices.  `sphere_workflow` runs that rule itself,
+    on its spine's edges; it comes here only to word a refusal.
     """
     if not k:
         raise ComplexError("cannot check the empty complex")
@@ -74,7 +74,10 @@ def check_manifold(k: Complex, budget: Optional[int] = None) -> ManifoldReport:
     if dim == 0:
         return ManifoldReport(True, True, 0)
     top = sorted(k.generators) if dim == 3 else []
-    if top and _closed_3_manifold(top, _partners(_facet_list(top, 3))):
+    partner = _partners(_facet_list(top, 3)) if top else None
+    if partner and -1 not in partner and _closed_3_manifold(
+        top, partner, len(set(_facet_list(top, 2)))
+    ):
         verdicts = dict.fromkeys(sorted(k.vertices()), (Recognition.SPHERE, EXACT))
     else:
         # one call recognises each distinct link once, vertex links and the

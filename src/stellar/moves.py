@@ -470,14 +470,14 @@ def _certify(k: Complex, dim: int, seen: Seen) -> Verdict:
     along the walk: each step's tetrahedron goes through the triangle it is
     crossed at, whose other tetrahedron is gone.  What is left is M's
     spine Q, the complex of the uncrossed triangles (`_uncrossed`, README
-    "The spine of a build"), which `sphere_workflow` reports on too, and
-    phase 2, `_peel`, takes its (edge, triangle) pairs on edges numbered by
-    one dict.  A face table is built only when triangles are left, of Q,
-    for H1: Q is M less an open ball, so H1(Q) = H1(M).  Every other complex
-    builds the face table of its generators once the pairing has passed,
-    for chi and H1, and collapses on it (`_collapses`: the greedy
-    `_collapse_ranks` with its floor at the first tetrahedron, then
-    `_peel`).
+    "The spine of a build"), which `sphere_workflow` reports on too.  One
+    dict numbers Q's edges, all of M's even if the walk stops short, for
+    the closed-3 rule's E and for phase 2, `_peel`.  A face table is built
+    only when triangles are left, of Q, for H1: Q is M less an open ball,
+    so H1(Q) = H1(M).  Every other complex builds the face table of its
+    generators once the pairing has passed, for chi and H1, and collapses
+    on it (`_collapses`: the greedy `_collapse_ranks` with its floor at the
+    first tetrahedron, then `_peel`).
 
     A closed 3-complex recognises none of its vertex links: the closed-3
     rule, `_closed_3_manifold`, checks chi = 0 and makes one pass,
@@ -508,17 +508,16 @@ def _certify(k: Complex, dim: int, seen: Seen) -> Verdict:
         return Recognition.NEITHER, EXACT
     closed = -1 not in partner
     if dim == 3 and closed:
-        if not _closed_3_manifold(top, partner):
-            return Recognition.NEITHER, EXACT
         steps = list(_dual_tree(top, partner))
-        if len(steps) < len(top) - 1:
-            return Recognition.NEITHER, EXACT  # the dual graph is not connected
-        # peel the spine: a triangle's entry is 0 while it is in
         spine = _uncrossed(below, partner, steps)
         m = len(spine)
-        number: Dict[Simplex, int] = {}  # edge -> its number
+        number: Dict[Simplex, int] = {}  # edge -> its number, each edge of M once
         facets = [[number.setdefault(e, m + len(number)) for e in itertools.combinations(t, 2)]
                   for t in spine]
+        # a walk that stops short leaves a dual graph that is not connected
+        if len(steps) < len(top) - 1 or not _closed_3_manifold(top, partner, len(number)):
+            return Recognition.NEITHER, EXACT
+        # peel the spine: a triangle's entry is 0 while it is in
         live = [0] * (m + len(number))
         _peel(facets, live, range(m), range(m, len(live)))
         if 0 not in live[:m]:
@@ -551,25 +550,20 @@ def _certify(k: Complex, dim: int, seen: Seen) -> Verdict:
     return Recognition.UNKNOWN, None
 
 
-def _closed_3_manifold(top: List[Simplex], partner: Optional[List[int]]) -> bool:
-    """The closed-3 rule: whether the 3-complex of the sorted tetrahedra
-    `top`, whose facets `_facet_list` lists with the facet pairing `partner`
-    (`_partners`), is closed with every vertex link a 2-sphere.  Every
-    triangle lies in exactly two tetrahedra, chi = 0, and every link's dual
-    graph is connected (`_closed_3_links`).  When every link is a 2-sphere,
-    each triangle lies in two tetrahedra and sum over v of (2 - chi(lk v))
-    = 2 chi = 0, so the rule accepts; when it accepts, every link is a
-    2-sphere (`_certify`).  `_certify`, `check_manifold` and
-    `sphere_workflow` all decide closed 3-complexes by it, and `_certify`
-    and `sphere_workflow` then walk one dual tree on the same pairing
-    (`complexes._dual_tree`) and read the spine it leaves."""
-    if partner is None or -1 in partner:
-        return False
+def _closed_3_manifold(top: List[Simplex], partner: List[int], edges: int) -> bool:
+    """The closed-3 rule: whether the closed 3-pseudomanifold of the sorted
+    tetrahedra `top`, with the facet pairing `partner` (`_partners` of their
+    `_facet_list`, with no -1) and `edges` edges, has every vertex link a
+    2-sphere: chi = 0 and every link's dual graph is connected
+    (`_closed_3_links`).  When every link is a 2-sphere, sum over v of
+    (2 - chi(lk v)) = 2 chi = 0, so the rule accepts; when it accepts, every
+    link is a 2-sphere (`_certify`).  `_certify`, `check_manifold` and
+    `sphere_workflow` all decide closed 3-complexes by it; `check_manifold`
+    counts the edges in a set, the other two on the spine that their dual
+    tree leaves (`complexes._dual_tree`, README "The spine of a build")."""
     n0 = len(set().union(*top))
     # closed, so F = 2T and chi = V - E + F - T = V - E + T
-    if n0 - len(set(_facet_list(top, 2))) + len(top):
-        return False
-    return _closed_3_links(partner, n0)
+    return not n0 - edges + len(top) and _closed_3_links(partner, n0)
 
 
 # A tetrahedron t's corner at its vertex in place p is numbered 4t + 3 - p,

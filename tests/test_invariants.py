@@ -10,10 +10,12 @@ from stellar import (
     BudgetExceeded,
     Complex,
     QuotientComplex,
+    Recognition,
     RegularEquivalence,
     StellarStructure,
     StructureError,
     build_structure,
+    check_manifold,
     classify_flat_quotient,
     cone,
     fold_structure,
@@ -21,6 +23,7 @@ from stellar import (
     h1_mod2_concordant,
     lens_structure,
     prism,
+    recognize,
     sphere_workflow,
     standard_simplex,
     standard_sphere,
@@ -450,6 +453,18 @@ def test_sphere_workflow_refuses_disjoint_spheres():
         sphere_workflow(m)
 
 
+def test_sphere_workflow_names_bad_links_before_the_walk_refuses():
+    # the 7-vertex torus suspended from 8 and 9 passes the pairing with two
+    # bad links; a budget of one step, and a second copy that leaves the
+    # input disconnected, both stop the walk, yet the bad links are named
+    suspended = TORUS7.join(Complex([(8,), (9,)]))
+    with pytest.raises(StructureError, match=r"^not a manifold: bad links at vertices \[8, 9\]$"):
+        sphere_workflow(suspended, budget=1)
+    two = suspended + Complex([tuple(v + 100 for v in g) for g in suspended.generators])
+    with pytest.raises(StructureError, match=r"^not a manifold: bad links at vertices \[8, 9, 108, 109\]$"):
+        sphere_workflow(two)
+
+
 def count_pair_matchings(monkeypatch):
     """Record every pair matching derived, through any module's name."""
     calls = []
@@ -497,6 +512,39 @@ def test_workflow_counts_no_euler_characteristic_of_the_manifold(monkeypatch, cy
     # the public check still counts it
     assert stellar.structure.verify_structure(build_structure(m), m) == []
     assert counted == [m]
+
+
+def test_only_check_manifold_lists_the_edges_of_every_tetrahedron(monkeypatch, cycle_join):
+    # recognition and the workflow read a closed 3-complex's E off the
+    # spine that their walk leaves; `check_manifold` builds no walk, and
+    # counts the edges of all N tetrahedra instead
+    listed, walks = [], []
+    facet_list, dual_tree = stellar.complexes._facet_list, stellar.complexes._dual_tree
+
+    def list_spy(cells, d):
+        cells = list(cells)
+        if d == 2 and cells and len(cells[0]) == 4:
+            listed.append(len(cells))
+        return facet_list(cells, d)
+
+    def walk_spy(top, partner):
+        walks.append(len(top))
+        return dual_tree(top, partner)
+
+    modules = (stellar.complexes, stellar.moves, stellar.manifold, stellar.invariants,
+               stellar.quotient, stellar.structure)
+    for module in modules:
+        for name, spy in (("_facet_list", list_spy), ("_dual_tree", walk_spy)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy)
+    for m in (standard_sphere(3), cycle_join(4, 5)):
+        assert recognize(m) is Recognition.SPHERE
+        assert sphere_workflow(m).conclusion == "sphere"
+        assert (listed, walks) == ([], [len(m), len(m)])
+        walks.clear()
+        assert check_manifold(m).is_manifold is True
+        assert (listed, walks) == ([len(m)], [])
+        listed.clear()
 
 
 def test_sphere_workflow_at_nine_hundred_facets(cycle_join):

@@ -16,6 +16,7 @@ from stellar import (
     subdivide,
 )
 from stellar import moves
+from stellar.complexes import _dual_tree, _facet_list, _partners, _uncrossed
 from test_moves import DOUBLE_OCTAHEDRON, TORUS7
 
 
@@ -360,6 +361,34 @@ def test_closed_3_complexes_match_a_recognition_of_every_link(
         assert report == reference, k
         assert list(report.link_results) == list(report.link_certificates) == sorted(k.vertices())
         assert report.bad_vertices == bad
+
+
+def test_the_uncrossed_triangles_hold_every_edge_and_vertex(
+    random_subdivision, cycle_join, non_sphere_controls, ledger_zoo
+):
+    # in a closed 3-pseudomanifold the tetrahedra around an edge form cycles
+    # through its triangles, and a tree of the dual graph crosses at most
+    # L - 1 of a cycle's L triangles, so some triangle on the edge is left
+    # uncrossed; a walk that stops short leaves every triangle it never
+    # reached uncrossed.  So the closed-3 rule may count E on the spine
+    suspended_torus = TORUS7.join(Complex([(8,), (9,)]))
+    twice = suspended_torus + Complex([tuple(v + 100 for v in g) for g in suspended_torus.generators])
+    corpus = [k for k, _ in closed_3_zoo(random_subdivision, cycle_join, non_sphere_controls)]
+    corpus += [*ledger_zoo[0], twice]
+    short = 0
+    for k in corpus:
+        top = sorted(k.generators)
+        below = _facet_list(top, 3)
+        partner = _partners(below)
+        assert partner is not None and -1 not in partner, k
+        steps = list(_dual_tree(top, partner))
+        short += len(steps) < len(top) - 1
+        spine = _uncrossed(below, partner, steps)
+        assert set(_facet_list(spine, 2)) == set(_facet_list(top, 2)), k
+        assert set().union(*spine) == k.vertices(), k
+    # the walk stops short on the two pairs of disjoint 3-spheres, the two
+    # disjoint suspended tori, the two wedges and the suspended two octahedra
+    assert len(corpus) == 252 + 48 and short == 6
 
 
 def test_an_accepted_closed_3_manifold_recognises_no_link(monkeypatch, cycle_join):

@@ -444,24 +444,27 @@ def test_collapses_leave_what_the_greedy_leaves_above_the_edges(
 
 
 def test_recognition_peels_the_workflows_spine(monkeypatch, ledger_zoo):
-    # a closed 3-complex that passes the closed-3 rule is recognised on the
-    # workflow's dual tree: the triangles that recognition peels are the top
-    # cells of the spine that the workflow reports on, from the same steps,
-    # and recognition certifies exactly when that spine collapses to a
-    # point.  The exits: nothing left (the spheres), a dual graph that is not
-    # connected (the link at the pinch of two boundaries of the 5-simplex,
-    # which the build refuses) and triangles left (the staircase controls,
-    # which H1 then refutes)
-    peeled = []
-    uncrossed = stellar.moves._uncrossed
-    monkeypatch.setattr(stellar.moves, "_uncrossed", lambda *a: peeled.append(uncrossed(*a)) or peeled[-1])
+    # a closed 3-complex is recognised on the workflow's dual tree: the
+    # triangles that recognition lists, and peels when the closed-3 rule
+    # passes, are the top cells of the spine that the workflow reports on,
+    # from the same steps, and recognition certifies exactly when that spine
+    # collapses to a point.  The exits: nothing left (the spheres), a dual
+    # graph that is not connected (the link at the pinch of two boundaries
+    # of the 5-simplex, which the build refuses and nothing peels) and
+    # triangles left (the staircase controls, which H1 then refutes)
+    peeled, listed = [], []
+    uncrossed, peel = stellar.moves._uncrossed, stellar.moves._peel
+    monkeypatch.setattr(stellar.moves, "_uncrossed", lambda *a: listed.append(uncrossed(*a)) or listed[-1])
+    monkeypatch.setattr(stellar.moves, "_peel", lambda *a: peeled.append(listed[-1]) or peel(*a))
     exits = []
     for k in ledger_zoo[0]:
         peeled.clear()
+        listed.clear()
         shape, _ = _recognize(k, 3, {})
         top = sorted(k.generators)
         below = _facet_list(top, 3)
         partner = _partners(below)
+        assert len(listed) == 1, k
         if not peeled:
             assert shape is Recognition.NEITHER
             with pytest.raises(StructureError, match="input must be connected"):
