@@ -200,11 +200,6 @@ class Complex:
                 out.add(tuple(v for v in g if v not in sa))
         return Complex._of(out)
 
-    def vertex_links(self) -> Dict[int, "Complex"]:
-        """Every vertex -> its link, read off `star_index`.  Entry v equals
-        `self.link((v,))`."""
-        return {v: Complex._of(p) for v, p in star_index(self._gens).items()}
-
     def residual(self, a: Simplex) -> "Complex":
         """Generators not containing `a`."""
         sa = set(a)
@@ -247,7 +242,11 @@ class Complex:
 def star_index(gens: Iterable[Simplex]) -> Dict[int, List[Simplex]]:
     """The star index: every vertex -> the generators of its link, that is
     the face opposite the vertex in each generator containing it, from one
-    pass over `gens`.  For distinct generators the faces are distinct."""
+    pass over `gens`.  For distinct generators the faces are distinct, and
+    sorted generators give sorted links.  Let g < h hold v and first differ
+    at g[i] < h[i].  Then g[i] is not v, or h, equal to g before i and above
+    v from i on, would not hold v.  So g - v and h - v first differ at g[i]
+    against h[i], or against h[i + 1] > v when h[i] is v: g - v < h - v."""
     out: Dict[int, List[Simplex]] = {}
     for g in gens:
         if g:

@@ -13,8 +13,8 @@ from .complexes import Complex, Simplex, UnionFind, _components, _facet_list, _p
 from .errors import BudgetExceeded, StructureError
 from .group import _class_orders, _degree, _gamma, has_circuit, surface_quotient, GammaGraph
 from .homology import AbelianGroup, complex_h1
-from .manifold import check_manifold
-from .moves import _closed_3_manifold, _collapses
+from .manifold import ManifoldReport, check_manifold
+from .moves import Recognition, _closed_3_manifold, _collapses, _link_verdicts
 from .quotient import QuotientComplex, StellarStructure
 from .structure import _crossings
 
@@ -220,9 +220,9 @@ def sphere_workflow(m: Complex, budget: int = 100_000) -> WorkflowReport:
     complex of the N + 1 triangles that no step crossed: no structure is
     built or validated, no face table of the tetrahedra is built, and the
     spine lemma (README "The spine of a build") stands in for that check.
-    The spine's edge count is M's E for the closed-3 rule
-    (`moves._closed_3_manifold`); a walk that refuses takes E from a set of
-    M's edges, so a non-manifold is named as such at every budget."""
+    The spine's vertex and edge counts are M's V and E for the closed-3
+    rule (`moves._closed_3_manifold`); a walk that refuses takes them from
+    sets, so a non-manifold is named as such at every budget."""
     if m.dimension() != 3 or not m.is_uniform():
         raise StructureError("sphere workflow expects a uniform 3-complex")
     top = sorted(m.generators)
@@ -233,20 +233,28 @@ def sphere_workflow(m: Complex, budget: int = 100_000) -> WorkflowReport:
     try:
         steps = list(_crossings(m, top, partner, budget))
     except (StructureError, BudgetExceeded):
-        if not _closed_3_manifold(top, partner, len(set(_facet_list(top, 2)))):
-            raise _manifold_refusal(m) from None
+        if not _closed_3_manifold(top, partner, len(m.vertices()), len(set(_facet_list(top, 2)))):
+            raise _bad_links(top) from None
         raise
     spine = QuotientComplex._spine(top, below, partner, steps)
-    if not _closed_3_manifold(top, partner, spine.cell_counts()[1]):
-        raise _manifold_refusal(m)
+    counts = spine.cell_counts()
+    if not _closed_3_manifold(top, partner, counts[0], counts[1]):
+        raise _bad_links(top)
     report = _report(spine)
     report.evidence.insert(0, f"structure built in {len(steps)} absorption steps")
     return report
 
 
 def _manifold_refusal(m: Complex) -> StructureError:
-    """The refusal of `m` that the closed-3 rule refused, in `check_manifold`'s words."""
+    """The refusal of `m`, whose facet pairing is not closed, in `check_manifold`'s words."""
     manifold = check_manifold(m)
     return StructureError(
         manifold.describe() if manifold.closed else "sphere workflow expects a closed complex"
     )
+
+
+def _bad_links(top: List[Simplex]) -> StructureError:
+    """The refusal of the closed 3-pseudomanifold of the sorted tetrahedra
+    `top`, which the closed-3 rule refused, in `check_manifold`'s words."""
+    bad = [v for v, (shape, _) in _link_verdicts(top, 2, {}) if shape is Recognition.NEITHER]
+    return StructureError(ManifoldReport(False, True, 3, bad_vertices=bad).describe())

@@ -52,15 +52,15 @@ def check_manifold(k: Complex, budget: Optional[int] = None) -> ManifoldReport:
     has no effect: recognition runs no search.  The keyword is kept for
     callers that still pass it.
 
-    A uniform 3-complex first goes through the closed-3 rule of `recognize`,
-    `moves._closed_3_manifold`, on its own tetrahedra, their facet pairing
-    and the size of the set of their edges, with no walk (README,
-    "Certificates": closed 3-complexes recognise no link).  When it accepts,
-    every vertex link is a 2-sphere, which `_recognize_low` would decide
-    exactly, so each vertex gets SPHERE with an exact certificate and no
-    link is built.  When it refuses, the links are recognised one by one,
-    which names the bad vertices.  `sphere_workflow` runs that rule itself,
-    on its spine's edges; it comes here only to word a refusal.
+    The generators are sorted once.  A uniform 3-complex first goes through
+    the closed-3 rule of `recognize`, `moves._closed_3_manifold`, on its own
+    tetrahedra, their facet pairing and the sizes of its vertex set and of
+    the set of its edges, with no walk (README, "Certificates": closed
+    3-complexes recognise no link).  When it accepts, every vertex link is a
+    2-sphere, which `_recognize_low` would decide exactly, so each vertex
+    gets SPHERE with an exact certificate and no link is built.  Otherwise
+    the links, read sorted off the star index, are recognised one by one,
+    which names the bad vertices.
     """
     if not k:
         raise ComplexError("cannot check the empty complex")
@@ -73,16 +73,16 @@ def check_manifold(k: Complex, budget: Optional[int] = None) -> ManifoldReport:
         )
     if dim == 0:
         return ManifoldReport(True, True, 0)
-    top = sorted(k.generators) if dim == 3 else []
-    partner = _partners(_facet_list(top, 3)) if top else None
+    top = sorted(k.generators)
+    partner = _partners(_facet_list(top, 3)) if dim == 3 else None
     if partner and -1 not in partner and _closed_3_manifold(
-        top, partner, len(set(_facet_list(top, 2)))
+        top, partner, len(k.vertices()), len(set(_facet_list(top, 2)))
     ):
         verdicts = dict.fromkeys(sorted(k.vertices()), (Recognition.SPHERE, EXACT))
     else:
         # one call recognises each distinct link once, vertex links and the
         # links inside them alike
-        verdicts = dict(_link_verdicts(k, dim - 1, {}))
+        verdicts = dict(_link_verdicts(top, dim - 1, {}))
     results = {v: shape for v, (shape, _) in verdicts.items()}
     bad = [v for v, shape in results.items() if shape is Recognition.NEITHER]
     unknown = [v for v, shape in results.items() if shape is Recognition.UNKNOWN]

@@ -7,7 +7,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from enum import Enum
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .complexes import (
     EMPTY,
@@ -23,6 +23,7 @@ from .complexes import (
     face_table,
     simplex,
     simplex_boundary,
+    star_index,
 )
 from .errors import ComplexError, MoveError, WeldError
 from .homology import table_h1
@@ -296,9 +297,9 @@ class Recognition(Enum):
     UNKNOWN = "unknown"
 
 
-def _recognize_low(k: Complex, dim: int) -> Recognition:
-    """Exact recognition of a uniform complex of dimension 0, 1 or 2 from
-    its dual graph, whose nodes are the generators.
+def _recognize_low(top: List[Simplex], dim: int, n0: int) -> Recognition:
+    """Exact recognition of the complex of the generators `top`, uniform of
+    dimension 0, 1 or 2, on `n0` vertices, from its dual graph.
 
     The facet pairing of the generators (`_partners`) refuses a facet in a
     third generator and gives the two generators on each shared facet, the
@@ -314,20 +315,20 @@ def _recognize_low(k: Complex, dim: int) -> Recognition:
     most two triangles, so each vertex link is a disjoint union of arcs and
     circles.  Splitting each vertex into one copy per link component gives a
     surface S' with the same edges and triangles, connected because the dual
-    graph is, and with at least as many vertices, so chi(S') >= chi(k).  A
+    graph is, and with at least as many vertices, so chi(S') >= chi.  A
     connected closed surface has chi <= 2, with equality only for the
     sphere; one with a rim has chi <= 1, with equality only for the disk.
-    So chi(k) = 2 (closed) or 1 (with a rim) forces chi(S') = chi(k): no
-    vertex was split, and k is S' itself.
+    So chi = 2 (closed) or 1 (with a rim) forces chi(S') = chi: no vertex
+    was split, and the complex is S' itself.
     """
-    partner = _partners(_facet_list(k.generators, dim))
+    partner = _partners(_facet_list(top, dim))
     if partner is None or not _dual_connected(partner, dim + 1):
         return Recognition.NEITHER
     closed = -1 not in partner
     if dim == 2:
         # a shared facet takes two places, a lone one one
         edges = (len(partner) + partner.count(-1)) // 2
-        chi = len(set().union(*k.generators)) - edges + len(k)
+        chi = n0 - edges + len(top)
         if chi != (2 if closed else 1):
             return Recognition.NEITHER
     return Recognition.SPHERE if closed else Recognition.BALL
@@ -349,11 +350,8 @@ COLLAPSE = "collapse"
 
 Verdict = Tuple[Recognition, Optional[str]]
 # order type (`_order_type`) -> the finished recognition of a complex of
-# that order type, shared by the recursion of one top-level call and dropped
-# when the call returns.  An order-preserving renaming keeps every face's
-# rank, and so the collapse and the certificate, which a general isomorphism
-# need not
-Seen = Dict[FrozenSet[Simplex], Verdict]
+# that order type, for the recursion of one top-level call
+Seen = Dict[Tuple[int, ...], Verdict]
 
 
 def recognize(k: Complex) -> Recognition:
@@ -375,14 +373,10 @@ def recognize(k: Complex) -> Recognition:
        does so after its least generator is removed.
     3. Nontrivial H1 refutes.
 
-    A closed 3-complex with chi = 0 recognises no link: one pass over its
-    tetrahedra's corners decides whether every link is a 2-sphere.  Every
-    triangle lies in exactly two tetrahedra, so
-    sum over v of (2 - chi(lk v)) = 2 chi = 0.  A closed pseudo-surface with
-    a connected dual graph has chi <= 2, with equality only for the sphere,
-    so the links are spheres exactly when their dual graphs are connected
-    (`_certify`, `_closed_3_manifold`).  The verdict is the recursion's.
-    The collapse then runs along the dual tree that the workflow's build
+    A closed 3-complex recognises no link: the closed-3 rule decides in one
+    pass over its tetrahedra's corners whether every link is a 2-sphere,
+    with the recursion's verdict (`_closed_3_manifold`, proof at
+    `_certify`).  The collapse then runs along the dual tree that the workflow's build
     crosses, and peels the triangles it leaves uncrossed, M's spine; no
     face table of the tetrahedra is built, and one of the spine only when
     H1 is needed.
@@ -392,20 +386,13 @@ def recognize(k: Complex) -> Recognition:
     complex was silently accepted.
 
     One call recognises each link once up to an order-preserving renaming
-    of its vertices: a link is looked up by its order type, its vertices
-    renumbered 1..n in increasing order.  Such a renaming keeps the
+    of its vertices: a link is looked up by its order type, read off its
+    sorted generators (`_order_type`).  Such a renaming keeps the
     (dimension, lexicographic) rank of every face, so the face table, chi,
     closedness, the order of the vertex links, the dual tree and the greedy
-    collapse are the same, and so are the verdict and the certificate.
-    Every vertex link of the boundary of the 5-simplex is the boundary of
-    the 4-simplex on other labels, so it is certified once.  A general
-    isomorphism is not used: it can reorder the collapse, whose greedy
-    choice may then stop short elsewhere.  Below dimension 3 the verdict is a combinatorial
-    invariant with an exact certificate, and equal generator sets have equal
-    order types, so the order type finds every repeat a generator-set key
-    would.  Inside bounded 3-links the edge link lk(vw) is met twice, as the
-    link of w in lk(v) and of v in lk(w), and is recognised once.  The table
-    lives for one top-level call; nothing is kept between calls.
+    collapse are the same, and so are the verdict and the certificate; a
+    general isomorphism can reorder the collapse (README "Certificates").
+    The table lives for one top-level call; nothing is kept between calls.
     """
     if not k.is_uniform():
         raise ComplexError("recognition requires a uniform complex")
@@ -416,32 +403,37 @@ def recognize(k: Complex) -> Recognition:
         raise ComplexError(
             "recognition requires a vertex: {()} is the (-1)-dimensional complex"
         )
-    return _recognize(k, dim, {})[0]
+    return _recognize(sorted(k.generators), dim, {})[0]
 
 
-def _recognize(k: Complex, dim: int, seen: Seen) -> Verdict:
-    """`recognize` for a nonempty uniform complex `k` of dimension `dim` >= 0,
-    with the certificate that decided it (None for Unknown).  A complex
-    whose verdict is in `seen` is not recognised again; a finished
-    recognition goes into it.  The vertex links of `k` are uniform of
-    dimension `dim` - 1, so neither is checked again."""
-    key = _order_type(k.generators)
+def _recognize(top: List[Simplex], dim: int, seen: Seen) -> Verdict:
+    """`recognize` for the sorted generators `top` of a nonempty uniform
+    complex of dimension `dim` >= 0, with the certificate that decided it
+    (None for Unknown), unless `seen` has it; a finished recognition goes
+    into `seen`.  Its vertex links are uniform of dimension `dim` - 1 and
+    come sorted (`star_index`), so none of this is checked again."""
+    key, n0 = _order_type(top, dim)
     verdict = seen.get(key)
     if verdict is None:
-        verdict = seen[key] = _certify(k, dim, seen)
+        verdict = seen[key] = _certify(top, dim, n0, seen)
     return verdict
 
 
-def _order_type(gens: FrozenSet[Simplex]) -> FrozenSet[Simplex]:
-    """The generators `gens` with their vertices renumbered 1..n in
-    increasing order: equal for two complexes exactly when an
-    order-preserving renaming carries one onto the other."""
-    rank = {v: i for i, v in enumerate(sorted(set().union(*gens)), 1)}
-    return frozenset(tuple(map(rank.__getitem__, g)) for g in gens)
+def _order_type(top: List[Simplex], dim: int) -> Tuple[Tuple[int, ...], int]:
+    """The order type of the sorted `dim`-simplexes `top`, and their vertex
+    count: `dim`, then the vertices of `top` in turn, renumbered 1..n in
+    increasing order.  Such a renaming keeps the order of sorted tuples, so
+    two complexes have one key exactly when it carries one onto the other.
+    `dim` fixes the width: four triangles and three tetrahedra can have the
+    same twelve ranks."""
+    flat = list(itertools.chain.from_iterable(top))
+    rank = dict(zip(sorted(set(flat)), itertools.count(1)))
+    return (dim, *map(rank.__getitem__, flat)), len(rank)
 
 
-def _certify(k: Complex, dim: int, seen: Seen) -> Verdict:
-    """`recognize`'s certificates for `k`, which `_recognize` has not seen.
+def _certify(top: List[Simplex], dim: int, n0: int, seen: Seen) -> Verdict:
+    """`recognize`'s certificates for the complex k of the sorted generators
+    `top`, on `n0` vertices, which `_recognize` has not seen.
 
     Every dimension opens with the facet pairing of the generators
     (`_partners`), read on the facets themselves before any face table; a
@@ -498,10 +490,9 @@ def _certify(k: Complex, dim: int, seen: Seen) -> Verdict:
     at the first NEITHER.
     """
     if dim <= 2:
-        return _recognize_low(k, dim), EXACT
+        return _recognize_low(top, dim, n0), EXACT
 
     # the facet pairing, on the facets themselves, before any face table
-    top = sorted(k.generators)
     below = _facet_list(top, dim)
     partner = _partners(below)
     if partner is None:
@@ -515,7 +506,7 @@ def _certify(k: Complex, dim: int, seen: Seen) -> Verdict:
         facets = [[number.setdefault(e, m + len(number)) for e in itertools.combinations(t, 2)]
                   for t in spine]
         # a walk that stops short leaves a dual graph that is not connected
-        if len(steps) < len(top) - 1 or not _closed_3_manifold(top, partner, len(number)):
+        if len(steps) < len(top) - 1 or not _closed_3_manifold(top, partner, n0, len(number)):
             return Recognition.NEITHER, EXACT
         # peel the spine: a triangle's entry is 0 while it is in
         live = [0] * (m + len(number))
@@ -532,7 +523,7 @@ def _certify(k: Complex, dim: int, seen: Seen) -> Verdict:
             return Recognition.NEITHER, EXACT
         target = Recognition.SPHERE if closed else Recognition.BALL
         shapes = set()
-        for _, (shape, _) in _link_verdicts(k, dim - 1, seen):
+        for _, (shape, _) in _link_verdicts(top, dim - 1, seen):
             if shape is Recognition.NEITHER:
                 return shape, EXACT
             shapes.add(shape)
@@ -550,18 +541,16 @@ def _certify(k: Complex, dim: int, seen: Seen) -> Verdict:
     return Recognition.UNKNOWN, None
 
 
-def _closed_3_manifold(top: List[Simplex], partner: List[int], edges: int) -> bool:
+def _closed_3_manifold(top: List[Simplex], partner: List[int], n0: int, edges: int) -> bool:
     """The closed-3 rule: whether the closed 3-pseudomanifold of the sorted
     tetrahedra `top`, with the facet pairing `partner` (`_partners` of their
-    `_facet_list`, with no -1) and `edges` edges, has every vertex link a
-    2-sphere: chi = 0 and every link's dual graph is connected
+    `_facet_list`, with no -1), `n0` vertices and `edges` edges, has every
+    vertex link a 2-sphere: chi = 0 and every link's dual graph is connected
     (`_closed_3_links`).  When every link is a 2-sphere, sum over v of
     (2 - chi(lk v)) = 2 chi = 0, so the rule accepts; when it accepts, every
     link is a 2-sphere (`_certify`).  `_certify`, `check_manifold` and
-    `sphere_workflow` all decide closed 3-complexes by it; `check_manifold`
-    counts the edges in a set, the other two on the spine that their dual
-    tree leaves (`complexes._dual_tree`, README "The spine of a build")."""
-    n0 = len(set().union(*top))
+    `sphere_workflow` all decide closed 3-complexes by it, and each counts V
+    and E once (README "Certificates": one closed-3 rule)."""
     # closed, so F = 2T and chi = V - E + F - T = V - E + T
     return not n0 - edges + len(top) and _closed_3_links(partner, n0)
 
@@ -594,9 +583,10 @@ def _closed_3_links(partner: List[int], n0: int) -> bool:
     return _components(len(partner), firsts, seconds) == n0
 
 
-def _link_verdicts(k: Complex, dim: int, seen: Seen) -> Iterator[Tuple[int, Verdict]]:
-    """Each vertex of `k` in increasing order, with the verdict and the
-    certificate of its link, of dimension `dim`, from `_recognize`."""
-    links = k.vertex_links()
+def _link_verdicts(top: List[Simplex], dim: int, seen: Seen) -> Iterator[Tuple[int, Verdict]]:
+    """Each vertex of the sorted generators `top` in increasing order, with
+    the verdict and the certificate of its link, of dimension `dim`, from
+    `_recognize`; `star_index` gives every link sorted."""
+    links = star_index(top)
     for v in sorted(links):
         yield v, _recognize(links[v], dim, seen)

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from stellar import Complex, LabelAllocator, standard_sphere, subdivide
+from stellar.complexes import star_index
 
 
 def _random_subdivision(rng, k, moves):
@@ -102,6 +103,6 @@ def ledger_zoo():
     closed += _non_sphere_controls()
     closed.append(Complex([(1, 2, 3, 4, 5, 6), (6, 7, 8, 9, 10, 11)]).boundary().link((6,)))
     spheres4 = [_random_subdivision(rng, standard_sphere(4), n) for n in range(16)]
-    closed += [lk for k in spheres4 for _, lk in sorted(k.vertex_links().items())]
+    closed += [Complex(lk) for k in spheres4 for _, lk in sorted(star_index(k.generators).items())]
     spheres5 = [_random_subdivision(rng, standard_sphere(5), n) for n in range(0, 16, 2)]
     return closed, spheres4 + spheres5

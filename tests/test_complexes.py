@@ -166,11 +166,10 @@ def complex_zoo(rng):
 
 def test_star_index_gives_every_vertex_link():
     for k in complex_zoo(random.Random(13)):
-        links = k.vertex_links()
+        links = star_index(k.generators)
         assert set(links) == k.vertices()
         for v, lk in links.items():
-            assert lk == k.link((v,))
-            assert sorted(star_index(k.generators)[v]) == sorted(lk.generators)
+            assert Complex(lk) == k.link((v,)) and len(lk) == len(set(lk))
 
 
 def test_connected_matches_a_spanning_forest():

@@ -33,6 +33,7 @@ import stellar.complexes
 import stellar.group
 import stellar.homology
 import stellar.invariants
+import stellar.manifold
 import stellar.moves
 import stellar.quotient
 import stellar.structure
@@ -463,6 +464,62 @@ def test_sphere_workflow_names_bad_links_before_the_walk_refuses():
     two = suspended + Complex([tuple(v + 100 for v in g) for g in suspended.generators])
     with pytest.raises(StructureError, match=r"^not a manifold: bad links at vertices \[8, 9, 108, 109\]$"):
         sphere_workflow(two)
+
+
+# the boundary of the 4-simplex after four seeded subdivisions, with the
+# vertex 9 glued to the vertex 1; the two shared only the neighbour 2
+PINCHED = Complex([
+    (1, 2, 3, 6), (1, 2, 3, 7), (1, 2, 4, 5), (1, 2, 4, 8), (1, 2, 5, 8), (1, 2, 6, 7),
+    (1, 3, 6, 7), (1, 4, 5, 8), (2, 3, 4, 5), (2, 3, 4, 7), (2, 3, 5, 6), (2, 4, 6, 7),
+    (2, 4, 6, 8), (2, 5, 6, 8), (3, 4, 5, 6), (3, 4, 6, 7), (4, 5, 6, 8),
+])
+
+
+def test_the_link_pass_is_what_stops_a_false_sphere(monkeypatch):
+    # every triangle of P lies in two tetrahedra, chi = 0 and the peel of its
+    # spine leaves no triangle, yet the link at 1 is two tetrahedron
+    # boundaries pinched at 2: only the closed-3 rule's link pass refuses P
+    m = PINCHED
+    assert m.is_closed() and m.euler_characteristic() == 0
+    assert recognize(m) is Recognition.NEITHER
+    assert check_manifold(m).bad_vertices == [1, 2]
+    for budget in (100_000, 1):
+        with pytest.raises(StructureError, match=r"^not a manifold: bad links at vertices \[1, 2\]$"):
+            sphere_workflow(m, budget=budget)
+    monkeypatch.setattr(stellar.moves, "_closed_3_links", lambda partner, n0: True)
+    assert recognize(m) is Recognition.SPHERE
+    assert sphere_workflow(m).conclusion == "sphere"
+
+
+def test_a_refused_workflow_pairs_and_rules_once(monkeypatch):
+    # the closed-3 rule refuses the suspended 7-vertex torus and P after a
+    # walk that spans, or at a budget of one step instead of it; the links
+    # name the bad vertices without a second pairing of M's triangles or a
+    # second run of the rule
+    pairings, rules = [], []
+    partners, rule = stellar.complexes._partners, stellar.moves._closed_3_manifold
+
+    def partners_spy(facets):
+        pairings.extend(facets[:1])
+        return partners(facets)
+
+    def rule_spy(*args):
+        rules.append(args[2:])
+        return rule(*args)
+
+    for module in (stellar.moves, stellar.manifold, stellar.invariants, stellar.structure, stellar.quotient):
+        for name, spy, real in (("_partners", partners_spy, partners), ("_closed_3_manifold", rule_spy, rule)):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, spy)
+    for m, bad in ((TORUS7.join(Complex([(8,), (9,)])), [8, 9]), (PINCHED, [1, 2])):
+        for budget in (100_000, 1):
+            pairings.clear()
+            rules.clear()
+            with pytest.raises(StructureError) as refusal:
+                sphere_workflow(m, budget=budget)
+            assert str(refusal.value) == f"not a manifold: bad links at vertices {bad}"
+            assert [f for f in pairings if len(f) == 3] == [min(m.generators)[:3]]
+            assert rules == [(len(m.vertices()), len(m.faces_of_dim(1)))]
 
 
 def count_pair_matchings(monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -15,9 +16,9 @@ from stellar import (
     relabel,
     subdivide,
 )
-from stellar import moves
-from stellar.complexes import _dual_tree, _facet_list, _partners, _uncrossed
-from test_moves import DOUBLE_OCTAHEDRON, TORUS7
+from stellar import manifold, moves
+from stellar.complexes import _dual_tree, _facet_list, _partners, _uncrossed, star_index
+from test_moves import DOUBLE_OCTAHEDRON, TORUS7, renamed
 
 
 def test_sphere_is_closed_manifold():
@@ -140,10 +141,10 @@ def test_one_check_recognises_no_edge_link_twice(monkeypatch, random_subdivision
     recognised = []
     low = moves._recognize_low
 
-    def spy(k, dim):
+    def spy(top, dim, n0):
         if dim == 2:
-            recognised.append(k.generators)
-        return low(k, dim)
+            recognised.append(frozenset(top))
+        return low(top, dim, n0)
 
     monkeypatch.setattr(moves, "_recognize_low", spy)
     cases = [
@@ -169,10 +170,10 @@ def certified_complexes(monkeypatch, at=3):
     certified = []
     certify = moves._certify
 
-    def spy(k, dim, seen):
+    def spy(top, dim, n0, seen):
         if dim == at:
-            certified.append(k.generators)
-        return certify(k, dim, seen)
+            certified.append(frozenset(top))
+        return certify(top, dim, n0, seen)
 
     monkeypatch.setattr(moves, "_certify", spy)
     return certified
@@ -211,10 +212,10 @@ def test_isomorphic_links_of_another_order_type_are_certified_apart(monkeypatch)
     certified = certified_complexes(monkeypatch)
     base = Complex([(2, 3, 4, 5, 6)]).boundary()
     first, second = (subdivide(base, (2, 3, 4, 5), v) for v in (7, 1))
-    assert moves._order_type(first.generators) != moves._order_type(second.generators)
+    assert moves._order_type(sorted(first.generators), 3) != moves._order_type(sorted(second.generators), 3)
     seen = {}
     for k in (first, second):
-        assert moves._recognize(k, 3, seen) == (Recognition.SPHERE, "collapse")
+        assert moves._recognize(sorted(k.generators), 3, seen) == (Recognition.SPHERE, "collapse")
     assert certified == [first.generators, second.generators]
 
 
@@ -259,7 +260,7 @@ def test_shared_links_give_each_link_its_own_verdict(
     ]
     for k in cases:
         report = check_manifold(k)
-        fresh = {v: moves._recognize(lk, lk.dimension(), {}) for v, lk in k.vertex_links().items()}
+        fresh = {v: moves._recognize(sorted(lk), len(lk[0]) - 1, {}) for v, lk in star_index(k.generators).items()}
         assert report.link_results == {v: shape for v, (shape, _) in fresh.items()}
         assert report.link_certificates == {v: cert for v, (_, cert) in fresh.items()}
         assert report.bad_vertices == sorted(
@@ -335,7 +336,7 @@ def closed_3_zoo(random_subdivision, cycle_join, non_sphere_controls):
 def reference_report(k):
     """The report of recognising every vertex link of the closed 3-complex
     `k` on its own, in sorted vertex order."""
-    fresh = {v: moves._recognize(lk, 2, {}) for v, lk in sorted(k.vertex_links().items())}
+    fresh = {v: moves._recognize(sorted(lk), 2, {}) for v, lk in sorted(star_index(k.generators).items())}
     results = {v: shape for v, (shape, _) in fresh.items()}
     bad = [v for v, shape in results.items() if shape is Recognition.NEITHER]
     unknown = [v for v, shape in results.items() if shape is Recognition.UNKNOWN]
@@ -393,18 +394,18 @@ def test_the_uncrossed_triangles_hold_every_edge_and_vertex(
 
 def test_an_accepted_closed_3_manifold_recognises_no_link(monkeypatch, cycle_join):
     calls = []
-    recognise, links = moves._recognize, Complex.vertex_links
+    recognise, links = moves._recognize, moves.star_index
 
-    def recognise_spy(k, dim, seen):
+    def recognise_spy(top, dim, seen):
         calls.append("_recognize")
-        return recognise(k, dim, seen)
+        return recognise(top, dim, seen)
 
-    def links_spy(k):
-        calls.append("vertex_links")
-        return links(k)
+    def links_spy(gens):
+        calls.append("star_index")
+        return links(gens)
 
     monkeypatch.setattr(moves, "_recognize", recognise_spy)
-    monkeypatch.setattr(Complex, "vertex_links", links_spy)
+    monkeypatch.setattr(moves, "star_index", links_spy)
     for k in (standard_sphere(3), cycle_join(4, 5)):
         report = check_manifold(k)
         assert (report.is_manifold, report.closed) == (True, True)
@@ -412,4 +413,45 @@ def test_an_accepted_closed_3_manifold_recognises_no_link(monkeypatch, cycle_joi
         assert calls == []
     # the spies are wired: a refused complex recognises its links
     assert check_manifold(TORUS7.join(Complex([(8,), (9,)]))).bad_vertices == [8, 9]
-    assert "vertex_links" in calls and "_recognize" in calls
+    assert "star_index" in calls and "_recognize" in calls
+
+
+def test_a_closed_4_check_sorts_once_and_builds_no_complex_per_link(
+    monkeypatch, random_subdivision, cycle_join
+):
+    # M's generators are sorted once; every link is read sorted off the star
+    # index and keyed on that list, and no link becomes a Complex.  The order
+    # types certified, in order and each as the sorted list it is certified
+    # on, hash as they did when each link was built as a Complex, keyed by a
+    # set and sorted in `_certify`
+    rng = random.Random(43)
+    bases = [standard_sphere(4), cycle_join(3, 3).join(Complex([(101,), (102,)]))]
+    cases = [random_subdivision(rng, base, n) for base in bases for n in (4, 8, 12, 16)]
+    certified, sorts, built = [], [], []
+    certify = moves._certify
+
+    def certify_spy(top, dim, n0, seen):
+        certified.append((dim, renamed(top)))
+        return certify(top, dim, n0, seen)
+
+    def sorted_spy(items):
+        sorts.append(items)
+        return sorted(items)
+
+    monkeypatch.setattr(moves, "_certify", certify_spy)
+    for module in (manifold, moves):
+        monkeypatch.setattr(module, "sorted", sorted_spy, raising=False)
+    init, of = Complex.__init__, Complex._of.__func__
+    monkeypatch.setattr(Complex, "__init__", lambda k, *a: built.append(a) or init(k, *a))
+    monkeypatch.setattr(Complex, "_of", classmethod(lambda cls, *a: built.append(a) or of(cls, *a)))
+    for k in cases:
+        sorts.clear()
+        built.clear()
+        assert check_manifold(k).is_manifold is True
+        simplexes = [items for items in sorts if any(isinstance(x, tuple) for x in items)]
+        assert len(simplexes) == 1 and simplexes[0] is k.generators
+        assert built == []
+    monkeypatch.undo()
+    assert len(certified) > 100
+    digest = hashlib.sha256(repr(certified).encode()).hexdigest()
+    assert digest == "dede4b1fbd72148ab435dc081a441650e11ce39a03d96c0d3dcabee01f85701c"

@@ -44,11 +44,22 @@ from stellar.moves import (
     _dual_connected,
     _facets,
     _link_verdicts,
+    _order_type,
     _recognize,
     _recognize_low,
     prism_offset,
     weld_factor,
 )
+
+
+def low(k, dim):
+    """`_recognize_low` of the complex `k`."""
+    return _recognize_low(sorted(k.generators), dim, len(k.vertices()))
+
+
+def recognised(k):
+    """`_recognize` of the complex `k`, with its certificate."""
+    return _recognize(sorted(k.generators), k.dimension(), {})
 
 
 def test_subdivide_edge_of_circle():
@@ -439,7 +450,7 @@ def test_collapses_leave_what_the_greedy_leaves_above_the_edges(
     least = len(table.facets) - len(two)
     assert _closed_3_links(top_pairing(table), 10) and table.chi == 0
     assert _collapses(table.facets, [len(level) for level in table.levels], [least])[-1] >= least
-    assert _recognize(two, 3, {}) == (Recognition.NEITHER, "exact")
+    assert recognised(two) == (Recognition.NEITHER, "exact")
     assert check_manifold(pinched_pair()).bad_vertices == [6]
 
 
@@ -460,7 +471,7 @@ def test_recognition_peels_the_workflows_spine(monkeypatch, ledger_zoo):
     for k in ledger_zoo[0]:
         peeled.clear()
         listed.clear()
-        shape, _ = _recognize(k, 3, {})
+        shape, _ = recognised(k)
         top = sorted(k.generators)
         below = _facet_list(top, 3)
         partner = _partners(below)
@@ -572,7 +583,7 @@ def test_recognize_dimension_zero_and_one():
         faces = list(itertools.combinations(range(1, rng.randint(dim + 1, 7) + 1), dim + 1))
         k = Complex(rng.sample(faces, rng.randint(1, min(len(faces), 8))))
         shape = shape_by_vertices(k, dim)
-        assert recognize(k) is _recognize_low(k, dim) is shape, sorted(k.generators)
+        assert recognize(k) is low(k, dim) is shape, sorted(k.generators)
         shapes[dim].add(shape)
     assert shapes[0] == shapes[1] == {Recognition.SPHERE, Recognition.BALL, Recognition.NEITHER}
 
@@ -664,14 +675,14 @@ def random_2_complexes(rng, random_subdivision, count):
 
 def test_surface_test_matches_the_per_vertex_definition(random_subdivision):
     for name, (k, shape) in SURFACE_ZOO.items():
-        assert _recognize_low(k, 2) is surface_shape_by_links(k) is shape, name
+        assert low(k, 2) is surface_shape_by_links(k) is shape, name
     shapes = set()
     # closed and connected with chi = 2, yet no sphere, such as two spheres
     # glued at two vertices: only the dual graph or a vertex link refutes them
     pinched = 0
     for k in random_2_complexes(random.Random(41), random_subdivision, 500):
         shape = surface_shape_by_links(k)
-        assert _recognize_low(k, 2) is shape, sorted(k.generators)
+        assert low(k, 2) is shape, sorted(k.generators)
         shapes.add(shape)
         if shape is Recognition.NEITHER and k.is_closed() and k.is_connected():
             pinched += k.euler_characteristic() == 2
@@ -696,7 +707,7 @@ DISJOINT_UNIONS = {
 def test_connectivity_alone_refutes_a_disjoint_union(name):
     k = DISJOINT_UNIONS[name]
     assert not connected(k.generators)
-    assert _recognize(k, k.dimension(), {}) == (Recognition.NEITHER, "exact")
+    assert recognised(k) == (Recognition.NEITHER, "exact")
 
 
 def test_double_octahedron_is_refused_by_its_links_alone():
@@ -777,8 +788,8 @@ def link4_3_links(random_subdivision, cycle_join):
     links = {}
     for base in bases:
         for i in range(96):
-            for lk in random_subdivision(rng, base, i % 4).vertex_links().values():
-                links.setdefault(lk.generators, lk)
+            for lk in star_index(random_subdivision(rng, base, i % 4).generators).values():
+                links.setdefault(frozenset(lk), Complex(lk))
     return list(links.values())
 
 
@@ -818,9 +829,9 @@ def test_closed_3_links_agree_with_the_link_recursion(
     gens -= {(1, 2, 3, 6), (11, 12, 13, 17)}
     pinched = Complex(tuple(sorted(glue.get(v, v) for v in g)) for g in gens)
     bad = {
-        v: lk.euler_characteristic()
-        for v, lk in pinched.vertex_links().items()
-        if _recognize_low(lk, 2) is not Recognition.SPHERE
+        v: Complex(lk).euler_characteristic()
+        for v, lk in star_index(pinched.generators).items()
+        if low(Complex(lk), 2) is not Recognition.SPHERE
     }
     assert bad == {5: 4, 6: 1, 18: 1}
     assert len(spheres) > 1000
@@ -831,7 +842,7 @@ def test_closed_3_links_agree_with_the_link_recursion(
         table = face_table(k)
         partner = top_pairing(table)
         assert -1 not in partner and table.chi == 0
-        links = {verdict for _, (verdict, _) in _link_verdicts(k, 2, {})}
+        links = {verdict for _, (verdict, _) in _link_verdicts(sorted(k.generators), 2, {})}
         assert _closed_3_links(partner, len(k.vertices())) is (links == {Recognition.SPHERE})
         assert recognize(k) is shape
     for k in non_sphere_controls:  # every link passes, and H1 refutes
@@ -839,7 +850,7 @@ def test_closed_3_links_agree_with_the_link_recursion(
     # every link of `two` is a 2-sphere, and `_certify` refutes it by connectivity
     assert _closed_3_links(top_pairing(face_table(two)), 10) and not connected(two.generators)
     assert connected(x.generators)
-    assert Recognition.NEITHER in {verdict for _, (verdict, _) in _link_verdicts(x, 2, {})}
+    assert Recognition.NEITHER in {verdict for _, (verdict, _) in _link_verdicts(sorted(x.generators), 2, {})}
 
 
 def test_closed_3_links_refuse_a_triangle_in_four_tetrahedra():
@@ -876,4 +887,50 @@ def test_the_facet_pairing_refuses_first(name):
     assert connected(k.generators)
     partner = top_pairing(face_table(k))
     assert partner is None or not _dual_connected(partner, k.dimension() + 1)
-    assert _recognize(k, k.dimension(), {}) == (Recognition.NEITHER, "exact")
+    assert recognised(k) == (Recognition.NEITHER, "exact")
+
+
+def renamed(gens):
+    """The generators, in their order, with their vertices renumbered 1..n
+    in increasing order."""
+    rank = {v: i for i, v in enumerate(sorted(set().union(*gens)), 1)}
+    return [tuple(map(rank.__getitem__, g)) for g in gens]
+
+
+def reference_order_type(gens):
+    """The order type as a set of renamed generators."""
+    return frozenset(renamed(gens))
+
+
+def test_sorted_generators_give_sorted_links_keyed_by_their_order_type(
+    random_subdivision, ledger_zoo
+):
+    # removing v from two sorted tuples that hold it keeps their order, so
+    # the star index of sorted generators lists every link sorted; and the
+    # flat key of a sorted link names its order type, one key to one type
+    rng = random.Random(47)
+    corpus = [*ledger_zoo[0], *ledger_zoo[1]]
+    corpus += [random_subdivision(rng, base(d), n)
+               for d in range(1, 6) for base in (standard_sphere, standard_simplex)
+               for n in (0, 2, 5, 8)]
+    keys = {}
+    for k in corpus:
+        for lk in star_index(sorted(k.generators)).values():
+            assert lk == sorted(lk) and len(set(lk)) == len(lk), k
+            key, n0 = _order_type(lk, len(lk[0]) - 1)
+            reference = reference_order_type(lk)
+            assert n0 == len(set().union(*lk))
+            assert keys.setdefault(key, reference) == reference, lk
+    assert len(set(keys.values())) == len(keys) > 1000
+
+
+def test_the_order_type_carries_the_width():
+    # four disjoint triangles and three disjoint tetrahedra have the same
+    # ranks, 1 to 12 in turn; one table serves every dimension of a call
+    triangles = [(1, 2, 3), (4, 5, 6), (7, 8, 9), (10, 11, 12)]
+    tetrahedra = [(1, 2, 3, 4), (5, 6, 7, 8), (9, 10, 11, 12)]
+    assert _order_type(triangles, 2)[0][1:] == _order_type(tetrahedra, 3)[0][1:]
+    seen = {}
+    assert _recognize(triangles, 2, seen) == (Recognition.NEITHER, "exact")
+    assert _recognize(tetrahedra, 3, seen) == (Recognition.NEITHER, "exact")
+    assert len(seen) == 2
