@@ -352,26 +352,30 @@ def _dual_tree(top: Sequence[Simplex], partner: Sequence[int]) -> Iterator[Tuple
     `partner` (`_partners`, with no -1): facet k of cell i is place
     (n + 1) i + k, and drops vertex n - k.  From cell 0, each step takes the
     least cell not yet taken with a facet on a taken one, across its least
-    such facet k, and gives (i, k).  The heap holds the cells across a taken
-    cell's facets; one taken after it was pushed is dropped when it comes
-    up.  The walk returns when the heap empties: after N - 1 steps exactly
-    when the dual graph is connected."""
+    such facet k, and gives (i, k).  The heap holds each cell once, from the
+    time a taken cell's facet first reaches it, and a cell is taken only
+    when it is popped, so the least cell on the heap is the next step.  The
+    walk returns when the heap empties: after N - 1 steps exactly when the
+    dual graph is connected."""
     w = len(top[0])
-    residual = [False] + [True] * (len(top) - 1)
-    frontier = sorted(partner[at] // w for at in range(w))  # a heap of cells next to taken ones
+    taken = bytearray(len(top))
+    queued = bytearray(len(top))  # cells ever pushed onto the heap
+    queued[0] = 1
+    frontier = [0]  # a heap of the untaken cells next to taken ones, and cell 0
     while frontier:
         i = heapq.heappop(frontier)
-        if not residual[i]:
-            continue
         base = w * i
-        for k, at in enumerate(partner[base:base + w]):
-            if not residual[at // w]:
-                break
-        yield i, k
-        residual[i] = False
+        if i:
+            for k, at in enumerate(partner[base:base + w]):
+                if taken[at // w]:
+                    break
+            yield i, k
+        taken[i] = 1
         for at in partner[base:base + w]:
-            if residual[at // w]:
-                heapq.heappush(frontier, at // w)
+            j = at // w
+            if not queued[j]:
+                queued[j] = 1
+                heapq.heappush(frontier, j)
 
 
 def _uncrossed(below: Sequence[Simplex], partner: Sequence[int],
@@ -403,7 +407,8 @@ def connected(gens: Iterable[Simplex]) -> bool:
 
 def _components(n: int, xs: List[int], ys: List[int]) -> int:
     """The number of classes of 0..n-1 once xs[i] is joined to ys[i] for
-    each i: each join that is not idle merges two classes."""
+    each i: each join that is not idle merges two classes.  The joins carry
+    no sign."""
     return n - len(xs) + len(UnionFind(n).union_all(xs, ys))
 
 
@@ -442,12 +447,37 @@ class UnionFind:
         return not self.union_all((x,), (y,), (parity,))
 
     def union_all(
-        self, xs: Iterable[int], ys: Iterable[int], parities: Iterable[int] = itertools.repeat(0)
+        self, xs: Iterable[int], ys: Iterable[int], parities: Optional[Iterable[int]] = None
     ) -> List[int]:
-        """`union` of xs[i] and ys[i] up to parities[i], in order; gives the
-        places i where the two were one class already."""
+        """`union` of xs[i] and ys[i] up to parities[i], in order, each 0 when
+        `parities` is None; gives the places i where the two were one class
+        already.
+
+        With no parities, on a union-find whose signs are all 0 and which has
+        no conflict, every sign stays 0 and no conflict can arise or move, so
+        the joins run without reading or writing a sign: they give the same
+        idle places, roots and classes as the signed loop with every parity
+        0.  Every connectivity question (`_components`) and the spanning
+        forest of `homology_from_boundaries` take this loop; `union` and the
+        quotient's identifications pass parities and keep the signed one."""
         parent, signs, conflicts, find = self._parent, self._parity, self.conflicts, self.find
         idle: List[int] = []
+        if parities is None:
+            if not conflicts and not any(signs):
+                for i, x, y in zip(itertools.count(), xs, ys):
+                    rx, ry = parent[x], parent[y]
+                    if parent[rx] != rx:
+                        rx = find(x)[0]
+                    if parent[ry] != ry:
+                        ry = find(y)[0]
+                    if rx == ry:
+                        idle.append(i)
+                    elif rx < ry:
+                        parent[ry] = rx
+                    else:
+                        parent[rx] = ry
+                return idle
+            parities = itertools.repeat(0)
         for i, x, y, parity in zip(itertools.count(), xs, ys, parities):
             rx, ry = parent[x], parent[y]
             if parent[rx] == rx:  # x is a root or hangs under one, as in `find`

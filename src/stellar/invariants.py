@@ -13,8 +13,8 @@ from .complexes import Complex, Simplex, UnionFind, _components, _facet_list, _p
 from .errors import BudgetExceeded, StructureError
 from .group import _class_orders, _degree, _gamma, has_circuit, surface_quotient, GammaGraph
 from .homology import AbelianGroup, complex_h1
-from .manifold import ManifoldReport, check_manifold
-from .moves import Recognition, _closed_3_manifold, _collapses, _link_verdicts
+from .manifold import _link_report
+from .moves import _closed_3_manifold, _collapses, _link_verdicts
 from .quotient import QuotientComplex, StellarStructure
 from .structure import _crossings
 
@@ -229,32 +229,29 @@ def sphere_workflow(m: Complex, budget: int = 100_000) -> WorkflowReport:
     below = _facet_list(top, 3)
     partner = _partners(below)
     if partner is None or -1 in partner:
-        raise _manifold_refusal(m)
+        raise _manifold_refusal(m, top)
     try:
         steps = list(_crossings(m, top, partner, budget))
     except (StructureError, BudgetExceeded):
         if not _closed_3_manifold(top, partner, len(m.vertices()), len(set(_facet_list(top, 2)))):
-            raise _bad_links(top) from None
+            raise _manifold_refusal(m, top) from None
         raise
     spine = QuotientComplex._spine(top, below, partner, steps)
     counts = spine.cell_counts()
     if not _closed_3_manifold(top, partner, counts[0], counts[1]):
-        raise _bad_links(top)
+        raise _manifold_refusal(m, top)
     report = _report(spine)
     report.evidence.insert(0, f"structure built in {len(steps)} absorption steps")
     return report
 
 
-def _manifold_refusal(m: Complex) -> StructureError:
-    """The refusal of `m`, whose facet pairing is not closed, in `check_manifold`'s words."""
-    manifold = check_manifold(m)
+def _manifold_refusal(m: Complex, top: List[Simplex]) -> StructureError:
+    """The refusal of `m`, of the sorted tetrahedra `top`, which is not a
+    closed 3-manifold, in `check_manifold`'s words: its report on the
+    verdicts of the vertex links (`manifold._link_report`), when those make
+    `m` closed, and otherwise that the workflow expects a closed complex.
+    The links are read off `top`, so M's facets are not paired again."""
+    manifold = _link_report(m, 3, dict(_link_verdicts(top, 2, {})))
     return StructureError(
         manifold.describe() if manifold.closed else "sphere workflow expects a closed complex"
     )
-
-
-def _bad_links(top: List[Simplex]) -> StructureError:
-    """The refusal of the closed 3-pseudomanifold of the sorted tetrahedra
-    `top`, which the closed-3 rule refused, in `check_manifold`'s words."""
-    bad = [v for v, (shape, _) in _link_verdicts(top, 2, {}) if shape is Recognition.NEITHER]
-    return StructureError(ManifoldReport(False, True, 3, bad_vertices=bad).describe())

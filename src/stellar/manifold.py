@@ -7,7 +7,7 @@ from typing import Dict, List, Optional
 
 from .complexes import Complex, _facet_list, _partners
 from .errors import ComplexError
-from .moves import EXACT, Recognition, _closed_3_manifold, _link_verdicts
+from .moves import EXACT, Recognition, Verdict, _closed_3_manifold, _link_verdicts
 
 
 @dataclass
@@ -83,6 +83,13 @@ def check_manifold(k: Complex, budget: Optional[int] = None) -> ManifoldReport:
         # one call recognises each distinct link once, vertex links and the
         # links inside them alike
         verdicts = dict(_link_verdicts(top, dim - 1, {}))
+    return _link_report(k, dim, verdicts)
+
+
+def _link_report(k: Complex, dim: int, verdicts: Dict[int, Verdict]) -> ManifoldReport:
+    """The report of `check_manifold` on the uniform `dim`-complex `k`, whose
+    vertex links have the verdicts `verdicts`, vertex by vertex in
+    increasing order."""
     results = {v: shape for v, (shape, _) in verdicts.items()}
     bad = [v for v, shape in results.items() if shape is Recognition.NEITHER]
     unknown = [v for v, shape in results.items() if shape is Recognition.UNKNOWN]

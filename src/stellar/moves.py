@@ -464,9 +464,11 @@ def _certify(top: List[Simplex], dim: int, n0: int, seen: Seen) -> Verdict:
     spine Q, the complex of the uncrossed triangles (`_uncrossed`, README
     "The spine of a build"), which `sphere_workflow` reports on too.  One
     dict numbers Q's edges, all of M's even if the walk stops short, for
-    the closed-3 rule's E and for phase 2, `_peel`.  A face table is built
-    only when triangles are left, of Q, for H1: Q is M less an open ball,
-    so H1(Q) = H1(M).  Every other complex builds the face table of its
+    the closed-3 rule's E and for phase 2, `_peel`: one loop over Q's
+    triangles (a, b, c) numbers (a, b), (a, c) and (b, c) in turn, the
+    order of `combinations`, each edge when first met.  A face table is
+    built only when triangles are left, of Q, for H1: Q is M less an open
+    ball, so H1(Q) = H1(M).  Every other complex builds the face table of its
     generators once the pairing has passed, for chi and H1, and collapses
     on it (`_collapses`: the greedy `_collapse_ranks` with its floor at the
     first tetrahedron, then `_peel`).
@@ -503,8 +505,11 @@ def _certify(top: List[Simplex], dim: int, n0: int, seen: Seen) -> Verdict:
         spine = _uncrossed(below, partner, steps)
         m = len(spine)
         number: Dict[Simplex, int] = {}  # edge -> its number, each edge of M once
-        facets = [[number.setdefault(e, m + len(number)) for e in itertools.combinations(t, 2)]
-                  for t in spine]
+        edge = number.setdefault
+        facets = []  # each triangle's edges in `combinations` order
+        for a, b, c in spine:
+            facets.append((edge((a, b), m + len(number)), edge((a, c), m + len(number)),
+                           edge((b, c), m + len(number))))
         # a walk that stops short leaves a dual graph that is not connected
         if len(steps) < len(top) - 1 or not _closed_3_manifold(top, partner, n0, len(number)):
             return Recognition.NEITHER, EXACT
@@ -573,13 +578,20 @@ def _closed_3_links(partner: List[int], n0: int) -> bool:
     at v are adjacent in the dual graph of lk(v) when their tetrahedra share
     a triangle at v.  So one union-find on the corners joins, across each
     triangle, the corners of its three vertices, and every link's dual graph
-    is connected when the corners fall into one class per vertex.
+    is connected when the corners fall into one class per vertex.  One pass
+    over the pairing lists the joins, by the rows of `_FACET_CORNERS`, and
+    they carry no sign (`UnionFind.union_all`).
     """
     # the two facets on each triangle, the lower first.  Taken in the order
     # of the lower one, the unions below seldom leave a deep tree to search
-    pairs = [(s, t) for s, t in enumerate(partner) if s < t]
-    firsts = [s + c for s, _ in pairs for c in _FACET_CORNERS[s & 3]]
-    seconds = [t + c for _, t in pairs for c in _FACET_CORNERS[t & 3]]
+    firsts: List[int] = []
+    seconds: List[int] = []
+    for s, t in enumerate(partner):
+        if s < t:
+            a, b, c = _FACET_CORNERS[s & 3]
+            firsts += s + a, s + b, s + c
+            a, b, c = _FACET_CORNERS[t & 3]
+            seconds += t + a, t + b, t + c
     return _components(len(partner), firsts, seconds) == n0
 
 

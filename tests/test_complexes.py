@@ -1,9 +1,11 @@
+import heapq
 import itertools
 import random
 
 import pytest
 
 from stellar import (
+    BudgetExceeded,
     Complex,
     ComplexError,
     QuotientComplex,
@@ -17,6 +19,8 @@ from stellar import (
 from stellar.complexes import (
     LabelAllocator,
     UnionFind,
+    _dual_tree,
+    _facet_list,
     _partners,
     all_faces,
     cofaces,
@@ -25,6 +29,9 @@ from stellar.complexes import (
     star_index,
 )
 from stellar.homology import z2_rank
+from stellar.structure import _crossings
+from conftest import _random_subdivision
+from test_moves import TORUS7
 
 
 def random_complex(rng, dim=2, verts=8, gens=6):
@@ -241,6 +248,143 @@ def test_union_find_members_are_ascending_under_the_least_element():
         uf.union(x, y)
     assert uf.members() == {0: [0, 3], 1: [1], 2: [2, 4, 5, 6]}
     assert list(uf.members()) == [0, 1, 2]
+
+
+def reference_union_find(n, xs, ys, parities):
+    """Each class's least element, each element's sign against it, and the
+    classes whose signs clash, by a breadth-first search of the joins."""
+    near = [[] for _ in range(n)]
+    for x, y, p in zip(xs, ys, parities):
+        near[x].append((y, p))
+        near[y].append((x, p))
+    root, sign, clash = [None] * n, [0] * n, set()
+    for r in range(n):
+        if root[r] is None:
+            root[r], todo = r, [r]
+            for x in todo:
+                for y, p in near[x]:
+                    if root[y] is None:
+                        root[y], sign[y] = r, sign[x] ^ p
+                        todo.append(y)
+                    elif sign[y] != sign[x] ^ p:
+                        clash.add(r)
+    return root, sign, clash
+
+
+def random_joins(rng, n, signed):
+    m = rng.randint(0, 2 * n)
+    xs = [rng.randrange(n) for _ in range(m)]
+    ys = [rng.randrange(n) for _ in range(m)]
+    return xs, ys, [rng.randint(0, 1) if signed else 0 for _ in range(m)]
+
+
+def test_joins_without_signs_are_the_signed_joins_with_zero_parities():
+    # `union_all` with no parities, on a union-find with no sign and no
+    # conflict, joins without signs; it must write the same parents, idle
+    # places and classes as the signed loop given zero parities
+    rng = random.Random(41)
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        plain, signed = UnionFind(n), UnionFind(n)
+        for _ in range(rng.randint(1, 4)):  # batches
+            xs, ys, zeros = random_joins(rng, n, False)
+            assert plain.union_all(xs, ys) == signed.union_all(xs, ys, zeros)
+            assert plain.flat == signed.flat
+        assert plain.members() == signed.members()
+        assert plain.flat == signed.flat and not plain.conflicts and not any(plain.flat[1])
+
+
+def test_joins_without_signs_keep_earlier_signs_and_conflicts():
+    # a union-find that holds a sign or a conflict keeps the signed loop when
+    # later given no parities: its parities and conflicts stay exact
+    rng = random.Random(43)
+    kinds = set()
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        uf = UnionFind(n)
+        xs, ys, ps = random_joins(rng, n, True)
+        uf.union_all(xs, ys, ps)
+        kinds.add((any(uf.flat[1]), bool(uf.conflicts)))
+        more = random_joins(rng, n, False)
+        idle = uf.union_all(*more[:2])
+        root, sign, clash = reference_union_find(n, xs + more[0], ys + more[1], ps + more[2])
+        assert uf.conflicts == clash
+        for x in range(n):
+            r, p = uf.find(x)
+            assert r == root[x]
+            if r not in clash:
+                assert p == sign[x]
+        # which joins are idle depends on the classes alone, not on signs
+        unsigned = UnionFind(n)
+        unsigned.union_all(xs, ys)
+        assert idle == unsigned.union_all(*more[:2])
+    assert kinds >= {(True, False), (True, True)}
+    # a conflict on classes whose signs are all 0 moves to the smaller root
+    uf = UnionFind(3)
+    uf.union(1, 2)
+    uf.union(1, 2, 1)
+    assert uf.conflicts == {1} and not any(uf.flat[1])
+    assert uf.union_all([2], [0]) == []
+    assert uf.conflicts == {0}
+
+
+def reference_dual_tree(top, partner):
+    """The dual tree's walk with a heap that holds a cell once per taken
+    neighbour and drops a cell taken after it was pushed when it comes up."""
+    w = len(top[0])
+    residual = [False] + [True] * (len(top) - 1)
+    frontier = sorted(partner[at] // w for at in range(w))
+    while frontier:
+        i = heapq.heappop(frontier)
+        if not residual[i]:
+            continue  # stale
+        base = w * i
+        for k, at in enumerate(partner[base:base + w]):
+            if not residual[at // w]:
+                break
+        yield i, k
+        residual[i] = False
+        for at in partner[base:base + w]:
+            if residual[at // w]:
+                heapq.heappush(frontier, at // w)
+
+
+def dual_tree_inputs(closed):
+    """The closed complexes `closed`, seeded subdivided 3- and 4-spheres and
+    every vertex link of theirs, two disjoint boundaries of the 4-simplex
+    and two disjoint copies of the suspended 7-vertex torus."""
+    rng = random.Random(47)
+    spheres = [_random_subdivision(rng, standard_sphere(d), n)
+               for d in (3, 4) for n in range(0, 13, 3)]
+    out = list(closed) + spheres
+    out += [Complex(lk) for k in spheres for _, lk in sorted(star_index(k.generators).items())]
+    suspended = TORUS7.join(Complex([(8,), (9,)]))
+    for k in (standard_sphere(3), suspended):
+        out.append(k + Complex([tuple(v + 10 for v in g) for g in k.generators]))
+    return out
+
+
+def test_the_dual_tree_walk_takes_the_reference_steps(ledger_zoo):
+    closed, _ = ledger_zoo
+    short = 0
+    for k in dual_tree_inputs(closed):
+        top = sorted(k.generators)
+        partner = _partners(_facet_list(top, len(top[0]) - 1))
+        assert partner is not None and -1 not in partner
+        steps = list(_dual_tree(top, partner))
+        assert steps == list(reference_dual_tree(top, partner)), top
+        short += len(steps) < len(top) - 1
+    assert short == 3  # the two disjoint pairs, and the ledger's pinch link
+
+
+def test_the_build_keeps_its_budget_on_the_walk():
+    m = standard_sphere(3)
+    top = sorted(m.generators)
+    partner = _partners(_facet_list(top, 3))
+    with pytest.raises(BudgetExceeded):
+        list(_crossings(m, top, partner, 1))
+    steps = [step[:2] for step in _crossings(m, top, partner, 4)]
+    assert steps == list(_dual_tree(top, partner)) and len(steps) == 4
 
 
 def test_closure_and_faces():

@@ -522,6 +522,38 @@ def test_a_refused_workflow_pairs_and_rules_once(monkeypatch):
             assert rules == [(len(m.vertices()), len(m.faces_of_dim(1)))]
 
 
+def test_a_workflow_refusal_of_an_open_pairing_pairs_once(monkeypatch):
+    # a facet pairing that is not closed: the refusal is worded from the
+    # workflow's sorted tetrahedra by `check_manifold`'s report, with no
+    # second pairing of M's triangles
+    pairings = []
+    partners = stellar.complexes._partners
+
+    def partners_spy(facets):
+        pairings.extend(facets[:1])
+        return partners(facets)
+
+    for module in (stellar.moves, stellar.manifold, stellar.invariants, stellar.structure, stellar.quotient):
+        if getattr(module, "_partners", None) is partners:
+            monkeypatch.setattr(module, "_partners", partners_spy)
+    s4 = standard_sphere(3)
+    glued = s4 + Complex([tuple(sorted({4: 6, 5: 7}.get(v, v) for v in g)) for g in s4.generators])
+    book = Complex([(1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 3, 6)])
+    for m, text in (
+        (glued, "not a manifold: bad links at vertices [1, 2, 3]"),  # (1, 2, 3) in four tetrahedra
+        (standard_simplex(3), "sphere workflow expects a closed complex"),
+        (book, "sphere workflow expects a closed complex"),
+    ):
+        report = check_manifold(m)  # one wording: the refusal is its report's
+        assert text == (report.describe() if report.closed else "sphere workflow expects a closed complex")
+        for budget in (100_000, 1):
+            pairings.clear()
+            with pytest.raises(StructureError) as refusal:
+                sphere_workflow(m, budget=budget)
+            assert str(refusal.value) == text
+            assert [f for f in pairings if len(f) == 3] == [min(m.generators)[:3]]
+
+
 def count_pair_matchings(monkeypatch):
     """Record every pair matching derived, through any module's name."""
     calls = []
