@@ -468,10 +468,10 @@ def _certify(top: List[Simplex], dim: int, n0: int, seen: Seen) -> Verdict:
     triangles (a, b, c) numbers (a, b), (a, c) and (b, c) in turn, the
     order of `combinations`, each edge when first met.  A face table is
     built only when triangles are left, of Q, for H1: Q is M less an open
-    ball, so H1(Q) = H1(M).  Every other complex builds the face table of its
-    generators once the pairing has passed, for chi and H1, and collapses
-    on it (`_collapses`: the greedy `_collapse_ranks` with its floor at the
-    first tetrahedron, then `_peel`).
+    ball, so H1(Q) = H1(M).  Every other complex builds the face table of
+    its generators once the pairing has passed, for chi and H1, and
+    collapses on it (`_collapses`: the greedy `_collapse_ranks` with its
+    floor at the first tetrahedron, then `_peel`).
 
     A closed 3-complex recognises none of its vertex links: the closed-3
     rule, `_closed_3_manifold`, checks chi = 0 and makes one pass,
