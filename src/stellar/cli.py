@@ -70,12 +70,16 @@ def _report_json(report) -> dict:
     if report.prism_cells is not None:
         out["prism_cells"] = {str(d): n for d, n in sorted(report.prism_cells.items())}
     if report.gamma is not None:
-        out["gamma"] = {
-            "vertices": list(report.gamma.vertices),
-            "edges": [list(e) for e in report.gamma.edges],
-            "has_circuit": report.gamma_has_circuit,
-        }
+        out["gamma"] = _gamma_json(report.gamma, report.gamma_has_circuit)
     return out
+
+
+def _gamma_json(gamma, circuit) -> dict:
+    return {
+        "vertices": list(gamma.vertices),
+        "edges": [list(e) for e in gamma.edges],
+        "has_circuit": circuit,
+    }
 
 
 @lru_cache(maxsize=None)
@@ -119,6 +123,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args: argparse.Namespace) -> None:
+    if getattr(args, "budget", 0) < 0:
+        raise ParseError(f"--budget must be at least 0, got {args.budget}")
     if args.verb == "chi":
         k = io.parse_complex(_read(args.input))
         _emit({"chi": k.euler_characteristic()})
@@ -168,13 +174,7 @@ def _dispatch(args: argparse.Namespace) -> None:
                     handle.write(gamma.to_dot() + "\n")
             except OSError as exc:
                 raise ParseError(f"cannot write {args.dot}: {exc}") from exc
-        _emit(
-            {
-                "vertices": list(gamma.vertices),
-                "edges": [list(e) for e in gamma.edges],
-                "has_circuit": has_circuit(gamma),
-            }
-        )
+        _emit(_gamma_json(gamma, has_circuit(gamma)))
     elif args.verb == "lens":
         _emit(io.structure_to_json(lens_structure(args.q, args.p)))
     elif args.verb == "h1":

@@ -173,15 +173,15 @@ def _report(quotient: QuotientComplex) -> WorkflowReport:
 
     Nontrivial H1 refutes a sphere; a quotient that collapses to a point
     certifies one (README, "Certificates"), and is contractible, so its H1
-    is trivial.  The two exclude each other, so either may be tried first.
-    An edge class of m faces lies in m 2-cells of Q, so Q's free cells are
-    the folds, the classes of one face: a quotient with a fold is collapsed
-    first, and H1 is computed only when it does not reach a point, while
-    one with no fold, which removes nothing, has its H1 first.  Flatness,
-    the surface class and the Γ graph are evidence only."""
+    is trivial.  An edge class of m faces lies in m 2-cells of Q, so Q's
+    free cells are the folds, the classes of one face.  A quotient with a
+    fold is collapsed first, and its H1 is computed only when it does not
+    reach a point.  One with no fold has no free cell, so it collapses
+    nothing and does not reach a point: its H1 is computed and the collapse
+    never runs.  Flatness, the surface class and the Γ graph are evidence
+    only."""
     orders = _class_orders(quotient)
-    fold = any(m == 1 for _, m, _ in orders)
-    collapsed = quotient_collapses_to_point(quotient) if fold else None
+    collapsed = any(m == 1 for _, m, _ in orders) and quotient_collapses_to_point(quotient)
     group = AbelianGroup(0) if collapsed else quotient.h1()
     deg = _degree(orders)
     report = WorkflowReport(flat=deg == (2,), degree=deg, h1=group)
@@ -200,8 +200,8 @@ def _report(quotient: QuotientComplex) -> WorkflowReport:
     if not group.is_trivial():
         report.conclusion = f"not a sphere: H1 = {group.describe()}"
         return report
-    report.collapsed_to_point = quotient_collapses_to_point(quotient) if collapsed is None else collapsed
-    if not report.collapsed_to_point:
+    report.collapsed_to_point = collapsed
+    if not collapsed:
         report.conclusion = "undecided: H1 = 0 and the quotient does not collapse"
         return report
     report.prism_cells = prism_cell_counts(quotient)
@@ -221,37 +221,31 @@ def sphere_workflow(m: Complex, budget: int = 100_000) -> WorkflowReport:
     built or validated, no face table of the tetrahedra is built, and the
     spine lemma (README "The spine of a build") stands in for that check.
     The spine's vertex and edge counts are M's V and E for the closed-3
-    rule (`moves._closed_3_manifold`); a walk that refuses takes them from
-    sets, so a non-manifold is named as such at every budget."""
+    rule (`moves._closed_3_manifold`), which runs once, after a walk that
+    spans.  Every refusal, of a pairing that is not closed, of the walk or
+    of the rule, reads the vertex links once off the sorted tetrahedra and
+    words itself by `check_manifold`'s report (`manifold._link_report`):
+    a closed M with a bad link is named as such at every budget, and any
+    other refusal is the walk's own, or that M is not closed."""
     if m.dimension() != 3 or not m.is_uniform():
         raise StructureError("sphere workflow expects a uniform 3-complex")
     top = sorted(m.generators)
     below = _facet_list(top, 3)
     partner = _partners(below)
-    if partner is None or -1 in partner:
-        raise _manifold_refusal(m, top)
-    try:
-        steps = list(_crossings(m, top, partner, budget))
-    except (StructureError, BudgetExceeded):
-        if not _closed_3_manifold(top, partner, len(m.vertices()), len(set(_facet_list(top, 2)))):
-            raise _manifold_refusal(m, top) from None
-        raise
-    spine = QuotientComplex._spine(top, below, partner, steps)
-    counts = spine.cell_counts()
-    if not _closed_3_manifold(top, partner, counts[0], counts[1]):
-        raise _manifold_refusal(m, top)
-    report = _report(spine)
-    report.evidence.insert(0, f"structure built in {len(steps)} absorption steps")
-    return report
-
-
-def _manifold_refusal(m: Complex, top: List[Simplex]) -> StructureError:
-    """The refusal of `m`, of the sorted tetrahedra `top`, which is not a
-    closed 3-manifold, in `check_manifold`'s words: its report on the
-    verdicts of the vertex links (`manifold._link_report`), when those make
-    `m` closed, and otherwise that the workflow expects a closed complex.
-    The links are read off `top`, so M's facets are not paired again."""
+    refusal: Exception = StructureError("sphere workflow expects a closed complex")
+    if partner is not None and -1 not in partner:
+        try:
+            steps = list(_crossings(m, top, partner, budget))
+        except (StructureError, BudgetExceeded) as walk:
+            refusal = walk
+        else:
+            spine = QuotientComplex._spine(top, below, partner, steps)
+            counts = spine.cell_counts()
+            if _closed_3_manifold(top, partner, counts[0], counts[1]):
+                report = _report(spine)
+                report.evidence.insert(0, f"structure built in {len(steps)} absorption steps")
+                return report
     manifold = _link_report(m, 3, dict(_link_verdicts(top, 2, {})))
-    return StructureError(
-        manifold.describe() if manifold.closed else "sphere workflow expects a closed complex"
-    )
+    if manifold.closed and manifold.bad_vertices:
+        raise StructureError(manifold.describe())
+    raise refusal

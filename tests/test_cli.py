@@ -218,6 +218,17 @@ def test_parse_error_exit_code_two(tmp_path):
         assert json.loads(err)["kind"] == "parse"
 
 
+def test_a_negative_budget_is_a_parse_error():
+    # a budget below 0 is refused before the input is read; 0 caps the walk
+    for verb in ("sphere-check", "structure"):
+        code, out, err = run([verb, "-", "--budget", "-3"], S3)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "--budget must be at least 0, got -3", "kind": "parse"}
+        code, out, err = run([verb, "-", "--budget", "0"], S3)
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "structure build exceeded 0 steps", "kind": "domain"}
+
+
 def test_domain_error_exit_code_one():
     code, out, err = run(["lens", "4", "2"])
     assert code == 1 and out == ""

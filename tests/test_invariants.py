@@ -493,9 +493,9 @@ def test_the_link_pass_is_what_stops_a_false_sphere(monkeypatch):
 
 def test_a_refused_workflow_pairs_and_rules_once(monkeypatch):
     # the closed-3 rule refuses the suspended 7-vertex torus and P after a
-    # walk that spans, or at a budget of one step instead of it; the links
-    # name the bad vertices without a second pairing of M's triangles or a
-    # second run of the rule
+    # walk that spans, and does not run at a budget of one step, where the
+    # walk refuses; the links name the bad vertices either way, without a
+    # second pairing of M's triangles
     pairings, rules = [], []
     partners, rule = stellar.complexes._partners, stellar.moves._closed_3_manifold
 
@@ -519,7 +519,7 @@ def test_a_refused_workflow_pairs_and_rules_once(monkeypatch):
                 sphere_workflow(m, budget=budget)
             assert str(refusal.value) == f"not a manifold: bad links at vertices {bad}"
             assert [f for f in pairings if len(f) == 3] == [min(m.generators)[:3]]
-            assert rules == [(len(m.vertices()), len(m.faces_of_dim(1)))]
+            assert rules == [(len(m.vertices()), len(m.faces_of_dim(1)))] * (budget > 1)
 
 
 def test_a_workflow_refusal_of_an_open_pairing_pairs_once(monkeypatch):
@@ -552,6 +552,69 @@ def test_a_workflow_refusal_of_an_open_pairing_pairs_once(monkeypatch):
                 sphere_workflow(m, budget=budget)
             assert str(refusal.value) == text
             assert [f for f in pairings if len(f) == 3] == [min(m.generators)[:3]]
+
+
+def test_a_workflow_rules_pairs_and_collapses_at_most_once(
+    monkeypatch, cycle_join, non_sphere_controls, ledger_zoo
+):
+    # over the refusal zoo at one step and at the default budget, and over
+    # the ledger's closed 3-complexes: M's triangles are paired once, no set
+    # of M's edges is built, the closed-3 rule runs at most once and only
+    # after a walk that spans, and a report collapses its quotient at most once
+    from test_ledger import refusal_zoo
+
+    events = []
+    partners, facet_list = stellar.complexes._partners, stellar.complexes._facet_list
+    rule, crossings = stellar.moves._closed_3_manifold, stellar.structure._crossings
+    collapses = stellar.invariants.quotient_collapses_to_point
+
+    def partners_spy(facets):
+        if facets and len(facets[0]) == 3:
+            events.append("pairing")
+        return partners(facets)
+
+    def facet_list_spy(gens, d):
+        events.append(f"facets {d}")
+        return facet_list(gens, d)
+
+    def crossings_spy(m, top, partner, budget):
+        yield from crossings(m, top, partner, budget)
+        events.append("spanned")
+
+    def rule_spy(*args):
+        events.append("rule")
+        return rule(*args)
+
+    def collapses_spy(q):
+        events.append("collapse")
+        return collapses(q)
+
+    for module in (stellar.moves, stellar.manifold, stellar.invariants, stellar.structure, stellar.quotient):
+        if getattr(module, "_partners", None) is partners:
+            monkeypatch.setattr(module, "_partners", partners_spy)
+    monkeypatch.setattr(stellar.invariants, "_facet_list", facet_list_spy)
+    monkeypatch.setattr(stellar.invariants, "_crossings", crossings_spy)
+    monkeypatch.setattr(stellar.invariants, "_closed_3_manifold", rule_spy)
+    monkeypatch.setattr(stellar.invariants, "quotient_collapses_to_point", collapses_spy)
+    calls = [(k, b) for k in refusal_zoo(cycle_join, non_sphere_controls) for b in (1, 100_000)]
+    calls += [(k, 100_000) for k in ledger_zoo[0]]
+    seen = set()
+    for m, budget in calls:
+        events.clear()
+        try:
+            sphere_workflow(m, budget=budget)
+        except (StructureError, BudgetExceeded):
+            pass
+        assert events[:2] == ["facets 3", "pairing"], m
+        rest = events[2:]
+        assert "pairing" not in rest and "facets 2" not in rest
+        assert rest.count("rule") <= 1 and rest.count("collapse") <= 1
+        if "rule" in rest:
+            assert rest.index("spanned") < rest.index("rule")
+        seen.add(tuple(rest))
+    # every path is reached: refusals before the rule and at it, and reports
+    # with and without a collapse
+    assert seen == {(), ("spanned", "rule"), ("spanned", "rule", "collapse")}
 
 
 def count_pair_matchings(monkeypatch):
