@@ -174,12 +174,11 @@ def _report(quotient: QuotientComplex) -> WorkflowReport:
     Nontrivial H1 refutes a sphere; a quotient that collapses to a point
     certifies one (README, "Certificates"), and is contractible, so its H1
     is trivial.  An edge class of m faces lies in m 2-cells of Q, so Q's
-    free cells are the folds, the classes of one face.  A quotient with a
-    fold is collapsed first, and its H1 is computed only when it does not
-    reach a point.  One with no fold has no free cell, so it collapses
-    nothing and does not reach a point: its H1 is computed and the collapse
-    never runs.  Flatness, the surface class and the Γ graph are evidence
-    only."""
+    free cells are the folds, the classes of one face: a quotient with a
+    fold is collapsed first, and H1 is computed only when it does not reach
+    a point, while one with no fold removes nothing, reaches no point and
+    has its H1 alone.  Flatness, the surface class and the Γ graph are
+    evidence only."""
     orders = _class_orders(quotient)
     collapsed = any(m == 1 for _, m, _ in orders) and quotient_collapses_to_point(quotient)
     group = AbelianGroup(0) if collapsed else quotient.h1()
@@ -221,12 +220,10 @@ def sphere_workflow(m: Complex, budget: int = 100_000) -> WorkflowReport:
     built or validated, no face table of the tetrahedra is built, and the
     spine lemma (README "The spine of a build") stands in for that check.
     The spine's vertex and edge counts are M's V and E for the closed-3
-    rule (`moves._closed_3_manifold`), which runs once, after a walk that
-    spans.  Every refusal, of a pairing that is not closed, of the walk or
-    of the rule, reads the vertex links once off the sorted tetrahedra and
-    words itself by `check_manifold`'s report (`manifold._link_report`):
-    a closed M with a bad link is named as such at every budget, and any
-    other refusal is the walk's own, or that M is not closed."""
+    rule (`moves._closed_3_manifold`), run once, after a walk that spans.
+    Every refusal reads the vertex links once, and names a bad one in
+    `check_manifold`'s words (`manifold._link_report`) at every budget;
+    otherwise it is the walk's own, or that M is not closed."""
     if m.dimension() != 3 or not m.is_uniform():
         raise StructureError("sphere workflow expects a uniform 3-complex")
     top = sorted(m.generators)
