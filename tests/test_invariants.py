@@ -598,23 +598,18 @@ def test_a_workflow_rules_pairs_and_collapses_at_most_once(
     monkeypatch.setattr(stellar.invariants, "quotient_collapses_to_point", collapses_spy)
     calls = [(k, b) for k in refusal_zoo(cycle_join, non_sphere_controls) for b in (1, 100_000)]
     calls += [(k, 100_000) for k in ledger_zoo[0]]
-    seen = set()
+    outcomes = set()
     for m, budget in calls:
         events.clear()
         try:
             sphere_workflow(m, budget=budget)
         except (StructureError, BudgetExceeded):
             pass
-        assert events[:2] == ["facets 3", "pairing"], m
-        rest = events[2:]
-        assert "pairing" not in rest and "facets 2" not in rest
-        assert rest.count("rule") <= 1 and rest.count("collapse") <= 1
-        if "rule" in rest:
-            assert rest.index("spanned") < rest.index("rule")
-        seen.add(tuple(rest))
-    # every path is reached: refusals before the rule and at it, and reports
-    # with and without a collapse
-    assert seen == {(), ("spanned", "rule"), ("spanned", "rule", "collapse")}
+        outcomes.add(tuple(events))
+    # every path: refusals before the rule and by it, and reports with and
+    # without a collapse
+    paired = ("facets 3", "pairing")
+    assert outcomes == {paired, paired + ("spanned", "rule"), paired + ("spanned", "rule", "collapse")}
 
 
 def count_pair_matchings(monkeypatch):
