@@ -10,7 +10,9 @@ import hashlib
 import random
 from math import gcd
 
+from stellar.io import complex_to_json, dumps, structure_to_json
 from stellar.moves import _recognize, collapse_greedy
+from test_cli import run
 from test_invariants import PINCHED
 from test_moves import DOUBLE_OCTAHEDRON, RP2_6, TORUS7, subdivided_ball
 
@@ -24,6 +26,7 @@ from stellar import (
     standard_simplex,
     standard_sphere,
     structure_report,
+    subdivide,
 )
 from stellar.errors import StellarError
 
@@ -206,3 +209,87 @@ def test_greedy_residues_match_their_ledger_digest(random_subdivision, non_spher
                 records.append(repr(collapse_greedy(Complex(rest))))
     digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
     assert digest == "fd9b0b02671b434b4b2fd6781228b7dbcd773ad00f2bd1091852b54160730dc0"
+
+
+def cli_cases(non_sphere_controls):
+    """(argv, stdin) for every verb: valid complexes and structures, and the
+    input and domain errors, over files named relative to the working
+    directory.  Malformed arguments and `-h` are left out: their text is
+    argparse's, which differs between Python versions."""
+    def text(k):
+        return dumps(complex_to_json(k))
+
+    def structure(s):
+        return dumps(structure_to_json(s))
+
+    s3 = standard_sphere(3)
+    complexes = [
+        '{"generators": [[1, 2], [1, 3], [2, 3]]}',
+        '{"generators": [[1, 2, 3]]}',
+        '{"generators": [[1, 2, 3], [1, 4, 5]]}',
+        text(Complex([(1, 2, 3, 4)]).boundary() + Complex([(4, 5, 6, 7)]).boundary()),
+        text(s3),
+        text(s3 + Complex([tuple(v + 5 for v in g) for g in s3.generators])),
+        text(standard_simplex(3)),
+        text(subdivide(standard_sphere(4), (1, 2), 7)),
+        text(TORUS7),
+        text(RP2_6),
+        text(PINCHED),
+        text(non_sphere_controls[0]),
+    ]
+    folded_square = {
+        "apex": 9,
+        "sphere": {"generators": [[1, 2], [2, 3], [3, 4], [1, 4]]},
+        "equivalence": {"vertex_classes": [[2, 4]], "generator_pairs": [[[1, 2], [1, 4]], [[2, 3], [3, 4]]]},
+    }
+    tetrahedron = [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]]
+    structures = [structure(lens_structure(q, p)) for q, p in ((2, 1), (3, 1), (5, 1), (5, 2), (17, 4))]
+    structures += [structure(fold_structure(4)), dumps(folded_square)]
+    structures += [dumps({**folded_square, "apex": apex}) for apex in (True, 0, "9")]
+    structures += [
+        dumps({**folded_square, "equivalence": {"vertex_classes": [[2, c]], "generator_pairs": []}})
+        for c in (False, 0, 4.0)
+    ]
+    structures += [
+        dumps({"apex": 1, "sphere": {"generators": tetrahedron}, "equivalence": {
+            "vertex_classes": [], "generator_pairs": [[[1, 2, 3], [2, 3, 4]], [[1, 2, 4], [1, 3, 4]]]}}),
+        dumps({"apex": 9, "sphere": {"generators": tetrahedron}, "equivalence": {
+            "vertex_classes": [[2, 4]], "generator_pairs": [[[1, 2, 3], [1, 3, 4]], [[1, 2, 4], [2, 3, 4]]]}}),
+        dumps({**folded_square, "closed": False}),
+    ]
+    broken = ["{not json", "[]", '{"generators": {}}', '{"generators": [[2, 1]]}',
+              '{"generators": [[true]]}', '{"generators": [[]]}', '{"apex": 1}']
+    reading = ["chi", "boundary", "prism", "check", "structure", "degree", "gamma",
+               "h1", "classify", "sphere-check", "collapse"]
+    cases = [([verb, "-"], data) for verb in reading for data in complexes + structures + broken]
+    cases += [([verb, "missing.json"], "") for verb in reading]
+    circle = complexes[0]
+    for verb in ("subdivide", "weld"):
+        cases += [([verb, "-", simplex, vertex], data)
+                  for simplex, vertex in (("1,2", "4"), ("1,2", "2"), ("1,4", "5"), ("1,2,3", "6"))
+                  for data in (circle, text(subdivide(Complex([(1, 2)]), (1, 2), 4)), complexes[4], "{not json")]
+        cases.append(([verb, "missing.json", "1,2", "4"], ""))
+    cases += [(["lens", q, p], "") for q, p in (("5", "1"), ("5", "2"), ("4", "2"), ("1", "1"), ("3", "3"), ("65", "8"))]
+    for verb in ("structure", "sphere-check"):
+        cases += [([verb, "-", "--budget", budget], data)
+                  for budget in ("-3", "0", "1", "2", "100000")
+                  for data in (complexes[4], complexes[11], structures[3], "{not json")]
+    cases += [(["gamma", "-", "--dot", dot], data)
+              for dot in ("gamma.dot", "missing/gamma.dot") for data in structures[:4] + broken[:1]]
+    return cases
+
+
+def test_cli_outcomes_match_their_ledger_digest(non_sphere_controls, tmp_path, monkeypatch):
+    # the exit code, stdout and stderr of every verb over valid inputs and
+    # over input and domain errors, with the dot files the gamma verb writes
+    monkeypatch.chdir(tmp_path)
+    dot = tmp_path / "gamma.dot"
+    records = []
+    for argv, stdin in cli_cases(non_sphere_controls):
+        records.append(repr((argv, *run(argv, stdin))))
+        if dot.exists():
+            records.append(dot.read_text(encoding="utf-8"))
+            dot.unlink()
+    assert len(records) == 490
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest == "ed463f069c3b2b1108af32bcf04209a4135abf74bc39c3dd9a74250fc2461a94"
