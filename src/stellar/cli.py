@@ -2,7 +2,11 @@
 
 Every verb reads JSON (a file path or `-` for stdin) and writes JSON with
 sorted keys to stdout.  Exit codes: 0 success, 1 domain error, 2 bad input,
-141 stdout closed before the output was written.
+141 stdout closed before the output was written.  An error goes to stderr as
+JSON, `{"error": ..., "kind": "parse"}` for bad input and `"kind": "domain"`
+otherwise; a malformed argument is bad input as much as a malformed file.
+
+Each verb is one entry of `_VERBS`, from which the parser is built.
 """
 
 from __future__ import annotations
@@ -10,10 +14,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 from functools import lru_cache
-from typing import Any, List, Optional
+from typing import Any, List, NoReturn, Optional
 
 from . import io
+from .complexes import Complex
 from .errors import ParseError, StellarError
 from .group import degree, gamma_graph, has_circuit, surface_quotient
 from .invariants import classify_flat_quotient, h1, sphere_workflow, structure_report
@@ -33,18 +39,33 @@ def _read(path: str) -> Any:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
-def _emit(data: Any) -> None:
-    print(io.dumps(data))
+def _complex_or_structure(data: Any):
+    """A structure when the JSON object has a "sphere", else a complex."""
+    if isinstance(data, dict) and "sphere" in data:
+        return io.parse_structure(data)
+    return io.parse_complex(data)
+
+
+def _refuse(message: str) -> NoReturn:
+    """The `error` of every parser: a malformed argument is a parse error."""
+    raise ParseError(message)
+
+
+def _budget(text: str) -> int:
+    try:
+        budget = int(text)
+    except ValueError as exc:
+        raise ParseError(f"--budget must be an integer, got {text!r}") from exc
+    if budget < 0:
+        raise ParseError(f"--budget must be at least 0, got {budget}")
+    return budget
 
 
 def _parse_simplex_arg(text: str) -> tuple:
     try:
-        parts = tuple(int(x) for x in text.split(","))
+        return tuple(int(x) for x in text.split(","))
     except ValueError as exc:
         raise ParseError(f"expected comma-separated integers, got {text!r}") from exc
-    if not parts:
-        raise ParseError("empty simplex argument")
-    return parts
 
 
 def _group_json(group) -> dict:
@@ -82,6 +103,91 @@ def _gamma_json(gamma, circuit) -> dict:
     }
 
 
+def _check(k, args) -> dict:
+    report = check_manifold(k)
+    # how many links each certificate decided; "null" counts undecided links
+    certificates = {"exact": 0, "collapse": 0, "null": 0}
+    for name in report.link_certificates.values():
+        certificates[name or "null"] += 1
+    return {
+        "is_manifold": report.is_manifold,
+        "closed": report.closed,
+        "dimension": report.dimension,
+        "bad_vertices": report.bad_vertices,
+        "undecided_vertices": report.unknown_vertices,
+        "certificates": certificates,
+        "summary": report.describe(),
+    }
+
+
+def _gamma(structure, args) -> dict:
+    gamma = gamma_graph(structure)
+    if args.dot:
+        try:
+            with open(args.dot, "w", encoding="utf-8") as handle:
+                handle.write(gamma.to_dot() + "\n")
+        except OSError as exc:
+            raise ParseError(f"cannot write {args.dot}: {exc}") from exc
+    return _gamma_json(gamma, has_circuit(gamma))
+
+
+def _sphere_check(source, args) -> dict:
+    if isinstance(source, Complex):
+        return _report_json(sphere_workflow(source, budget=args.budget))
+    return _report_json(structure_report(source))
+
+
+def _collapse(k, args) -> dict:
+    residue = collapse_greedy(k)
+    return {
+        "residue": io.complex_to_json(residue),
+        "collapsible": len(residue) == 1 and residue.dimension() == 0,
+    }
+
+
+def _arg(*names: str, **options: Any) -> tuple:
+    return names, options
+
+
+_BUDGET = _arg("--budget", type=_budget, default=100_000)
+
+# verb: (help, reader of its JSON input or None for no input, answer to what
+# the reader returns and the arguments, extra arguments)
+_VERBS = {
+    "chi": ("Euler characteristic of a complex", io.parse_complex,
+            lambda k, args: {"chi": k.euler_characteristic()}),
+    "boundary": ("mod-2 boundary of a complex", io.parse_complex,
+                 lambda k, args: io.complex_to_json(k.boundary())),
+    "subdivide": ("star a simplex at a fresh vertex", io.parse_complex,
+                  lambda k, args: io.complex_to_json(subdivide(k, args.simplex, args.vertex)),
+                  _arg("simplex", type=_parse_simplex_arg, help="comma-separated vertices, e.g. 1,2"),
+                  _arg("vertex", type=int)),
+    "weld": ("inverse subdivision", io.parse_complex,
+             lambda k, args: io.complex_to_json(weld(k, args.simplex, args.vertex)),
+             _arg("simplex", type=_parse_simplex_arg, help="comma-separated vertices to restore"),
+             _arg("vertex", type=int, help="vertex to erase")),
+    "prism": ("prism over a uniform complex", io.parse_complex,
+              lambda k, args: io.complex_to_json(prism(k))),
+    "check": ("manifold check via vertex links", io.parse_complex, _check),
+    "structure": ("build an apex structure", io.parse_complex,
+                  lambda k, args: io.structure_to_json(build_structure(k, args.budget).structure),
+                  _BUDGET),
+    "degree": ("degree string of a structure", io.parse_structure,
+               lambda structure, args: {"degree": list(degree(structure))}),
+    "gamma": ("graph of high-order edge classes", io.parse_structure, _gamma,
+              _arg("--dot", metavar="FILE", help="also write Graphviz dot")),
+    "lens": ("lens shell structure", None,
+             lambda _, args: io.structure_to_json(lens_structure(args.q, args.p)),
+             _arg("q", type=int), _arg("p", type=int)),
+    "h1": ("first homology of a complex or structure", _complex_or_structure,
+           lambda source, args: _group_json(h1(source))),
+    "classify": ("surface class of a flat quotient", io.parse_structure,
+                 lambda s, args: asdict(classify_flat_quotient(surface_quotient(s)))),
+    "sphere-check": ("full sphere workflow", _complex_or_structure, _sphere_check, _BUDGET),
+    "collapse": ("greedy free-face collapse", io.parse_complex, _collapse),
+}
+
+
 @lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: `parse_args` leaves it
@@ -90,137 +196,24 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="stellar",
         description="Simplicial complexes over Z2: moves, structures, invariants.",
     )
+    parser.error = _refuse
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def with_input(p):
-        p.add_argument("input", help="JSON file, or - for stdin")
-        return p
-
-    with_input(sub.add_parser("chi", help="Euler characteristic of a complex"))
-    with_input(sub.add_parser("boundary", help="mod-2 boundary of a complex"))
-    p = with_input(sub.add_parser("subdivide", help="star a simplex at a fresh vertex"))
-    p.add_argument("simplex", help="comma-separated vertices, e.g. 1,2")
-    p.add_argument("vertex", type=int)
-    p = with_input(sub.add_parser("weld", help="inverse subdivision"))
-    p.add_argument("simplex", help="comma-separated vertices to restore")
-    p.add_argument("vertex", type=int, help="vertex to erase")
-    with_input(sub.add_parser("prism", help="prism over a uniform complex"))
-    with_input(sub.add_parser("check", help="manifold check via vertex links"))
-    p = with_input(sub.add_parser("structure", help="build an apex structure"))
-    p.add_argument("--budget", type=int, default=100_000)
-    with_input(sub.add_parser("degree", help="degree string of a structure"))
-    p = with_input(sub.add_parser("gamma", help="graph of high-order edge classes"))
-    p.add_argument("--dot", metavar="FILE", help="also write Graphviz dot")
-    p = sub.add_parser("lens", help="lens shell structure")
-    p.add_argument("q", type=int)
-    p.add_argument("p", type=int)
-    with_input(sub.add_parser("h1", help="first homology of a complex or structure"))
-    with_input(sub.add_parser("classify", help="surface class of a flat quotient"))
-    p = with_input(sub.add_parser("sphere-check", help="full sphere workflow"))
-    p.add_argument("--budget", type=int, default=100_000)
-    with_input(sub.add_parser("collapse", help="greedy free-face collapse"))
+    for verb, (summary, reader, answer, *extras) in _VERBS.items():
+        p = sub.add_parser(verb, help=summary)
+        p.error = _refuse
+        if reader is not None:
+            p.add_argument("input", help="JSON file, or - for stdin")
+        for names, options in extras:
+            p.add_argument(*names, **options)
+        p.set_defaults(read=reader, answer=answer)
     return parser
 
 
-def _dispatch(args: argparse.Namespace) -> None:
-    if getattr(args, "budget", 0) < 0:
-        raise ParseError(f"--budget must be at least 0, got {args.budget}")
-    if args.verb == "chi":
-        k = io.parse_complex(_read(args.input))
-        _emit({"chi": k.euler_characteristic()})
-    elif args.verb == "boundary":
-        k = io.parse_complex(_read(args.input))
-        _emit(io.complex_to_json(k.boundary()))
-    elif args.verb == "subdivide":
-        k = io.parse_complex(_read(args.input))
-        _emit(io.complex_to_json(subdivide(k, _parse_simplex_arg(args.simplex), args.vertex)))
-    elif args.verb == "weld":
-        k = io.parse_complex(_read(args.input))
-        _emit(io.complex_to_json(weld(k, _parse_simplex_arg(args.simplex), args.vertex)))
-    elif args.verb == "prism":
-        k = io.parse_complex(_read(args.input))
-        _emit(io.complex_to_json(prism(k)))
-    elif args.verb == "check":
-        k = io.parse_complex(_read(args.input))
-        report = check_manifold(k)
-        # how many links each certificate decided; "null" counts undecided links
-        certificates = {"exact": 0, "collapse": 0, "null": 0}
-        for name in report.link_certificates.values():
-            certificates[name or "null"] += 1
-        _emit(
-            {
-                "is_manifold": report.is_manifold,
-                "closed": report.closed,
-                "dimension": report.dimension,
-                "bad_vertices": report.bad_vertices,
-                "undecided_vertices": report.unknown_vertices,
-                "certificates": certificates,
-                "summary": report.describe(),
-            }
-        )
-    elif args.verb == "structure":
-        k = io.parse_complex(_read(args.input))
-        result = build_structure(k, budget=args.budget)
-        _emit(io.structure_to_json(result.structure))
-    elif args.verb == "degree":
-        structure = io.parse_structure(_read(args.input))
-        _emit({"degree": list(degree(structure))})
-    elif args.verb == "gamma":
-        structure = io.parse_structure(_read(args.input))
-        gamma = gamma_graph(structure)
-        if args.dot:
-            try:
-                with open(args.dot, "w", encoding="utf-8") as handle:
-                    handle.write(gamma.to_dot() + "\n")
-            except OSError as exc:
-                raise ParseError(f"cannot write {args.dot}: {exc}") from exc
-        _emit(_gamma_json(gamma, has_circuit(gamma)))
-    elif args.verb == "lens":
-        _emit(io.structure_to_json(lens_structure(args.q, args.p)))
-    elif args.verb == "h1":
-        data = _read(args.input)
-        if isinstance(data, dict) and "sphere" in data:
-            group = h1(io.parse_structure(data))
-        else:
-            group = h1(io.parse_complex(data))
-        _emit(_group_json(group))
-    elif args.verb == "classify":
-        structure = io.parse_structure(_read(args.input))
-        surface = classify_flat_quotient(surface_quotient(structure))
-        _emit(
-            {
-                "kind": surface.kind,
-                "chi": surface.chi,
-                "orientable": surface.orientable,
-                "boundary_circles": surface.boundary_circles,
-                "detail": surface.detail,
-            }
-        )
-    elif args.verb == "sphere-check":
-        data = _read(args.input)
-        if isinstance(data, dict) and "sphere" in data:
-            report = structure_report(io.parse_structure(data))
-        else:
-            report = sphere_workflow(io.parse_complex(data), budget=args.budget)
-        _emit(_report_json(report))
-    elif args.verb == "collapse":
-        k = io.parse_complex(_read(args.input))
-        residue = collapse_greedy(k)
-        _emit(
-            {
-                "residue": io.complex_to_json(residue),
-                "collapsible": len(residue) == 1 and residue.dimension() == 0,
-            }
-        )
-    else:  # pragma: no cover - argparse enforces the verb set
-        raise ParseError(f"unknown verb {args.verb}")
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        _dispatch(args)
+        args = _build_parser().parse_args(argv)
+        source = args.read(_read(args.input)) if args.read else None
+        print(io.dumps(args.answer(source, args)))
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout early; point it at devnull so the flush

@@ -10,12 +10,19 @@ from .errors import ParseError
 from .quotient import RegularEquivalence, StellarStructure
 
 
+def _labels(values: List[Any]) -> bool:
+    """Whether every value is a vertex label: a positive int that is not a bool."""
+    for v in values:
+        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+            return False
+    return True
+
+
 def _as_simplex(value: Any, where: str) -> Simplex:
     if not isinstance(value, list) or not value:
         raise ParseError(f"{where}: expected a nonempty array of vertex labels")
-    for v in value:
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise ParseError(f"{where}: vertex labels must be positive integers")
+    if not _labels(value):
+        raise ParseError(f"{where}: vertex labels must be positive integers")
     if sorted(set(value)) != value:
         raise ParseError(
             f"{where}: vertices must be strictly increasing, got {value}"
@@ -49,9 +56,8 @@ def parse_equivalence(data: Any) -> RegularEquivalence:
     for i, c in enumerate(classes):
         if not isinstance(c, list) or not c:
             raise ParseError(f"vertex_classes[{i}]: expected a nonempty array")
-        for v in c:
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise ParseError(f"vertex_classes[{i}]: labels must be positive")
+        if not _labels(c):
+            raise ParseError(f"vertex_classes[{i}]: labels must be positive")
         parsed_classes.append(c)
     parsed_pairs: List[Tuple[Simplex, Simplex]] = []
     for i, entry in enumerate(pairs):
@@ -79,7 +85,7 @@ def parse_structure(data: Any) -> StellarStructure:
         if key not in data:
             raise ParseError(f'structure is missing "{key}"')
     apex = data["apex"]
-    if not isinstance(apex, int) or isinstance(apex, bool) or apex < 1:
+    if not _labels([apex]):
         raise ParseError('"apex" must be a positive integer')
     sphere = parse_complex(data["sphere"])
     eq = parse_equivalence(data["equivalence"])

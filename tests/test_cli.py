@@ -85,9 +85,34 @@ def test_check_counts_certificates():
 
 def test_check_takes_no_budget():
     # recognition runs no search, so only the structure build takes a budget
-    with pytest.raises(SystemExit) as exc:
-        run(["check", "-", "--budget", "5"], S3)
-    assert exc.value.code == 2
+    code, out, err = run(["check", "-", "--budget", "5"], S3)
+    assert code == 2 and out == ""
+    assert json.loads(err)["kind"] == "parse"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sphere-check", "--budget", "abc", "-"], "--budget must be an integer, got 'abc'"),
+        (["structure", "-", "--budget", "1.5"], "--budget must be an integer, got '1.5'"),
+        (["chi"], None),
+        (["frobnicate", "-"], None),
+        (["check", "-", "--budget", "5"], None),
+        (["subdivide", "-", "1,2", "x"], None),
+        (["lens", "5"], None),
+        (["subdivide", "-", "", "5"], "expected comma-separated integers, got ''"),
+        ([], None),
+    ],
+)
+def test_a_malformed_argument_is_a_json_parse_error(argv, message):
+    # argparse's own usage text and exit never reach the caller: each
+    # malformed argument is one JSON error on stderr, as a malformed file is
+    code, out, err = run(argv, S3)
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert error["kind"] == "parse"
+    if message is not None:
+        assert error["error"] == message
 
 
 def test_structure_then_degree():
