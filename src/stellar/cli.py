@@ -1,12 +1,11 @@
 """Command-line front end.
 
-Every verb reads JSON (a file path or `-` for stdin) and writes JSON with
-sorted keys to stdout.  Exit codes: 0 success, 1 domain error, 2 bad input,
-141 stdout closed before the output was written.  An error goes to stderr as
-JSON, `{"error": ..., "kind": "parse"}` for bad input and `"kind": "domain"`
-otherwise; a malformed argument is bad input as much as a malformed file.
-
-Each verb is one entry of `_VERBS`, from which the parser is built.
+Every verb but `lens` reads JSON (a file path or `-` for stdin), and every
+verb writes JSON with sorted keys to stdout.  Exit codes: 0 success, 1
+domain error, 2 bad input, 141 stdout closed before the output was written.
+An error goes to stderr as JSON, `{"error": ..., "kind": "parse"}` for bad
+input and `"kind": "domain"` otherwise; a malformed argument is bad input as
+much as a malformed file.
 """
 
 from __future__ import annotations
