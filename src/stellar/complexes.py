@@ -29,8 +29,6 @@ from .errors import ComplexError
 
 Simplex = Tuple[int, ...]
 
-EMPTY: Simplex = ()
-
 
 def simplex(vertices: Iterable[int]) -> Simplex:
     """Normalize an iterable of vertex labels into a simplex tuple."""
