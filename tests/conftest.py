@@ -3,8 +3,15 @@ import random
 
 import pytest
 
-from stellar import Complex, LabelAllocator, standard_sphere, subdivide
-from stellar.complexes import star_index
+from stellar import (
+    Complex,
+    LabelAllocator,
+    RegularEquivalence,
+    StellarStructure,
+    standard_sphere,
+    subdivide,
+)
+from stellar.complexes import UnionFind, star_index
 
 
 def _random_subdivision(rng, k, moves):
@@ -69,6 +76,40 @@ RP2 = Complex([
 def projective_plane():
     """The 6-vertex projective plane."""
     return RP2
+
+
+# The Poincaré dodecahedral space: each pentagon of the dodecahedron on the
+# labels 1..20 glued to the opposite one after a tenth of a turn.  GLUED
+# holds (i, j, image): position k of PENTAGONS[i] goes onto image[k], a
+# rotation of the cycle PENTAGONS[j].
+PENTAGONS = [[16, 10, 1, 9, 5], [15, 9, 1, 11, 3], [14, 11, 1, 10, 2], [6, 12, 2, 10, 16],
+             [4, 14, 2, 12, 18], [4, 13, 3, 11, 14], [7, 15, 3, 13, 19], [7, 17, 5, 9, 15],
+             [6, 16, 5, 17, 20], [19, 13, 4, 18, 8], [18, 12, 6, 20, 8], [20, 17, 7, 19, 8]]
+GLUED = [(0, 9, [8, 18, 4, 13, 19]), (1, 10, [8, 20, 6, 12, 18]), (2, 11, [8, 19, 7, 17, 20]),
+         (3, 6, [7, 19, 13, 3, 15]), (4, 7, [7, 15, 9, 5, 17]), (5, 8, [6, 20, 17, 5, 16])]
+
+
+def _fan(centre, cycle):
+    """The triangles of the pentagon `cycle` coned from `centre`, side by side."""
+    return [tuple(sorted((centre, cycle[k], cycle[(k + 1) % 5]))) for k in range(5)]
+
+
+@pytest.fixture
+def poincare_structure():
+    """The Poincaré dodecahedral structure about the apex 33: pentagon i is
+    coned from 21 + i, which gives 60 triangles on 32 vertices, and the
+    vertex classes are the closure of the gluing maps."""
+    classes, pairs = UnionFind(33), []
+    for i, j, image in GLUED:
+        classes.union(21 + i, 21 + j)
+        for v, w in zip(PENTAGONS[i], image):
+            classes.union(v, w)
+        pairs += zip(_fan(21 + i, PENTAGONS[i]), _fan(21 + j, image))
+    members = {}
+    for v in range(1, 33):
+        members.setdefault(classes.find(v)[0], []).append(v)
+    sphere = Complex(t for i, cycle in enumerate(PENTAGONS) for t in _fan(21 + i, cycle))
+    return StellarStructure(33, sphere, RegularEquivalence.build(list(members.values()), pairs))
 
 
 def _non_sphere_controls():

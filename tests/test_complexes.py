@@ -95,6 +95,8 @@ def test_standard_sphere_is_closed():
 def test_join_disjointness_enforced():
     with pytest.raises(ComplexError):
         Complex([(1, 2)]).join(Complex([(2, 3)]))
+    with pytest.raises(ComplexError, match="^join expects a Complex$"):
+        Complex([(1,)]).join(5)
 
 
 def test_join_and_cone():
@@ -126,6 +128,10 @@ def test_f_vector_and_chi():
     ball = standard_simplex(3)
     assert ball.f_vector() == [4, 6, 4, 1]
     assert ball.euler_characteristic() == 1
+    for empty in (Complex(), Complex([()])):
+        assert empty.dimension() == -1
+        assert empty.f_vector() == []
+        assert empty.euler_characteristic() == 0
 
 
 def test_f_vector_counts_the_closure():
@@ -395,6 +401,13 @@ def test_closure_and_faces():
 
 def test_simplex_boundary_of_vertex_is_join_identity():
     assert simplex_boundary((5,)) == {()}
+    with pytest.raises(ComplexError, match="^the empty simplex has no boundary$"):
+        simplex_boundary(())
+
+
+def test_standard_simplex_refuses_a_negative_dimension():
+    with pytest.raises(ComplexError, match="^dimension must be >= 0$"):
+        standard_simplex(-1)
 
 
 def test_label_allocator_skips_used_labels():

@@ -69,6 +69,19 @@ def test_p0_and_p_alpha_are_involutions():
             assert all(swap[swap[i]] == i for i in range(n))
 
 
+def test_a_partial_pairing_has_no_involution_and_no_degree():
+    # the octahedron with poles 1 and 2 over the equator 3, 4, 5, 6, and only
+    # the triangles on the equator edge (3, 4) paired
+    sphere = Complex(
+        tuple(sorted((pole, a, b))) for pole in (1, 2) for a, b in ((3, 4), (4, 5), (5, 6), (3, 6))
+    )
+    s = StellarStructure(9, sphere, RegularEquivalence.build([[1, 2]], [((1, 3, 4), (2, 3, 4))]))
+    assert s.validate() == [] and not s.is_closed
+    for partial in (p0, degree):
+        with pytest.raises(StructureError, match="^structure is not closed: the pairing is partial$"):
+            partial(s)
+
+
 def test_fold_structure_is_flat():
     s = fold_structure(4)
     assert degree(s) == (2,)

@@ -119,6 +119,7 @@ MORE_SURFACES = [
      ("Other", 0, None, None, "edge cell (2, 4) lies in no two-cell")),
     (Complex([(1, 2, 3), (4,)]), ("Other", 2, None, None, "isolated vertex cell (4,)")),
     (standard_sphere(1), ("Other", 0, None, None, "isolated vertex cell (1,)")),
+    (standard_simplex(3), ("Other", 1, None, None, "has cells above dimension two")),
 ]
 
 
@@ -303,6 +304,25 @@ def test_lens_report_refuses_sphere():
     assert not report.flat
     assert report.gamma_has_circuit
     assert report.conclusion == "not a sphere: H1 = Z/5"
+
+
+def test_the_poincare_report_is_undecided(poincare_structure):
+    # the third verdict: H1 is trivial and the quotient does not collapse,
+    # so neither certificate applies; only pi_1 tells this space from S^3
+    s = poincare_structure
+    assert s.validate() == [] and s.is_closed
+    assert sorted(len(c) for c in s.equivalence.vertex_classes) == [2] * 6 + [4] * 5
+    q = QuotientComplex.from_structure(s)
+    assert q.cell_counts() == {0: 11, 1: 40, 2: 30}
+    assert q.euler_characteristic() == 1
+    report = structure_report(s)
+    assert report.degree == (3, 2)
+    assert report.h1.is_trivial()
+    assert report.collapsed_to_point is False
+    assert report.gamma.vertices == (0, 1, 2, 3, 4)
+    assert report.gamma.edges == tuple((a, b, 6) for a, b in itertools.combinations(range(5), 2))
+    assert report.gamma_has_circuit
+    assert report.conclusion == "undecided: H1 = 0 and the quotient does not collapse"
 
 
 def test_report_refuses_a_sphere_that_is_not_a_surface():

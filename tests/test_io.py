@@ -64,6 +64,23 @@ def test_structure_closed_flag_is_verified():
             parse_structure(data)
 
 
+@pytest.mark.parametrize(
+    "equivalence, message",
+    [
+        ([], "expected an equivalence object"),
+        ({"vertex_classes": {}}, '"vertex_classes" and "generator_pairs" must be arrays'),
+        ({"vertex_classes": [[]]}, "vertex_classes[0]: expected a nonempty array"),
+        ({"generator_pairs": [[[1, 3, 4]]]}, "generator_pairs[0]: expected a two-element array"),
+    ],
+)
+def test_parse_structure_refuses_a_malformed_equivalence(equivalence, message):
+    data = structure_to_json(fold_structure(4))
+    data["equivalence"] = equivalence
+    with pytest.raises(ParseError) as caught:
+        parse_structure(data)
+    assert str(caught.value) == message
+
+
 def test_loads_reports_json_errors():
     with pytest.raises(ParseError):
         loads("{not json")

@@ -140,6 +140,8 @@ def test_lens_structure_validation():
         lens_structure(5, 0)
     with pytest.raises(StructureError):
         lens_structure(5, 5)
+    with pytest.raises(StructureError, match="^fold needs a q-gon equator with q >= 3$"):
+        fold_structure(2)
 
 
 def test_lens_two_is_the_antipodal_octahedron():

@@ -78,6 +78,8 @@ def test_subdivide_rejects_used_or_missing():
         subdivide(circle, (1, 2), 3)  # label in use
     with pytest.raises(MoveError):
         subdivide(circle, (1, 2, 3), 4)  # not a face
+    with pytest.raises(MoveError, match="^subdivision vertex must be a positive label, got 0$"):
+        subdivide(circle, (1, 2), 0)
 
 
 def test_weld_undoes_subdivide_random():
@@ -102,6 +104,13 @@ def test_weld_rejects_when_link_does_not_factor():
         weld(s2, (5, 6), 1)  # 1's link is a triangle, not a suspension
     with pytest.raises(WeldError):
         weld(s2, (1, 2), 3)  # (1,2) is a face already
+    # every link generator extends a face of (1, 2), but the link's two
+    # generators are not the four of boundary((1, 2)) * {(3,), (4,)}
+    with pytest.raises(WeldError) as caught:
+        weld(Complex([(1, 3, 5), (2, 4, 5)]), (1, 2), 5)
+    assert str(caught.value) == (
+        "link of 5 does not factor through boundary((1, 2)): 2 generators vs 2 x 2"
+    )
 
 
 def test_relabel():
@@ -115,6 +124,11 @@ def test_prism_of_edge():
     k = Complex([(1, 2)])
     assert prism_offset(k) == 10
     assert prism(k) == Complex([(1, 11, 12), (1, 2, 12)])
+
+
+def test_prism_refuses_a_complex_that_is_not_uniform():
+    with pytest.raises(MoveError, match="^prism requires a uniform complex$"):
+        prism(Complex([(1, 2, 3), (4, 5)]))
 
 
 def test_prism_of_triangle_counts():
