@@ -219,6 +219,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         # at exit raises nothing, and exit as a process killed by SIGPIPE
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    except SystemExit:  # argparse's help action, once the help is printed
+        return 0
     except ParseError as exc:
         print(io.dumps({"error": str(exc), "kind": "parse"}), file=sys.stderr)
         return 2

@@ -10,7 +10,7 @@ import pytest
 
 import stellar
 from stellar.cli import main
-from stellar.io import complex_to_json, dumps
+from stellar.io import complex_to_json, dumps, structure_to_json
 from stellar import standard_sphere, subdivide
 
 
@@ -113,6 +113,22 @@ def test_a_malformed_argument_is_a_json_parse_error(argv, message):
     assert error["kind"] == "parse"
     if message is not None:
         assert error["error"] == message
+
+
+def test_sphere_check_leaves_the_poincare_structure_undecided(tmp_path, poincare_structure):
+    path = tmp_path / "poincare.json"
+    path.write_text(dumps(structure_to_json(poincare_structure)))
+    code, out, err = run(["sphere-check", str(path)])
+    assert code == 0 and err == ""
+    assert json.loads(out)["conclusion"] == "undecided: H1 = 0 and the quotient does not collapse"
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["sphere-check", "-h"], ["lens", "-h"]])
+def test_help_returns_zero(argv):
+    # argparse's help action exits the process; main returns instead
+    code, out, err = run(argv)
+    assert code == 0 and err == ""
+    assert out.startswith("usage: stellar")
 
 
 def test_structure_then_degree():
