@@ -54,11 +54,11 @@ def weld_factor(k: Complex, a: Simplex, vertex: int) -> Complex:
 
     The boundary of a vertex is {()}, the join identity, so for a = (v,)
     B is the whole link; v is not in it, as the face check refuses a vertex
-    of the complex.  Each link generator h splits as f + b, with f
-    its vertices in `a` and b the rest; f must lie in boundary(a), so the
-    link lies in boundary(a) * B.  That join has |boundary(a)| * |B|
-    generators, because f and b are disjoint and determine h, so the
-    link equals it exactly when the counts agree.
+    of the complex.  Each link generator h splits as f + b, with f its
+    vertices in `a` and b the rest; f must lie in boundary(a), so the link
+    lies in boundary(a) * B.  That join has |boundary(a)| * |B| generators,
+    because f and b are disjoint and determine h, so the link equals it
+    exactly when the counts agree.
     """
     a = simplex(a)
     if vertex not in k.vertices():
