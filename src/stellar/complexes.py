@@ -107,12 +107,6 @@ class Complex:
     def __len__(self) -> int:
         return len(self._gens)
 
-    def __iter__(self) -> Iterator[Simplex]:
-        return iter(self.sorted_generators())
-
-    def __contains__(self, s) -> bool:
-        return tuple(s) in self._gens
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Complex) and self._gens == other._gens
 
@@ -190,7 +184,6 @@ class Complex:
 
         Treated as a set: coincident complements collapse to one face.
         """
-        a = tuple(sorted(a))
         sa = set(a)
         out = set()
         for g in self._gens:

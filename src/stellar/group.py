@@ -248,7 +248,17 @@ def internally_flat_complexes(
     """Orbit pairs of the group generated by the order-2, non-collapsible
     edge swaps, with orbits matched up by the pairing involution.  Those
     are the swaps of the classes of two edges: by `_class_orders` only a
-    class of one or two edges has full order 2, and one of one edge folds."""
+    class of one or two edges has full order 2, and one of one edge folds.
+
+    The pairing carries each orbit onto one orbit.  Let alpha = {e1, e2}
+    be such a class.  No generator holds two faces of a class
+    (`_class_orders`), so the generators g1, g1' on e1 and g2, g2' on e2
+    are four.  g1's matching carries e1 into alpha; were that e1, g1's
+    partner would be g1', the only other generator on e1, g2 could only
+    pair with g2', and no chain of matchings would join e1 to e2.  So the
+    pairing carries {g1, g1'} onto {g2, g2'}, each union this pass makes
+    onto another, and each orbit into one orbit, and onto it, as it is an
+    involution.  A generator on no such edge is paired with one on none."""
     quotient = surface_quotient(structure)
     gens = [quotient._faces[r] for r in quotient._generators]
     uf = UnionFind(len(gens))  # orbits under the generated group
@@ -267,8 +277,6 @@ def internally_flat_complexes(
         if root in done:
             continue
         image_root = uf.find(pair[root])[0]
-        if {uf.find(pair[i])[0] for i in members} != {image_root}:
-            raise StructureError("the pairing does not carry orbits to orbits")
         done.update((root, image_root))
         out.append(
             (

@@ -33,18 +33,20 @@ def subdivide(k: Complex, a: Simplex, vertex: int) -> Complex:
 
     Replaces the open star of `a` with the cone from `vertex` over
     boundary(a) * link(a); the residual part of the complex is untouched.
+    The empty simplex is refused: its star is the whole complex, so starring
+    it would cone the complex, which no weld undoes.
     """
     a = simplex(a)
     if vertex in k.vertices():
         raise MoveError(f"subdivision vertex {vertex} already occurs in the complex")
     if vertex < 1:
         raise MoveError(f"subdivision vertex must be a positive label, got {vertex}")
+    if not a:
+        raise MoveError("cannot subdivide the empty simplex")
     sa = set(a)
     if not any(sa <= set(g) for g in k.generators):
         raise MoveError(f"simplex {a} is not a face of any generator")
-    # the face check admits the empty simplex, which has no boundary: its
-    # star is the whole complex, and starring it cones the complex
-    bdy = Complex(simplex_boundary(a) if a else [()])
+    bdy = Complex(simplex_boundary(a))
     starred = cone(vertex).join(bdy).join(k.link(a))
     return starred + k.residual(a)
 

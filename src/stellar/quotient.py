@@ -71,11 +71,8 @@ class RegularEquivalence:
 
     def problems(self, sphere: Complex) -> List[str]:
         """Diagnostics; empty list means the equivalence is regular."""
-        return self._diagnose(sphere, sphere.vertices())
-
-    def _diagnose(self, sphere: Complex, vertices: FrozenSet[int]) -> List[str]:
-        """`problems` for a sphere with the vertex set `vertices`."""
         out: List[str] = []
+        vertices = sphere.vertices()
         cls = self._class_map(vertices)
         stray = {v for c in self.vertex_classes for v in c} - vertices
         if stray:
@@ -130,10 +127,9 @@ class StellarStructure:
 
     def validate(self) -> List[str]:
         out = []
-        vertices = self.sphere.vertices()  # read once for all three checks
-        if self.apex in vertices:
+        if self.apex in self.sphere.vertices():
             out.append(f"apex {self.apex} occurs in the sphere")
-        return out + self.equivalence._diagnose(self.sphere, vertices)
+        return out + self.equivalence.problems(self.sphere)
 
     @property
     def is_closed(self) -> bool:

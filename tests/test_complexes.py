@@ -67,6 +67,10 @@ def test_addition_is_symmetric_difference():
     b = Complex([(2, 3), (3, 4)])
     assert a + b == Complex([(1, 2), (3, 4)])
     assert a + a == Complex()
+    with pytest.raises(TypeError):
+        Complex() + 1
+    assert hash(a + b) == hash(Complex([(3, 4), (1, 2)]))
+    assert {a, b, Complex([(2, 1), (3, 2)])} == {a, b}
 
 
 def test_boundary_of_triangle():

@@ -170,6 +170,19 @@ def test_degree_entry_is_the_order_of_the_class_rotation():
         assert gamma_graph(s).edges == tuple(sorted(high))
 
 
+def test_a_structure_on_the_empty_sphere_has_no_classes():
+    s = StellarStructure(1, Complex(), RegularEquivalence.build([], []))
+    assert s.validate() == [] and s.is_closed
+    assert degree(s) == ()
+
+
+def test_p_alpha_refuses_two_facets_of_one_generator():
+    # (1, 3) and (1, 7) are both edges of the triangle (1, 3, 7); which of
+    # them the refusal names depends on set order
+    with pytest.raises(StructureError, match="^a generator contains two facets of the class of "):
+        p_alpha(lens_structure(3, 1), frozenset({(1, 3), (1, 7)}))
+
+
 def test_p_alpha_swaps_the_two_generators_on_each_facet():
     # reference: find the generators around each facet by scanning them all
     for s in shell_structures():

@@ -192,9 +192,6 @@ PUBLIC_ONLY = {
         "benchmark corpora",
     "complexes.Complex.closure": "the face list computed independently of "
         "`face_table`, which the tests check the table's order against",
-    "quotient.RegularEquivalence.problems": "the regularity diagnostics of an "
-        "equivalence on a sphere without an apex, through which the tests "
-        "check each diagnostic; `StellarStructure.validate` runs the same check",
     "moves.relabel": "the renaming move of the stellar calculus; the tests "
         "build relabelled copies with it",
     "moves.recognize": "the public recognizer; the library enters its "

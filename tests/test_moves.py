@@ -80,6 +80,10 @@ def test_subdivide_rejects_used_or_missing():
         subdivide(circle, (1, 2, 3), 4)  # not a face
     with pytest.raises(MoveError, match="^subdivision vertex must be a positive label, got 0$"):
         subdivide(circle, (1, 2), 0)
+    # the star of the empty simplex is the whole complex: starring it would
+    # cone the complex, which is no stellar move
+    with pytest.raises(MoveError, match="^cannot subdivide the empty simplex$"):
+        subdivide(circle, (), 4)
 
 
 def test_weld_undoes_subdivide_random():
